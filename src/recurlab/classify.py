@@ -29,7 +29,7 @@ import numpy as np
 from .empmeasure import ball_mass, best_banach_window, empirical_from_window
 from .errors import InsufficientHorizonError
 from .linop import (
-    DiagonalUnimodular,
+    DenseMatrix,
     Inverse,
     LinearOperator,
     SpectralData,
@@ -201,7 +201,7 @@ def _classify_return_times(
     banach = upper_banach_density(R, n_win)
     gap = syndetic_gap(R)
     positive = len(R) - 1
-    first = R.elements[1] if len(R) > 1 else None
+    first = int(R.array[1]) if len(R) > 1 else None
 
     recurrent = positive >= 1
     reiteratively = recurrent and banach.ratio >= thresholds.delta_banach
@@ -262,7 +262,7 @@ def classify_vector(
     if epsilons is None:
         epsilons = default_epsilon_grid(T.norm_of(x))
     epsilons = [float(e) for e in epsilons]
-    if any(e <= 0 for e in epsilons):
+    if any(not e > 0 for e in epsilons):
         raise ValueError("epsilons must be positive")
     if orbit is None:
         orbit = iterate(T, x, horizon)
@@ -429,14 +429,13 @@ def unimodular_return_set(
     individually; hits are evidence toward difference-set dual recurrence,
     never a verdict.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     angles = np.asarray(angles_turns, dtype=float)
     n = np.arange(horizon + 1)
     lam_pow = np.exp(2j * np.pi * np.outer(n, angles))
     dists = np.abs(lam_pow - 1.0).max(axis=1)
-    hits = np.nonzero(dists < epsilon)[0]
-    R = FiniteNatSet(tuple(int(k) for k in hits), horizon)
+    R = FiniteNatSet(np.nonzero(dists < epsilon)[0], horizon)
     gap = syndetic_gap(R)
 
     probes = []
@@ -514,8 +513,8 @@ def product_recurrence_check(
     R1 = return_set(orb1, epsilon)
     R2 = return_set(orb2, epsilon)
     R12 = return_set(orb12, epsilon)
-    inter = sorted(R1.as_set() & R2.as_set())
-    match = list(R12.elements) == inter
+    inter = np.intersect1d(R1.array, R2.array, assume_unique=True)
+    match = np.array_equal(R12.array, inter)
     h = orb12.horizon_effective
     premise = (
         rep1.records[0].flags["reiteratively"] and rep2.records[0].flags["reiteratively"]
@@ -558,8 +557,6 @@ def inverse_recurrence_check(
     if T.spec is not None:
         T_inv = realize(Inverse(T.spec))
     else:
-        from .linop import DenseMatrix
-
         T_inv = realize(
             Inverse(DenseMatrix(tuple(tuple(row) for row in T.matrix.tolist())))
         )
@@ -575,7 +572,7 @@ def inverse_recurrence_check(
         vector_id="backward", orbit=orb_b,
     )
     identical = all(
-        return_set(orb_f, eps).elements == return_set(orb_b, eps).elements
+        np.array_equal(return_set(orb_f, eps).array, return_set(orb_b, eps).array)
         for eps in epsilons
     )
     flags_match = fwd.vector_flags == bwd.vector_flags

@@ -182,7 +182,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             _resolve_vector(tok, T.dim, seed, name) for tok in e.get("vectors", ["ones"])
         )
         epsilons = tuple(float(x) for x in e.get("epsilons", []))
-        if not epsilons or any(x <= 0 for x in epsilons):
+        if not epsilons or any(not x > 0 for x in epsilons):
             raise ConfigError(f"experiment {name!r}: epsilons must be positive and nonempty")
         horizon = int(e.get("horizon", 10_000))
         if horizon < 1:
@@ -314,7 +314,7 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
             {
                 "epsilon": eps,
                 "return_count": len(rep.return_set),
-                "first_times": list(rep.return_set.elements[:16]),
+                "first_times": rep.return_set.array[:16].tolist(),
                 "syndetic_gap": rep.gap,
                 "probes": [p._asdict() for p in rep.probes],
             }

@@ -15,7 +15,7 @@ application and pushforward agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import block_diag, orth, schur, subspace_angles
@@ -41,6 +41,7 @@ __all__ = [
     "OperatorSpec",
     "LinearOperator",
     "SpectralData",
+    "block_norms",
     "realize",
     "direct_sum",
     "unimodular_eigenpairs",
@@ -140,7 +141,6 @@ class LinearOperator:
     power_norm_mid: float
     power_norm_end: float
     spec: OperatorSpec | None = None
-    norm_convention: str = "euclidean"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -212,20 +212,24 @@ class LinearOperator:
         return np.stack([self.apply(row) for row in rows])
 
     def block_norms(self, rows: np.ndarray) -> np.ndarray:
-        """Metric norm of each row: max over blocks of the Euclidean block norm."""
-        rows = np.atleast_2d(rows)
-        sq = np.abs(rows) ** 2
-        if len(self.block_dims) == 1:
-            return np.sqrt(sq.sum(axis=1))
-        out = np.zeros(rows.shape[0])
-        start = 0
-        for b in self.block_dims:
-            np.maximum(out, sq[:, start : start + b].sum(axis=1), out=out)
-            start += b
-        return np.sqrt(out)
+        return block_norms(rows, self.block_dims)
 
     def norm_of(self, v: np.ndarray) -> float:
         return float(self.block_norms(np.asarray(v)[None, :])[0])
+
+
+def block_norms(rows: np.ndarray, block_dims: Sequence[int]) -> np.ndarray:
+    """Metric norm of each row: max over blocks of the Euclidean block norm."""
+    rows = np.atleast_2d(rows)
+    sq = np.abs(rows) ** 2
+    if len(block_dims) == 1:
+        return np.sqrt(sq.sum(axis=1))
+    out = np.zeros(rows.shape[0])
+    start = 0
+    for b in block_dims:
+        np.maximum(out, sq[:, start : start + b].sum(axis=1), out=out)
+        start += b
+    return np.sqrt(out)
 
 
 def _complex_matrix(entries) -> np.ndarray:
@@ -296,22 +300,6 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     raise TypeError(f"unknown operator spec {type(spec).__name__}")
 
 
-def _power_iteration_norm(m: np.ndarray, iters: int = 60) -> float:
-    """Operator 2-norm estimated by power iteration on T* T (deterministic start)."""
-    d = m.shape[0]
-    b = m.conj().T @ m
-    rng = np.random.default_rng(0xC0FFEE)
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = b @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return float(np.sqrt(np.real(np.vdot(v, b @ v))))
-
-
 def _power_scan(m: np.ndarray, horizon: int) -> tuple[float, float, float]:
     """(sup, mid, end) of ||T^n||_2 over n in [1, horizon]; early out on blowup."""
     p = m.copy()
@@ -344,7 +332,7 @@ def realize(
         matrix=m,
         dim=d,
         block_dims=dims,
-        operator_norm_estimate=_power_iteration_norm(m),
+        operator_norm_estimate=float(np.linalg.norm(m, 2)),
         power_bound_estimate=sup,
         power_bound_horizon=power_bound_horizon,
         power_norm_mid=mid,
@@ -389,7 +377,6 @@ def direct_sum(parts: Sequence[LinearOperator], d_max: int = DIM_CAP) -> LinearO
         power_norm_mid=mid,
         power_norm_end=end,
         spec=spec,
-        norm_convention="max_components",
     )
 
 
@@ -398,8 +385,7 @@ class SpectralData:
     """Eigenstructure readout: all eigenpairs, the unimodular ones, and bases.
 
     ``espan_basis`` is an orthonormal basis of the span of the unimodular
-    eigenvectors. ``rev_basis`` / ``fl_basis`` are only populated after a JDG
-    split and stay None for operators that fail the power-boundedness gate.
+    eigenvectors.
     """
 
     eigenvalues: tuple[complex, ...]
@@ -409,8 +395,6 @@ class SpectralData:
     unimodular_indices: tuple[int, ...]
     espan_basis: np.ndarray
     tol_unimod: float
-    rev_basis: np.ndarray | None = None
-    fl_basis: np.ndarray | None = None
 
     @property
     def eigenpairs(self) -> list[tuple[complex, np.ndarray]]:

@@ -42,32 +42,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteNatSet:
-    """A subset of ``{0, 1, ..., horizon}`` with sorted, duplicate-free elements."""
+    """A subset of ``{0, 1, ..., horizon}``.
 
-    elements: tuple[int, ...]
+    ``array`` is a read-only, strictly increasing ``int64`` array; the
+    constructor accepts any int sequence and copies it. Equality and hashing
+    go by value on ``(array, horizon)``.
+    """
+
+    array: np.ndarray
     horizon: int
 
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        prev = -1
-        for e in self.elements:
-            if e <= prev:
-                raise ValueError("elements must be strictly increasing")
-            prev = e
-        if self.elements:
-            if self.elements[0] < 0:
+        arr = np.array(self.array, dtype=np.int64)
+        if (np.diff(arr) <= 0).any():
+            raise ValueError("elements must be strictly increasing")
+        if arr.size:
+            if arr[0] < 0:
                 raise ValueError("elements must be naturals")
-            if self.elements[-1] > self.horizon:
-                raise ValueError(
-                    f"element {self.elements[-1]} exceeds horizon {self.horizon}"
-                )
+            if arr[-1] > self.horizon:
+                raise ValueError(f"element {arr[-1]} exceeds horizon {self.horizon}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteNatSet):
+            return NotImplemented
+        return self.horizon == other.horizon and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.horizon, self.array.tobytes()))
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The elements as a tuple of Python ints."""
+        return tuple(self.array.tolist())
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int], horizon: int) -> "FiniteNatSet":
-        return cls(tuple(sorted(set(int(e) for e in elements))), horizon)
+        return cls(np.unique(np.fromiter(map(int, elements), dtype=np.int64)), horizon)
 
     @classmethod
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":
@@ -81,36 +97,31 @@ class FiniteNatSet:
 
     @classmethod
     def full(cls, horizon: int) -> "FiniteNatSet":
-        return cls(tuple(range(horizon + 1)), horizon)
+        return cls(np.arange(horizon + 1), horizon)
 
     @classmethod
     def empty(cls, horizon: int) -> "FiniteNatSet":
         return cls((), horizon)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.array)
 
     def __contains__(self, n):
-        return n in self.as_set()
+        i = np.searchsorted(self.array, n)
+        return i < len(self.array) and self.array[i] == n
 
     def as_set(self) -> frozenset:
-        cached = self.__dict__.get("_as_set")
-        if cached is None:
-            cached = frozenset(self.elements)
-            self.__dict__["_as_set"] = cached
-        return cached
+        return frozenset(self.array.tolist())
 
     def indicator(self, upto: int | None = None) -> np.ndarray:
         """0/1 array of length ``upto + 1`` (default: horizon + 1)."""
         n = self.horizon if upto is None else upto
         ind = np.zeros(n + 1, dtype=np.int64)
-        if self.elements:
-            arr = np.asarray(self.elements)
-            ind[arr[arr <= n]] = 1
+        ind[self.array[self.array <= n]] = 1
         return ind
 
     def to_json_dict(self) -> dict:
-        return {"horizon": self.horizon, "elements": list(self.elements)}
+        return {"horizon": self.horizon, "elements": self.array.tolist()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteNatSet":
@@ -145,45 +156,39 @@ class DensitySummary:
     prefix_profile: tuple[tuple[int, Fraction], ...]
 
 
-def _check_prefix(A: FiniteNatSet, N: int) -> np.ndarray:
+def _running_density(A: FiniteNatSet, N: int, pick) -> DensityEstimate:
+    """Prefix density at ``N`` and the running extremum that ``pick``
+    (``np.argmin`` or ``np.argmax``) selects over ``[floor(N/10), N]``.
+
+    Index location uses floats (safe: distinct prefix ratios differ by at
+    least ``1/(N+1)^2``, far above roundoff), the returned values are exact.
+    """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > A.horizon:
         raise HorizonExceededError(f"N={N} exceeds horizon {A.horizon}")
-    return np.cumsum(A.indicator(N))
+    counts = np.cumsum(A.indicator(N))
+    burn = N // 10
+    ratios = counts[burn:] / np.arange(burn + 1, N + 2, dtype=np.float64)
+    n = burn + int(pick(ratios))
+    return DensityEstimate(
+        value=Fraction(int(counts[N]), N + 1),
+        running=Fraction(int(counts[n]), n + 1),
+    )
 
 
 def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     """Prefix density at ``N`` and the running infimum over ``[floor(N/10), N]``.
 
     The running infimum is the finite-horizon stand-in for the lower density
-    liminf. Index location uses floats (safe: distinct prefix ratios differ by
-    at least ``1/(N+1)^2``, far above roundoff), the returned value is exact.
+    liminf.
     """
-    counts = _check_prefix(A, N)
-    burn = N // 10
-    denoms = np.arange(burn + 1, N + 2, dtype=np.float64)
-    ratios = counts[burn:] / denoms
-    k = int(np.argmin(ratios))
-    n = burn + k
-    return DensityEstimate(
-        value=Fraction(int(counts[N]), N + 1),
-        running=Fraction(int(counts[n]), n + 1),
-    )
+    return _running_density(A, N, np.argmin)
 
 
 def upper_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     """Prefix density at ``N`` and the running supremum over ``[floor(N/10), N]``."""
-    counts = _check_prefix(A, N)
-    burn = N // 10
-    denoms = np.arange(burn + 1, N + 2, dtype=np.float64)
-    ratios = counts[burn:] / denoms
-    k = int(np.argmax(ratios))
-    n = burn + k
-    return DensityEstimate(
-        value=Fraction(int(counts[N]), N + 1),
-        running=Fraction(int(counts[n]), n + 1),
-    )
+    return _running_density(A, N, np.argmax)
 
 
 def upper_banach_density(A: FiniteNatSet, window_len: int) -> BanachWindow:
@@ -212,12 +217,9 @@ def syndetic_gap(A: FiniteNatSet) -> int:
     ``A`` is syndetic at horizon with bound ``m`` iff the returned gap is
     ``<= m + 1``: every length-``m+1`` window inside the horizon then meets ``A``.
     """
-    if not A.elements:
+    if not len(A):
         raise EmptySetError("syndetic gap of the empty set is undefined")
-    arr = np.asarray(A.elements)
-    gaps = np.diff(arr)
-    g = int(gaps.max()) if gaps.size else 0
-    return max(g, int(arr[0]), A.horizon - int(arr[-1]))
+    return int(np.diff(A.array, prepend=0, append=A.horizon).max())
 
 
 def delta_witness_search(
@@ -292,8 +294,9 @@ def dual_hit_test(A: FiniteNatSet, members: Sequence[FiniteNatSet]) -> bool:
     """True iff ``A`` meets every set in ``members`` (a dual-family surrogate)."""
     if not members:
         raise ValueError("members must be nonempty")
-    a = A.as_set()
-    return all(a & B.as_set() for B in members)
+    return all(
+        np.intersect1d(A.array, B.array, assume_unique=True).size for B in members
+    )
 
 
 def density_summary(

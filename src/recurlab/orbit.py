@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .linop import LinearOperator
+from .linop import LinearOperator, block_norms
 from .natset import FiniteNatSet
 
 __all__ = [
@@ -102,30 +102,16 @@ def iterate(
     )
 
 
-def _block_dists(orbit: OrbitSegment, center: np.ndarray) -> np.ndarray:
-    diff = orbit.points - center
-    sq = np.abs(diff) ** 2
-    if len(orbit.block_dims) == 1:
-        return np.sqrt(sq.sum(axis=1))
-    out = np.zeros(diff.shape[0])
-    start = 0
-    for b in orbit.block_dims:
-        np.maximum(out, sq[:, start : start + b].sum(axis=1), out=out)
-        start += b
-    return np.sqrt(out)
-
-
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:
     """Times n with ``T^n x`` strictly inside the epsilon-ball around x.
 
     n = 0 always qualifies (the orbit starts in every ball around its base);
     recurrence verdicts should look at the positive return times.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    dists = _block_dists(orbit, orbit.base)
-    hits = np.nonzero(dists < epsilon)[0]
-    return FiniteNatSet(tuple(int(n) for n in hits), orbit.horizon_effective)
+    dists = block_norms(orbit.points - orbit.base, orbit.block_dims)
+    return FiniteNatSet(np.nonzero(dists < epsilon)[0], orbit.horizon_effective)
 
 
 class BoundednessReport(NamedTuple):

@@ -292,6 +292,15 @@ class TestMainEntry:
         assert code == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_nan_epsilon_exits_2(self, tmp_path, capsys):
+        obj = base_config()
+        obj["experiments"][0]["epsilons"] = ["nan"]
+        cfg_path = write_config(tmp_path, obj)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'quarter'" in err and "epsilons must be positive" in err
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])

@@ -170,7 +170,6 @@ class TestApplyConsistency:
         v = np.array([3.0, 4.0, 12.0], dtype=complex)
         # max(||(3,4)||, ||12||) = max(5, 12)
         assert T.norm_of(v) == 12.0
-        assert T.norm_convention == "max_components"
 
     def test_single_block_norm_is_euclidean(self):
         T = realize(SWAP)

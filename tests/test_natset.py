@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (
     FiniteNatSet,
@@ -115,6 +117,58 @@ class TestFiniteNatSet:
     def test_json_runs_form(self):
         A = FiniteNatSet.from_json_dict({"horizon": 9, "runs": [[0, 2], [7, 8]]})
         assert A.elements == (0, 1, 2, 7, 8)
+
+
+@st.composite
+def increasing_arrays(draw, max_horizon=120):
+    """A horizon and a strictly increasing int64 array inside ``[0, horizon]``."""
+    horizon = draw(st.integers(min_value=0, max_value=max_horizon))
+    members = draw(st.sets(st.integers(min_value=0, max_value=horizon)))
+    return np.array(sorted(members), dtype=np.int64), horizon
+
+
+PROPERTY_SETTINGS = settings(
+    max_examples=100, deadline=None, derandomize=True, database=None
+)
+
+
+class TestFiniteNatSetProperties:
+    @PROPERTY_SETTINGS
+    @given(increasing_arrays())
+    def test_constructions_agree(self, case):
+        arr, horizon = case
+        source = arr.copy()
+        A = FiniteNatSet(source, horizon)
+        source[:] = -1
+        assert np.array_equal(A.array, arr)
+        builds = (
+            FiniteNatSet(tuple(arr.tolist()), horizon),
+            FiniteNatSet.from_iterable(reversed(arr.tolist()), horizon),
+            FiniteNatSet.from_json_dict(json.loads(json.dumps(A.to_json_dict()))),
+        )
+        for B in builds:
+            assert B == A and hash(B) == hash(A)
+        assert all(type(e) is int for e in A.elements)
+        assert A.elements == tuple(arr.tolist())
+        assert A.array.dtype == np.int64
+        with pytest.raises(ValueError):
+            A.array[...] = 0
+
+    @PROPERTY_SETTINGS
+    @given(increasing_arrays(), st.data())
+    def test_densities_match_oracles(self, case, data):
+        arr, horizon = case
+        A = FiniteNatSet(arr, horizon)
+        elements = arr.tolist()
+        N = data.draw(st.integers(min_value=0, max_value=horizon))
+        lo, hi = lower_density(A, N), upper_density(A, N)
+        exact = Fraction(oracle_prefix_count(elements, N), N + 1)
+        assert lo.value == hi.value == exact
+        assert lo.running == oracle_running_extreme(elements, N, "min")
+        assert hi.running == oracle_running_extreme(elements, N, "max")
+        w = data.draw(st.integers(min_value=0, max_value=horizon))
+        best = upper_banach_density(A, w)
+        assert (best.ratio, best.start) == oracle_window_max(elements, horizon, w)
 
 
 # ---------------------------------------------------------------------------

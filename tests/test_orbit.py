@@ -23,6 +23,7 @@ from recurlab import (
     orbit_to_csv,
     realize,
     return_set,
+    syndetic_gap,
 )
 from recurlab.errors import DimensionError
 
@@ -146,6 +147,38 @@ class TestReturnSet:
         orb = iterate(T, np.array([1.0 + 0j]), 5)
         with pytest.raises(ValueError):
             return_set(orb, 0.0)
+
+    def test_nan_epsilon_rejected(self):
+        T = realize(DiagonalUnimodular((GOLDEN,)))
+        orb = iterate(T, np.array([1.0 + 0j]), 5)
+        with pytest.raises(ValueError):
+            return_set(orb, float("nan"))
+
+
+@pytest.fixture(scope="module", params=[0.618034, 0.41421356])
+def rotation_orbit(request):
+    T = realize(DiagonalUnimodular((request.param,)))
+    return iterate(T, np.array([1.0 + 0j]), 10**6)
+
+
+class TestThreeGapOracle:
+    """Slater's three-gap theorem for return times (N. B. Slater, "Gaps and
+    steps for the sequence n theta mod 1", Proc. Camb. Phil. Soc. 1967).
+
+    The epsilon-ball around the base point of a single rotation is an arc, so
+    the gaps between consecutive return times take at most three values, and
+    when there are three the largest is the sum of the other two.
+    """
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.25, 0.5, 1.0, 1.9])
+    def test_gaps(self, rotation_orbit, epsilon):
+        R = return_set(rotation_orbit, epsilon)
+        times = R.elements
+        gaps = sorted({b - a for a, b in zip(times, times[1:])})
+        assert 1 <= len(gaps) <= 3
+        if len(gaps) == 3:
+            assert gaps[2] == gaps[0] + gaps[1]
+        assert syndetic_gap(R) == gaps[-1]
 
 
 class TestBoundedness:
