@@ -83,6 +83,7 @@ from .classify import (
     classify_vector,
     default_epsilon_grid,
     eigen_span_check,
+    eigen_span_entry,
     inverse_recurrence_check,
     product_recurrence_check,
     unimodular_return_set,

@@ -60,6 +60,7 @@ __all__ = [
     "birkhoff_frequent_check",
     "EigenSpanEntry",
     "EigenSpanCheckReport",
+    "eigen_span_entry",
     "eigen_span_check",
     "ProbeResult",
     "UnimodularReturnReport",
@@ -69,6 +70,8 @@ __all__ = [
     "InverseRecurrenceReport",
     "inverse_recurrence_check",
 ]
+
+EIGEN_SPAN_RESIDUAL_TOL = 1e-6
 
 FLAG_ORDER = ("recurrent", "reiteratively", "u_frequently", "frequently", "uniformly")
 
@@ -99,6 +102,12 @@ class Thresholds:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown threshold fields {sorted(unknown)}")
+        for key, value in obj.items():
+            integral = isinstance(getattr(cls, key), int)
+            kinds = (int,) if integral else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if integral else "a number"
+                raise ValueError(f"threshold {key} must be {kind}, got {value!r}")
         return cls(**obj)
 
 
@@ -306,16 +315,19 @@ def birkhoff_frequent_check(
     epsilon: float,
     horizon: int,
     window_len: int | None = None,
+    orbit: OrbitSegment | None = None,
 ) -> BirkhoffReport:
     """Compare the return-set density with the ball mass of a window measure.
 
     The window is the density-realizing one: the best sliding window of the
     return set positions the Cesaro average. For orbits equidistributing on
     their closure the two numbers agree up to the window's discrepancy, which
-    is the finite shadow of the ``dens N(x, U) = m(U)`` mechanism.
+    is the finite shadow of the ``dens N(x, U) = m(U)`` mechanism. ``orbit``,
+    when given, must be ``iterate(T, x, horizon)``; it saves the iteration.
     """
     x = np.asarray(x, dtype=complex)
-    orbit = iterate(T, x, horizon)
+    if orbit is None:
+        orbit = iterate(T, x, horizon)
     h = orbit.horizon_effective
     if window_len is None:
         window_len = max(1, h // 10)
@@ -356,13 +368,33 @@ class EigenSpanCheckReport:
         )
 
 
+def eigen_span_entry(
+    rep: RecurrenceReport,
+    vector_id: str,
+    residual_tol: float = EIGEN_SPAN_RESIDUAL_TOL,
+) -> EigenSpanEntry:
+    """Both span implications for one classified vector (see eigen_span_check)."""
+    uni = rep.vector_flags["uniformly"]
+    reiter_bo = rep.vector_flags["reiteratively"] and rep.bounded.bounded_at_horizon
+    in_span = rep.eigen_span_residual <= residual_tol
+    return EigenSpanEntry(
+        vector_id=vector_id,
+        residual=rep.eigen_span_residual,
+        uniformly=uni,
+        reiteratively_bounded=reiter_bo,
+        in_span=in_span,
+        recurrence_implies_span=(not (uni or reiter_bo)) or in_span,
+        span_implies_uniform=(not in_span) or uni,
+    )
+
+
 def eigen_span_check(
     T: LinearOperator,
     vectors: Sequence[np.ndarray],
     horizon: int = 10_000,
     epsilons: Sequence[float] | None = None,
     thresholds: Thresholds | None = None,
-    residual_tol: float = 1e-6,
+    residual_tol: float = EIGEN_SPAN_RESIDUAL_TOL,
 ) -> EigenSpanCheckReport:
     """Two-directional span test over a battery of vectors.
 
@@ -383,20 +415,7 @@ def eigen_span_check(
             spectral=spectral,
             vector_id=f"v{i}",
         )
-        uni = rep.vector_flags["uniformly"]
-        reiter_bo = rep.vector_flags["reiteratively"] and rep.bounded.bounded_at_horizon
-        in_span = rep.eigen_span_residual <= residual_tol
-        entries.append(
-            EigenSpanEntry(
-                vector_id=f"v{i}",
-                residual=rep.eigen_span_residual,
-                uniformly=uni,
-                reiteratively_bounded=reiter_bo,
-                in_span=in_span,
-                recurrence_implies_span=(not (uni or reiter_bo)) or in_span,
-                span_implies_uniform=(not in_span) or uni,
-            )
-        )
+        entries.append(eigen_span_entry(rep, f"v{i}", residual_tol))
     return EigenSpanCheckReport(tuple(entries), residual_tol)
 
 
@@ -482,6 +501,7 @@ def product_recurrence_check(
     epsilon: float,
     horizon: int,
     thresholds: Thresholds | None = None,
+    orbits: tuple[OrbitSegment, OrbitSegment, OrbitSegment] | None = None,
 ) -> ProductRecurrenceReport:
     """Return-set calculus on a direct sum.
 
@@ -489,15 +509,22 @@ def product_recurrence_check(
     component balls, so the sum's return set must equal the exact integer
     intersection of the component return sets; the report verifies that
     equality and evaluates the "reiterative parts make the pair frequently
-    recurrent" implication at the given thresholds.
+    recurrent" implication at the given thresholds. ``orbits``, when given,
+    must be the orbits of x1 under T1, of x2 under T2 and of their
+    concatenation under the direct sum, all to ``horizon``; it saves the
+    iteration.
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
     T12 = direct_sum([T1, T2])
     x12 = np.concatenate([x1, x2])
-    orb1 = iterate(T1, x1, horizon)
-    orb2 = iterate(T2, x2, horizon)
-    orb12 = iterate(T12, x12, horizon)
+    if orbits is None:
+        orbits = (
+            iterate(T1, x1, horizon),
+            iterate(T2, x2, horizon),
+            iterate(T12, x12, horizon),
+        )
+    orb1, orb2, orb12 = orbits
     rep1 = classify_vector(
         T1, x1, epsilons=[epsilon], horizon=horizon, thresholds=thresholds,
         vector_id="part1", orbit=orb1,
@@ -547,12 +574,15 @@ def inverse_recurrence_check(
     epsilons: Sequence[float],
     horizon: int,
     thresholds: Thresholds | None = None,
+    orbit: OrbitSegment | None = None,
 ) -> InverseRecurrenceReport:
     """Classify x under T and under T^-1 and compare.
 
     For unitary diagonal operators the inverse realizes as the exact conjugate
     rotation, making |lambda^-n - 1| bitwise equal to |lambda^n - 1|; return
     sets then agree exactly, which is the symmetry this check surfaces.
+    ``orbit``, when given, must be the forward orbit ``iterate(T, x,
+    horizon)``; it saves that iteration.
     """
     if T.spec is not None:
         T_inv = realize(Inverse(T.spec))
@@ -561,7 +591,7 @@ def inverse_recurrence_check(
             Inverse(DenseMatrix(tuple(tuple(row) for row in T.matrix.tolist())))
         )
     x = np.asarray(x, dtype=complex)
-    orb_f = iterate(T, x, horizon)
+    orb_f = iterate(T, x, horizon) if orbit is None else orbit
     orb_b = iterate(T_inv, x, horizon)
     fwd = classify_vector(
         T, x, epsilons=epsilons, horizon=horizon, thresholds=thresholds,

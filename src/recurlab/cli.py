@@ -22,16 +22,19 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .classify import (
+    EIGEN_SPAN_RESIDUAL_TOL,
+    EigenSpanCheckReport,
     Thresholds,
     birkhoff_frequent_check,
     classify_vector,
-    eigen_span_check,
+    eigen_span_entry,
     inverse_recurrence_check,
     product_recurrence_check,
     unimodular_return_set,
@@ -48,6 +51,7 @@ from .errors import ConfigError
 from .linop import (
     DiagonalUnimodular,
     DirectSum,
+    LinearOperator,
     jdg_split,
     principal_angle,
     realize,
@@ -117,29 +121,42 @@ class ReportDocument:
         }
 
 
+def _number(convert, value, what: str):
+    """``convert(value)``; a value it rejects becomes a ConfigError naming ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
+
+
 def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.ndarray]:
+    where = f"experiment {exp_name!r}"
     if isinstance(token, str):
         if token == "ones":
             return token, np.ones(dim, dtype=complex)
-        if token.startswith("basis:"):
-            k = int(token.split(":", 1)[1])
+        kind, _, index = token.partition(":")
+        if kind not in ("basis", "random") or not index:
+            raise ConfigError(f"{where}: unknown vector generator {token!r}")
+        k = _number(int, index, f"{where}: the index of {token!r}")
+        if kind == "basis":
             if not 0 <= k < dim:
-                raise ConfigError(
-                    f"experiment {exp_name!r}: basis index {k} out of range for dim {dim}"
-                )
+                raise ConfigError(f"{where}: basis index {k} out of range for dim {dim}")
             v = np.zeros(dim, dtype=complex)
             v[k] = 1.0
             return token, v
-        if token.startswith("random:"):
-            k = int(token.split(":", 1)[1])
-            rng = np.random.default_rng([seed, k])
-            return token, rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        raise ConfigError(f"experiment {exp_name!r}: unknown vector generator {token!r}")
-    coords = [complex(re, im) for re, im in token]
-    if len(coords) != dim:
+        if k < 0:
+            raise ConfigError(f"{where}: random index {k} must be >= 0")
+        rng = np.random.default_rng([seed, k])
+        return token, rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    try:
+        coords = [complex(re, im) for re, im in token]
+    except (TypeError, ValueError):
         raise ConfigError(
-            f"experiment {exp_name!r}: vector of dim {len(coords)} with operator of dim {dim}"
-        )
+            f"{where}: an explicit vector is a list of [re, im] pairs, got {token!r}"
+        ) from None
+    if len(coords) != dim:
+        raise ConfigError(f"{where}: vector of dim {len(coords)} with operator of dim {dim}")
     return "explicit", np.asarray(coords, dtype=complex)
 
 
@@ -154,10 +171,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ) from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
-    schema = int(obj.get("schema_version", SCHEMA_VERSION))
+    schema = _number(int, obj.get("schema_version", SCHEMA_VERSION), "schema_version")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {schema}")
-    seed = int(obj.get("seed", 0))
+    seed = _number(int, obj.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     base_thresholds = obj.get("thresholds", {})
     try:
         global_thresholds = Thresholds.from_json_dict(base_thresholds)
@@ -181,10 +200,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         vectors = tuple(
             _resolve_vector(tok, T.dim, seed, name) for tok in e.get("vectors", ["ones"])
         )
-        epsilons = tuple(float(x) for x in e.get("epsilons", []))
+        if not vectors:
+            raise ConfigError(f"experiment {name!r}: vectors must be nonempty")
+        epsilons = tuple(
+            _number(float, x, f"experiment {name!r}: an epsilon")
+            for x in e.get("epsilons", [])
+        )
         if not epsilons or any(not x > 0 for x in epsilons):
             raise ConfigError(f"experiment {name!r}: epsilons must be positive and nonempty")
-        horizon = int(e.get("horizon", 10_000))
+        horizon = _number(int, e.get("horizon", 10_000), f"experiment {name!r}: horizon")
         if horizon < 1:
             raise ConfigError(f"experiment {name!r}: horizon must be >= 1")
         try:
@@ -246,48 +270,88 @@ def _json_safe(value):
     return value
 
 
-def _check_classify(exp: ExperimentSpec, T, seed: int) -> dict:
-    out = []
-    for label, v in exp.vectors:
-        rep = classify_vector(
-            T,
-            v,
+@dataclass
+class _VectorRun:
+    """One vector of an experiment with its forward orbit and classification.
+
+    Both are computed on first use and then shared by the summary and every
+    per-vector check. The runner drops the object before it moves on to the
+    next vector, so at most one vector's orbits are alive at a time.
+    """
+
+    exp: ExperimentSpec
+    T: LinearOperator
+    parts: tuple[LinearOperator, ...]
+    index: int
+    label: str
+    v: np.ndarray
+
+    @cached_property
+    def orbit(self):
+        return iterate(self.T, self.v, self.exp.horizon)
+
+    @cached_property
+    def report(self):
+        exp = self.exp
+        return classify_vector(
+            self.T,
+            self.v,
             epsilons=exp.epsilons,
             horizon=exp.horizon,
             thresholds=exp.thresholds,
-            vector_id=label,
+            vector_id=self.label,
+            orbit=self.orbit,
         )
-        out.append(rep.to_json_dict())
-    return {"reports": out}
 
 
-def _check_birkhoff(exp: ExperimentSpec, T, seed: int) -> dict:
+def _summary_rows(run: _VectorRun) -> list:
+    rep, orb = run.report, run.orbit
+    series = []
+    h = rep.horizon_effective
+    sample = sorted(set(np.geomspace(1, max(h, 1), num=48).astype(int)))
+    for eps in run.exp.epsilons:
+        R = return_set(orb, eps)
+        counts = np.cumsum(R.indicator())
+        for n in sample:
+            if n <= h:
+                series.append([eps, int(n), float(counts[n] / (n + 1))])
+    return [
+        {
+            "vector": run.label,
+            "records": [r.to_json_dict() for r in rep.records],
+            "series": series,
+        }
+    ]
+
+
+def _classify_rows(run: _VectorRun) -> list:
+    return [run.report.to_json_dict()]
+
+
+def _birkhoff_rows(run: _VectorRun) -> list:
     out = []
-    for label, v in exp.vectors:
-        for eps in exp.epsilons:
-            r = birkhoff_frequent_check(T, v, eps, exp.horizon)
-            out.append(
-                {
-                    "vector": label,
-                    "epsilon": eps,
-                    "density": float(r.density),
-                    "window_mass": r.window_mass,
-                    "discrepancy": r.discrepancy,
-                    "window_start": r.window_start,
-                    "window_len": r.window_len,
-                }
-            )
-    return {"comparisons": out}
+    for eps in run.exp.epsilons:
+        r = birkhoff_frequent_check(run.T, run.v, eps, run.exp.horizon, orbit=run.orbit)
+        out.append(
+            {
+                "vector": run.label,
+                "epsilon": eps,
+                "density": float(r.density),
+                "window_mass": r.window_mass,
+                "discrepancy": r.discrepancy,
+                "window_start": r.window_start,
+                "window_len": r.window_len,
+            }
+        )
+    return out
 
 
-def _check_eigen_span(exp: ExperimentSpec, T, seed: int) -> dict:
-    rep = eigen_span_check(
-        T,
-        [v for _, v in exp.vectors],
-        horizon=exp.horizon,
-        epsilons=exp.epsilons,
-        thresholds=exp.thresholds,
-    )
+def _eigen_span_rows(run: _VectorRun) -> list:
+    return [eigen_span_entry(run.report, f"v{run.index}")]
+
+
+def _eigen_span_payload(entries: list) -> dict:
+    rep = EigenSpanCheckReport(tuple(entries), EIGEN_SPAN_RESIDUAL_TOL)
     return {
         "residual_tol": rep.residual_tol,
         "all_ok": rep.all_ok,
@@ -322,140 +386,146 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
     return {"per_epsilon": out}
 
 
-def _check_product(exp: ExperimentSpec, T, seed: int) -> dict:
-    part_specs = exp.operator_spec.parts
-    T1 = realize(part_specs[0])
-    T2 = realize(part_specs[1])
+def _product_rows(run: _VectorRun) -> list:
+    exp, (T1, T2) = run.exp, run.parts
+    x1, x2 = run.v[: T1.dim], run.v[T1.dim :]
+    # The direct sum's orbit is the shared forward orbit: blockwise apply
+    # makes it bit-equal to the parts' orbits side by side.
+    orbits = (iterate(T1, x1, exp.horizon), iterate(T2, x2, exp.horizon), run.orbit)
     out = []
-    for label, v in exp.vectors:
-        x1, x2 = v[: T1.dim], v[T1.dim :]
-        for eps in exp.epsilons:
-            r = product_recurrence_check(
-                T1, x1, T2, x2, eps, exp.horizon, thresholds=exp.thresholds
-            )
-            out.append(
-                {
-                    "vector": label,
-                    "epsilon": eps,
-                    "return_sets_match": r.return_sets_match,
-                    "intersection_density": float(r.intersection_density),
-                    "part1_flags": r.part1_flags,
-                    "part2_flags": r.part2_flags,
-                    "sum_flags": r.sum_flags,
-                    "reiterative_parts_imply_frequent_sum": (
-                        r.reiterative_parts_imply_frequent_sum
-                    ),
-                }
-            )
-    return {"per_case": out}
-
-
-def _check_inverse(exp: ExperimentSpec, T, seed: int) -> dict:
-    out = []
-    for label, v in exp.vectors:
-        r = inverse_recurrence_check(
-            T, v, exp.epsilons, exp.horizon, thresholds=exp.thresholds
+    for eps in exp.epsilons:
+        r = product_recurrence_check(
+            T1, x1, T2, x2, eps, exp.horizon, thresholds=exp.thresholds, orbits=orbits
         )
         out.append(
             {
-                "vector": label,
-                "return_sets_identical": r.return_sets_identical,
-                "flags_match": r.flags_match,
-                "forward_flags": r.forward.vector_flags,
-                "backward_flags": r.backward.vector_flags,
+                "vector": run.label,
+                "epsilon": eps,
+                "return_sets_match": r.return_sets_match,
+                "intersection_density": float(r.intersection_density),
+                "part1_flags": r.part1_flags,
+                "part2_flags": r.part2_flags,
+                "sum_flags": r.sum_flags,
+                "reiterative_parts_imply_frequent_sum": (
+                    r.reiterative_parts_imply_frequent_sum
+                ),
             }
         )
-    return {"per_vector": out}
+    return out
 
 
-def _check_measure(exp: ExperimentSpec, T, seed: int) -> dict:
-    out = []
-    for label, v in exp.vectors:
-        orb = iterate(T, v, exp.horizon)
-        h = orb.horizon_effective
-        n_win = exp.thresholds.window_len(h)
-        R = return_set(orb, exp.epsilons[0])
-        start = best_banach_window(R, n_win)
-        mu = empirical_from_window(orb, start, n_win)
-        balls = [(v, eps) for eps in exp.epsilons]
-        balls.append((np.zeros(T.dim, dtype=complex), max(1.0, 2 * T.norm_of(v))))
-        cov = covariance(mu)
-        mom = moments(mu)
-        out.append(
-            {
-                "vector": label,
-                "window_start": start,
-                "window_len": n_win,
-                "n_atoms": mu.n_atoms,
-                "invariance_defect": invariance_defect(T, mu, balls),
-                "defect_bound": 2.0 / (n_win + 1),
-                "expectation_norm": float(np.linalg.norm(mom.expectation)),
-                "second_moment": mom.second_moment,
-                "covariance_trace": cov.trace,
-                "conjugation_defect": conjugation_invariance_check(T, cov),
-            }
-        )
-    return {"per_vector": out}
+def _inverse_rows(run: _VectorRun) -> list:
+    exp = run.exp
+    r = inverse_recurrence_check(
+        run.T, run.v, exp.epsilons, exp.horizon, thresholds=exp.thresholds, orbit=run.orbit
+    )
+    return [
+        {
+            "vector": run.label,
+            "return_sets_identical": r.return_sets_identical,
+            "flags_match": r.flags_match,
+            "forward_flags": r.forward.vector_flags,
+            "backward_flags": r.backward.vector_flags,
+        }
+    ]
 
 
-_CHECK_FNS = {
-    "classify": _check_classify,
-    "birkhoff": _check_birkhoff,
-    "eigen_span": _check_eigen_span,
+def _measure_rows(run: _VectorRun) -> list:
+    exp, T, v, orb = run.exp, run.T, run.v, run.orbit
+    h = orb.horizon_effective
+    n_win = exp.thresholds.window_len(h)
+    R = return_set(orb, exp.epsilons[0])
+    start = best_banach_window(R, n_win)
+    mu = empirical_from_window(orb, start, n_win)
+    balls = [(v, eps) for eps in exp.epsilons]
+    balls.append((np.zeros(T.dim, dtype=complex), max(1.0, 2 * T.norm_of(v))))
+    cov = covariance(mu)
+    mom = moments(mu)
+    return [
+        {
+            "vector": run.label,
+            "window_start": start,
+            "window_len": n_win,
+            "n_atoms": mu.n_atoms,
+            "invariance_defect": invariance_defect(T, mu, balls),
+            "defect_bound": 2.0 / (n_win + 1),
+            "expectation_norm": float(np.linalg.norm(mom.expectation)),
+            "second_moment": mom.second_moment,
+            "covariance_trace": cov.trace,
+            "conjugation_defect": conjugation_invariance_check(T, cov),
+        }
+    ]
+
+
+# The summary (first vector only) and the per-vector checks: the rows one
+# vector contributes, and the payload built from the rows of all vectors.
+_PER_VECTOR = {
+    "summary": (_summary_rows, lambda rows: rows[0]),
+    "classify": (_classify_rows, lambda rows: {"reports": rows}),
+    "birkhoff": (_birkhoff_rows, lambda rows: {"comparisons": rows}),
+    "eigen_span": (_eigen_span_rows, _eigen_span_payload),
+    "product": (_product_rows, lambda rows: {"per_case": rows}),
+    "inverse": (_inverse_rows, lambda rows: {"per_vector": rows}),
+    "measure": (_measure_rows, lambda rows: {"per_vector": rows}),
+}
+
+# Checks that read the operator only, not an orbit.
+_PER_EXPERIMENT = {
     "jdg": _check_jdg,
     "unimodular_return": _check_unimodular_return,
-    "product": _check_product,
-    "inverse": _check_inverse,
-    "measure": _check_measure,
 }
 
 
-def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
-    T = realize(exp.operator_spec)
-    result: dict = {"checks": {}}
+def _timed(entry: dict, fn, *args):
+    """``fn(*args)``, or None after recording its error in ``entry``.
 
+    The call's duration is added to ``entry["wall_time_s"]`` either way.
+    """
     t0 = time.perf_counter()
     try:
-        label, v0 = exp.vectors[0]
-        orb = iterate(T, v0, exp.horizon)
-        rep = classify_vector(
-            T,
-            v0,
-            epsilons=exp.epsilons,
-            horizon=exp.horizon,
-            thresholds=exp.thresholds,
-            vector_id=label,
-            orbit=orb,
-        )
-        series = []
-        h = rep.horizon_effective
-        sample = sorted(set(np.geomspace(1, max(h, 1), num=48).astype(int)))
-        for eps in exp.epsilons:
-            R = return_set(orb, eps)
-            counts = np.cumsum(R.indicator())
-            for n in sample:
-                if n <= h:
-                    series.append([eps, int(n), float(counts[n] / (n + 1))])
-        result["summary"] = {
-            "result": {
-                "vector": label,
-                "records": [r.to_json_dict() for r in rep.records],
-                "series": series,
-            }
-        }
+        return fn(*args)
     except Exception as exc:
-        result["summary"] = {"error": f"{type(exc).__name__}: {exc}"}
-    result["summary"]["wall_time_s"] = time.perf_counter() - t0
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+        return None
+    finally:
+        entry["wall_time_s"] += time.perf_counter() - t0
 
-    for check in exp.checks:
-        t0 = time.perf_counter()
-        try:
-            payload = _CHECK_FNS[check](exp, T, seed)
-            result["checks"][check] = {"result": _json_safe(payload)}
-        except Exception as exc:
-            result["checks"][check] = {"error": f"{type(exc).__name__}: {exc}"}
-        result["checks"][check]["wall_time_s"] = time.perf_counter() - t0
-    return _json_safe(result)
+
+def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
+    """Run the summary and every check of one experiment, vector by vector.
+
+    Each vector's orbit and classification are computed once and shared; a
+    check that raises for one vector records the error and skips the rest.
+    A check's ``wall_time_s`` is the sum of its time over all vectors.
+    """
+    T = realize(exp.operator_spec)
+    parts = (
+        tuple(realize(p) for p in exp.operator_spec.parts)
+        if "product" in exp.checks
+        else ()
+    )
+    names = list(dict.fromkeys(("summary", *exp.checks)))
+    entries = {name: {"wall_time_s": 0.0} for name in names}
+    rows = {name: [] for name in names if name in _PER_VECTOR}
+    for index, (label, v) in enumerate(exp.vectors):
+        run = _VectorRun(exp, T, parts, index, label, v)
+        for name in rows:
+            if "error" in entries[name] or (name == "summary" and index > 0):
+                continue
+            got = _timed(entries[name], _PER_VECTOR[name][0], run)
+            if got is not None:
+                rows[name] += got
+        del run
+    for name in names:
+        entry = entries[name]
+        if name in _PER_EXPERIMENT:
+            payload = _timed(entry, _PER_EXPERIMENT[name], exp, T, seed)
+        else:
+            payload = None if "error" in entry else _PER_VECTOR[name][1](rows[name])
+        if "error" not in entry:
+            entry["result"] = payload
+    summary = entries.pop("summary")
+    return _json_safe({"summary": summary, "checks": entries})
 
 
 def run_config(config: ExperimentConfig) -> ReportDocument:
@@ -490,12 +560,29 @@ def run_config(config: ExperimentConfig) -> ReportDocument:
     )
 
 
+def _verdicts_hold(check: str, result: dict) -> bool:
+    """Whether the pass/fail verdicts a check's payload carries all pass."""
+    if check == "eigen_span":
+        return result["all_ok"]
+    if check == "product":
+        return all(
+            c["return_sets_match"] and c["reiterative_parts_imply_frequent_sum"]
+            for c in result["per_case"]
+        )
+    if check == "measure":
+        return all(
+            not r["invariance_defect"] > r["defect_bound"] for r in result["per_vector"]
+        )
+    return True
+
+
 def document_has_failures(doc: ReportDocument) -> bool:
+    """True when the summary or a check raised, or a check's verdict failed."""
     for exp in doc.experiments.values():
         if "error" in exp.get("summary", {}):
             return True
-        for payload in exp.get("checks", {}).values():
-            if "error" in payload:
+        for check, payload in exp.get("checks", {}).items():
+            if "error" in payload or not _verdicts_hold(check, payload["result"]):
                 return True
     return False
 

@@ -75,14 +75,20 @@ def iterate(
     pts = np.empty((horizon + 1, T.dim), dtype=complex)
     pts[0] = x
     z = x
-    for n in range(horizon):
-        z = T.apply(z)
-        pts[n + 1] = z
-        # cheap periodic escape hatch for runaway orbits
-        if n % 256 == 0 and not np.all(np.isfinite(z)):
-            pts = pts[: n + 2]
-            break
-    norms = T.block_norms(pts)
+    # an orbit may overflow to inf before the periodic check below sees it;
+    # the truncation handles that, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(horizon):
+            z = T.apply(z)
+            pts[n + 1] = z
+            # cheap periodic escape hatch for runaway orbits; the truncation
+            # below cuts at the first point past the cap either way
+            if n % 256 == 0 and (
+                not np.all(np.isfinite(z)) or T.norm_of(z) > overflow_cap
+            ):
+                pts = pts[: n + 2]
+                break
+        norms = T.block_norms(pts)
     bad = np.nonzero(~np.isfinite(norms) | (norms > overflow_cap))[0]
     overflow = bad.size > 0
     h_eff = int(bad[0]) - 1 if overflow else pts.shape[0] - 1

@@ -23,7 +23,9 @@ from recurlab import (
     classify_vector,
     default_epsilon_grid,
     eigen_span_check,
+    eigen_span_entry,
     inverse_recurrence_check,
+    iterate,
     product_recurrence_check,
     realize,
     unimodular_return_set,
@@ -341,6 +343,53 @@ class TestInverseRecurrence:
         assert len(rep.forward.records[0].flags) == 5
         assert all(rep.forward.vector_flags.values())
         assert all(rep.backward.vector_flags.values())
+
+
+def _checks_without_and_with_orbits(check):
+    """(report computed by the check itself, report from precomputed orbits)."""
+    H, eps = 10_000, [0.5, 0.25]
+    T = realize(MIX)
+    x = np.array([1.0, 1.0], dtype=complex)
+    orb = iterate(T, x, H)
+    if check == "birkhoff":
+        return (
+            birkhoff_frequent_check(T, x, eps[1], H),
+            birkhoff_frequent_check(T, x, eps[1], H, orbit=orb),
+        )
+    if check == "inverse":
+        return (
+            inverse_recurrence_check(T, x, eps, H),
+            inverse_recurrence_check(T, x, eps, H, orbit=orb),
+        )
+    if check == "product":
+        # the sum orbit comes from the realized sum spec, as in the cli
+        parts = (SWAP, DiagonalUnimodular((GOLDEN,)))
+        T1, T2 = (realize(p) for p in parts)
+        x1, x2 = np.array([1.0, 0.5j]), np.array([1.0 + 0j])
+        orbits = (
+            iterate(T1, x1, H),
+            iterate(T2, x2, H),
+            iterate(realize(DirectSum(parts)), np.concatenate([x1, x2]), H),
+        )
+        return (
+            product_recurrence_check(T1, x1, T2, x2, eps[0], H),
+            product_recurrence_check(T1, x1, T2, x2, eps[0], H, orbits=orbits),
+        )
+    assert check == "eigen_span_entry"
+    rep = classify_vector(T, x, epsilons=eps, horizon=H, orbit=orb)
+    return (
+        eigen_span_check(T, [x], horizon=H, epsilons=eps).entries[0],
+        eigen_span_entry(rep, "v0"),
+    )
+
+
+class TestPrecomputedOrbits:
+    @pytest.mark.parametrize(
+        "check", ["birkhoff", "inverse", "product", "eigen_span_entry"]
+    )
+    def test_report_unchanged(self, check):
+        plain, shared = _checks_without_and_with_orbits(check)
+        assert plain == shared
 
 
 class TestDeskProperties:

@@ -3,11 +3,14 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import recurlab.classify
+import recurlab.cli
 from recurlab import FiniteNatSet, __version__
 from recurlab.cli import (
     document_has_failures,
@@ -301,6 +304,27 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "'quarter'" in err and "epsilons must be positive" in err
 
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            (None, "seed", "abc", "seed must be an integer, got 'abc'"),
+            ("quarter", "vectors", [[1, 2, 3]], "list of \\[re, im\\] pairs"),
+            ("quarter", "vectors", ["basis:x"], "index of 'basis:x' must be an integer"),
+            ("quarter", "vectors", [], "vectors must be nonempty"),
+            (None, "thresholds", {"delta_lower": "0.1"}, "delta_lower must be a number"),
+            ("quarter", "thresholds", {"min_horizon": 1.5}, "min_horizon must be an integer"),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
+        obj = base_config()
+        (obj["experiments"][0] if where else obj)[key] = value
+        cfg_path = write_config(tmp_path, obj)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        assert (f"experiment {where!r}" in err) == (where is not None)
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -316,6 +340,44 @@ class TestMainEntry:
         assert code == 3
         assert "strict" in capsys.readouterr().err
         assert out.exists()  # the report is still written
+
+    def test_strict_failed_verdict_exits_3(self, tmp_path, capsys):
+        # a slow rotation returns to the 0.01-ball only for n < 160, so the
+        # vector is in the eigenvector span but not uniformly recurrent
+        obj = base_config()
+        exp = obj["experiments"][0]
+        exp["operator"]["angles_turns"] = [1e-5]
+        exp["epsilons"] = [0.01]
+        exp["checks"] = ["eigen_span"]
+        cfg_path = write_config(tmp_path, obj)
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out), "--strict"])
+        assert code == 3
+        report = json.loads(out.read_text())
+        check = report["experiments"]["quarter"]["checks"]["eigen_span"]
+        assert "error" not in check and check["result"]["all_ok"] is False
+
+    @pytest.mark.parametrize(
+        "check, field, value",
+        [
+            ("product", "return_sets_match", False),
+            ("product", "reiterative_parts_imply_frequent_sum", False),
+            ("measure", "invariance_defect", 1.0),
+        ],
+    )
+    def test_failed_verdict_is_a_failure(self, tmp_path, check, field, value):
+        obj = base_config()
+        if check == "product":
+            obj["experiments"][0]["operator"] = {
+                "type": "direct_sum", "parts": [dict(ROTATION), dict(ROTATION)]
+            }
+        obj["experiments"][0]["checks"] = [check]
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        assert not document_has_failures(doc)
+        result = doc.experiments["quarter"]["checks"][check]["result"]
+        for row in result.get("per_case", result.get("per_vector")):
+            row[field] = value
+        assert document_has_failures(doc)
 
     def test_non_strict_failure_exits_0(self, tmp_path):
         obj = base_config()
@@ -369,6 +431,57 @@ class TestMainEntry:
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == __version__
+
+
+# The benchmark's pair_sum config at H = 10^4: 14 distinct orbits, namely
+# 5 forward orbits, 5 backward orbits for the inverse check, and 2 part
+# orbits for each of the 2 product vectors.
+PAIR_SUM = {
+    "schema_version": 1,
+    "seed": 7,
+    "experiments": [
+        {
+            "name": "golden_pair",
+            "operator": {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]},
+            "vectors": ["ones", "basis:0", "random:0"],
+            "epsilons": [0.5, 0.25],
+            "horizon": 10_000,
+            "checks": [
+                "classify", "birkhoff", "unimodular_return", "inverse", "measure",
+                "eigen_span",
+            ],
+        },
+        {
+            "name": "sum",
+            "operator": {
+                "type": "direct_sum",
+                "parts": [
+                    {"type": "diagonal_unimodular", "angles_turns": [0.618034]},
+                    {"type": "diagonal_unimodular", "angles_turns": [0.41421356]},
+                ],
+            },
+            "vectors": ["ones", "random:1"],
+            "epsilons": [0.5, 0.25],
+            "horizon": 10_000,
+            "checks": ["classify", "birkhoff", "product", "inverse", "measure"],
+        },
+    ],
+}
+
+
+class TestOrbitSharing:
+    def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
+        keys = []
+        for module in (recurlab.cli, recurlab.classify):
+            def counted(T, x, *args, _iterate=module.iterate, **kwargs):
+                keys.append((T.matrix.tobytes(), np.asarray(x, dtype=complex).tobytes()))
+                return _iterate(T, x, *args, **kwargs)
+
+            monkeypatch.setattr(module, "iterate", counted)
+        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
+        assert not document_has_failures(doc)
+        assert len(keys) == 14
+        assert len(set(keys)) == 14
 
 
 class TestAllChecksRun:

@@ -26,6 +26,7 @@ from recurlab import (
     syndetic_gap,
 )
 from recurlab.errors import DimensionError
+from recurlab.linop import LinearOperator
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -87,6 +88,35 @@ class TestIterate:
         assert orb.horizon_effective == 39
         assert orb.norms[-1] == 2.0**39
         assert orb.points.shape[0] == 40
+
+    def test_overflow_stops_iterating_near_the_cap(self, monkeypatch):
+        T = realize(Scale(1.001, DiagonalUnimodular((0.25,))))
+        x = np.array([1.0 + 0j])
+        # plain reference loop, truncated at the first point past the cap
+        ref = [x]
+        while T.norm_of(ref[-1]) <= 1e12:
+            ref.append(T.apply(ref[-1]))
+        ref = np.array(ref[:-1])
+        calls = []
+        apply = LinearOperator.apply
+        monkeypatch.setattr(
+            LinearOperator, "apply", lambda self, v: calls.append(1) or apply(self, v)
+        )
+        orb = iterate(T, x, 10**6)
+        monkeypatch.undo()
+        assert orb.overflow
+        assert orb.horizon_effective == ref.shape[0] - 1 == 27644
+        assert np.array_equal(orb.points, ref)
+        assert np.array_equal(orb.norms, T.block_norms(ref))
+        # the loop stops at the periodic check after the cap, not at inf
+        assert len(calls) <= orb.horizon_effective + 257
+
+    def test_overflow_to_inf_is_silent(self):
+        # 1e10^k passes the cap at k = 2 and reaches inf before the first
+        # periodic check; the suite turns numpy's warnings into errors
+        T = realize(Scale(1e10, DenseMatrix(((1.0,),))))
+        orb = iterate(T, np.array([1.0 + 0j]), 1000)
+        assert orb.overflow and orb.horizon_effective == 1
 
     def test_base_beyond_cap_rejected(self):
         T = realize(DenseMatrix(((1.0,),)))
