@@ -98,6 +98,8 @@ class Thresholds:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Thresholds":
+        if not isinstance(obj, dict):
+            raise ValueError(f"thresholds must be an object, got {obj!r}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(obj) - known
         if unknown:

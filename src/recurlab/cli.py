@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,6 +51,8 @@ from .linop import (
     DirectSum,
     LinearOperator,
     jdg_split,
+    json_int,
+    json_list,
     principal_angle,
     realize,
     spec_from_json_dict,
@@ -121,13 +121,15 @@ class ReportDocument:
         }
 
 
-def _number(convert, value, what: str):
+_KINDS = {json_int: "an integer", float: "a number", json_list: "a list"}
+
+
+def _field(convert, value, what: str):
     """``convert(value)``; a value it rejects becomes a ConfigError naming ``what``."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is int else "a number"
-        raise ConfigError(f"{what} must be {kind}, got {value!r}") from None
+        raise ConfigError(f"{what} must be {_KINDS[convert]}, got {value!r}") from None
 
 
 def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.ndarray]:
@@ -138,7 +140,7 @@ def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.
         kind, _, index = token.partition(":")
         if kind not in ("basis", "random") or not index:
             raise ConfigError(f"{where}: unknown vector generator {token!r}")
-        k = _number(int, index, f"{where}: the index of {token!r}")
+        k = _field(json_int, index, f"{where}: the index of {token!r}")
         if kind == "basis":
             if not 0 <= k < dim:
                 raise ConfigError(f"{where}: basis index {k} out of range for dim {dim}")
@@ -171,10 +173,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ) from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
-    schema = _number(int, obj.get("schema_version", SCHEMA_VERSION), "schema_version")
+    schema = _field(json_int, obj.get("schema_version", SCHEMA_VERSION), "schema_version")
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {schema}")
-    seed = _number(int, obj.get("seed", 0), "seed")
+    seed = _field(json_int, obj.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     base_thresholds = obj.get("thresholds", {})
@@ -185,32 +187,38 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     experiments = []
     seen = set()
-    for i, e in enumerate(obj.get("experiments", [])):
+    for i, e in enumerate(_field(json_list, obj.get("experiments", []), "experiments")):
+        if not isinstance(e, dict):
+            raise ConfigError(f"experiment {i} must be an object, got {e!r}")
         name = e.get("name", f"experiment_{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"experiment {i}: name must be a string, got {name!r}")
         if name in seen:
             raise ConfigError(f"duplicate experiment name {name!r}")
         seen.add(name)
+        where = f"experiment {name!r}"
         try:
             spec = spec_from_json_dict(e["operator"])
             T = realize(spec)
         except KeyError as exc:
-            raise ConfigError(f"experiment {name!r}: missing {exc}") from exc
+            raise ConfigError(f"{where}: missing {exc}") from exc
         except ValueError as exc:
-            raise ConfigError(f"experiment {name!r}: {exc}") from exc
+            raise ConfigError(f"{where}: {exc}") from exc
         vectors = tuple(
-            _resolve_vector(tok, T.dim, seed, name) for tok in e.get("vectors", ["ones"])
+            _resolve_vector(tok, T.dim, seed, name)
+            for tok in _field(json_list, e.get("vectors", ["ones"]), f"{where}: vectors")
         )
         if not vectors:
-            raise ConfigError(f"experiment {name!r}: vectors must be nonempty")
+            raise ConfigError(f"{where}: vectors must be nonempty")
         epsilons = tuple(
-            _number(float, x, f"experiment {name!r}: an epsilon")
-            for x in e.get("epsilons", [])
+            _field(float, x, f"{where}: an epsilon")
+            for x in _field(json_list, e.get("epsilons", []), f"{where}: epsilons")
         )
         if not epsilons or any(not x > 0 for x in epsilons):
-            raise ConfigError(f"experiment {name!r}: epsilons must be positive and nonempty")
-        horizon = _number(int, e.get("horizon", 10_000), f"experiment {name!r}: horizon")
+            raise ConfigError(f"{where}: epsilons must be positive and nonempty")
+        horizon = _field(json_int, e.get("horizon", 10_000), f"{where}: horizon")
         if horizon < 1:
-            raise ConfigError(f"experiment {name!r}: horizon must be >= 1")
+            raise ConfigError(f"{where}: horizon must be >= 1")
         try:
             thresholds = (
                 Thresholds.from_json_dict({**base_thresholds, **e["thresholds"]})
@@ -218,20 +226,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 else global_thresholds
             )
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"experiment {name!r}: bad thresholds: {exc}") from exc
-        checks = tuple(e.get("checks", ["classify"]))
+            raise ConfigError(f"{where}: bad thresholds: {exc}") from exc
+        checks = tuple(_field(json_list, e.get("checks", ["classify"]), f"{where}: checks"))
         for c in checks:
             if c not in KNOWN_CHECKS:
-                raise ConfigError(f"experiment {name!r}: unknown check {c!r}")
+                raise ConfigError(f"{where}: unknown check {c!r}")
         if "product" in checks:
             if not (isinstance(spec, DirectSum) and len(spec.parts) == 2):
                 raise ConfigError(
-                    f"experiment {name!r}: the product check needs a direct_sum "
+                    f"{where}: the product check needs a direct_sum "
                     f"operator with exactly two parts"
                 )
         if "unimodular_return" in checks and not isinstance(spec, DiagonalUnimodular):
             raise ConfigError(
-                f"experiment {name!r}: the unimodular_return check needs a "
+                f"{where}: the unimodular_return check needs a "
                 f"diagonal_unimodular operator"
             )
         experiments.append(
@@ -529,34 +537,17 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
 
 
 def run_config(config: ExperimentConfig) -> ReportDocument:
-    """Run every experiment; individual check failures are recorded, not raised.
+    """Run the experiments one at a time, in config order.
 
-    RECURLAB_THREADS > 1 runs experiments concurrently; results are assembled
-    keyed by experiment name, so the report does not depend on scheduling.
+    Individual check failures are recorded, not raised.
     """
-    try:
-        workers = max(1, int(os.environ.get("RECURLAB_THREADS", "1")))
-    except ValueError:
-        workers = 1
-    results: dict[str, dict] = {}
-    if workers > 1 and len(config.experiments) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                exp.name: pool.submit(_run_experiment, exp, config.seed)
-                for exp in config.experiments
-            }
-            for name, fut in futures.items():
-                results[name] = fut.result()
-    else:
-        for exp in config.experiments:
-            results[exp.name] = _run_experiment(exp, config.seed)
-    ordered = {exp.name: results[exp.name] for exp in config.experiments}
+    experiments = {exp.name: _run_experiment(exp, config.seed) for exp in config.experiments}
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
         seed=config.seed,
         config_echo=config.raw_text,
-        experiments=ordered,
+        experiments=experiments,
     )
 
 
@@ -658,11 +649,13 @@ def _cmd_run(args) -> int:
 def _cmd_densities(args) -> int:
     try:
         obj = json.loads(Path(args.set).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"a set file holds an object, got {obj!r}")
         A = FiniteNatSet.from_json_dict(obj)
-    except (OSError, ValueError, KeyError) as exc:
+        windows = [json_int(w) for w in args.windows.split(",") if w]
+    except (OSError, TypeError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    windows = [int(w) for w in args.windows.split(",") if w]
     windows = [w for w in windows if 0 <= w <= A.horizon]
     summary = density_summary(A, window_lengths=windows)
     out = {

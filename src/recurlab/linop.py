@@ -150,33 +150,20 @@ class LinearOperator:
             raise DimensionError("block_dims must sum to dim")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    def _diag(self) -> np.ndarray | None:
-        """Diagonal of the matrix when it is exactly diagonal, else None."""
-        if "_diag_cache" not in self.__dict__:
-            d = np.diagonal(self.matrix)
-            off = self.matrix - np.diag(d)
-            self.__dict__["_diag_cache"] = d.copy() if not off.any() else None
-        return self.__dict__["_diag_cache"]
-
-    def _blocks(self) -> list:
-        """Per-block (slice, diagonal-or-None, contiguous submatrix) triples.
-
-        Each block carries the same diagonal-vs-dense decision a standalone
-        operator realized from that block would make, so blockwise application
-        reproduces the parts' arithmetic bit for bit.
-        """
-        if "_blocks_cache" not in self.__dict__:
-            blocks = []
+        # The apply kernel: the exact diagonal, or else per block of a sum a
+        # (slice, diagonal-or-None, contiguous submatrix) triple, decided as a
+        # standalone part would be, so sums reproduce their parts bit for bit.
+        diagonal = _exact_diagonal(m)
+        blocks = []
+        if diagonal is None and len(self.block_dims) > 1:
             start = 0
             for b in self.block_dims:
                 sl = slice(start, start + b)
-                sub = np.ascontiguousarray(self.matrix[sl, sl])
-                d = np.diagonal(sub)
-                blocks.append((sl, d.copy() if not (sub - np.diag(d)).any() else None, sub))
+                sub = np.ascontiguousarray(m[sl, sl])
+                blocks.append((sl, _exact_diagonal(sub), sub))
                 start += b
-            self.__dict__["_blocks_cache"] = blocks
-        return self.__dict__["_blocks_cache"]
+        object.__setattr__(self, "_diagonal", diagonal)
+        object.__setattr__(self, "_blocks", tuple(blocks))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v: elementwise for exactly-diagonal matrices, blockwise on sums.
@@ -187,13 +174,12 @@ class LinearOperator:
         inside a mixed sum likewise multiplies elementwise, as the standalone
         part would).
         """
-        d = self._diag()
-        if d is not None:
-            return np.multiply(v, d)
-        if len(self.block_dims) == 1:
+        if self._diagonal is not None:
+            return np.multiply(v, self._diagonal)
+        if not self._blocks:
             return self.matrix @ v
         out = np.empty_like(np.asarray(v, dtype=complex))
-        for sl, bd, sub in self._blocks():
+        for sl, bd, sub in self._blocks:
             if bd is not None:
                 out[sl] = np.multiply(v[sl], bd)
             else:
@@ -206,9 +192,8 @@ class LinearOperator:
         The diagonal path broadcasts (verified bitwise-identical to the
         per-row product); the dense path loops row by row.
         """
-        d = self._diag()
-        if d is not None:
-            return np.multiply(rows, d)
+        if self._diagonal is not None:
+            return np.multiply(rows, self._diagonal)
         return np.stack([self.apply(row) for row in rows])
 
     def block_norms(self, rows: np.ndarray) -> np.ndarray:
@@ -232,6 +217,12 @@ def block_norms(rows: np.ndarray, block_dims: Sequence[int]) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
+    """The diagonal of ``m`` when ``m`` is exactly diagonal, else None."""
+    d = np.diagonal(m)
+    return None if (m - np.diag(d)).any() else d.copy()
+
+
 def _complex_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -239,7 +230,7 @@ def _complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
+def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, DiagonalUnimodular):
         lam = np.exp(2j * np.pi * np.asarray(spec.angles_turns, dtype=float))
         if lam.size == 0:
@@ -251,6 +242,8 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, JordanBlock):
         if spec.size < 1:
             raise DimensionError("Jordan block size must be >= 1")
+        if spec.size > d_max:
+            raise SizeCapError(f"dimension {spec.size} exceeds cap {d_max}")
         m = np.eye(spec.size, dtype=complex) * complex(spec.eigenvalue)
         m += np.diag(np.ones(spec.size - 1), k=1)
         return m, (spec.size,)
@@ -258,6 +251,8 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
         d = spec.dim
         if d < 1:
             raise DimensionError("shift truncation dim must be >= 1")
+        if d > d_max:
+            raise SizeCapError(f"dimension {d} exceeds cap {d_max}")
         if len(spec.weights) < d - 1:
             raise DimensionError(f"need at least {d - 1} weights for dim {d}")
         m = np.zeros((d, d), dtype=complex)
@@ -267,22 +262,22 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, DirectSum):
         if not spec.parts:
             raise DimensionError("direct sum needs at least one part")
-        built = [_build(p) for p in spec.parts]
+        built = [_build(p, d_max) for p in spec.parts]
         mats = [b[0] for b in built]
         dims = tuple(d for b in built for d in b[1])
         return block_diag(*mats).astype(complex), dims
     if isinstance(spec, Scale):
-        m, dims = _build(spec.inner)
+        m, dims = _build(spec.inner, d_max)
         return complex(spec.factor) * m, dims
     if isinstance(spec, Inverse):
         if isinstance(spec.inner, DiagonalUnimodular):
             # conjugate rotation; negating angles gives the exact bitwise
             # conjugate since cos is even and sin is odd
             neg = tuple(-a for a in spec.inner.angles_turns)
-            return _build(DiagonalUnimodular(neg))
-        m, dims = _build(spec.inner)
-        d = np.diagonal(m)
-        if not (m - np.diag(d)).any():
+            return _build(DiagonalUnimodular(neg), d_max)
+        m, dims = _build(spec.inner, d_max)
+        d = _exact_diagonal(m)
+        if d is not None:
             if np.any(d == 0):
                 raise SingularOperatorError("diagonal operator has a zero entry")
             return np.diag(1.0 / d), dims
@@ -295,7 +290,7 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, Power):
         n = int(spec.exponent)
         inner = Inverse(spec.inner) if n < 0 else spec.inner
-        m, dims = _build(inner)
+        m, dims = _build(inner, d_max)
         return np.linalg.matrix_power(m, abs(n)), dims
     raise TypeError(f"unknown operator spec {type(spec).__name__}")
 
@@ -306,8 +301,10 @@ def _power_scan(m: np.ndarray, horizon: int) -> tuple[float, float, float]:
     sup = mid = end = float(np.linalg.norm(p, 2))
     half = max(1, horizon // 2)
     for n in range(2, horizon + 1):
-        p = m @ p
-        s = float(np.linalg.norm(p, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = m @ p
+        # an overflowed power reads as infinite: LAPACK refuses non-finite input
+        s = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else np.inf
         sup = max(sup, s)
         if n == half:
             mid = s
@@ -323,7 +320,10 @@ def realize(
     power_bound_horizon: int = POWER_BOUND_HORIZON,
 ) -> LinearOperator:
     """Build the concrete matrix for a spec and attach norm/power metadata."""
-    m, dims = _build(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, dims = _build(spec, d_max)
+    if not np.isfinite(m).all():
+        raise ValueError("operator matrix has non-finite entries")
     d = m.shape[0]
     if d > d_max:
         raise SizeCapError(f"dimension {d} exceeds cap {d_max}")
@@ -649,29 +649,57 @@ def spec_to_json_dict(spec: OperatorSpec) -> dict:
     raise TypeError(f"unknown operator spec {type(spec).__name__}")
 
 
+def json_int(value) -> int:
+    """An int, an integral float such as ``2e5`` or an integer string, as an int.
+
+    Anything else, booleans and non-integral numbers included, raises
+    ValueError rather than being truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def json_list(value) -> list:
+    """A JSON array as given; anything else, a string too, raises ValueError."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 def spec_from_json_dict(obj: dict) -> OperatorSpec:
+    """Parse a spec; a missing field raises KeyError, any other defect ValueError."""
     try:
         tag = obj["type"]
     except (TypeError, KeyError):
         raise ValueError("operator spec must be an object with a 'type' tag")
-    if tag not in _TAGS:
+    if not isinstance(tag, str) or tag not in _TAGS:
         raise ValueError(f"unknown operator type {tag!r}")
+    try:
+        return _spec_fields(tag, obj)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{tag} operator: {exc}") from None
+
+
+def _spec_fields(tag: str, obj: dict) -> OperatorSpec:
     if tag == "diagonal_unimodular":
-        return DiagonalUnimodular(tuple(float(a) for a in obj["angles_turns"]))
+        return DiagonalUnimodular(tuple(float(a) for a in json_list(obj["angles_turns"])))
     if tag == "dense_matrix":
-        return DenseMatrix(
-            tuple(tuple(_complex_from_json(z) for z in row) for row in obj["entries"])
-        )
+        rows = json_list(obj["entries"])
+        return DenseMatrix(tuple(tuple(_complex_from_json(z) for z in row) for row in rows))
     if tag == "jordan_block":
-        return JordanBlock(_complex_from_json(obj["eigenvalue"]), int(obj["size"]))
+        return JordanBlock(_complex_from_json(obj["eigenvalue"]), json_int(obj["size"]))
     if tag == "weighted_backward_shift":
         return WeightedBackwardShiftTruncation(
-            tuple(float(w) for w in obj["weights"]), int(obj["dim"])
+            tuple(float(w) for w in json_list(obj["weights"])), json_int(obj["dim"])
         )
     if tag == "direct_sum":
-        return DirectSum(tuple(spec_from_json_dict(p) for p in obj["parts"]))
+        return DirectSum(tuple(spec_from_json_dict(p) for p in json_list(obj["parts"])))
     if tag == "scale":
         return Scale(_complex_from_json(obj["factor"]), spec_from_json_dict(obj["inner"]))
     if tag == "inverse":
         return Inverse(spec_from_json_dict(obj["inner"]))
-    return Power(int(obj["exponent"]), spec_from_json_dict(obj["inner"]))
+    return Power(json_int(obj["exponent"]), spec_from_json_dict(obj["inner"]))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import recurlab.classify
 import recurlab.cli
@@ -24,6 +26,10 @@ from recurlab.errors import ConfigError
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROTATION = {"type": "diagonal_unimodular", "angles_turns": [0.25]}
+JORDAN_2_7 = {"type": "jordan_block", "eigenvalue": [1.0, 0.0], "size": 2.7}
+POWER_2_5 = {"type": "power", "exponent": 2.5, "inner": ROTATION}
+ANGLES_5 = {"type": "diagonal_unimodular", "angles_turns": 5}
+PARTS_5 = {"type": "direct_sum", "parts": 5}
 
 
 def base_config(**extra):
@@ -71,6 +77,14 @@ class TestLoadConfig:
         assert exp.checks == ("classify",)
         assert exp.vectors[0][0] == "ones"
         assert np.array_equal(exp.vectors[0][1], np.ones(1, dtype=complex))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        obj = base_config(seed=7.0)
+        obj["experiments"][0]["horizon"] = 2e5
+        obj["experiments"][0]["operator"] = dict(JORDAN_2_7, size=2e0)
+        exp = load_config(write_config(tmp_path, obj)).experiments[0]
+        assert exp.horizon == 200_000 and type(exp.horizon) is int
+        assert exp.operator_spec.size == 2 and type(exp.operator_spec.size) is int
 
     def test_defaults_filled(self, tmp_path):
         obj = {"experiments": [{"operator": dict(ROTATION), "epsilons": [0.5]}]}
@@ -219,20 +233,6 @@ class TestRunConfig:
         doc = run_config(cfg)
         assert list(doc.experiments) == ["quarter", "alpha"]
 
-    def test_threaded_run_equivalent(self, tmp_path, monkeypatch):
-        obj = base_config()
-        for name in ("beta", "gamma"):
-            e = copy.deepcopy(obj["experiments"][0])
-            e["name"] = name
-            obj["experiments"].append(e)
-        cfg = load_config(write_config(tmp_path, obj))
-        doc_serial = run_config(cfg)
-        monkeypatch.setenv("RECURLAB_THREADS", "4")
-        doc_threaded = run_config(cfg)
-        assert strip_wall_times(doc_serial.to_json_dict()) == strip_wall_times(
-            doc_threaded.to_json_dict()
-        )
-
     def test_rerun_is_deterministic(self, tmp_path):
         obj = base_config()
         obj["experiments"][0]["vectors"] = ["random:0"]
@@ -313,6 +313,18 @@ class TestMainEntry:
             ("quarter", "vectors", [], "vectors must be nonempty"),
             (None, "thresholds", {"delta_lower": "0.1"}, "delta_lower must be a number"),
             ("quarter", "thresholds", {"min_horizon": 1.5}, "min_horizon must be an integer"),
+            (None, "seed", 7.9, "seed must be an integer, got 7.9"),
+            (None, "seed", True, "seed must be an integer, got True"),
+            ("quarter", "horizon", 10000.7, "horizon must be an integer, got 10000.7"),
+            ("quarter", "operator", JORDAN_2_7, "jordan_block operator: .* got 2.7"),
+            ("quarter", "operator", POWER_2_5, "power operator: .* got 2.5"),
+            (None, "experiments", {"quarter": {}}, "experiments must be a list"),
+            (None, "experiments", [5], "experiment 0 must be an object, got 5"),
+            (None, "experiments", [{"name": ["a"]}], "name must be a string, got \\['a'\\]"),
+            ("quarter", "epsilons", 0.5, "epsilons must be a list, got 0.5"),
+            ("quarter", "operator", ANGLES_5, "diagonal_unimodular operator: .* got 5"),
+            ("quarter", "operator", PARTS_5, "direct_sum operator: .* got 5"),
+            ("quarter", "checks", "classify", "checks must be a list, got 'classify'"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
@@ -428,6 +440,27 @@ class TestMainEntry:
         assert code == 2
         assert "bad vector literal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, windows, message",
+        [
+            ([1, 2], "10", "a set file holds an object"),
+            ({"horizon": 10, "elements": [1, 2]}, "a,b", "expected an integer, got 'a'"),
+        ],
+    )
+    def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps(content))
+        code = main(["densities", "--set", str(set_path), "--windows", windows])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_classify_malformed_op_exits_2(self, tmp_path, capsys):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(ANGLES_5))
+        code = main(["classify", "--op", str(op_path), "--vector", "ones", "--eps", "0.5"])
+        assert code == 2
+        assert "diagonal_unimodular operator: expected a list" in capsys.readouterr().err
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == __version__
@@ -535,3 +568,134 @@ class TestAllChecksRun:
         for payload in checks.values():
             assert "result" in payload
         assert "result" in doc.experiments["sum"]["checks"]["product"]
+
+
+# A config that loads, with every operator kind, vector kind and field.
+FUZZ_BASE = {
+    "schema_version": 1,
+    "seed": 3,
+    "thresholds": {"delta_lower": 1e-3},
+    "experiments": [
+        {
+            "name": "rotation",
+            "operator": {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.5]},
+            "vectors": ["ones", "basis:1", "random:0", [[1.0, 0.0], [0.0, 1.0]]],
+            "epsilons": [0.5, 0.25],
+            "horizon": 100,
+            "thresholds": {"min_horizon": 10},
+            "checks": ["classify", "unimodular_return"],
+        },
+        {
+            "name": "mixed",
+            "operator": {
+                "type": "direct_sum",
+                "parts": [
+                    {"type": "jordan_block", "eigenvalue": [0.5, 0.0], "size": 2},
+                    {
+                        "type": "power",
+                        "exponent": 2,
+                        "inner": {
+                            "type": "scale",
+                            "factor": [1.0, 0.0],
+                            "inner": {
+                                "type": "inverse",
+                                "inner": {
+                                    "type": "dense_matrix",
+                                    "entries": [
+                                        [[0.0, 0.0], [1.0, 0.0]],
+                                        [[1.0, 0.0], [0.0, 0.0]],
+                                    ],
+                                },
+                            },
+                        },
+                    },
+                ],
+            },
+            "vectors": ["ones"],
+            "epsilons": [0.5],
+            "horizon": 100,
+            "checks": ["product", "jdg"],
+        },
+        {
+            "name": "shift",
+            "operator": {"type": "weighted_backward_shift", "weights": [0.5, 2.0], "dim": 3},
+            "epsilons": [0.5],
+        },
+    ],
+}
+
+
+def _paths(node, prefix=()):
+    """Every key/index path inside a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+FUZZ_PATHS = list(_paths(FUZZ_BASE))
+NEAR_MISSES = [None, True, False, 0, -1, 2.5, 1e300, -1e300, 2**64, "", "1", "x", [], {}, [[]]]
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_GONE = object()
+
+
+def _child(node, key):
+    """``node[key]`` inside a JSON tree, or _GONE when there is no such child."""
+    if isinstance(node, dict) and key in node:
+        return node[key]
+    if isinstance(node, list) and isinstance(key, int) and key < len(node):
+        return node[key]
+    return _GONE
+
+
+@st.composite
+def mutated_configs(draw):
+    """FUZZ_BASE with one to three fields replaced by junk or deleted."""
+    obj = copy.deepcopy(FUZZ_BASE)
+    for path in draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=3)):
+        node = obj
+        for key in path:
+            container, node = node, _child(node, key)
+        if node is _GONE:
+            continue  # an earlier mutation removed or replaced this path
+        if draw(st.integers(0, 9)) == 0:
+            del container[path[-1]]
+        else:
+            container[path[-1]] = draw(st.sampled_from(NEAR_MISSES) | JSON_VALUES)
+    return obj
+
+
+class TestConfigFuzz:
+    def test_base_config_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, FUZZ_BASE))
+        assert [e.name for e in cfg.experiments] == ["rotation", "mixed", "shift"]
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mutated_configs())
+    def test_load_config_returns_or_raises_config_error(self, tmp_path, obj):
+        path = write_config(tmp_path, obj, name="fuzz.json")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass

@@ -416,3 +416,27 @@ class TestValidation:
     def test_shift_needs_enough_weights(self):
         with pytest.raises(DimensionError):
             realize(WeightedBackwardShiftTruncation((1.0,), 3))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [JordanBlock(1.0, 10**6), WeightedBackwardShiftTruncation((1.0,) * 10**6, 10**6 + 1)],
+        ids=["jordan", "shift"],
+    )
+    def test_size_cap_checked_before_building(self, spec):
+        # a 10^6 x 10^6 complex matrix would need 16 TB
+        with pytest.raises(SizeCapError):
+            realize(spec)
+
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_non_finite_matrix_rejected(self, factor):
+        with pytest.raises(ValueError, match="non-finite"):
+            realize(Scale(factor, JordanBlock(1.0, 2)))
+
+    def test_overflowing_powers_read_as_infinite(self):
+        # ||T^2|| overflows while ||T|| is finite; the scan must neither warn
+        # nor let the overflowed power hide behind a NaN norm
+        T = realize(Scale(1e200, JordanBlock(1.0, 2)))
+        assert math.isfinite(T.operator_norm_estimate)
+        assert T.power_bound_estimate == math.inf
+        with pytest.raises(NotPowerBoundedError):
+            jdg_split(T)
