@@ -18,10 +18,12 @@ from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
+    Inverse,
     JordanBlock,
     Scale,
     Thresholds,
     classify_vector,
+    direct_sum,
     inverse_recurrence_check,
     product_recurrence_check,
     realize,
@@ -88,7 +90,12 @@ def main():
     T1 = realize(DiagonalUnimodular((0.25,)))
     T2 = realize(DiagonalUnimodular((0.5,)))
     one = np.array([1.0 + 0j])
-    rep = product_recurrence_check(T1, one, T2, one, 0.5, 10_000)
+    # the check reads three classified orbits: each part and their sum
+    cases = ((T1, one), (T2, one), (direct_sum([T1, T2]), np.concatenate([one, one])))
+    part1, part2, total = (
+        classify_vector(T, x, epsilons=[0.5], horizon=10_000) for T, x in cases
+    )
+    rep = product_recurrence_check(part1, part2, total, 0.5)
     print(f"  quarter + half turn at eps 0.5: joint returns start "
           f"{rep.sum_return.elements[:5]} (every lcm(4,2)=4 steps), "
           f"match={rep.return_sets_match}")
@@ -96,7 +103,11 @@ def main():
     print("\nrecurrence survives inversion for unitary operators")
     T = realize(DiagonalUnimodular((0.25, GOLDEN)))
     x = np.exp(2j * np.pi * np.array([0.1, 0.7]))
-    rep = inverse_recurrence_check(T, x, [0.5, 0.25], 10_000)
+    forward, backward = (
+        classify_vector(S, x, epsilons=[0.5, 0.25], horizon=10_000)
+        for S in (T, realize(Inverse(T.spec)))
+    )
+    rep = inverse_recurrence_check(forward, backward)
     print(f"  return sets identical: {rep.return_sets_identical}, "
           f"flags match: {rep.flags_match}")
 

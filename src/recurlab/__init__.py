@@ -51,7 +51,6 @@ from .orbit import (
     OrbitSegment,
     boundedness,
     iterate,
-    orbit_to_csv,
     return_set,
 )
 from .empmeasure import (

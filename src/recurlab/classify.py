@@ -20,7 +20,7 @@ probes individually for the same reason.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -29,13 +29,11 @@ import numpy as np
 from .empmeasure import ball_mass, best_banach_window, empirical_from_window
 from .errors import InsufficientHorizonError
 from .linop import (
-    DenseMatrix,
-    Inverse,
     LinearOperator,
-    SpectralData,
-    direct_sum,
+    block_norms,
     eigen_span_residual,
-    realize,
+    json_int,
+    realize,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
     unimodular_eigenpairs,
 )
 from .natset import (
@@ -104,13 +102,18 @@ class Thresholds:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown threshold fields {sorted(unknown)}")
+        values = dict(obj)
         for key, value in obj.items():
             integral = isinstance(getattr(cls, key), int)
-            kinds = (int,) if integral else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
+            try:
+                if integral:
+                    values[key] = json_int(value)
+                elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError
+            except ValueError:
                 kind = "an integer" if integral else "a number"
-                raise ValueError(f"threshold {key} must be {kind}, got {value!r}")
-        return cls(**obj)
+                raise ValueError(f"threshold {key} must be {kind}, got {value!r}") from None
+        return cls(**values)
 
 
 def _frac_json(fr: Fraction) -> dict:
@@ -156,6 +159,9 @@ class EpsilonRecord:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
+    """One vector's classification; ``orbit``, the segment it classified, is
+    neither compared nor serialized."""
+
     vector_id: str
     dim: int
     horizon_requested: int
@@ -166,6 +172,7 @@ class RecurrenceReport:
     thresholds: Thresholds
     records: tuple[EpsilonRecord, ...]
     vector_flags: dict[str, bool]
+    orbit: OrbitSegment = field(compare=False, repr=False)
 
     def record_for(self, epsilon: float) -> EpsilonRecord:
         for rec in self.records:
@@ -245,7 +252,6 @@ def classify_vector(
     epsilons: Sequence[float] | None = None,
     horizon: int = 10_000,
     thresholds: Thresholds | None = None,
-    spectral: SpectralData | None = None,
     vector_id: str = "x",
     orbit: OrbitSegment | None = None,
 ) -> RecurrenceReport:
@@ -263,6 +269,8 @@ def classify_vector(
     combined as a conjunctive cascade (see module docstring). Vector-level
     flags are the conjunction over the epsilon grid. The default grid is
     geometric, ``||x|| * 2^-k`` for k = 1..8, in the operator's metric.
+    ``orbit``, when given, must be ``iterate(T, x, horizon)``; the report
+    carries it either way, for the checks that read classified orbits.
     """
     thresholds = thresholds or Thresholds()
     if horizon < thresholds.min_horizon:
@@ -277,9 +285,7 @@ def classify_vector(
         raise ValueError("epsilons must be positive")
     if orbit is None:
         orbit = iterate(T, x, horizon)
-    if spectral is None:
-        spectral = unimodular_eigenpairs(T)
-    residual = eigen_span_residual(x, spectral)
+    residual = eigen_span_residual(x, unimodular_eigenpairs(T))
     records = tuple(
         _classify_return_times(
             return_set(orbit, eps), orbit.horizon_effective, thresholds, eps
@@ -300,6 +306,7 @@ def classify_vector(
         thresholds=thresholds,
         records=records,
         vector_flags=vector_flags,
+        orbit=orbit,
     )
 
 
@@ -311,33 +318,23 @@ class BirkhoffReport(NamedTuple):
     window_len: int
 
 
-def birkhoff_frequent_check(
-    T: LinearOperator,
-    x: np.ndarray,
-    epsilon: float,
-    horizon: int,
-    window_len: int | None = None,
-    orbit: OrbitSegment | None = None,
-) -> BirkhoffReport:
+def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffReport:
     """Compare the return-set density with the ball mass of a window measure.
 
-    The window is the density-realizing one: the best sliding window of the
-    return set positions the Cesaro average. For orbits equidistributing on
-    their closure the two numbers agree up to the window's discrepancy, which
-    is the finite shadow of the ``dens N(x, U) = m(U)`` mechanism. ``orbit``,
-    when given, must be ``iterate(T, x, horizon)``; it saves the iteration.
+    The window, of length a tenth of the horizon, is the density-realizing
+    one: the best sliding window of the return set positions the Cesaro
+    average. For orbits equidistributing on their closure the two numbers
+    agree up to the window's discrepancy, which is the finite shadow of the
+    ``dens N(x, U) = m(U)`` mechanism.
     """
-    x = np.asarray(x, dtype=complex)
-    if orbit is None:
-        orbit = iterate(T, x, horizon)
     h = orbit.horizon_effective
-    if window_len is None:
-        window_len = max(1, h // 10)
-    window_len = min(window_len, h)
+    window_len = min(max(1, h // 10), h)
     R = return_set(orbit, epsilon)
     start = best_banach_window(R, window_len)
     mu = empirical_from_window(orbit, start, window_len)
-    mass = ball_mass(mu, x, epsilon, metric=T.block_norms)
+    mass = ball_mass(
+        mu, orbit.base, epsilon, metric=lambda rows: block_norms(rows, orbit.block_dims)
+    )
     density = Fraction(len(R), h + 1)
     return BirkhoffReport(
         density=density,
@@ -370,15 +367,11 @@ class EigenSpanCheckReport:
         )
 
 
-def eigen_span_entry(
-    rep: RecurrenceReport,
-    vector_id: str,
-    residual_tol: float = EIGEN_SPAN_RESIDUAL_TOL,
-) -> EigenSpanEntry:
+def eigen_span_entry(rep: RecurrenceReport, vector_id: str) -> EigenSpanEntry:
     """Both span implications for one classified vector (see eigen_span_check)."""
     uni = rep.vector_flags["uniformly"]
     reiter_bo = rep.vector_flags["reiteratively"] and rep.bounded.bounded_at_horizon
-    in_span = rep.eigen_span_residual <= residual_tol
+    in_span = rep.eigen_span_residual <= EIGEN_SPAN_RESIDUAL_TOL
     return EigenSpanEntry(
         vector_id=vector_id,
         residual=rep.eigen_span_residual,
@@ -390,35 +383,17 @@ def eigen_span_entry(
     )
 
 
-def eigen_span_check(
-    T: LinearOperator,
-    vectors: Sequence[np.ndarray],
-    horizon: int = 10_000,
-    epsilons: Sequence[float] | None = None,
-    thresholds: Thresholds | None = None,
-    residual_tol: float = EIGEN_SPAN_RESIDUAL_TOL,
-) -> EigenSpanCheckReport:
-    """Two-directional span test over a battery of vectors.
+def eigen_span_check(reports: Sequence[RecurrenceReport]) -> EigenSpanCheckReport:
+    """Two-directional span test over a battery of classified vectors.
 
     Direction one: vectors flagged uniformly recurrent, or reiteratively
     recurrent with bounded orbit, must sit in the unimodular eigenvector span
     (residual <= tol). Direction two: vectors in the span must come out
-    uniformly recurrent. Each entry records both implications.
+    uniformly recurrent. Each entry, ``v0``, ``v1``, ... in battery order,
+    records both implications.
     """
-    spectral = unimodular_eigenpairs(T)
-    entries = []
-    for i, v in enumerate(vectors):
-        rep = classify_vector(
-            T,
-            v,
-            epsilons=epsilons,
-            horizon=horizon,
-            thresholds=thresholds,
-            spectral=spectral,
-            vector_id=f"v{i}",
-        )
-        entries.append(eigen_span_entry(rep, f"v{i}", residual_tol))
-    return EigenSpanCheckReport(tuple(entries), residual_tol)
+    entries = tuple(eigen_span_entry(rep, f"v{i}") for i, rep in enumerate(reports))
+    return EigenSpanCheckReport(entries, EIGEN_SPAN_RESIDUAL_TOL)
 
 
 class ProbeResult(NamedTuple):
@@ -496,69 +471,37 @@ class ProductRecurrenceReport:
 
 
 def product_recurrence_check(
-    T1: LinearOperator,
-    x1: np.ndarray,
-    T2: LinearOperator,
-    x2: np.ndarray,
+    part1: RecurrenceReport,
+    part2: RecurrenceReport,
+    total: RecurrenceReport,
     epsilon: float,
-    horizon: int,
-    thresholds: Thresholds | None = None,
-    orbits: tuple[OrbitSegment, OrbitSegment, OrbitSegment] | None = None,
 ) -> ProductRecurrenceReport:
     """Return-set calculus on a direct sum.
 
-    In the max metric the epsilon-ball of the sum is the product of the
-    component balls, so the sum's return set must equal the exact integer
-    intersection of the component return sets; the report verifies that
-    equality and evaluates the "reiterative parts make the pair frequently
-    recurrent" implication at the given thresholds. ``orbits``, when given,
-    must be the orbits of x1 under T1, of x2 under T2 and of their
-    concatenation under the direct sum, all to ``horizon``; it saves the
-    iteration.
+    ``part1`` and ``part2`` classify x1 and x2 under the two parts, ``total``
+    classifies their concatenation under the direct sum; each must have a
+    record at ``epsilon``. In the max metric the epsilon-ball of the sum is
+    the product of the component balls, so the sum's return set must equal
+    the exact integer intersection of the component return sets; the report
+    verifies that equality and evaluates the "reiterative parts make the pair
+    frequently recurrent" implication at the reports' thresholds.
     """
-    x1 = np.asarray(x1, dtype=complex)
-    x2 = np.asarray(x2, dtype=complex)
-    T12 = direct_sum([T1, T2])
-    x12 = np.concatenate([x1, x2])
-    if orbits is None:
-        orbits = (
-            iterate(T1, x1, horizon),
-            iterate(T2, x2, horizon),
-            iterate(T12, x12, horizon),
-        )
-    orb1, orb2, orb12 = orbits
-    rep1 = classify_vector(
-        T1, x1, epsilons=[epsilon], horizon=horizon, thresholds=thresholds,
-        vector_id="part1", orbit=orb1,
+    flags1, flags2, flags12 = (
+        rep.record_for(epsilon).flags for rep in (part1, part2, total)
     )
-    rep2 = classify_vector(
-        T2, x2, epsilons=[epsilon], horizon=horizon, thresholds=thresholds,
-        vector_id="part2", orbit=orb2,
-    )
-    rep12 = classify_vector(
-        T12, x12, epsilons=[epsilon], horizon=horizon, thresholds=thresholds,
-        vector_id="sum", orbit=orb12,
-    )
-    R1 = return_set(orb1, epsilon)
-    R2 = return_set(orb2, epsilon)
-    R12 = return_set(orb12, epsilon)
+    R1, R2, R12 = (return_set(rep.orbit, epsilon) for rep in (part1, part2, total))
     inter = np.intersect1d(R1.array, R2.array, assume_unique=True)
-    match = np.array_equal(R12.array, inter)
-    h = orb12.horizon_effective
-    premise = (
-        rep1.records[0].flags["reiteratively"] and rep2.records[0].flags["reiteratively"]
-    )
-    conclusion = rep12.records[0].flags["frequently"]
+    premise = flags1["reiteratively"] and flags2["reiteratively"]
     return ProductRecurrenceReport(
-        return_sets_match=match,
+        return_sets_match=np.array_equal(R12.array, inter),
         sum_return=R12,
         part1_return=R1,
         part2_return=R2,
-        intersection_density=Fraction(len(inter), h + 1),
-        part1_flags=rep1.records[0].flags,
-        part2_flags=rep2.records[0].flags,
-        sum_flags=rep12.records[0].flags,
-        reiterative_parts_imply_frequent_sum=(not premise) or conclusion,
+        intersection_density=Fraction(len(inter), total.horizon_effective + 1),
+        part1_flags=flags1,
+        part2_flags=flags2,
+        sum_flags=flags12,
+        reiterative_parts_imply_frequent_sum=(not premise) or flags12["frequently"],
     )
 
 
@@ -571,46 +514,27 @@ class InverseRecurrenceReport:
 
 
 def inverse_recurrence_check(
-    T: LinearOperator,
-    x: np.ndarray,
-    epsilons: Sequence[float],
-    horizon: int,
-    thresholds: Thresholds | None = None,
-    orbit: OrbitSegment | None = None,
+    forward: RecurrenceReport, backward: RecurrenceReport
 ) -> InverseRecurrenceReport:
-    """Classify x under T and under T^-1 and compare.
+    """Compare the classifications of x under T and under T^-1.
 
-    For unitary diagonal operators the inverse realizes as the exact conjugate
-    rotation, making |lambda^-n - 1| bitwise equal to |lambda^n - 1|; return
-    sets then agree exactly, which is the symmetry this check surfaces.
-    ``orbit``, when given, must be the forward orbit ``iterate(T, x,
-    horizon)``; it saves that iteration.
+    Both reports must cover the same epsilons. For unitary diagonal operators
+    the inverse realizes as the exact conjugate rotation, making
+    |lambda^-n - 1| bitwise equal to |lambda^n - 1|; return sets then agree
+    exactly, which is the symmetry this check surfaces.
     """
-    if T.spec is not None:
-        T_inv = realize(Inverse(T.spec))
-    else:
-        T_inv = realize(
-            Inverse(DenseMatrix(tuple(tuple(row) for row in T.matrix.tolist())))
-        )
-    x = np.asarray(x, dtype=complex)
-    orb_f = iterate(T, x, horizon) if orbit is None else orbit
-    orb_b = iterate(T_inv, x, horizon)
-    fwd = classify_vector(
-        T, x, epsilons=epsilons, horizon=horizon, thresholds=thresholds,
-        vector_id="forward", orbit=orb_f,
-    )
-    bwd = classify_vector(
-        T_inv, x, epsilons=epsilons, horizon=horizon, thresholds=thresholds,
-        vector_id="backward", orbit=orb_b,
-    )
+    epsilons = [rec.epsilon for rec in forward.records]
+    if epsilons != [rec.epsilon for rec in backward.records]:
+        raise ValueError("forward and backward reports cover different epsilons")
     identical = all(
-        np.array_equal(return_set(orb_f, eps).array, return_set(orb_b, eps).array)
+        np.array_equal(
+            return_set(forward.orbit, eps).array, return_set(backward.orbit, eps).array
+        )
         for eps in epsilons
     )
-    flags_match = fwd.vector_flags == bwd.vector_flags
     return InverseRecurrenceReport(
-        forward=fwd,
-        backward=bwd,
+        forward=forward,
+        backward=backward,
         return_sets_identical=identical,
-        flags_match=flags_match,
+        flags_match=forward.vector_flags == backward.vector_flags,
     )

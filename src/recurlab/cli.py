@@ -20,8 +20,9 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .errors import ConfigError
 from .linop import (
     DiagonalUnimodular,
     DirectSum,
+    Inverse,
     LinearOperator,
     jdg_split,
     json_int,
@@ -285,11 +287,13 @@ class _VectorRun:
     Both are computed on first use and then shared by the summary and every
     per-vector check. The runner drops the object before it moves on to the
     next vector, so at most one vector's orbits are alive at a time.
+    ``inverse()`` returns the experiment's realized T^-1, built on first use.
     """
 
     exp: ExperimentSpec
     T: LinearOperator
     parts: tuple[LinearOperator, ...]
+    inverse: Callable[[], LinearOperator]
     index: int
     label: str
     v: np.ndarray
@@ -300,15 +304,13 @@ class _VectorRun:
 
     @cached_property
     def report(self):
+        return self.classify(self.T, self.v, self.label, orbit=self.orbit)
+
+    def classify(self, T: LinearOperator, x: np.ndarray, vector_id: str, orbit=None):
+        """``x`` under ``T`` classified at the experiment's epsilons and horizon."""
         exp = self.exp
         return classify_vector(
-            self.T,
-            self.v,
-            epsilons=exp.epsilons,
-            horizon=exp.horizon,
-            thresholds=exp.thresholds,
-            vector_id=self.label,
-            orbit=self.orbit,
+            T, x, exp.epsilons, exp.horizon, exp.thresholds, vector_id, orbit
         )
 
 
@@ -319,10 +321,10 @@ def _summary_rows(run: _VectorRun) -> list:
     sample = sorted(set(np.geomspace(1, max(h, 1), num=48).astype(int)))
     for eps in run.exp.epsilons:
         R = return_set(orb, eps)
-        counts = np.cumsum(R.indicator())
         for n in sample:
             if n <= h:
-                series.append([eps, int(n), float(counts[n] / (n + 1))])
+                count = np.searchsorted(R.array, n, side="right")
+                series.append([eps, int(n), float(count / (n + 1))])
     return [
         {
             "vector": run.label,
@@ -339,7 +341,7 @@ def _classify_rows(run: _VectorRun) -> list:
 def _birkhoff_rows(run: _VectorRun) -> list:
     out = []
     for eps in run.exp.epsilons:
-        r = birkhoff_frequent_check(run.T, run.v, eps, run.exp.horizon, orbit=run.orbit)
+        r = birkhoff_frequent_check(run.orbit, eps)
         out.append(
             {
                 "vector": run.label,
@@ -395,16 +397,14 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
 
 
 def _product_rows(run: _VectorRun) -> list:
-    exp, (T1, T2) = run.exp, run.parts
-    x1, x2 = run.v[: T1.dim], run.v[T1.dim :]
-    # The direct sum's orbit is the shared forward orbit: blockwise apply
-    # makes it bit-equal to the parts' orbits side by side.
-    orbits = (iterate(T1, x1, exp.horizon), iterate(T2, x2, exp.horizon), run.orbit)
+    (T1, T2), d1 = run.parts, run.parts[0].dim
+    # The direct sum's report is the shared forward one: blockwise apply
+    # makes its orbit bit-equal to the parts' orbits side by side.
+    part1 = run.classify(T1, run.v[:d1], "part1")
+    part2 = run.classify(T2, run.v[d1:], "part2")
     out = []
-    for eps in exp.epsilons:
-        r = product_recurrence_check(
-            T1, x1, T2, x2, eps, exp.horizon, thresholds=exp.thresholds, orbits=orbits
-        )
+    for eps in run.exp.epsilons:
+        r = product_recurrence_check(part1, part2, run.report, eps)
         out.append(
             {
                 "vector": run.label,
@@ -423,10 +423,8 @@ def _product_rows(run: _VectorRun) -> list:
 
 
 def _inverse_rows(run: _VectorRun) -> list:
-    exp = run.exp
-    r = inverse_recurrence_check(
-        run.T, run.v, exp.epsilons, exp.horizon, thresholds=exp.thresholds, orbit=run.orbit
-    )
+    backward = run.classify(run.inverse(), run.v, "backward")
+    r = inverse_recurrence_check(run.report, backward)
     return [
         {
             "vector": run.label,
@@ -504,7 +502,9 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
 
     Each vector's orbit and classification are computed once and shared; a
     check that raises for one vector records the error and skips the rest.
-    A check's ``wall_time_s`` is the sum of its time over all vectors.
+    A check's ``wall_time_s`` is the sum of its time over all vectors. T^-1
+    is realized once, inside the first ``inverse`` call, so an operator
+    without an inverse fails that check alone.
     """
     T = realize(exp.operator_spec)
     parts = (
@@ -512,11 +512,12 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
         if "product" in exp.checks
         else ()
     )
+    inverse = cache(lambda: realize(Inverse(exp.operator_spec)))
     names = list(dict.fromkeys(("summary", *exp.checks)))
     entries = {name: {"wall_time_s": 0.0} for name in names}
     rows = {name: [] for name in names if name in _PER_VECTOR}
     for index, (label, v) in enumerate(exp.vectors):
-        run = _VectorRun(exp, T, parts, index, label, v)
+        run = _VectorRun(exp, T, parts, inverse, index, label, v)
         for name in rows:
             if "error" in entries[name] or (name == "summary" and index > 0):
                 continue

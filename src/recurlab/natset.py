@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySetError, HorizonExceededError
+from .linop import json_int
 
 __all__ = [
     "FiniteNatSet",
@@ -87,13 +88,14 @@ class FiniteNatSet:
 
     @classmethod
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":
-        """Build from inclusive runs ``[[a, b], ...]``; runs may overlap."""
-        elems = set()
-        for a, b in runs:
-            if b < a:
-                raise ValueError(f"run [{a}, {b}] is empty")
-            elems.update(range(int(a), int(b) + 1))
-        return cls.from_iterable(elems, horizon)
+        """Build from inclusive runs ``[[a, b], ...]``, which may overlap; each
+        must satisfy ``0 <= a <= b <= horizon``, checked before any expansion."""
+        bounds = [(json_int(a), json_int(b)) for a, b in runs]
+        for a, b in bounds:
+            if not 0 <= a <= b <= horizon:
+                raise ValueError(f"run [{a}, {b}] is empty or outside [0, {horizon}]")
+        pieces = [np.arange(a, b + 1, dtype=np.int64) for a, b in bounds]
+        return cls(np.unique(np.concatenate([np.empty(0, np.int64), *pieces])), horizon)
 
     @classmethod
     def full(cls, horizon: int) -> "FiniteNatSet":
@@ -126,7 +128,7 @@ class FiniteNatSet:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FiniteNatSet":
         """Accepts either ``{"horizon", "elements"}`` or run-length ``{"horizon", "runs"}``."""
-        horizon = int(obj["horizon"])
+        horizon = json_int(obj["horizon"])
         if "elements" in obj:
             return cls.from_iterable(obj["elements"], horizon)
         if "runs" in obj:

@@ -1,16 +1,15 @@
 """Orbit segments, return sets, and boundedness verdicts.
 
 An orbit segment records ``x, Tx, ..., T^H x`` together with the metric norms
-of the points. Iteration advances strictly one application at a time through
-``LinearOperator.apply`` so that ``points[n+1]`` equals the pushforward of
-``points[n]`` bit for bit; window measures built from orbits rely on this.
+of the points and their metric distances to ``x``. Iteration advances strictly
+one application at a time through ``LinearOperator.apply`` so that
+``points[n+1]`` equals the pushforward of ``points[n]`` bit for bit; window
+measures built from orbits rely on this.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "iterate",
     "return_set",
     "boundedness",
-    "orbit_to_csv",
 ]
 
 OVERFLOW_CAP = 1e12
@@ -35,20 +33,23 @@ OVERFLOW_CAP = 1e12
 class OrbitSegment:
     """Points ``T^n x`` for ``n = 0..horizon_effective`` with their metric norms.
 
-    ``overflow`` marks an early stop: some iterate's norm passed the overflow
-    cap and the segment was truncated at the last admissible point.
+    ``dists[n]`` is the metric distance from ``points[n]`` to ``base``; every
+    return set of the segment is read from it. ``overflow`` marks an early
+    stop: some iterate's norm passed the overflow cap and the segment was
+    truncated at the last admissible point.
     """
 
     base: np.ndarray
     points: np.ndarray
     norms: np.ndarray
+    dists: np.ndarray
     block_dims: tuple[int, ...]
     horizon_requested: int
     horizon_effective: int
     overflow: bool
 
     def __post_init__(self):
-        for arr in (self.base, self.points, self.norms):
+        for arr in (self.base, self.points, self.norms, self.dists):
             arr.setflags(write=False)
 
     @property
@@ -101,6 +102,7 @@ def iterate(
         base=x.copy(),
         points=pts,
         norms=norms,
+        dists=block_norms(pts - x, T.block_dims),
         block_dims=T.block_dims,
         horizon_requested=horizon,
         horizon_effective=h_eff,
@@ -116,8 +118,7 @@ def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    dists = block_norms(orbit.points - orbit.base, orbit.block_dims)
-    return FiniteNatSet(np.nonzero(dists < epsilon)[0], orbit.horizon_effective)
+    return FiniteNatSet(np.nonzero(orbit.dists < epsilon)[0], orbit.horizon_effective)
 
 
 class BoundednessReport(NamedTuple):
@@ -147,21 +148,3 @@ def boundedness(orbit: OrbitSegment, bound: float | None = None) -> BoundednessR
             np.all(np.diff(tail) > 0) and tail[-1] > tail[0] * (1 + 1e-9)
         )
     return BoundednessReport(bounded, sup, growth)
-
-
-def orbit_to_csv(orbit: OrbitSegment, path: str | Path) -> None:
-    """Write rows (n, re/im of each coordinate, norm)."""
-    d = orbit.dim
-    header = ["n"]
-    for i in range(d):
-        header += [f"re_{i}", f"im_{i}"]
-    header.append("norm")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for n in range(orbit.horizon_effective + 1):
-            row = [n]
-            for i in range(d):
-                row += [np.real(orbit.points[n, i]), np.imag(orbit.points[n, i])]
-            row.append(orbit.norms[n])
-            writer.writerow(row)

@@ -20,6 +20,7 @@ from recurlab import (
     DiagonalUnimodular,
     DirectSum,
     EmpiricalMeasure,
+    Inverse,
     JordanBlock,
     Scale,
     Thresholds,
@@ -27,6 +28,7 @@ from recurlab import (
     classify_vector,
     conjugation_invariance_check,
     covariance,
+    direct_sum,
     empirical_from_window,
     eigenvector_from_power_relation,
     inverse_recurrence_check,
@@ -88,7 +90,7 @@ def test_criterion_01_window_density_oracle():
 def test_criterion_02_birkhoff_matches_arc_measure():
     t0 = time.perf_counter()
     T = realize(DiagonalUnimodular((GOLDEN,)))
-    rep = birkhoff_frequent_check(T, np.array([1.0 + 0j]), 0.1, 10**6)
+    rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 10**6), 0.1)
     target = arc_mass(0.1)
     dens_err = abs(float(rep.density) - target)
     mass_err = abs(rep.window_mass - target)
@@ -351,7 +353,11 @@ def test_criterion_13_product_return_set_exact():
         T1, x1 = random_unitary_diagonal(rng, 2)
         T2, x2 = random_unitary_diagonal(rng, 2)
         eps = float(rng.uniform(0.2, 0.8))
-        rep = product_recurrence_check(T1, x1, T2, x2, eps, 10_000)
+        cases = ((T1, x1), (T2, x2), (direct_sum([T1, T2]), np.concatenate([x1, x2])))
+        part1, part2, total = (
+            classify_vector(T, x, epsilons=[eps], horizon=10_000) for T, x in cases
+        )
+        rep = product_recurrence_check(part1, part2, total, eps)
         assert rep.return_sets_match
         inter = rep.part1_return.as_set() & rep.part2_return.as_set()
         assert rep.sum_return.as_set() == inter
@@ -362,7 +368,11 @@ def test_criterion_14_inverse_symmetry():
     rng = np.random.default_rng(1414)
     for _ in range(20):
         T, x = random_unitary_diagonal(rng, 3)
-        rep = inverse_recurrence_check(T, x, [0.5, 0.25, 0.1], 10_000)
+        forward, backward = (
+            classify_vector(S, x, epsilons=[0.5, 0.25, 0.1], horizon=10_000)
+            for S in (T, realize(Inverse(T.spec)))
+        )
+        rep = inverse_recurrence_check(forward, backward)
         assert rep.return_sets_identical
         assert rep.flags_match
     passed(14, "20 unitary diagonals: forward and inverse return sets identical")

@@ -16,14 +16,15 @@ from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
+    Inverse,
     JordanBlock,
     Scale,
     Thresholds,
     birkhoff_frequent_check,
     classify_vector,
     default_epsilon_grid,
+    direct_sum,
     eigen_span_check,
-    eigen_span_entry,
     inverse_recurrence_check,
     iterate,
     product_recurrence_check,
@@ -53,6 +54,31 @@ def oracle_rotation_returns(angles, epsilon, horizon):
         if max(abs(z - 1) for z in zs) < epsilon:
             hits.append(n)
     return hits
+
+
+def product_check(T1, x1, T2, x2, epsilon, horizon):
+    """The product check on x1 under T1, x2 under T2 and x1 + x2 under their sum."""
+    cases = ((T1, x1), (T2, x2), (direct_sum([T1, T2]), np.concatenate([x1, x2])))
+    part1, part2, total = (
+        classify_vector(T, x, epsilons=[epsilon], horizon=horizon) for T, x in cases
+    )
+    return product_recurrence_check(part1, part2, total, epsilon)
+
+
+def inverse_check(T, x, epsilons, horizon):
+    """The inverse check on x under T and under the realized T^-1."""
+    forward, backward = (
+        classify_vector(S, x, epsilons=epsilons, horizon=horizon)
+        for S in (T, realize(Inverse(T.spec)))
+    )
+    return inverse_recurrence_check(forward, backward)
+
+
+def span_check(T, vectors, horizon, epsilons):
+    """The eigenvector-span check on a battery of vectors classified under T."""
+    return eigen_span_check(
+        [classify_vector(T, v, epsilons=epsilons, horizon=horizon) for v in vectors]
+    )
 
 
 def assert_cascade(flags):
@@ -165,19 +191,19 @@ class TestClassifyVector:
 class TestBirkhoffCheck:
     def test_period_four_exact_quarter(self):
         T = realize(DiagonalUnimodular((0.25,)))
-        rep = birkhoff_frequent_check(T, np.array([1.0 + 0j]), 0.5, 9999)
+        rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 9999), 0.5)
         assert rep.density == Fraction(1, 4)
         assert rep.window_mass == 0.25
         assert rep.discrepancy == 0.0
 
     def test_fixed_point(self):
         T = realize(DenseMatrix(((1.0,),)))
-        rep = birkhoff_frequent_check(T, np.array([1.0 + 0j]), 0.5, 5000)
+        rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 5000), 0.5)
         assert rep.density == 1 and rep.window_mass == 1.0
 
     def test_golden_small_discrepancy(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
-        rep = birkhoff_frequent_check(T, np.array([1.0 + 0j]), 0.1, 10**5)
+        rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 10**5), 0.1)
         assert abs(float(rep.density) - arc_mass(0.1)) < 5e-3
         assert abs(rep.window_mass - arc_mass(0.1)) < 5e-3
         assert rep.discrepancy < 5e-3
@@ -186,7 +212,7 @@ class TestBirkhoffCheck:
 class TestEigenSpanCheck:
     def test_pure_eigenvector_both_directions(self):
         T = realize(MIX)
-        rep = eigen_span_check(
+        rep = span_check(
             T, [np.array([1.0, 0.0], dtype=complex)],
             horizon=10_000, epsilons=[0.5, 0.25],
         )
@@ -196,7 +222,7 @@ class TestEigenSpanCheck:
 
     def test_decaying_component_is_consistent(self):
         T = realize(MIX)
-        rep = eigen_span_check(
+        rep = span_check(
             T, [np.array([1.0, 1.0], dtype=complex)],
             horizon=10_000, epsilons=[0.25, 0.1],
         )
@@ -208,7 +234,7 @@ class TestEigenSpanCheck:
 
     def test_swap_sum_of_eigenvectors(self):
         T = realize(SWAP)
-        rep = eigen_span_check(
+        rep = span_check(
             T, [np.array([1.0, 0.0], dtype=complex)],
             horizon=10_000, epsilons=[0.5],
         )
@@ -225,7 +251,7 @@ class TestEigenSpanCheck:
             rng.uniform(size=d)  # keep the draw sequence of the sized battery
             # the largest simultaneous-return gap in this battery is 1053, so
             # a horizon of 2e5 puts every draw inside the 1% gap bound
-            rep = eigen_span_check(
+            rep = span_check(
                 T, vecs, horizon=200_000, epsilons=[0.3, 0.5]
             )
             for entry in rep.entries:
@@ -279,7 +305,7 @@ class TestProductRecurrence:
         T1 = realize(DiagonalUnimodular((0.25,)))
         T2 = realize(DiagonalUnimodular((0.5,)))
         one = np.array([1.0 + 0j])
-        rep = product_recurrence_check(T1, one, T2, one, 0.5, 10_000)
+        rep = product_check(T1, one, T2, one, 0.5, 10_000)
         assert rep.return_sets_match
         assert rep.sum_return.elements[:4] == (0, 4, 8, 12)
         assert rep.intersection_density == Fraction(
@@ -290,7 +316,7 @@ class TestProductRecurrence:
         T1 = realize(DiagonalUnimodular((GOLDEN,)))
         T2 = realize(DenseMatrix(((1.0,),)))
         one = np.array([1.0 + 0j])
-        rep = product_recurrence_check(T1, one, T2, one, 0.3, 10_000)
+        rep = product_check(T1, one, T2, one, 0.3, 10_000)
         assert rep.return_sets_match
         assert rep.sum_return.elements == rep.part1_return.elements
 
@@ -298,7 +324,7 @@ class TestProductRecurrence:
         T1 = realize(DiagonalUnimodular((GOLDEN,)))
         T2 = realize(DiagonalUnimodular((GOLDEN / 2.0,)))
         one = np.array([1.0 + 0j])
-        rep = product_recurrence_check(T1, one, T2, one, 0.2, 10**6)
+        rep = product_check(T1, one, T2, one, 0.2, 10**6)
         assert rep.return_sets_match
         assert float(rep.intersection_density) >= 0.5 * arc_mass(0.2) ** 2
         assert rep.reiterative_parts_imply_frequent_sum
@@ -312,7 +338,7 @@ class TestProductRecurrence:
             x1 = np.exp(2j * np.pi * rng.uniform(size=d1))
             x2 = np.exp(2j * np.pi * rng.uniform(size=d2))
             eps = float(rng.uniform(0.2, 0.8))
-            rep = product_recurrence_check(T1, x1, T2, x2, eps, 10_000)
+            rep = product_check(T1, x1, T2, x2, eps, 10_000)
             assert rep.return_sets_match
             inter = rep.part1_return.as_set() & rep.part2_return.as_set()
             assert rep.sum_return.as_set() == inter
@@ -321,7 +347,7 @@ class TestProductRecurrence:
 class TestInverseRecurrence:
     def test_rotation_conjugate_identical(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
-        rep = inverse_recurrence_check(
+        rep = inverse_check(
             T, np.array([1.0 + 0j]), [0.5, 0.3, 0.1], 10_000
         )
         assert rep.return_sets_identical
@@ -330,13 +356,13 @@ class TestInverseRecurrence:
     def test_two_angle_diagonal(self):
         T = realize(DiagonalUnimodular((0.25, GOLDEN)))
         x = np.exp(2j * np.pi * np.array([0.15, 0.65]))
-        rep = inverse_recurrence_check(T, x, [0.5, 0.25], 10_000)
+        rep = inverse_check(T, x, [0.5, 0.25], 10_000)
         assert rep.return_sets_identical
         assert rep.flags_match
 
     def test_jordan_fixed_point(self):
         T = realize(JordanBlock(1.0, 2))
-        rep = inverse_recurrence_check(
+        rep = inverse_check(
             T, np.array([1.0, 0.0], dtype=complex), [0.5], 10_000
         )
         assert rep.return_sets_identical
@@ -344,52 +370,59 @@ class TestInverseRecurrence:
         assert all(rep.forward.vector_flags.values())
         assert all(rep.backward.vector_flags.values())
 
-
-def _checks_without_and_with_orbits(check):
-    """(report computed by the check itself, report from precomputed orbits)."""
-    H, eps = 10_000, [0.5, 0.25]
-    T = realize(MIX)
-    x = np.array([1.0, 1.0], dtype=complex)
-    orb = iterate(T, x, H)
-    if check == "birkhoff":
-        return (
-            birkhoff_frequent_check(T, x, eps[1], H),
-            birkhoff_frequent_check(T, x, eps[1], H, orbit=orb),
+    def test_reports_must_cover_the_same_epsilons(self):
+        T = realize(DiagonalUnimodular((GOLDEN,)))
+        x = np.array([1.0 + 0j])
+        forward = classify_vector(T, x, epsilons=[0.5], horizon=10_000)
+        backward = classify_vector(
+            realize(Inverse(T.spec)), x, epsilons=[0.25], horizon=10_000
         )
-    if check == "inverse":
-        return (
-            inverse_recurrence_check(T, x, eps, H),
-            inverse_recurrence_check(T, x, eps, H, orbit=orb),
-        )
-    if check == "product":
-        # the sum orbit comes from the realized sum spec, as in the cli
-        parts = (SWAP, DiagonalUnimodular((GOLDEN,)))
-        T1, T2 = (realize(p) for p in parts)
-        x1, x2 = np.array([1.0, 0.5j]), np.array([1.0 + 0j])
-        orbits = (
-            iterate(T1, x1, H),
-            iterate(T2, x2, H),
-            iterate(realize(DirectSum(parts)), np.concatenate([x1, x2]), H),
-        )
-        return (
-            product_recurrence_check(T1, x1, T2, x2, eps[0], H),
-            product_recurrence_check(T1, x1, T2, x2, eps[0], H, orbits=orbits),
-        )
-    assert check == "eigen_span_entry"
-    rep = classify_vector(T, x, epsilons=eps, horizon=H, orbit=orb)
-    return (
-        eigen_span_check(T, [x], horizon=H, epsilons=eps).entries[0],
-        eigen_span_entry(rep, "v0"),
-    )
+        with pytest.raises(ValueError, match="different epsilons"):
+            inverse_recurrence_check(forward, backward)
 
 
-class TestPrecomputedOrbits:
+def _haar_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+HAAR_4 = DenseMatrix(
+    tuple(map(tuple, _haar_unitary(np.random.default_rng(0x5A), 4).tolist()))
+)
+
+
+class TestSumOrbitIsPartOrbits:
+    """A direct sum's orbit is its parts' orbits side by side, bit for bit.
+
+    The runner's product check reads the sum's orbit from the realized sum
+    spec and its parts' orbits separately, so both must agree exactly.
+    """
+
     @pytest.mark.parametrize(
-        "check", ["birkhoff", "inverse", "product", "eigen_span_entry"]
+        "parts",
+        [
+            (SWAP, DiagonalUnimodular((GOLDEN,))),
+            (HAAR_4, JordanBlock(0.5, 2)),
+            (DiagonalUnimodular((0.25, GOLDEN)), DiagonalUnimodular((0.41421356,))),
+        ],
+        ids=["swap_golden", "haar4_jordan", "two_rotations"],
     )
-    def test_report_unchanged(self, check):
-        plain, shared = _checks_without_and_with_orbits(check)
-        assert plain == shared
+    def test_sum_orbit_bitwise(self, parts):
+        H = 10_000
+        Ts = [realize(p) for p in parts]
+        rng = np.random.default_rng(0x50)
+        xs = [rng.normal(size=T.dim) + 1j * rng.normal(size=T.dim) for T in Ts]
+        x = np.concatenate(xs)
+        orbit = iterate(realize(DirectSum(parts)), x, H)
+        joined = iterate(direct_sum(Ts), x, H)
+        assert np.array_equal(orbit.points, joined.points)
+        assert orbit.horizon_effective == H
+        start = 0
+        for T, xk in zip(Ts, xs):
+            part = iterate(T, xk, H)
+            assert np.array_equal(orbit.points[:, start : start + T.dim], part.points)
+            start += T.dim
 
 
 class TestDeskProperties:

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +80,14 @@ class TestLoadConfig:
         assert np.array_equal(exp.vectors[0][1], np.ones(1, dtype=complex))
 
     def test_integral_floats_accepted(self, tmp_path):
-        obj = base_config(seed=7.0)
+        obj = base_config(seed=7.0, thresholds={"min_horizon": 1e4})
         obj["experiments"][0]["horizon"] = 2e5
         obj["experiments"][0]["operator"] = dict(JORDAN_2_7, size=2e0)
         exp = load_config(write_config(tmp_path, obj)).experiments[0]
         assert exp.horizon == 200_000 and type(exp.horizon) is int
         assert exp.operator_spec.size == 2 and type(exp.operator_spec.size) is int
+        min_horizon = exp.thresholds.min_horizon
+        assert min_horizon == 10_000 and type(min_horizon) is int
 
     def test_defaults_filled(self, tmp_path):
         obj = {"experiments": [{"operator": dict(ROTATION), "epsilons": [0.5]}]}
@@ -232,6 +235,19 @@ class TestRunConfig:
         cfg = load_config(write_config(tmp_path, obj))
         doc = run_config(cfg)
         assert list(doc.experiments) == ["quarter", "alpha"]
+
+    def test_singular_operator_fails_inverse_only(self, tmp_path):
+        obj = base_config()
+        exp = obj["experiments"][0]
+        exp["operator"] = {"type": "jordan_block", "eigenvalue": [0.0, 0.0], "size": 2}
+        exp["checks"] = ["classify", "inverse", "measure"]
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        checks = doc.experiments["quarter"]["checks"]
+        assert checks["inverse"]["error"].startswith("SingularOperatorError")
+        assert "result" not in checks["inverse"]
+        for name in ("classify", "measure"):
+            assert "error" not in checks[name] and checks[name]["result"]
+        assert "error" not in doc.experiments["quarter"]["summary"]
 
     def test_rerun_is_deterministic(self, tmp_path):
         obj = base_config()
@@ -445,6 +461,7 @@ class TestMainEntry:
         [
             ([1, 2], "10", "a set file holds an object"),
             ({"horizon": 10, "elements": [1, 2]}, "a,b", "expected an integer, got 'a'"),
+            ({"horizon": 10.7, "elements": [1, 2]}, "10", "expected an integer, got 10.7"),
         ],
     )
     def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):
@@ -453,6 +470,16 @@ class TestMainEntry:
         code = main(["densities", "--set", str(set_path), "--windows", windows])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_densities_oversized_run_exits_2_fast(self, tmp_path, capsys):
+        # the run is checked against the horizon before it is expanded
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps({"horizon": 10, "runs": [[0, 3_000_000]]}))
+        t0 = time.perf_counter()
+        code = main(["densities", "--set", str(set_path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "run [0, 3000000]" in capsys.readouterr().err
 
     def test_classify_malformed_op_exits_2(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
@@ -504,17 +531,24 @@ PAIR_SUM = {
 
 class TestOrbitSharing:
     def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
-        keys = []
+        keys, classified = [], []
         for module in (recurlab.cli, recurlab.classify):
             def counted(T, x, *args, _iterate=module.iterate, **kwargs):
                 keys.append((T.matrix.tobytes(), np.asarray(x, dtype=complex).tobytes()))
                 return _iterate(T, x, *args, **kwargs)
 
+            def classify_counted(T, *args, _classify=module.classify_vector, **kwargs):
+                classified.append(T)
+                return _classify(T, *args, **kwargs)
+
             monkeypatch.setattr(module, "iterate", counted)
+            monkeypatch.setattr(module, "classify_vector", classify_counted)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
         assert len(keys) == 14
         assert len(set(keys)) == 14
+        # one classification per orbit
+        assert len(classified) == 14
 
 
 class TestAllChecksRun:

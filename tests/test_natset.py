@@ -8,6 +8,7 @@ Expected values frozen below were computed with these oracles.
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,20 @@ class TestFiniteNatSet:
     def test_from_runs_merges_overlaps(self):
         A = FiniteNatSet.from_runs([[1, 3], [3, 5]], 10)
         assert A.elements == (1, 2, 3, 4, 5)
+
+    @pytest.mark.parametrize("run", [[5, 3], [-1, 2], [0, 11]])
+    def test_from_runs_bad_run_rejected(self, run):
+        with pytest.raises(ValueError, match=re.escape(f"run [{run[0]}, {run[1]}]")):
+            FiniteNatSet.from_runs([[1, 3], run], 10)
+
+    def test_from_runs_empty_list(self):
+        assert FiniteNatSet.from_runs([], 10) == FiniteNatSet.empty(10)
+
+    def test_json_horizon_must_be_integral(self):
+        with pytest.raises(ValueError, match="10.7"):
+            FiniteNatSet.from_json_dict({"horizon": 10.7, "elements": [1]})
+        A = FiniteNatSet.from_json_dict({"horizon": 1e1, "elements": [1]})
+        assert A.horizon == 10 and type(A.horizon) is int
 
     def test_membership_and_len(self):
         A = FiniteNatSet.from_iterable([5, 1, 3], 10)

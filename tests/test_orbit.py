@@ -5,7 +5,6 @@ period-4 evaluation of |i^n - 1|. The bitwise pushforward identity
 ``points[n+1] == T.apply(points[n])`` is the load-bearing property here.
 """
 
-import csv
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from recurlab import (
     boundedness,
     direct_sum,
     iterate,
-    orbit_to_csv,
     realize,
     return_set,
     syndetic_gap,
@@ -55,6 +53,20 @@ class TestIterate:
         orb = iterate(T, np.array([0.0, 1.0], dtype=complex), 10)
         assert np.array_equal(orb.points, oracle_jordan_orbit(10))
         assert np.allclose(orb.norms, np.hypot(np.arange(11), 1.0))
+
+    def test_dists_to_base(self):
+        # [[1,1],[0,1]]^n e2 = (n, 1) lies at distance exactly n from e2
+        T = realize(JordanBlock(1.0, 2))
+        orb = iterate(T, np.array([0.0, 1.0], dtype=complex), 10)
+        assert np.array_equal(orb.dists, np.arange(11, dtype=float))
+        assert not orb.dists.flags.writeable
+
+    def test_dists_follow_truncation(self):
+        T = realize(Scale(2.0, DenseMatrix(((1.0,),))))
+        orb = iterate(T, np.array([1.0 + 0j]), 100)
+        assert orb.overflow and orb.dists.shape == (orb.horizon_effective + 1,)
+        n = np.arange(orb.horizon_effective + 1)
+        assert np.array_equal(orb.dists, 2.0**n - 1.0)
 
     def test_dyadic_decay_exact(self):
         T = realize(Scale(0.5, DenseMatrix(((1.0,),))))
@@ -245,18 +257,3 @@ class TestBoundedness:
         T = realize(Scale(2.0, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 100)
         assert not boundedness(orb).bounded_at_horizon
-
-
-class TestOrbitCsv:
-    def test_round_trip(self, tmp_path):
-        T = realize(DiagonalUnimodular((0.25,)))
-        orb = iterate(T, np.array([1.0 + 0j]), 7)
-        path = tmp_path / "orbit.csv"
-        orbit_to_csv(orb, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "re_0", "im_0", "norm"]
-        assert len(rows) == 9
-        assert float(rows[1][1]) == 1.0 and float(rows[1][2]) == 0.0
-        # row for n=2 holds the point -1
-        assert float(rows[3][1]) == pytest.approx(-1.0, abs=1e-14)
