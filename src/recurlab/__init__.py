@@ -51,6 +51,8 @@ from .orbit import (
     OrbitSegment,
     boundedness,
     iterate,
+    iterate_many,
+    part_orbits,
     return_set,
 )
 from .empmeasure import (

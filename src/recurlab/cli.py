@@ -20,9 +20,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -61,7 +60,8 @@ from .linop import (
     unimodular_eigenpairs,
 )
 from .natset import FiniteNatSet, density_summary
-from .orbit import iterate, return_set
+# ``iterate`` stays bound here for the benchmark tracer, which wraps it by name
+from .orbit import iterate, iterate_many, part_orbits, return_set  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -282,25 +282,32 @@ def _json_safe(value):
 
 @dataclass
 class _VectorRun:
-    """One vector of an experiment with its forward orbit and classification.
+    """One vector of an experiment with its orbits and forward classification.
 
     Both are computed on first use and then shared by the summary and every
     per-vector check. The runner drops the object before it moves on to the
     next vector, so at most one vector's orbits are alive at a time.
-    ``inverse()`` returns the experiment's realized T^-1, built on first use.
+    ``T_inv`` is the experiment's realized T^-1 when the inverse check runs.
     """
 
     exp: ExperimentSpec
     T: LinearOperator
     parts: tuple[LinearOperator, ...]
-    inverse: Callable[[], LinearOperator]
+    T_inv: LinearOperator | None
     index: int
     label: str
     v: np.ndarray
 
     @cached_property
+    def orbits(self):
+        """The forward orbit, and the backward one under ``T_inv`` when
+        there is one, stepped in one loop."""
+        ops = (self.T,) if self.T_inv is None else (self.T, self.T_inv)
+        return iterate_many(ops, self.v, self.exp.horizon)
+
+    @property
     def orbit(self):
-        return iterate(self.T, self.v, self.exp.horizon)
+        return self.orbits[0]
 
     @cached_property
     def report(self):
@@ -398,10 +405,11 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
 
 def _product_rows(run: _VectorRun) -> list:
     (T1, T2), d1 = run.parts, run.parts[0].dim
-    # The direct sum's report is the shared forward one: blockwise apply
-    # makes its orbit bit-equal to the parts' orbits side by side.
-    part1 = run.classify(T1, run.v[:d1], "part1")
-    part2 = run.classify(T2, run.v[d1:], "part2")
+    # The direct sum's report is the shared forward one, and the parts'
+    # orbits are column views of its orbit.
+    orbit1, orbit2 = part_orbits(run.orbit, run.parts)
+    part1 = run.classify(T1, run.v[:d1], "part1", orbit1)
+    part2 = run.classify(T2, run.v[d1:], "part2", orbit2)
     out = []
     for eps in run.exp.epsilons:
         r = product_recurrence_check(part1, part2, run.report, eps)
@@ -423,7 +431,7 @@ def _product_rows(run: _VectorRun) -> list:
 
 
 def _inverse_rows(run: _VectorRun) -> list:
-    backward = run.classify(run.inverse(), run.v, "backward")
+    backward = run.classify(run.T_inv, run.v, "backward", run.orbits[1])
     r = inverse_recurrence_check(run.report, backward)
     return [
         {
@@ -500,11 +508,12 @@ def _timed(entry: dict, fn, *args):
 def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     """Run the summary and every check of one experiment, vector by vector.
 
-    Each vector's orbit and classification are computed once and shared; a
-    check that raises for one vector records the error and skips the rest.
-    A check's ``wall_time_s`` is the sum of its time over all vectors. T^-1
-    is realized once, inside the first ``inverse`` call, so an operator
-    without an inverse fails that check alone.
+    Each vector's orbits and forward classification are computed once and
+    shared; a check that raises for one vector records the error and skips
+    the rest. A check's ``wall_time_s`` is the sum of its time over all
+    vectors. T^-1 is realized once, timed under the ``inverse`` check, so
+    an operator without an inverse fails that check alone and its vectors
+    step the forward orbit only.
     """
     T = realize(exp.operator_spec)
     parts = (
@@ -512,12 +521,14 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
         if "product" in exp.checks
         else ()
     )
-    inverse = cache(lambda: realize(Inverse(exp.operator_spec)))
     names = list(dict.fromkeys(("summary", *exp.checks)))
     entries = {name: {"wall_time_s": 0.0} for name in names}
+    T_inv = None
+    if "inverse" in entries:
+        T_inv = _timed(entries["inverse"], realize, Inverse(exp.operator_spec))
     rows = {name: [] for name in names if name in _PER_VECTOR}
     for index, (label, v) in enumerate(exp.vectors):
-        run = _VectorRun(exp, T, parts, inverse, index, label, v)
+        run = _VectorRun(exp, T, parts, T_inv, index, label, v)
         for name in rows:
             if "error" in entries[name] or (name == "summary" and index > 0):
                 continue

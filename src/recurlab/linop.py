@@ -150,9 +150,10 @@ class LinearOperator:
             raise DimensionError("block_dims must sum to dim")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        # The apply kernel: the exact diagonal, or else per block of a sum a
-        # (slice, diagonal-or-None, contiguous submatrix) triple, decided as a
-        # standalone part would be, so sums reproduce their parts bit for bit.
+        # The apply kernel: ``exact_diagonal`` when the matrix is exactly
+        # diagonal, or else per block of a sum a (slice, diagonal-or-None,
+        # contiguous submatrix) triple, decided as a standalone part would
+        # be, so sums reproduce their parts bit for bit.
         diagonal = _exact_diagonal(m)
         blocks = []
         if diagonal is None and len(self.block_dims) > 1:
@@ -162,20 +163,19 @@ class LinearOperator:
                 sub = np.ascontiguousarray(m[sl, sl])
                 blocks.append((sl, _exact_diagonal(sub), sub))
                 start += b
-        object.__setattr__(self, "_diagonal", diagonal)
+        object.__setattr__(self, "exact_diagonal", diagonal)
         object.__setattr__(self, "_blocks", tuple(blocks))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v: elementwise for exactly-diagonal matrices, blockwise on sums.
 
         Blockwise application keeps a direct sum bitwise consistent with its
-        parts applied separately (stacked gemm and whole-matrix gemv round
-        differently from per-block gemv, so neither is used; a diagonal block
-        inside a mixed sum likewise multiplies elementwise, as the standalone
-        part would).
+        parts applied separately: a whole-matrix gemv rounds differently from
+        per-block gemv, and a diagonal block inside a mixed sum multiplies
+        elementwise, as the standalone part would.
         """
-        if self._diagonal is not None:
-            return np.multiply(v, self._diagonal)
+        if self.exact_diagonal is not None:
+            return np.multiply(v, self.exact_diagonal)
         if not self._blocks:
             return self.matrix @ v
         out = np.empty_like(np.asarray(v, dtype=complex))
@@ -187,14 +187,24 @@ class LinearOperator:
         return out
 
     def apply_to_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply T to each row of a (k, d) array, bitwise consistent with apply().
+        """Apply T to each row of a (k, d) array, bit-equal to ``apply`` per row.
 
-        The diagonal path broadcasts (verified bitwise-identical to the
-        per-row product); the dense path loops row by row.
+        Diagonal blocks broadcast their elementwise multiply; dense blocks
+        (the whole matrix when there is one block) run one stacked ``matmul``
+        over ``(k, b, 1)``, which is bit-equal to ``M @ r`` row by row.
+        ``einsum`` and a 2-D gemm are not.
         """
-        if self._diagonal is not None:
-            return np.multiply(rows, self._diagonal)
-        return np.stack([self.apply(row) for row in rows])
+        if self.exact_diagonal is not None:
+            return np.multiply(rows, self.exact_diagonal)
+        if not self._blocks:
+            return np.matmul(self.matrix, rows[:, :, None])[:, :, 0]
+        out = np.empty(rows.shape, dtype=complex)
+        for sl, bd, sub in self._blocks:
+            if bd is not None:
+                out[:, sl] = np.multiply(rows[:, sl], bd)
+            else:
+                out[:, sl] = np.matmul(sub, rows[:, sl, None])[:, :, 0]
+        return out
 
     def block_norms(self, rows: np.ndarray) -> np.ndarray:
         return block_norms(rows, self.block_dims)

@@ -2,15 +2,16 @@
 
 An orbit segment records ``x, Tx, ..., T^H x`` together with the metric norms
 of the points and their metric distances to ``x``. Iteration advances strictly
-one application at a time through ``LinearOperator.apply`` so that
-``points[n+1]`` equals the pushforward of ``points[n]`` bit for bit; window
-measures built from orbits rely on this.
+one application at a time, through ``LinearOperator.apply`` or, on an exact
+diagonal, the same elementwise multiply, so that ``points[n+1]`` equals the
+pushforward of ``points[n]`` bit for bit; window measures built from orbits
+rely on this.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "OrbitSegment",
     "BoundednessReport",
     "iterate",
+    "iterate_many",
+    "part_orbits",
     "return_set",
     "boundedness",
 ]
@@ -65,49 +68,142 @@ def iterate(
 ) -> OrbitSegment:
     """Record the orbit segment of x under T up to the horizon.
 
-    Sequential by construction (roughly 1 s per 10^6 steps); the payoff is the
-    exact pushforward identity mentioned in the module docstring.
+    The one-lane call of :func:`iterate_many`.
+    """
+    return iterate_many((T,), x, horizon, overflow_cap)[0]
+
+
+def iterate_many(
+    ops: Sequence[LinearOperator],
+    x: np.ndarray,
+    horizon: int,
+    overflow_cap: float = OVERFLOW_CAP,
+) -> list[OrbitSegment]:
+    """The orbit segment of x under each operator of ``ops``, in one step loop.
+
+    The K orbits are lanes side by side in one ``(horizon + 1, K * d)``
+    buffer, and each segment's points are a column view of it. When every
+    operator is an exact diagonal, a step multiplies all lanes at once by
+    the concatenated diagonals; otherwise each lane steps through its own
+    ``apply`` on its slice of the row. Either way every lane equals its own
+    ``z = T.apply(z)`` loop bit for bit.
+
+    Sequential by construction (about 1.6 µs per step for one diagonal
+    lane, and 0.1-0.2 µs more for each further diagonal lane); the payoff
+    is the exact pushforward identity of the module docstring. Each lane
+    stops on its own at the overflow cap, and the loop ends once every lane
+    has stopped.
     """
     x = np.asarray(x, dtype=complex)
-    if x.shape != (T.dim,):
-        raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
+    if not ops:
+        raise ValueError("iterate_many needs at least one operator")
+    for T in ops:
+        if x.shape != (T.dim,):
+            raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    pts = np.empty((horizon + 1, T.dim), dtype=complex)
-    pts[0] = x
-    z = x
+    d, K = x.size, len(ops)
+    cols = [slice(k * d, (k + 1) * d) for k in range(K)]
+    diagonals = [T.exact_diagonal for T in ops]
+    diag = None
+    if all(g is not None for g in diagonals):
+        diag = np.concatenate(diagonals)
+    elif K == 1:
+        step = ops[0].apply
+    else:
+        lanes = [(sl, T.apply) for sl, T in zip(cols, ops)]
+
+        def step(z):
+            out = np.empty_like(z)
+            for sl, apply in lanes:
+                out[sl] = apply(z[sl])
+            return out
+
+    pts = np.empty((horizon + 1, K * d), dtype=complex)
+    z = pts[0] = np.tile(x, K)
+    stops = [horizon + 1] * K  # rows each lane keeps
+    live = list(range(K))
     # an orbit may overflow to inf before the periodic check below sees it;
     # the truncation handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(horizon):
-            z = T.apply(z)
+            z = np.multiply(z, diag) if diag is not None else step(z)
             pts[n + 1] = z
-            # cheap periodic escape hatch for runaway orbits; the truncation
-            # below cuts at the first point past the cap either way
-            if n % 256 == 0 and (
-                not np.all(np.isfinite(z)) or T.norm_of(z) > overflow_cap
-            ):
-                pts = pts[: n + 2]
-                break
-        norms = T.block_norms(pts)
+            # cheap periodic escape hatch for runaway lanes; each segment is
+            # cut below at its first point past the cap either way
+            if n % 256 == 0:
+                for k in [k for k in live if _escaped(ops[k], z[cols[k]], overflow_cap)]:
+                    stops[k] = n + 2
+                    live.remove(k)
+                if not live:
+                    break
+    return [
+        _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon, overflow_cap)
+        for k, T in enumerate(ops)
+    ]
+
+
+def _escaped(T: LinearOperator, z: np.ndarray, overflow_cap: float) -> bool:
+    return not np.all(np.isfinite(z)) or T.norm_of(z) > overflow_cap
+
+
+def _segment(
+    points: np.ndarray,
+    base: np.ndarray,
+    block_dims: tuple[int, ...],
+    horizon: int,
+    overflow_cap: float,
+) -> OrbitSegment:
+    """The segment of ``points`` (``T^n base`` from n = 0) up to its first
+    point past the overflow cap."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = block_norms(points, block_dims)
     bad = np.nonzero(~np.isfinite(norms) | (norms > overflow_cap))[0]
     overflow = bad.size > 0
-    h_eff = int(bad[0]) - 1 if overflow else pts.shape[0] - 1
+    h_eff = int(bad[0]) - 1 if overflow else points.shape[0] - 1
     if h_eff < 0:
         raise ValueError("base point already exceeds the overflow cap")
-    if h_eff + 1 < pts.shape[0]:
-        pts = pts[: h_eff + 1].copy()
+    if h_eff + 1 < points.shape[0]:
+        points = points[: h_eff + 1].copy()
         norms = norms[: h_eff + 1].copy()
     return OrbitSegment(
-        base=x.copy(),
-        points=pts,
+        base=base.copy(),
+        points=points,
         norms=norms,
-        dists=block_norms(pts - x, T.block_dims),
-        block_dims=T.block_dims,
+        dists=block_norms(points - base, block_dims),
+        block_dims=block_dims,
         horizon_requested=horizon,
         horizon_effective=h_eff,
         overflow=overflow,
     )
+
+
+def part_orbits(
+    orbit: OrbitSegment, parts: Sequence[LinearOperator]
+) -> list[OrbitSegment]:
+    """The orbits of the parts of a direct sum, read off the sum's orbit.
+
+    Blockwise apply makes the sum's orbit its parts' orbits side by side,
+    bit for bit, so each part's points are a column view of the sum's, with
+    its own norms and distances under its own block metric. The sum's orbit
+    stops at the first part to pass the overflow cap while the other parts'
+    orbits run on, so after an overflow each part is iterated on its own.
+    """
+    dims = [P.dim for P in parts]
+    if sum(dims) != orbit.dim:
+        raise DimensionError(f"part dims {dims} do not add up to {orbit.dim}")
+    out, start = [], 0
+    for P in parts:
+        base = orbit.base[start : start + P.dim]
+        if orbit.overflow:
+            out.append(iterate(P, base, orbit.horizon_requested))
+        else:
+            points = orbit.points[:, start : start + P.dim]
+            out.append(
+                _segment(points, base, P.block_dims, orbit.horizon_requested, OVERFLOW_CAP)
+            )
+        start += P.dim
+    return out
 
 
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:

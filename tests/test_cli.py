@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import recurlab.classify
 import recurlab.cli
+import recurlab.orbit
 from recurlab import FiniteNatSet, __version__
 from recurlab.cli import (
     document_has_failures,
@@ -531,22 +532,41 @@ PAIR_SUM = {
 
 class TestOrbitSharing:
     def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
-        keys, classified = [], []
-        for module in (recurlab.cli, recurlab.classify):
-            def counted(T, x, *args, _iterate=module.iterate, **kwargs):
-                keys.append((T.matrix.tobytes(), np.asarray(x, dtype=complex).tobytes()))
-                return _iterate(T, x, *args, **kwargs)
+        # Each vector's forward and backward orbits are lanes of one loop,
+        # and the product's part orbits are column views of the sum orbit.
+        loops, views, classified = [], [], []
+        iterate_many, part_orbits = recurlab.orbit.iterate_many, recurlab.cli.part_orbits
 
+        def loop_counted(ops, x, *args, **kwargs):
+            x = np.asarray(x, dtype=complex)
+            loops.append([(T.matrix.tobytes(), x.tobytes()) for T in ops])
+            return iterate_many(ops, x, *args, **kwargs)
+
+        def parts_counted(orbit, parts):
+            got = part_orbits(orbit, parts)
+            views.extend(np.shares_memory(p.points, orbit.points) for p in got)
+            return got
+
+        # iterate() calls the orbit module's binding
+        for module in (recurlab.cli, recurlab.orbit):
+            monkeypatch.setattr(module, "iterate_many", loop_counted)
+        monkeypatch.setattr(recurlab.cli, "part_orbits", parts_counted)
+        for module in (recurlab.cli, recurlab.classify):
             def classify_counted(T, *args, _classify=module.classify_vector, **kwargs):
                 classified.append(T)
                 return _classify(T, *args, **kwargs)
 
-            monkeypatch.setattr(module, "iterate", counted)
             monkeypatch.setattr(module, "classify_vector", classify_counted)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
-        assert len(keys) == 14
-        assert len(set(keys)) == 14
+        # 5 vectors, each with a forward and a backward lane
+        assert len(loops) == 5
+        lanes = [lane for loop in loops for lane in loop]
+        assert len(lanes) == 10
+        # no (operator, vector) pair is stepped twice
+        assert len(set(lanes)) == 10
+        # two parts for each of the sum experiment's two vectors
+        assert views == [True] * 4
         # one classification per orbit
         assert len(classified) == 14
 

@@ -36,6 +36,7 @@ from recurlab.errors import (
     SingularOperatorError,
     SizeCapError,
 )
+from recurlab.linop import DIM_CAP
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -164,6 +165,41 @@ class TestApplyConsistency:
         joint = T.apply(v)
         assert np.array_equal(joint[:2], T1.apply(v[:2]))
         assert np.array_equal(joint[2:], T2.apply(v[2:]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 33, DIM_CAP])
+    def test_apply_to_rows_matches_row_loop_bitwise(self, d):
+        # every operator kind at dim d, then mixed sums of them filling d;
+        # the rows are also taken as a column view of a wider buffer, as an
+        # orbit lane's points are
+        rng = np.random.default_rng(d)
+
+        def dense(b):
+            m = rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b))
+            return DenseMatrix(tuple(map(tuple, m)))
+
+        kinds = [
+            lambda b: DiagonalUnimodular(tuple(rng.uniform(size=b))),
+            dense,
+            lambda b: JordanBlock(0.5, b),
+            lambda b: WeightedBackwardShiftTruncation(tuple(rng.uniform(1, 2, size=b)), b),
+            lambda b: Scale(0.7 - 0.2j, dense(b)),
+            lambda b: Inverse(
+                DenseMatrix(tuple(map(tuple, np.eye(b) + 0.1 * rng.normal(size=(b, b)))))
+            ),
+            lambda b: Power(3, dense(b)),
+        ]
+        specs = [kind(d) for kind in kinds]
+        for _ in range(4):
+            cuts = np.sort(rng.choice(np.arange(1, d), size=min(d - 1, 3), replace=False))
+            sizes = np.diff(np.concatenate([[0], cuts, [d]]))
+            parts = [kinds[int(rng.integers(len(kinds)))](int(b)) for b in sizes]
+            specs.append(DirectSum(tuple(parts)))
+        wide = rng.normal(size=(300, d + 3)) + 1j * rng.normal(size=(300, d + 3))
+        for spec in specs:
+            T = realize(spec, power_bound_horizon=4)
+            for rows in (np.ascontiguousarray(wide[:, 2 : d + 2]), wide[:, 2 : d + 2]):
+                looped = np.stack([T.apply(r) for r in rows])
+                assert np.array_equal(T.apply_to_rows(rows), looped), spec
 
     def test_block_norms_max_convention(self):
         T = direct_sum([realize(SWAP), realize(DiagonalUnimodular((0.25,)))])

@@ -6,14 +6,17 @@ period-4 evaluation of |i^n - 1|. The bitwise pushforward identity
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import recurlab.orbit
 from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
+    Inverse,
     JordanBlock,
     Scale,
     boundedness,
@@ -25,8 +28,10 @@ from recurlab import (
 )
 from recurlab.errors import DimensionError
 from recurlab.linop import LinearOperator
+from recurlab.orbit import iterate_many, part_orbits
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SWAP_SPEC = DenseMatrix(((0.0, 1.0), (1.0, 0.0)))
 
 
 def oracle_jordan_orbit(horizon):
@@ -148,6 +153,141 @@ class TestIterate:
         x = np.array([3.0, 4.0], dtype=complex)
         orb = iterate(T, x, 20)
         assert np.allclose(orb.norms, 4.0, atol=1e-12)  # max(|3|, |4|)
+
+
+def reference_orbit(T, x, horizon, cap=1e12):
+    """Plain ``z = T.apply(z)`` loop, cut before the first point past the cap."""
+    pts = [np.asarray(x, dtype=complex)]
+    for _ in range(horizon):
+        z = T.apply(pts[-1])
+        if not T.norm_of(z) <= cap:
+            break
+        pts.append(z)
+    return np.array(pts)
+
+
+def random_dense(rng, d):
+    """A Haar unitary, so dense lanes stay bounded over long horizons."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return DenseMatrix(tuple(map(tuple, q * (np.diagonal(r) / np.abs(np.diagonal(r))))))
+
+
+class TestIterateMany:
+    """Each lane of one loop against its own reference loop, bit for bit."""
+
+    def check_lanes(self, specs, horizon, x=None):
+        ops = [realize(s) for s in specs]
+        if x is None:
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=ops[0].dim) + 1j * rng.normal(size=ops[0].dim)
+        lanes = iterate_many(ops, x, horizon)
+        assert len(lanes) == len(ops)
+        for T, orb in zip(ops, lanes):
+            ref = reference_orbit(T, x, horizon)
+            assert np.array_equal(orb.points, ref)
+            assert np.array_equal(orb.norms, T.block_norms(ref))
+            assert np.array_equal(orb.dists, T.block_norms(ref - x))
+            assert orb.horizon_effective == ref.shape[0] - 1
+            assert orb.block_dims == T.block_dims
+        return lanes
+
+    def test_all_diagonal_lanes(self):
+        rng = np.random.default_rng(1)
+        angles = tuple(rng.uniform(size=3))
+        specs = [
+            DiagonalUnimodular(angles),
+            Inverse(DiagonalUnimodular(angles)),
+            DiagonalUnimodular(tuple(rng.uniform(size=3))),
+        ]
+        lanes = self.check_lanes(specs, 5000)
+        # the lanes are views of one buffer
+        assert lanes[0].points.base is lanes[2].points.base
+
+    def test_dense_and_jordan_lanes(self):
+        rng = np.random.default_rng(2)
+        specs = [
+            DirectSum((random_dense(rng, 4), JordanBlock(0.5, 2))),
+            random_dense(rng, 6),
+            JordanBlock(0.5, 6),
+        ]
+        self.check_lanes(specs, 3000)
+
+    def test_mixed_diagonal_and_dense_lanes(self):
+        rng = np.random.default_rng(3)
+        specs = [
+            DiagonalUnimodular(tuple(rng.uniform(size=3))),
+            random_dense(rng, 3),
+            DirectSum((DiagonalUnimodular((GOLDEN,)), random_dense(rng, 2))),
+        ]
+        self.check_lanes(specs, 3000)
+
+    @pytest.mark.parametrize("other", ["diagonal", "dense"])
+    def test_overflow_is_per_lane(self, other):
+        # 1.001^n passes the 1e12 cap after 27644 steps (see
+        # test_overflow_stops_iterating_near_the_cap); the unitary lane
+        # beside it runs the full horizon
+        rng = np.random.default_rng(4)
+        unitary = {"diagonal": DiagonalUnimodular((GOLDEN, 0.3)), "dense": random_dense(rng, 2)}
+        growing, bounded = self.check_lanes(
+            [Scale(1.001, DiagonalUnimodular((0.25, GOLDEN))), unitary[other]],
+            30_000,
+            np.array([1.0, 0.0j]),
+        )
+        assert growing.overflow and growing.horizon_effective == 27644
+        assert not bounded.overflow and bounded.horizon_effective == 30_000
+
+    def test_loop_stops_once_every_lane_overflowed(self, monkeypatch):
+        # diagonal lanes step by np.multiply, not apply: count its calls
+        calls = []
+        fake_np = types.SimpleNamespace(**vars(np))
+        fake_np.multiply = lambda *args: calls.append(1) or np.multiply(*args)
+        monkeypatch.setattr(recurlab.orbit, "np", fake_np)
+        ops = [realize(Scale(f, DiagonalUnimodular((0.25,)))) for f in (1.001, 1.002)]
+        slow, fast = iterate_many(ops, np.array([1.0 + 0j]), 10**6)
+        monkeypatch.undo()
+        assert slow.overflow and slow.horizon_effective == 27644
+        assert fast.overflow and fast.horizon_effective < 27644
+        # the loop stops at the periodic check after the last lane's cap
+        assert len(calls) <= slow.horizon_effective + 257
+
+    def test_validation(self):
+        T = realize(DenseMatrix(((1.0,),)))
+        with pytest.raises(ValueError):
+            iterate_many([], np.array([1.0 + 0j]), 5)
+        with pytest.raises(DimensionError):
+            iterate_many([T, realize(SWAP_SPEC)], np.array([1.0 + 0j]), 5)
+
+
+class TestPartOrbits:
+    def test_parts_are_views_with_their_own_metric(self):
+        parts = [realize(DiagonalUnimodular((0.25, GOLDEN))), realize(SWAP_SPEC)]
+        T = direct_sum(parts)
+        x = np.array([1.0, 2.0j, 3.0, 4.0])
+        orbit = iterate(T, x, 2000)
+        got = part_orbits(orbit, parts)
+        start = 0
+        for P, orb in zip(parts, got):
+            ref = iterate(P, x[start : start + P.dim], 2000)
+            assert np.shares_memory(orb.points, orbit.points)
+            for field in ("base", "points", "norms", "dists"):
+                assert np.array_equal(getattr(orb, field), getattr(ref, field))
+            assert (orb.horizon_effective, orb.overflow) == (2000, False)
+            start += P.dim
+
+    def test_overflowed_sum_iterates_its_parts(self):
+        # the sum stops when its growing part passes the cap; the bounded
+        # part's own orbit runs the full horizon
+        parts = [realize(Scale(2.0, DenseMatrix(((1.0,),)))), realize(SWAP_SPEC)]
+        orbit = iterate(direct_sum(parts), np.array([1.0, 1.0, 0.0]), 100)
+        assert orbit.overflow and orbit.horizon_effective == 39
+        grown, swapped = part_orbits(orbit, parts)
+        assert grown.overflow and grown.horizon_effective == 39
+        assert not swapped.overflow and swapped.horizon_effective == 100
+
+    def test_dims_must_add_up(self):
+        orbit = iterate(realize(SWAP_SPEC), np.array([1.0, 0.0j]), 5)
+        with pytest.raises(DimensionError):
+            part_orbits(orbit, [realize(DenseMatrix(((1.0,),)))])
 
 
 class TestReturnSet:
