@@ -287,7 +287,8 @@ class _VectorRun:
     Both are computed on first use and then shared by the summary and every
     per-vector check. The runner drops the object before it moves on to the
     next vector, so at most one vector's orbits are alive at a time.
-    ``T_inv`` is the experiment's realized T^-1 when the inverse check runs.
+    ``T_inv`` is the experiment's realized T^-1 while the inverse check runs
+    without error, and None otherwise.
     """
 
     exp: ExperimentSpec
@@ -511,9 +512,11 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     Each vector's orbits and forward classification are computed once and
     shared; a check that raises for one vector records the error and skips
     the rest. A check's ``wall_time_s`` is the sum of its time over all
-    vectors. T^-1 is realized once, timed under the ``inverse`` check, so
-    an operator without an inverse fails that check alone and its vectors
-    step the forward orbit only.
+    vectors, and the one loop that steps a vector's forward and backward
+    orbits is timed under the first check that reads them. T^-1 is realized
+    once, timed under the ``inverse`` check, so an operator without an
+    inverse fails that check alone; once that check has an error, the
+    vectors step the forward orbit only.
     """
     T = realize(exp.operator_spec)
     parts = (
@@ -528,6 +531,8 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
         T_inv = _timed(entries["inverse"], realize, Inverse(exp.operator_spec))
     rows = {name: [] for name in names if name in _PER_VECTOR}
     for index, (label, v) in enumerate(exp.vectors):
+        if "error" in entries.get("inverse", {}):
+            T_inv = None  # no later vector needs its backward orbit
         run = _VectorRun(exp, T, parts, T_inv, index, label, v)
         for name in rows:
             if "error" in entries[name] or (name == "summary" and index > 0):

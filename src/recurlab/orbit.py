@@ -10,7 +10,7 @@ rely on this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,20 +79,23 @@ def iterate_many(
     horizon: int,
     overflow_cap: float = OVERFLOW_CAP,
 ) -> list[OrbitSegment]:
-    """The orbit segment of x under each operator of ``ops``, in one step loop.
+    """The orbit segment of x under each operator of ``ops``.
 
-    The K orbits are lanes side by side in one ``(horizon + 1, K * d)``
-    buffer, and each segment's points are a column view of it. When every
-    operator is an exact diagonal, a step multiplies all lanes at once by
-    the concatenated diagonals; otherwise each lane steps through its own
-    ``apply`` on its slice of the row. Either way every lane equals its own
+    When every operator is an exact diagonal, the K orbits are lanes side
+    by side in one ``(horizon + 1, K * d)`` buffer, a step multiplies all
+    lanes at once by the concatenated diagonals, and each segment's points
+    are a column view of the buffer. Otherwise each operator gets a loop of
+    its own, stepping through its ``apply``: grouping such lanes would save
+    only loop overhead. Either way every lane equals its own
     ``z = T.apply(z)`` loop bit for bit.
 
     Sequential by construction (about 1.6 µs per step for one diagonal
     lane, and 0.1-0.2 µs more for each further diagonal lane); the payoff
     is the exact pushforward identity of the module docstring. Each lane
     stops on its own at the overflow cap, and the loop ends once every lane
-    has stopped.
+    has stopped. Until then a stopped diagonal lane rides along in the
+    buffer; when some lane stopped early, the others are copied out of it,
+    so no segment keeps the wider buffer alive.
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
@@ -102,23 +105,14 @@ def iterate_many(
             raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    diagonals = [T.exact_diagonal for T in ops]
+    grouped = all(g is not None for g in diagonals)
+    if not grouped and len(ops) > 1:
+        return [iterate_many((T,), x, horizon, overflow_cap)[0] for T in ops]
+    diag = np.concatenate(diagonals) if grouped else None
+    step = ops[0].apply
     d, K = x.size, len(ops)
     cols = [slice(k * d, (k + 1) * d) for k in range(K)]
-    diagonals = [T.exact_diagonal for T in ops]
-    diag = None
-    if all(g is not None for g in diagonals):
-        diag = np.concatenate(diagonals)
-    elif K == 1:
-        step = ops[0].apply
-    else:
-        lanes = [(sl, T.apply) for sl, T in zip(cols, ops)]
-
-        def step(z):
-            out = np.empty_like(z)
-            for sl, apply in lanes:
-                out[sl] = apply(z[sl])
-            return out
-
     pts = np.empty((horizon + 1, K * d), dtype=complex)
     z = pts[0] = np.tile(x, K)
     stops = [horizon + 1] * K  # rows each lane keeps
@@ -137,10 +131,18 @@ def iterate_many(
                     live.remove(k)
                 if not live:
                     break
-    return [
+    segments = [
         _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon, overflow_cap)
         for k, T in enumerate(ops)
     ]
+    if K > 1 and any(s.overflow for s in segments):
+        # an overflowed segment is a truncated copy; a full one would
+        # otherwise hold the whole K-lane buffer
+        segments = [
+            s if s.overflow else replace(s, points=s.points.copy())
+            for s in segments
+        ]
+    return segments
 
 
 def _escaped(T: LinearOperator, z: np.ndarray, overflow_cap: float) -> bool:

@@ -570,6 +570,26 @@ class TestOrbitSharing:
         # one classification per orbit
         assert len(classified) == 14
 
+    def test_backward_lane_dropped_after_inverse_error(self, tmp_path, monkeypatch):
+        lanes = []
+        iterate_many = recurlab.cli.iterate_many
+
+        def loop_counted(ops, *args, **kwargs):
+            lanes.append(len(ops))
+            return iterate_many(ops, *args, **kwargs)
+
+        def broken(*args):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(recurlab.cli, "iterate_many", loop_counted)
+        monkeypatch.setattr(recurlab.cli, "inverse_recurrence_check", broken)
+        obj = dict(PAIR_SUM, experiments=PAIR_SUM["experiments"][:1])
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        checks = doc.experiments["golden_pair"]["checks"]
+        assert checks["inverse"]["error"] == "RuntimeError: broken check"
+        # the first vector's inverse check fails; later vectors step forward only
+        assert lanes == [2, 1, 1]
+
 
 class TestAllChecksRun:
     def test_full_battery_clean(self, tmp_path):

@@ -108,17 +108,28 @@ class TestIterate:
 
     def test_overflow_stops_iterating_near_the_cap(self, monkeypatch):
         T = realize(Scale(1.001, DiagonalUnimodular((0.25,))))
-        x = np.array([1.0 + 0j])
+        self.check_stops_near_cap(monkeypatch, T, np.array([1.0 + 0j]))
+
+    def test_dense_overflow_stops_iterating_near_the_cap(self, monkeypatch):
+        T = realize(Scale(1.001, DenseMatrix(((0.0, 1.0), (1.0, 0.0)))))
+        self.check_stops_near_cap(monkeypatch, T, np.array([1.0, 0.0j]))
+
+    def check_stops_near_cap(self, monkeypatch, T, x):
         # plain reference loop, truncated at the first point past the cap
         ref = [x]
         while T.norm_of(ref[-1]) <= 1e12:
             ref.append(T.apply(ref[-1]))
         ref = np.array(ref[:-1])
+        # a step is an apply call, or an np.multiply in the orbit module on
+        # an exact diagonal
         calls = []
         apply = LinearOperator.apply
         monkeypatch.setattr(
             LinearOperator, "apply", lambda self, v: calls.append(1) or apply(self, v)
         )
+        fake_np = types.SimpleNamespace(**vars(np))
+        fake_np.multiply = lambda *args: calls.append(1) or np.multiply(*args)
+        monkeypatch.setattr(recurlab.orbit, "np", fake_np)
         orb = iterate(T, x, 10**6)
         monkeypatch.undo()
         assert orb.overflow
@@ -235,6 +246,26 @@ class TestIterateMany:
         )
         assert growing.overflow and growing.horizon_effective == 27644
         assert not bounded.overflow and bounded.horizon_effective == 30_000
+        # the full lane does not keep a buffer wider than its own orbit
+        assert bounded.points.flags.c_contiguous
+
+    def test_stopped_dense_lane_is_not_stepped_on(self, monkeypatch):
+        # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps
+        # while the forward lane runs the full horizon
+        ops = [realize(JordanBlock(0.5, 2)), realize(Inverse(JordanBlock(0.5, 2)))]
+        calls = {id(T): 0 for T in ops}
+        apply = LinearOperator.apply
+
+        def counted(self, v):
+            calls[id(self)] += 1
+            return apply(self, v)
+
+        monkeypatch.setattr(LinearOperator, "apply", counted)
+        forward, backward = iterate_many(ops, np.array([1.0, 1.0 + 0j]), 20_000)
+        monkeypatch.undo()
+        assert not forward.overflow and calls[id(ops[0])] == 20_000
+        assert backward.overflow and backward.horizon_effective < 64
+        assert calls[id(ops[1])] <= 257
 
     def test_loop_stops_once_every_lane_overflowed(self, monkeypatch):
         # diagonal lanes step by np.multiply, not apply: count its calls
