@@ -30,6 +30,7 @@ from .empmeasure import ball_mass, best_banach_window, empirical_from_window
 from .errors import InsufficientHorizonError
 from .linop import (
     LinearOperator,
+    SpectralData,
     block_norms,
     eigen_span_residual,
     json_int,
@@ -54,6 +55,7 @@ __all__ = [
     "RecurrenceReport",
     "classify_vector",
     "default_epsilon_grid",
+    "spectral_data",
     "BirkhoffReport",
     "birkhoff_frequent_check",
     "EigenSpanEntry",
@@ -246,6 +248,18 @@ def _classify_return_times(
     )
 
 
+def spectral_data(T: LinearOperator) -> SpectralData:
+    """``unimodular_eigenpairs(T)``, computed on the first request and kept
+    with the operator object, so each realized operator is decomposed once
+    however many vectors are classified under it."""
+    data = T.__dict__.get("_spectral_data")
+    if data is None:
+        # the operator is frozen; like functools.cached_property, store
+        # straight into its __dict__
+        data = T.__dict__["_spectral_data"] = unimodular_eigenpairs(T)
+    return data
+
+
 def classify_vector(
     T: LinearOperator,
     x: np.ndarray,
@@ -285,7 +299,7 @@ def classify_vector(
         raise ValueError("epsilons must be positive")
     if orbit is None:
         orbit = iterate(T, x, horizon)
-    residual = eigen_span_residual(x, unimodular_eigenpairs(T))
+    residual = eigen_span_residual(x, spectral_data(T))
     records = tuple(
         _classify_return_times(
             return_set(orbit, eps), orbit.horizon_effective, thresholds, eps

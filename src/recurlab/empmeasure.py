@@ -135,6 +135,8 @@ def _merge(
     keys = np.round(
         np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS
     )
+    if _all_distinct(keys):
+        return atoms, weights, counts
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     n_groups = int(inverse.max()) + 1
     if n_groups == atoms.shape[0]:
@@ -154,6 +156,27 @@ def _merge(
         c_out = np.zeros(n_groups, dtype=np.int64)
         np.add.at(c_out, inverse, counts)
     return reps, w_out, c_out
+
+
+def _all_distinct(keys: np.ndarray) -> bool:
+    """Whether no two rows of ``keys`` are equal, as ``np.unique`` sees it.
+
+    Only rows tied in the first column can be equal, so only those are
+    sorted on every column, which puts equal rows next to each other.
+    Comparisons use float ``==``, under which ``-0.0`` and ``0.0`` tie, as
+    in ``np.unique``.
+    """
+    first = keys[:, 0]
+    order = np.argsort(first)
+    tie = first[order[1:]] == first[order[:-1]]
+    if not tie.any():
+        return True
+    tied = np.zeros(first.size, dtype=bool)
+    tied[1:] |= tie
+    tied[:-1] |= tie
+    rows = keys[order[tied]]
+    rows = rows[np.lexsort(rows.T)]
+    return not np.all(rows[1:] == rows[:-1], axis=1).any()
 
 
 def empirical_from_window(

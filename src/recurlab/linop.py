@@ -15,7 +15,7 @@ application and pushforward agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.linalg import block_diag, orth, schur, subspace_angles
@@ -40,6 +40,7 @@ __all__ = [
     "Power",
     "OperatorSpec",
     "LinearOperator",
+    "KernelBlock",
     "SpectralData",
     "block_norms",
     "realize",
@@ -130,6 +131,8 @@ class LinearOperator:
     ``power_bound_estimate`` is ``sup_{n <= power_bound_horizon} ||T^n||_2``;
     ``power_norm_mid`` / ``power_norm_end`` are the norms at the half and full
     scan horizon, kept for the growth-trend gate in :func:`jdg_split`.
+    ``blocks``, set at construction, is the apply kernel: the
+    :class:`KernelBlock` list that covers the columns.
     """
 
     matrix: np.ndarray
@@ -150,60 +153,41 @@ class LinearOperator:
             raise DimensionError("block_dims must sum to dim")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        # The apply kernel: ``exact_diagonal`` when the matrix is exactly
-        # diagonal, or else per block of a sum a (slice, diagonal-or-None,
-        # contiguous submatrix) triple, decided as a standalone part would
-        # be, so sums reproduce their parts bit for bit.
-        diagonal = _exact_diagonal(m)
-        blocks = []
-        if diagonal is None and len(self.block_dims) > 1:
-            start = 0
-            for b in self.block_dims:
-                sl = slice(start, start + b)
-                sub = np.ascontiguousarray(m[sl, sl])
-                blocks.append((sl, _exact_diagonal(sub), sub))
-                start += b
-        object.__setattr__(self, "exact_diagonal", diagonal)
-        object.__setattr__(self, "_blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", _kernel_blocks(m, self.block_dims))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """T v: elementwise for exactly-diagonal matrices, blockwise on sums.
+        """T v, one kernel per entry of ``blocks``: ``np.multiply`` by a
+        diagonal, ``np.dot`` (a gemv) by a dense block.
 
         Blockwise application keeps a direct sum bitwise consistent with its
         parts applied separately: a whole-matrix gemv rounds differently from
         per-block gemv, and a diagonal block inside a mixed sum multiplies
-        elementwise, as the standalone part would.
+        elementwise, as the standalone part would. Orbit iteration runs the
+        same kernels on rows of its buffer.
         """
-        if self.exact_diagonal is not None:
-            return np.multiply(v, self.exact_diagonal)
-        if not self._blocks:
-            return self.matrix @ v
-        out = np.empty_like(np.asarray(v, dtype=complex))
-        for sl, bd, sub in self._blocks:
-            if bd is not None:
-                out[sl] = np.multiply(v[sl], bd)
+        v = np.asarray(v)
+        out = np.empty(self.dim, dtype=complex)
+        for cols, diagonal, sub in self.blocks:
+            if diagonal is not None:
+                np.multiply(v[cols], diagonal, out=out[cols])
             else:
-                out[sl] = sub @ v[sl]
+                np.dot(sub, v[cols], out=out[cols])
         return out
 
     def apply_to_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply T to each row of a (k, d) array, bit-equal to ``apply`` per row.
 
-        Diagonal blocks broadcast their elementwise multiply; dense blocks
-        (the whole matrix when there is one block) run one stacked ``matmul``
-        over ``(k, b, 1)``, which is bit-equal to ``M @ r`` row by row.
-        ``einsum`` and a 2-D gemm are not.
+        The kernels of ``blocks`` over all rows at once: a diagonal block
+        broadcasts its elementwise multiply, and a dense block runs one
+        stacked ``matmul`` over ``(k, b, 1)``, which is bit-equal to the
+        gemv ``M @ r`` row by row. ``einsum`` and a 2-D gemm are not.
         """
-        if self.exact_diagonal is not None:
-            return np.multiply(rows, self.exact_diagonal)
-        if not self._blocks:
-            return np.matmul(self.matrix, rows[:, :, None])[:, :, 0]
         out = np.empty(rows.shape, dtype=complex)
-        for sl, bd, sub in self._blocks:
-            if bd is not None:
-                out[:, sl] = np.multiply(rows[:, sl], bd)
+        for cols, diagonal, sub in self.blocks:
+            if diagonal is not None:
+                np.multiply(rows[:, cols], diagonal, out=out[:, cols])
             else:
-                out[:, sl] = np.matmul(sub, rows[:, sl, None])[:, :, 0]
+                out[:, cols] = np.matmul(sub, rows[:, cols, None])[:, :, 0]
         return out
 
     def block_norms(self, rows: np.ndarray) -> np.ndarray:
@@ -231,6 +215,34 @@ def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
     """The diagonal of ``m`` when ``m`` is exactly diagonal, else None."""
     d = np.diagonal(m)
     return None if (m - np.diag(d)).any() else d.copy()
+
+
+class KernelBlock(NamedTuple):
+    """One kernel of ``LinearOperator.apply`` over the columns ``cols``:
+    an elementwise multiply by ``diagonal``, or else a matrix-vector
+    product by the contiguous ``matrix``."""
+
+    cols: slice
+    diagonal: np.ndarray | None
+    matrix: np.ndarray | None
+
+
+def _kernel_blocks(m: np.ndarray, block_dims: Sequence[int]) -> tuple[KernelBlock, ...]:
+    """The kernel blocks covering all columns of ``m``: one diagonal block
+    when ``m`` is exactly diagonal, else one per block of ``block_dims``,
+    each decided as a standalone part would be, so that a sum reproduces
+    its parts bit for bit."""
+    diagonal = _exact_diagonal(m)
+    if diagonal is not None:
+        return (KernelBlock(slice(0, m.shape[0]), diagonal, None),)
+    blocks, start = [], 0
+    for b in block_dims:
+        cols = slice(start, start + b)
+        sub = np.ascontiguousarray(m[cols, cols])
+        diagonal = _exact_diagonal(sub)
+        blocks.append(KernelBlock(cols, diagonal, None if diagonal is not None else sub))
+        start += b
+    return tuple(blocks)
 
 
 def _complex_matrix(entries) -> np.ndarray:

@@ -2,10 +2,18 @@
 
 An orbit segment records ``x, Tx, ..., T^H x`` together with the metric norms
 of the points and their metric distances to ``x``. Iteration advances strictly
-one application at a time, through ``LinearOperator.apply`` or, on an exact
-diagonal, the same elementwise multiply, so that ``points[n+1]`` equals the
-pushforward of ``points[n]`` bit for bit; window measures built from orbits
+one application at a time, each row of the orbit buffer computed from the row
+before it by the kernels of ``LinearOperator.blocks``, so that ``points[n+1]``
+equals ``T.apply(points[n])`` bit for bit; window measures built from orbits
 rely on this.
+
+:func:`iterate_many` steps the orbit buffer in *passes*: a pass is one
+contiguous column range with one kernel, ``np.multiply`` by a diagonal or
+``np.dot`` by a dense block, and it writes each row in place from the row
+before it, with no temporaries. Adjacent diagonal ranges, across blocks and
+across lanes, merge into one pass. A pass whose row repeats bit for bit has
+reached a fixed point of its deterministic kernel and retires, as a
+dissipative block that decays to an exact zero does.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linop import LinearOperator, block_norms
+from .linop import KernelBlock, LinearOperator, block_norms
 from .natset import FiniteNatSet
 
 __all__ = [
@@ -30,6 +38,7 @@ __all__ = [
 ]
 
 OVERFLOW_CAP = 1e12
+_CHUNK = 256  # rows a pass steps between the overflow and fixed-point checks
 
 
 @dataclass(frozen=True)
@@ -81,21 +90,24 @@ def iterate_many(
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
-    When every operator is an exact diagonal, the K orbits are lanes side
-    by side in one ``(horizon + 1, K * d)`` buffer, a step multiplies all
-    lanes at once by the concatenated diagonals, and each segment's points
-    are a column view of the buffer. Otherwise each operator gets a loop of
-    its own, stepping through its ``apply``: grouping such lanes would save
-    only loop overhead. Either way every lane equals its own
-    ``z = T.apply(z)`` loop bit for bit.
+    The K orbits are lanes side by side in one ``(horizon + 1, K * d)``
+    buffer, and each segment's points are a column view of it. The buffer
+    is stepped in passes (module docstring), chunk by chunk of 256 rows,
+    one row per kernel call, and every lane equals its own
+    ``z = T.apply(z)`` loop bit for bit. A call costs about 0.8-1.1 µs per
+    step for one diagonal pass, about 0.2 µs more per further diagonal
+    lane (mostly its norms and distances), and 1.2-1.6 µs for a 4x4 dense
+    block, against 1.5, 1.7 and 2.9 µs for the per-step ``apply`` loop it
+    replaced (2-vCPU host).
 
-    Sequential by construction (about 1.6 µs per step for one diagonal
-    lane, and 0.1-0.2 µs more for each further diagonal lane); the payoff
-    is the exact pushforward identity of the module docstring. Each lane
-    stops on its own at the overflow cap, and the loop ends once every lane
-    has stopped. Until then a stopped diagonal lane rides along in the
-    buffer; when some lane stopped early, the others are copied out of it,
-    so no segment keeps the wider buffer alive.
+    Two checks run at the end of each chunk. A lane stops once some block
+    of its last point has passed the overflow cap, and each segment is cut
+    at its first point past it. A pass whose last row equals the row
+    before it bitwise (``-0.0`` and ``0.0`` differ) has reached a fixed
+    point: it fills its later rows with that row and retires. The loop ends
+    when no pass is left with a live lane. When some lane stopped early,
+    the others are copied out of the buffer, so no segment keeps the wider
+    buffer alive.
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
@@ -105,32 +117,32 @@ def iterate_many(
             raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    diagonals = [T.exact_diagonal for T in ops]
-    grouped = all(g is not None for g in diagonals)
-    if not grouped and len(ops) > 1:
-        return [iterate_many((T,), x, horizon, overflow_cap)[0] for T in ops]
-    diag = np.concatenate(diagonals) if grouped else None
-    step = ops[0].apply
     d, K = x.size, len(ops)
     cols = [slice(k * d, (k + 1) * d) for k in range(K)]
     pts = np.empty((horizon + 1, K * d), dtype=complex)
-    z = pts[0] = np.tile(x, K)
+    pts[0] = np.tile(x, K)
+    passes = _passes(ops, d)
     stops = [horizon + 1] * K  # rows each lane keeps
-    live = list(range(K))
-    # an orbit may overflow to inf before the periodic check below sees it;
-    # the truncation handles that, so numpy's warnings are noise
+    live = set(range(K))
+    # an orbit may overflow to inf before the chunk-end check sees it; the
+    # truncation handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(horizon):
-            z = np.multiply(z, diag) if diag is not None else step(z)
-            pts[n + 1] = z
-            # cheap periodic escape hatch for runaway lanes; each segment is
-            # cut below at its first point past the cap either way
-            if n % 256 == 0:
-                for k in [k for k in live if _escaped(ops[k], z[cols[k]], overflow_cap)]:
-                    stops[k] = n + 2
-                    live.remove(k)
-                if not live:
-                    break
+        for first in range(0, horizon, _CHUNK):
+            last = min(first + _CHUNK, horizon)
+            for p in passes:
+                _step(p, pts[first : last + 1, p.cols])
+            for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]], overflow_cap)]:
+                stops[k] = last + 1
+                live.remove(k)
+            kept = []
+            for p in passes:
+                if _repeats(pts[last - 1 : last + 1, p.cols]):
+                    pts[last + 1 :, p.cols] = pts[last, p.cols]
+                elif live.intersection(range(p.cols.start // d, (p.cols.stop - 1) // d + 1)):
+                    kept.append(p)  # some lane it covers is live
+            passes = kept
+            if not passes:
+                break
     segments = [
         _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon, overflow_cap)
         for k, T in enumerate(ops)
@@ -143,6 +155,45 @@ def iterate_many(
             for s in segments
         ]
     return segments
+
+
+def _step(p: KernelBlock, rows: np.ndarray) -> None:
+    """Fill ``rows[1:]`` of the pass ``p`` in place, each row from the row
+    before it."""
+    prev = rows[0]
+    if p.diagonal is not None:
+        multiply, diagonal = np.multiply, p.diagonal
+        for row in rows[1:]:
+            multiply(prev, diagonal, out=row)
+            prev = row
+    else:
+        dot, matrix = np.dot, p.matrix
+        for row in rows[1:]:
+            dot(matrix, prev, out=row)
+            prev = row
+
+
+def _passes(ops: Sequence[LinearOperator], d: int) -> list[KernelBlock]:
+    """The passes over a ``d``-column-per-lane buffer: each lane's kernel
+    blocks shifted to its columns, neighbouring diagonal blocks merged."""
+    passes: list[KernelBlock] = []
+    for k, T in enumerate(ops):
+        for block in T.blocks:
+            cols = slice(k * d + block.cols.start, k * d + block.cols.stop)
+            if passes and block.diagonal is not None and passes[-1].diagonal is not None:
+                prev = passes.pop()
+                diagonal = np.concatenate([prev.diagonal, block.diagonal])
+                passes.append(KernelBlock(slice(prev.cols.start, cols.stop), diagonal, None))
+            else:
+                passes.append(block._replace(cols=cols))
+    return passes
+
+
+def _repeats(rows: np.ndarray) -> bool:
+    """Whether two rows are equal bit for bit: ``==`` would take ``-0.0``
+    for ``0.0``, and a kernel need not map them alike."""
+    bits = rows.view(np.uint64)
+    return bool(np.array_equal(bits[0], bits[1]))
 
 
 def _escaped(T: LinearOperator, z: np.ndarray, overflow_cap: float) -> bool:

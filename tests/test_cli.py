@@ -570,6 +570,20 @@ class TestOrbitSharing:
         # one classification per orbit
         assert len(classified) == 14
 
+    def test_one_eigendecomposition_per_operator(self, tmp_path, monkeypatch):
+        decomposed = []
+        eigenpairs = recurlab.classify.unimodular_eigenpairs
+
+        def counted(T, *args, **kwargs):
+            decomposed.append(T)
+            return eigenpairs(T, *args, **kwargs)
+
+        monkeypatch.setattr(recurlab.classify, "unimodular_eigenpairs", counted)
+        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
+        assert not document_has_failures(doc)
+        # golden_pair's T and T^-1; sum's T, T^-1 and its two parts
+        assert len(decomposed) == len({id(T) for T in decomposed}) == 6
+
     def test_backward_lane_dropped_after_inverse_error(self, tmp_path, monkeypatch):
         lanes = []
         iterate_many = recurlab.cli.iterate_many

@@ -32,6 +32,7 @@ from recurlab import (
     support_span_vs_kernel,
     symmetrize,
 )
+from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct
 from recurlab.errors import DimensionError, SizeCapError
 from recurlab.natset import FiniteNatSet
 
@@ -114,6 +115,26 @@ class TestWindowMeasure:
         orb = iterate(T, np.array([1.0 + 0j]), 10)
         with pytest.raises(DimensionError):
             empirical_from_window(orb, 5, 10)
+
+    @pytest.mark.parametrize("kind", ["periodic_window", "tied_first_column", "signed_zeros"])
+    def test_distinctness_fast_path_agrees_with_unique(self, kind):
+        rng = np.random.default_rng(8)
+        if kind == "periodic_window":
+            # the quarter turn repeats every 4 steps: the window merges
+            T = realize(DiagonalUnimodular((0.25, 0.5)))
+            orb = iterate(T, np.array([1.0, 1.0 + 0j]), 40)
+            keys = np.round(np.column_stack([orb.points.real, orb.points.imag]), MERGE_DECIMALS)
+        elif kind == "tied_first_column":
+            # every first column ties, and no full row does
+            keys = np.column_stack([np.repeat([0.5, -1.0], 50), rng.permutation(100).astype(float)])
+        else:
+            # rows that differ only in the sign of a zero
+            keys = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [3.0, 0.0], [2.0, 0.0]])
+        distinct = np.unique(keys, axis=0).shape[0] == keys.shape[0]
+        assert _all_distinct(keys) == distinct
+        assert distinct == (kind == "tied_first_column")
+        # one more equal row makes any key set non-distinct
+        assert not _all_distinct(np.vstack([keys, keys[-1:]]))
 
     def test_golden_ball_mass_approximates_arc(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))

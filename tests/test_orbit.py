@@ -2,7 +2,9 @@
 
 Oracles: closed-form orbits (Jordan block powers, exact dyadic decay) and the
 period-4 evaluation of |i^n - 1|. The bitwise pushforward identity
-``points[n+1] == T.apply(points[n])`` is the load-bearing property here.
+``points[n+1] == T.apply(points[n])`` is the load-bearing property here; the
+engine's lanes are compared with plain ``z = T.apply(z)`` loops through their
+bits, since ``np.array_equal`` takes ``-0.0`` for ``0.0``.
 """
 
 import math
@@ -18,7 +20,9 @@ from recurlab import (
     DirectSum,
     Inverse,
     JordanBlock,
+    Power,
     Scale,
+    WeightedBackwardShiftTruncation,
     boundedness,
     direct_sum,
     iterate,
@@ -27,11 +31,38 @@ from recurlab import (
     syndetic_gap,
 )
 from recurlab.errors import DimensionError
-from recurlab.linop import LinearOperator
 from recurlab.orbit import iterate_many, part_orbits
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWAP_SPEC = DenseMatrix(((0.0, 1.0), (1.0, 0.0)))
+
+
+def bitwise_equal(a, b):
+    """Same shape and the same bits: unlike ``np.array_equal``, this tells
+    ``-0.0`` from ``0.0``."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def count_kernel_calls(monkeypatch, calls):
+    """Append the first operand of every ``np.multiply`` and ``np.dot`` call
+    the orbit module makes to ``calls``: one per pass and row stepped. A
+    dot's first operand is the dense block's matrix."""
+    fake_np = types.SimpleNamespace(**vars(np))
+
+    def counted(kernel):
+        return lambda a, *args, **kwargs: calls.append(a) or kernel(a, *args, **kwargs)
+
+    fake_np.multiply = counted(np.multiply)
+    fake_np.dot = counted(np.dot)
+    monkeypatch.setattr(recurlab.orbit, "np", fake_np)
+
+
+def first_repeat(points):
+    """The first n >= 1 with ``points[n]`` bitwise equal to ``points[n-1]``."""
+    bits = np.ascontiguousarray(points).view(np.uint64)
+    same = np.all(bits[1:] == bits[:-1], axis=1)
+    return int(np.argmax(same)) + 1 if same.any() else None
 
 
 def oracle_jordan_orbit(horizon):
@@ -120,24 +151,18 @@ class TestIterate:
         while T.norm_of(ref[-1]) <= 1e12:
             ref.append(T.apply(ref[-1]))
         ref = np.array(ref[:-1])
-        # a step is an apply call, or an np.multiply in the orbit module on
-        # an exact diagonal
+        # a step is one kernel call of the engine: np.multiply on a diagonal,
+        # np.dot on a dense block
         calls = []
-        apply = LinearOperator.apply
-        monkeypatch.setattr(
-            LinearOperator, "apply", lambda self, v: calls.append(1) or apply(self, v)
-        )
-        fake_np = types.SimpleNamespace(**vars(np))
-        fake_np.multiply = lambda *args: calls.append(1) or np.multiply(*args)
-        monkeypatch.setattr(recurlab.orbit, "np", fake_np)
+        count_kernel_calls(monkeypatch, calls)
         orb = iterate(T, x, 10**6)
         monkeypatch.undo()
         assert orb.overflow
         assert orb.horizon_effective == ref.shape[0] - 1 == 27644
-        assert np.array_equal(orb.points, ref)
+        assert bitwise_equal(orb.points, ref)
         assert np.array_equal(orb.norms, T.block_norms(ref))
-        # the loop stops at the periodic check after the cap, not at inf
-        assert len(calls) <= orb.horizon_effective + 257
+        # the loop stops at the chunk-end check after the cap, not at inf
+        assert orb.horizon_effective < len(calls) <= orb.horizon_effective + 257
 
     def test_overflow_to_inf_is_silent(self):
         # 1e10^k passes the cap at k = 2 and reaches inf before the first
@@ -195,7 +220,7 @@ class TestIterateMany:
         assert len(lanes) == len(ops)
         for T, orb in zip(ops, lanes):
             ref = reference_orbit(T, x, horizon)
-            assert np.array_equal(orb.points, ref)
+            assert bitwise_equal(orb.points, ref)
             assert np.array_equal(orb.norms, T.block_norms(ref))
             assert np.array_equal(orb.dists, T.block_norms(ref - x))
             assert orb.horizon_effective == ref.shape[0] - 1
@@ -250,36 +275,104 @@ class TestIterateMany:
         assert bounded.points.flags.c_contiguous
 
     def test_stopped_dense_lane_is_not_stepped_on(self, monkeypatch):
-        # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps
-        # while the forward lane runs the full horizon
+        # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps,
+        # while the forward lane decays to an exact zero and retires
         ops = [realize(JordanBlock(0.5, 2)), realize(Inverse(JordanBlock(0.5, 2)))]
-        calls = {id(T): 0 for T in ops}
-        apply = LinearOperator.apply
-
-        def counted(self, v):
-            calls[id(self)] += 1
-            return apply(self, v)
-
-        monkeypatch.setattr(LinearOperator, "apply", counted)
+        calls = []
+        count_kernel_calls(monkeypatch, calls)
         forward, backward = iterate_many(ops, np.array([1.0, 1.0 + 0j]), 20_000)
         monkeypatch.undo()
-        assert not forward.overflow and calls[id(ops[0])] == 20_000
+        steps = [sum(a is T.blocks[0].matrix for a in calls) for T in ops]
+        assert steps[0] + steps[1] == len(calls)
+        assert not forward.overflow and forward.horizon_effective == 20_000
+        fixed = first_repeat(forward.points)
+        assert fixed is not None and fixed <= steps[0] <= fixed + 256
         assert backward.overflow and backward.horizon_effective < 64
-        assert calls[id(ops[1])] <= 257
+        assert steps[1] <= 257
 
     def test_loop_stops_once_every_lane_overflowed(self, monkeypatch):
-        # diagonal lanes step by np.multiply, not apply: count its calls
         calls = []
-        fake_np = types.SimpleNamespace(**vars(np))
-        fake_np.multiply = lambda *args: calls.append(1) or np.multiply(*args)
-        monkeypatch.setattr(recurlab.orbit, "np", fake_np)
+        count_kernel_calls(monkeypatch, calls)
         ops = [realize(Scale(f, DiagonalUnimodular((0.25,)))) for f in (1.001, 1.002)]
         slow, fast = iterate_many(ops, np.array([1.0 + 0j]), 10**6)
         monkeypatch.undo()
         assert slow.overflow and slow.horizon_effective == 27644
         assert fast.overflow and fast.horizon_effective < 27644
-        # the loop stops at the periodic check after the last lane's cap
-        assert len(calls) <= slow.horizon_effective + 257
+        # both lanes are one multiply pass, which stops at the chunk-end
+        # check after the last lane's cap
+        assert slow.horizon_effective < len(calls) <= slow.horizon_effective + 257
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["diagonal", "dense", "jordan", "shift", "mixed_sum", "decaying_diagonal", "power"],
+    )
+    def test_every_kind_with_its_inverse_lane(self, kind):
+        rng = np.random.default_rng(5)
+        spec = {
+            "diagonal": DiagonalUnimodular((0.1, GOLDEN)),
+            "dense": random_dense(rng, 3),
+            "jordan": JordanBlock(0.5, 3),
+            "shift": WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4),
+            "mixed_sum": DirectSum((
+                DiagonalUnimodular((0.2,)),
+                random_dense(rng, 2),
+                JordanBlock(0.5, 2),
+                DiagonalUnimodular((0.7, 0.1)),
+            )),
+            "decaying_diagonal": Scale(0.5, DiagonalUnimodular((0.3, GOLDEN))),
+            "power": Power(3, random_dense(rng, 2)),
+        }[kind]
+        # the nilpotent shift has no inverse; T^-1 of a decaying lane grows
+        # past the cap, so those lanes also cover the overflow cut
+        specs = [spec] if kind == "shift" else [spec, Inverse(spec)]
+        self.check_lanes(specs, 1500)
+
+    def test_diagonal_ranges_merge_across_blocks_and_lanes(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        rotation = DiagonalUnimodular((0.1, GOLDEN))
+        mixed = DirectSum((DiagonalUnimodular((0.2,)), random_dense(rng, 2),
+                           DiagonalUnimodular((0.7,))))
+        for specs, passes in [
+            # T and T^-1 on exact diagonals: one multiply per step
+            ([rotation, Inverse(rotation)], 1),
+            # diag | dense | diag + diag | dense | diag
+            ([mixed, Inverse(mixed)], 5),
+        ]:
+            calls = []
+            count_kernel_calls(monkeypatch, calls)
+            self.check_lanes(specs, 600)
+            monkeypatch.undo()
+            assert len(calls) == passes * 600
+
+    def test_zero_signs_are_not_a_fixed_point(self, monkeypatch):
+        # Under diag(-1) the zero vector's signs cycle with period 3,
+        # (0, 0) -> (-0, 0) -> (0, -0) -> (0, 0), so rows compared with ==
+        # would look fixed and retire a pass too early.
+        calls = []
+        count_kernel_calls(monkeypatch, calls)
+        (orb,) = self.check_lanes([DenseMatrix(((-1.0,),))], 1000, np.zeros(1, dtype=complex))
+        monkeypatch.undo()
+        signs = np.signbit(np.stack([orb.points.real, orb.points.imag], axis=-1))[:, 0]
+        assert signs[:4].tolist() == [[False, False], [True, False], [False, True], [False, False]]
+        assert np.array_equal(orb.points[1], orb.points[2]) and first_repeat(orb.points) is None
+        assert len(calls) == 1000
+
+    @pytest.mark.parametrize("kind", ["jordan", "shift"])
+    def test_fixed_point_retires_within_a_chunk(self, monkeypatch, kind):
+        # J(0.5) decays to an exact zero after about 1100 steps, and a
+        # nilpotent shift truncation reaches zero after its dimension
+        spec, x = {
+            "jordan": (JordanBlock(0.5, 2), np.array([1.0, 1.0 + 0j])),
+            "shift": (WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4),
+                      np.array([1.0, -2.0, 3.0j, 0.5])),
+        }[kind]
+        calls = []
+        count_kernel_calls(monkeypatch, calls)
+        (orb,) = self.check_lanes([spec], 5000, x)
+        monkeypatch.undo()
+        fixed = first_repeat(orb.points)
+        assert fixed is not None and fixed <= len(calls) <= fixed + 256
+        assert not orb.points[fixed:].any()
 
     def test_validation(self):
         T = realize(DenseMatrix(((1.0,),)))
