@@ -65,11 +65,8 @@ from .empmeasure import (
     covariance,
     empirical_from_window,
     invariance_defect,
-    mixture,
     moments,
-    product_measure,
     support_span_vs_kernel,
-    symmetrize,
 )
 from .classify import (
     BirkhoffReport,

@@ -39,7 +39,6 @@ from .classify import (
     unimodular_return_set,
 )
 from .empmeasure import (
-    best_banach_window,
     conjugation_invariance_check,
     covariance,
     empirical_from_window,
@@ -448,10 +447,10 @@ def _inverse_rows(run: _VectorRun) -> list:
 
 def _measure_rows(run: _VectorRun) -> list:
     exp, T, v, orb = run.exp, run.T, run.v, run.orbit
-    h = orb.horizon_effective
-    n_win = exp.thresholds.window_len(h)
-    R = return_set(orb, exp.epsilons[0])
-    start = best_banach_window(R, n_win)
+    # the epsilon-0 record holds the density-realizing window of the
+    # return set at epsilons[0], at the window length of the horizon
+    rec = run.report.records[0]
+    start, n_win = rec.banach.start, rec.window_len
     mu = empirical_from_window(orb, start, n_win)
     balls = [(v, eps) for eps in exp.epsilons]
     balls.append((np.zeros(T.dim, dtype=complex), max(1.0, 2 * T.norm_of(v))))
@@ -671,11 +670,12 @@ def _cmd_densities(args) -> int:
             raise ValueError(f"a set file holds an object, got {obj!r}")
         A = FiniteNatSet.from_json_dict(obj)
         windows = [json_int(w) for w in args.windows.split(",") if w]
-    except (OSError, TypeError, ValueError, KeyError) as exc:
+        windows = [w for w in windows if 0 <= w <= A.horizon]
+        # a horizon too large to index raises here, from numpy
+        summary = density_summary(A, window_lengths=windows)
+    except (OSError, TypeError, ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    windows = [w for w in windows if 0 <= w <= A.horizon]
-    summary = density_summary(A, window_lengths=windows)
     out = {
         "horizon": A.horizon,
         "count": len(A),

@@ -3,19 +3,13 @@
 Measures here are weighted atom lists on C^d, typically Cesaro averages of an
 orbit over a density-realizing window. The key diagnostics: pushforward
 invariance defect against an operator, the covariance matrix ``S = sum_i w_i
-z_i z_i*`` with its conjugation defect ``||T S T* - S||_F``, the span-of-support
-versus kernel-complement comparison, and symmetrization over a root-of-unity
-grid.
+z_i z_i*`` with its conjugation defect ``||T S T* - S||_F``, and the
+span-of-support versus kernel-complement comparison.
 
 Window measures remember integer atom counts and the common denominator N+1,
 so invariance defects on them are computed in integer arithmetic; combined
 with orbit iteration sharing the operator's ``apply`` routine bit for bit,
 the boundary bound defect <= 2/(N+1) holds exactly, not just approximately.
-
-Symmetrization notes: the expectation of a symmetrized measure vanishes and
-the second moment is preserved exactly over the root-of-unity grid in exact
-arithmetic; in floating point both carry ~1e-16 relative noise (for L = 3 the
-cosine terms cannot cancel bitwise), so tests pin them at 1e-12 scale.
 """
 
 from __future__ import annotations
@@ -26,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import orth
 
-from .errors import DimensionError, SizeCapError
+from .errors import DimensionError
 from .linop import LinearOperator, principal_angle
 from .natset import FiniteNatSet, upper_banach_density
 from .orbit import OrbitSegment
@@ -39,18 +33,14 @@ __all__ = [
     "empirical_from_window",
     "invariance_defect",
     "ball_mass",
-    "mixture",
     "moments",
     "covariance",
     "conjugation_invariance_check",
     "support_span_vs_kernel",
-    "symmetrize",
-    "product_measure",
 ]
 
 WEIGHT_TOL = 1e-12
 MERGE_DECIMALS = 12
-PRODUCT_ATOM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,60 +92,32 @@ class EmpiricalMeasure:
         x = np.asarray(x, dtype=complex)
         return cls(x[None, :], np.array([1.0]), np.array([1]), 1)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [
-                [[float(z.real), float(z.imag)] for z in atom] for atom in self.atoms
-            ],
-            "weights": [float(w) for w in self.weights],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "EmpiricalMeasure":
-        d = int(obj["dim"])
-        atoms = np.array(
-            [[complex(re, im) for re, im in atom] for atom in obj["atoms"]],
-            dtype=complex,
-        )
-        if atoms.ndim != 2 or atoms.shape[1] != d:
-            raise DimensionError(f"atom shape {atoms.shape} does not match dim {d}")
-        return cls(atoms, np.asarray(obj["weights"], dtype=float))
-
 
 def best_banach_window(return_times: FiniteNatSet, window_len: int) -> int:
     """Smallest offset of a maximal-count window; the density-realizing start."""
     return upper_banach_density(return_times, window_len).start
 
 
-def _merge(
-    atoms: np.ndarray, weights: np.ndarray, counts: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Group atoms equal after rounding to MERGE_DECIMALS; weighted-mean reps."""
+def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group atoms equal after rounding to MERGE_DECIMALS.
+
+    Returns one representative per group, the mean of its members, and the
+    group sizes.
+    """
     keys = np.round(
         np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS
     )
     if _all_distinct(keys):
-        return atoms, weights, counts
+        return atoms, np.ones(atoms.shape[0], dtype=np.int64)
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
-    n_groups = int(inverse.max()) + 1
-    if n_groups == atoms.shape[0]:
-        return atoms, weights, counts
-    w_out = np.zeros(n_groups)
+    counts = np.bincount(inverse)
+    weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
+    w_out = np.zeros(counts.size)
     np.add.at(w_out, inverse, weights)
-    reps = np.zeros((n_groups, atoms.shape[1]), dtype=complex)
+    reps = np.zeros((counts.size, atoms.shape[1]), dtype=complex)
     np.add.at(reps, inverse, atoms * weights[:, None])
-    safe = np.where(w_out > 0, w_out, 1.0)
-    reps /= safe[:, None]
-    # zero-weight groups keep their first member as representative
-    if np.any(w_out == 0):
-        for g in np.nonzero(w_out == 0)[0]:
-            reps[g] = atoms[np.nonzero(inverse == g)[0][0]]
-    c_out = None
-    if counts is not None:
-        c_out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(c_out, inverse, counts)
-    return reps, w_out, c_out
+    reps /= w_out[:, None]
+    return reps, counts
 
 
 def _all_distinct(keys: np.ndarray) -> bool:
@@ -195,11 +157,8 @@ def empirical_from_window(
             f"window [{start}, {start + N}] exceeds effective horizon "
             f"{orbit.horizon_effective}"
         )
-    pts = orbit.points[start : start + N + 1]
-    weights = np.full(N + 1, 1.0 / (N + 1))
-    counts = np.ones(N + 1, dtype=np.int64)
-    atoms, weights, counts = _merge(pts, weights, counts)
-    # weights regenerated from the counts so the exactness witness is literal
+    atoms, counts = _merge(orbit.points[start : start + N + 1])
+    # weights come from the counts so the exactness witness is literal
     return EmpiricalMeasure(atoms, counts / (N + 1), counts, N + 1)
 
 
@@ -251,24 +210,6 @@ def invariance_defect(
     if exact:
         return float(worst_int / mu.denominator)
     return worst_float
-
-
-def mixture(
-    measures: Sequence[EmpiricalMeasure], coeffs: Sequence[float]
-) -> EmpiricalMeasure:
-    """Convex combination: atoms concatenated, weights scaled and renormalized."""
-    if len(measures) != len(coeffs) or not measures:
-        raise ValueError("need matching nonempty measures and coefficients")
-    dims = {m.dim for m in measures}
-    if len(dims) != 1:
-        raise DimensionError(f"mixture of mismatched dims {sorted(dims)}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if np.any(coeffs < 0) or coeffs.sum() <= 0:
-        raise ValueError("coefficients must be nonnegative with positive sum")
-    coeffs = coeffs / coeffs.sum()
-    atoms = np.vstack([m.atoms for m in measures])
-    weights = np.concatenate([c * m.weights for c, m in zip(coeffs, measures)])
-    return EmpiricalMeasure(atoms, weights / weights.sum())
 
 
 class Moments(NamedTuple):
@@ -333,54 +274,3 @@ def support_span_vs_kernel(
     keep = vals > tol
     eig_basis = vecs[:, keep]
     return principal_angle(atom_basis, eig_basis)
-
-
-def symmetrize(mu: EmpiricalMeasure, order: int) -> EmpiricalMeasure:
-    """Average the measure over the order-L root-of-unity grid.
-
-    Atoms become ``lambda_j^{-1} z_i`` with weights ``w_i / L``; order 1
-    returns the measure unchanged. The rotated copies are merged like window
-    atoms, so symmetrizing an already grid-symmetric measure is idempotent.
-    """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if order == 1:
-        return mu
-    lam_inv = np.exp(-2j * np.pi * np.arange(order) / order)
-    atoms = (lam_inv[:, None, None] * mu.atoms[None, :, :]).reshape(-1, mu.dim)
-    weights = np.tile(mu.weights, order) / order
-    counts = None
-    denom = None
-    if mu.counts is not None and mu.denominator:
-        counts = np.tile(mu.counts, order)
-        denom = mu.denominator * order
-    atoms, weights, counts = _merge(atoms, weights / weights.sum(), counts)
-    if counts is not None:
-        weights = counts / denom
-    return EmpiricalMeasure(atoms, weights, counts, denom)
-
-
-def product_measure(
-    mu1: EmpiricalMeasure, mu2: EmpiricalMeasure, atom_cap: int = PRODUCT_ATOM_CAP
-) -> EmpiricalMeasure:
-    """Product on C^(d1 + d2): all atom pairs with product weights."""
-    k = mu1.n_atoms * mu2.n_atoms
-    if k > atom_cap:
-        raise SizeCapError(f"product would have {k} atoms, cap is {atom_cap}")
-    left = np.repeat(mu1.atoms, mu2.n_atoms, axis=0)
-    right = np.tile(mu2.atoms, (mu1.n_atoms, 1))
-    atoms = np.hstack([left, right])
-    weights = (mu1.weights[:, None] * mu2.weights[None, :]).reshape(-1)
-    counts = None
-    denom = None
-    if (
-        mu1.counts is not None
-        and mu2.counts is not None
-        and mu1.denominator
-        and mu2.denominator
-    ):
-        counts = (mu1.counts[:, None] * mu2.counts[None, :]).reshape(-1)
-        denom = mu1.denominator * mu2.denominator
-        weights = counts / denom
-        return EmpiricalMeasure(atoms, weights, counts, denom)
-    return EmpiricalMeasure(atoms, weights / weights.sum(), counts, denom)

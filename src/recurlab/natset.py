@@ -84,7 +84,7 @@ class FiniteNatSet:
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int], horizon: int) -> "FiniteNatSet":
-        return cls(np.unique(np.fromiter(map(int, elements), dtype=np.int64)), horizon)
+        return cls(np.unique(np.fromiter(map(json_int, elements), dtype=np.int64)), horizon)
 
     @classmethod
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":

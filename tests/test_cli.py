@@ -250,6 +250,50 @@ class TestRunConfig:
             assert "error" not in checks[name] and checks[name]["result"]
         assert "error" not in doc.experiments["quarter"]["summary"]
 
+    def test_measure_window_is_the_classified_window(self, tmp_path):
+        # The measure check's window is the density-realizing window of the
+        # epsilon-0 return set that the classification already found.
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotation = [[[c, 0.0], [-s, 0.0]], [[s, 0.0], [c, 0.0]]]
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={"type": "diagonal_unimodular", "angles_turns": [0.25, GOLDEN]},
+            vectors=["ones", "basis:1", "random:0"],
+            epsilons=[0.25, 0.5],
+            checks=["classify", "measure"],
+        )
+        obj["experiments"].append(
+            {
+                "name": "unitary_jordan",
+                "operator": {
+                    "type": "direct_sum",
+                    "parts": [
+                        {"type": "dense_matrix", "entries": rotation},
+                        {"type": "jordan_block", "eigenvalue": [0.5, 0.0], "size": 2},
+                    ],
+                },
+                "vectors": ["ones", "random:0", "basis:2"],
+                "epsilons": [0.5, 0.25],
+                "horizon": 10_000,
+                "thresholds": {"window_fraction": 0.3},
+                "checks": ["classify", "measure"],
+            }
+        )
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        starts = []
+        for name, exp in doc.experiments.items():
+            reports = exp["checks"]["classify"]["result"]["reports"]
+            rows = exp["checks"]["measure"]["result"]["per_vector"]
+            assert len(rows) == len(reports) == 3
+            for rep, row in zip(reports, rows):
+                banach = rep["epsilon_records"][0]["banach"]
+                assert row["window_start"] == banach["start"]
+                assert row["window_len"] == banach["window_len"]
+                starts.append(row["window_start"])
+            assert rows[0]["window_len"] == (3000 if name == "unitary_jordan" else 100)
+        # some windows start away from 0, so the equality has something to pin
+        assert any(starts)
+
     def test_rerun_is_deterministic(self, tmp_path):
         obj = base_config()
         obj["experiments"][0]["vectors"] = ["random:0"]
@@ -463,6 +507,11 @@ class TestMainEntry:
             ([1, 2], "10", "a set file holds an object"),
             ({"horizon": 10, "elements": [1, 2]}, "a,b", "expected an integer, got 'a'"),
             ({"horizon": 10.7, "elements": [1, 2]}, "10", "expected an integer, got 10.7"),
+            ({"horizon": 10, "elements": [1.5, True, 3]}, "10", "expected an integer, got 1.5"),
+            # too large for an int64 element, and for an indicator array;
+            # the message is numpy's
+            ({"horizon": 10, "elements": [1e30]}, "10", "error: "),
+            ({"horizon": 1e30, "elements": []}, "10", "error: "),
         ],
     )
     def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):

@@ -4,7 +4,6 @@ Oracles: the closed-form arc-length mass of a rotation ball, plain-Python
 ball-counting loops for defects, and hand-computed covariance matrices.
 """
 
-import json
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     EmpiricalMeasure,
-    Scale,
     ball_mass,
     best_banach_window,
     conjugation_invariance_check,
@@ -24,16 +22,12 @@ from recurlab import (
     empirical_from_window,
     invariance_defect,
     iterate,
-    mixture,
     moments,
-    product_measure,
     realize,
-    return_set,
     support_span_vs_kernel,
-    symmetrize,
 )
 from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct
-from recurlab.errors import DimensionError, SizeCapError
+from recurlab.errors import DimensionError
 from recurlab.natset import FiniteNatSet
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -76,14 +70,6 @@ class TestEmpiricalMeasure:
         mu = EmpiricalMeasure.point_mass(np.array([1.0, 2.0j]))
         assert mu.n_atoms == 1 and mu.dim == 2
         assert mu.weights[0] == 1.0 and mu.denominator == 1
-
-    def test_json_round_trip(self):
-        _, mu = quarter_rotation_measure()
-        again = EmpiricalMeasure.from_json_dict(
-            json.loads(json.dumps(mu.to_json_dict()))
-        )
-        assert np.allclose(again.atoms, mu.atoms)
-        assert np.allclose(again.weights, mu.weights)
 
 
 class TestWindowMeasure:
@@ -214,46 +200,6 @@ class TestInvarianceDefect:
             invariance_defect(T, mu, [])
 
 
-class TestMixture:
-    def test_two_point_masses(self):
-        mu = mixture(
-            [EmpiricalMeasure.point_mass(np.array([1.0 + 0j])),
-             EmpiricalMeasure.point_mass(np.array([2.0 + 0j]))],
-            [0.5, 0.5],
-        )
-        assert mu.n_atoms == 2
-        assert np.array_equal(mu.weights, [0.5, 0.5])
-
-    def test_geometric_renormalization(self):
-        K = 6
-        parts = [EmpiricalMeasure.point_mass(np.array([float(n) + 0j]))
-                 for n in range(1, K + 1)]
-        mu = mixture(parts, [2.0**-n for n in range(1, K + 1)])
-        expected = np.array([2.0**-n / (1 - 2.0**-K) for n in range(1, K + 1)])
-        assert np.allclose(mu.weights, expected, rtol=1e-14)
-
-    def test_defect_bounded_by_worst_part(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            T = realize(DiagonalUnimodular(tuple(rng.uniform(size=2))))
-            orb = iterate(T, np.exp(2j * np.pi * rng.uniform(size=2)), 800)
-            mus = [empirical_from_window(orb, int(rng.integers(0, 300)), 400)
-                   for _ in range(2)]
-            balls = [(orb.points[rng.integers(0, 800)], rng.uniform(0.1, 1.5))
-                     for _ in range(4)]
-            mix = mixture(mus, [0.3, 0.7])
-            worst = max(invariance_defect(T, mu, balls) for mu in mus)
-            assert invariance_defect(T, mix, balls) <= worst + 1e-12
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            mixture(
-                [EmpiricalMeasure.point_mass(np.array([1.0 + 0j])),
-                 EmpiricalMeasure.point_mass(np.array([1.0 + 0j, 0.0]))],
-                [0.5, 0.5],
-            )
-
-
 class TestMoments:
     def test_period_four_symmetry(self):
         _, mu = quarter_rotation_measure()
@@ -366,92 +312,6 @@ class TestSupportSpanVsKernel:
                 cov.entries, tol=1e-10
             )
             assert support_span_vs_kernel(mu, cov) <= 1e-8
-
-
-class TestSymmetrize:
-    def test_point_mass_order_four(self):
-        mu = symmetrize(EmpiricalMeasure.point_mass(np.array([1.0 + 0j])), 4)
-        assert mu.n_atoms == 4
-        assert np.allclose(sorted(mu.weights), [0.25] * 4)
-        got = sorted(np.round(mu.atoms[:, 0], 9), key=lambda z: (z.real, z.imag))
-        want = sorted([1 + 0j, -1j, -1 + 0j, 1j], key=lambda z: (z.real, z.imag))
-        assert np.allclose(got, want, atol=1e-12)
-        assert np.linalg.norm(moments(mu).expectation) < 1e-14
-
-    def test_second_moment_preserved(self):
-        rng = np.random.default_rng(47)
-        atoms = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
-        w = rng.uniform(0.1, 1.0, size=5)
-        mu = EmpiricalMeasure(atoms, w / w.sum())
-        for order in (2, 3, 4):
-            sym = symmetrize(mu, order)
-            assert moments(sym).second_moment == pytest.approx(
-                moments(mu).second_moment, rel=1e-12
-            )
-            assert np.linalg.norm(moments(sym).expectation) < 1e-12
-
-    def test_idempotent_on_symmetric_input(self):
-        mu = symmetrize(EmpiricalMeasure.point_mass(np.array([1.0 + 0j])), 4)
-        again = symmetrize(mu, 4)
-        assert again.n_atoms == 4
-        a = sorted(again.atoms[:, 0], key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        b = sorted(mu.atoms[:, 0], key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_order_one_is_identity(self):
-        mu = EmpiricalMeasure.point_mass(np.array([1.0 + 0j]))
-        assert symmetrize(mu, 1) is mu
-
-
-class TestProductMeasure:
-    def test_point_masses(self):
-        mu = product_measure(
-            EmpiricalMeasure.point_mass(np.array([1.0 + 0j])),
-            EmpiricalMeasure.point_mass(np.array([2.0 + 0j, 3.0])),
-        )
-        assert mu.n_atoms == 1 and mu.dim == 3
-        assert np.array_equal(mu.atoms[0], np.array([1.0, 2.0, 3.0], dtype=complex))
-
-    def test_two_by_two(self):
-        half = np.array([0.5, 0.5])
-        mu1 = EmpiricalMeasure(np.array([[1.0 + 0j], [-1.0]]), half)
-        mu2 = EmpiricalMeasure(np.array([[1j], [-1j]]), half)
-        mu = product_measure(mu1, mu2)
-        assert mu.n_atoms == 4
-        assert np.allclose(mu.weights, 0.25)
-
-    def test_defect_subadditive(self):
-        rng = np.random.default_rng(53)
-        for _ in range(8):
-            T1 = realize(DiagonalUnimodular(tuple(rng.uniform(size=1))))
-            T2 = realize(DiagonalUnimodular(tuple(rng.uniform(size=2))))
-            o1 = iterate(T1, np.exp(2j * np.pi * rng.uniform(size=1)), 400)
-            o2 = iterate(T2, np.exp(2j * np.pi * rng.uniform(size=2)), 400)
-            mu1 = empirical_from_window(o1, 0, 80)
-            mu2 = empirical_from_window(o2, 5, 60)
-            T = direct_sum([T1, T2])
-            prod = product_measure(mu1, mu2)
-            c1, c2 = o1.points[7], o2.points[11]
-            r = rng.uniform(0.2, 1.5)
-            d_sum = invariance_defect(T, prod, [(np.concatenate([c1, c2]), r)])
-            d1 = invariance_defect(T1, mu1, [(c1, r)])
-            d2 = invariance_defect(T2, mu2, [(c2, r)])
-            assert d_sum <= d1 + d2 + 1e-12
-
-    def test_counts_multiply(self):
-        T = realize(DiagonalUnimodular((0.25,)))
-        orb = iterate(T, np.array([1.0 + 0j]), 10)
-        mu = empirical_from_window(orb, 0, 7)  # two full periods: counts of 2
-        prod = product_measure(mu, mu)
-        assert prod.denominator == 64
-        assert int(prod.counts.sum()) == 64
-
-    def test_atom_cap(self):
-        atoms = np.arange(2000, dtype=complex)[:, None]
-        w = np.full(2000, 1 / 2000)
-        mu = EmpiricalMeasure(atoms, w)
-        with pytest.raises(SizeCapError):
-            product_measure(mu, mu, atom_cap=10**6)
 
 
 class TestBallMass:

@@ -114,6 +114,14 @@ class TestFiniteNatSet:
         A = FiniteNatSet.from_json_dict({"horizon": 1e1, "elements": [1]})
         assert A.horizon == 10 and type(A.horizon) is int
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_json_elements_must_be_integral(self, bad):
+        # no truncation: 1.5 is not 1, and true is not 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            FiniteNatSet.from_json_dict({"horizon": 10, "elements": [bad, 3]})
+        A = FiniteNatSet.from_json_dict({"horizon": 10, "elements": [3.0, 1e0, "7"]})
+        assert A.elements == (1, 3, 7)
+
     def test_membership_and_len(self):
         A = FiniteNatSet.from_iterable([5, 1, 3], 10)
         assert len(A) == 3
