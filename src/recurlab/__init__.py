@@ -5,7 +5,8 @@ finite sets of return times (``natset``), operator specs and spectral
 structure (``linop``), orbit segments (``orbit``), window empirical measures
 and their invariance diagnostics (``empmeasure``), and the recurrence
 classifier plus structural cross-checks (``classify``). ``cli`` drives
-batches of experiments from JSON configs.
+batches of experiments from JSON configs. Numerical caps and tolerances
+are constants of the module that applies them, not parameters.
 """
 
 __version__ = "0.1.0"

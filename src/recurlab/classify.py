@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 EIGEN_SPAN_RESIDUAL_TOL = 1e-6
+EPSILON_GRID_COUNT = 8
 
 FLAG_ORDER = ("recurrent", "reiteratively", "u_frequently", "frequently", "uniformly")
 
@@ -201,11 +202,11 @@ class RecurrenceReport:
         }
 
 
-def default_epsilon_grid(scale: float, count: int = 8) -> tuple[float, ...]:
-    """Geometric radii ``scale * 2^-k`` for ``k = 1..count``."""
+def default_epsilon_grid(scale: float) -> tuple[float, ...]:
+    """Geometric radii ``scale * 2^-k`` for ``k = 1..EPSILON_GRID_COUNT``."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    return tuple(scale * 2.0**-k for k in range(1, count + 1))
+    return tuple(scale * 2.0**-k for k in range(1, EPSILON_GRID_COUNT + 1))
 
 
 def _classify_return_times(
@@ -295,6 +296,9 @@ def classify_vector(
     if epsilons is None:
         epsilons = default_epsilon_grid(T.norm_of(x))
     epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        # every vector flag is a conjunction over the records
+        raise ValueError("epsilons must be nonempty")
     if any(not e > 0 for e in epsilons):
         raise ValueError("epsilons must be positive")
     if orbit is None:

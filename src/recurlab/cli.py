@@ -8,8 +8,8 @@ so the emitted bytes do not depend on execution order. Per-check wall times
 are the only nondeterministic fields; they live under dedicated
 ``wall_time_s`` keys so downstream comparisons can strip them.
 
-Exit codes: 0 success, 2 validation/config errors, 3 when ``--strict`` is set
-and at least one check failed.
+Exit codes: 0 success, 2 validation/config errors or a failed numerical gate,
+3 when ``--strict`` is set and at least one check failed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .empmeasure import (
     invariance_defect,
     moments,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NumericalFailureError
 from .linop import (
     DiagonalUnimodular,
     DirectSum,
@@ -698,7 +698,7 @@ def _cmd_classify(args) -> int:
         x = _parse_vector_arg(args.vector, T.dim, seed=0)
         epsilons = [float(e) for e in args.eps.split(",") if e]
         rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))

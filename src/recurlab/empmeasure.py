@@ -41,6 +41,7 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 MERGE_DECIMALS = 12
+SUPPORT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -260,17 +261,16 @@ def conjugation_invariance_check(T: LinearOperator, cov: CovarianceMatrix) -> fl
     return float(np.linalg.norm(T.matrix @ s @ T.matrix.conj().T - s))
 
 
-def support_span_vs_kernel(
-    mu: EmpiricalMeasure, cov: CovarianceMatrix, tol: float = 1e-8
-) -> float:
-    """Principal angle between span(atoms with weight > tol) and the span of
-    eigenvectors of S with eigenvalue > tol; pi/2 on rank mismatch."""
-    sel = mu.weights > tol
+def support_span_vs_kernel(mu: EmpiricalMeasure, cov: CovarianceMatrix) -> float:
+    """Principal angle between span(atoms with weight > SUPPORT_TOL) and the
+    span of eigenvectors of S with eigenvalue > SUPPORT_TOL; pi/2 on rank
+    mismatch."""
+    sel = mu.weights > SUPPORT_TOL
     if not np.any(sel):
         atom_basis = np.zeros((mu.dim, 0), dtype=complex)
     else:
         atom_basis = orth(mu.atoms[sel].T)
     vals, vecs = np.linalg.eigh((cov.entries + cov.entries.conj().T) / 2)
-    keep = vals > tol
+    keep = vals > SUPPORT_TOL
     eig_basis = vecs[:, keep]
     return principal_angle(atom_basis, eig_basis)

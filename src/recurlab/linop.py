@@ -54,10 +54,12 @@ __all__ = [
     "spec_from_json_dict",
 ]
 
+# Numerical policy, one constant per gate; the README lists what each decides.
 DIM_CAP = 64
 POWER_BOUND_HORIZON = 256
 POWER_BOUND_CAP = 1e3
 TOL_UNIMOD = 1e-9
+TOL_FIX = 1e-8
 # growth-trend gate for the power-boundedness estimate; see jdg_split
 GROWTH_RATIO_CAP = 1.5
 _NORM_OVERFLOW = 1e9
@@ -128,9 +130,10 @@ OperatorSpec = Union[
 class LinearOperator:
     """A realized d x d complex matrix with norm/power-bound metadata.
 
-    ``power_bound_estimate`` is ``sup_{n <= power_bound_horizon} ||T^n||_2``;
+    ``power_bound_estimate`` is ``sup_{n <= POWER_BOUND_HORIZON} ||T^n||_2``;
     ``power_norm_mid`` / ``power_norm_end`` are the norms at the half and full
     scan horizon, kept for the growth-trend gate in :func:`jdg_split`.
+    ``spec`` is the spec the operator was realized from.
     ``blocks``, set at construction, is the apply kernel: the
     :class:`KernelBlock` list that covers the columns.
     """
@@ -140,10 +143,9 @@ class LinearOperator:
     block_dims: tuple[int, ...]
     operator_norm_estimate: float
     power_bound_estimate: float
-    power_bound_horizon: int
     power_norm_mid: float
     power_norm_end: float
-    spec: OperatorSpec | None = None
+    spec: OperatorSpec
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -252,7 +254,7 @@ def _complex_matrix(entries) -> np.ndarray:
     return m
 
 
-def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, DiagonalUnimodular):
         lam = np.exp(2j * np.pi * np.asarray(spec.angles_turns, dtype=float))
         if lam.size == 0:
@@ -264,8 +266,8 @@ def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]
     if isinstance(spec, JordanBlock):
         if spec.size < 1:
             raise DimensionError("Jordan block size must be >= 1")
-        if spec.size > d_max:
-            raise SizeCapError(f"dimension {spec.size} exceeds cap {d_max}")
+        if spec.size > DIM_CAP:
+            raise SizeCapError(f"dimension {spec.size} exceeds cap {DIM_CAP}")
         m = np.eye(spec.size, dtype=complex) * complex(spec.eigenvalue)
         m += np.diag(np.ones(spec.size - 1), k=1)
         return m, (spec.size,)
@@ -273,8 +275,8 @@ def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]
         d = spec.dim
         if d < 1:
             raise DimensionError("shift truncation dim must be >= 1")
-        if d > d_max:
-            raise SizeCapError(f"dimension {d} exceeds cap {d_max}")
+        if d > DIM_CAP:
+            raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
         if len(spec.weights) < d - 1:
             raise DimensionError(f"need at least {d - 1} weights for dim {d}")
         m = np.zeros((d, d), dtype=complex)
@@ -284,20 +286,20 @@ def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]
     if isinstance(spec, DirectSum):
         if not spec.parts:
             raise DimensionError("direct sum needs at least one part")
-        built = [_build(p, d_max) for p in spec.parts]
+        built = [_build(p) for p in spec.parts]
         mats = [b[0] for b in built]
         dims = tuple(d for b in built for d in b[1])
         return block_diag(*mats).astype(complex), dims
     if isinstance(spec, Scale):
-        m, dims = _build(spec.inner, d_max)
+        m, dims = _build(spec.inner)
         return complex(spec.factor) * m, dims
     if isinstance(spec, Inverse):
         if isinstance(spec.inner, DiagonalUnimodular):
             # conjugate rotation; negating angles gives the exact bitwise
             # conjugate since cos is even and sin is odd
             neg = tuple(-a for a in spec.inner.angles_turns)
-            return _build(DiagonalUnimodular(neg), d_max)
-        m, dims = _build(spec.inner, d_max)
+            return _build(DiagonalUnimodular(neg))
+        m, dims = _build(spec.inner)
         d = _exact_diagonal(m)
         if d is not None:
             if np.any(d == 0):
@@ -312,17 +314,18 @@ def _build(spec: OperatorSpec, d_max: int) -> tuple[np.ndarray, tuple[int, ...]]
     if isinstance(spec, Power):
         n = int(spec.exponent)
         inner = Inverse(spec.inner) if n < 0 else spec.inner
-        m, dims = _build(inner, d_max)
+        m, dims = _build(inner)
         return np.linalg.matrix_power(m, abs(n)), dims
     raise TypeError(f"unknown operator spec {type(spec).__name__}")
 
 
-def _power_scan(m: np.ndarray, horizon: int) -> tuple[float, float, float]:
-    """(sup, mid, end) of ||T^n||_2 over n in [1, horizon]; early out on blowup."""
+def _power_scan(m: np.ndarray) -> tuple[float, float, float]:
+    """(sup, mid, end) of ||T^n||_2 over n in [1, POWER_BOUND_HORIZON]; early
+    out on blowup."""
     p = m.copy()
     sup = mid = end = float(np.linalg.norm(p, 2))
-    half = max(1, horizon // 2)
-    for n in range(2, horizon + 1):
+    half = POWER_BOUND_HORIZON // 2
+    for n in range(2, POWER_BOUND_HORIZON + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             p = m @ p
         # an overflowed power reads as infinite: LAPACK refuses non-finite input
@@ -336,69 +339,51 @@ def _power_scan(m: np.ndarray, horizon: int) -> tuple[float, float, float]:
     return sup, mid, end
 
 
-def realize(
-    spec: OperatorSpec,
-    d_max: int = DIM_CAP,
-    power_bound_horizon: int = POWER_BOUND_HORIZON,
-) -> LinearOperator:
+def realize(spec: OperatorSpec) -> LinearOperator:
     """Build the concrete matrix for a spec and attach norm/power metadata."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m, dims = _build(spec, d_max)
+        m, dims = _build(spec)
     if not np.isfinite(m).all():
         raise ValueError("operator matrix has non-finite entries")
     d = m.shape[0]
-    if d > d_max:
-        raise SizeCapError(f"dimension {d} exceeds cap {d_max}")
-    sup, mid, end = _power_scan(m, power_bound_horizon)
+    if d > DIM_CAP:
+        raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
+    sup, mid, end = _power_scan(m)
     return LinearOperator(
         matrix=m,
         dim=d,
         block_dims=dims,
         operator_norm_estimate=float(np.linalg.norm(m, 2)),
         power_bound_estimate=sup,
-        power_bound_horizon=power_bound_horizon,
         power_norm_mid=mid,
         power_norm_end=end,
         spec=spec,
     )
 
 
-def direct_sum(parts: Sequence[LinearOperator], d_max: int = DIM_CAP) -> LinearOperator:
+def direct_sum(parts: Sequence[LinearOperator]) -> LinearOperator:
     """Block-diagonal join of realized operators.
 
     The recorded norm is the max of the component norms (which for the
     Euclidean 2-norm of a block-diagonal matrix is also exact), and the metric
-    on the sum is the max of component norms via ``block_dims``.
+    on the sum is the max of component norms via ``block_dims``. The power
+    norms are the parts' maxima too, each part having been scanned over the
+    same horizon.
     """
     if not parts:
         raise DimensionError("direct sum needs at least one part")
     d = sum(p.dim for p in parts)
-    if d > d_max:
-        raise SizeCapError(f"dimension {d} exceeds cap {d_max}")
-    m = block_diag(*[p.matrix for p in parts]).astype(complex)
-    dims = tuple(b for p in parts for b in p.block_dims)
-    horizons = {p.power_bound_horizon for p in parts}
-    if len(horizons) == 1:
-        sup = max(p.power_bound_estimate for p in parts)
-        mid = max(p.power_norm_mid for p in parts)
-        end = max(p.power_norm_end for p in parts)
-        horizon = horizons.pop()
-    else:
-        horizon = POWER_BOUND_HORIZON
-        sup, mid, end = _power_scan(m, horizon)
-    spec = None
-    if all(p.spec is not None for p in parts):
-        spec = DirectSum(tuple(p.spec for p in parts))
+    if d > DIM_CAP:
+        raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
     return LinearOperator(
-        matrix=m,
+        matrix=block_diag(*[p.matrix for p in parts]).astype(complex),
         dim=d,
-        block_dims=dims,
+        block_dims=tuple(b for p in parts for b in p.block_dims),
         operator_norm_estimate=max(p.operator_norm_estimate for p in parts),
-        power_bound_estimate=sup,
-        power_bound_horizon=horizon,
-        power_norm_mid=mid,
-        power_norm_end=end,
-        spec=spec,
+        power_bound_estimate=max(p.power_bound_estimate for p in parts),
+        power_norm_mid=max(p.power_norm_mid for p in parts),
+        power_norm_end=max(p.power_norm_end for p in parts),
+        spec=DirectSum(tuple(p.spec for p in parts)),
     )
 
 
@@ -416,7 +401,6 @@ class SpectralData:
     residual_budget: float
     unimodular_indices: tuple[int, ...]
     espan_basis: np.ndarray
-    tol_unimod: float
 
     @property
     def eigenpairs(self) -> list[tuple[complex, np.ndarray]]:
@@ -433,15 +417,16 @@ class SpectralData:
         ]
 
 
-def unimodular_eigenpairs(
-    T: LinearOperator, tol_unimod: float = TOL_UNIMOD
-) -> SpectralData:
-    """Eigendecompose T and isolate the eigenvalues within tol of the unit circle."""
+def unimodular_eigenpairs(T: LinearOperator) -> SpectralData:
+    """Eigendecompose T and isolate the eigenvalues within TOL_UNIMOD of the
+    unit circle."""
     try:
         vals, vecs = np.linalg.eig(T.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    resid = np.linalg.norm(T.matrix @ vecs - vecs * vals, axis=0)
+    # a residual that overflows reads as inf and fails the budget below
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.linalg.norm(T.matrix @ vecs - vecs * vals, axis=0)
     budget = 10 * np.finfo(float).eps * max(T.operator_norm_estimate, 1.0) * T.dim
     worst = float(resid.max())
     if worst > budget:
@@ -449,7 +434,7 @@ def unimodular_eigenpairs(
             f"eigen residual {worst:.3e} exceeds budget {budget:.3e}",
             residual=worst,
         )
-    uni = tuple(int(i) for i in np.nonzero(np.abs(np.abs(vals) - 1) <= tol_unimod)[0])
+    uni = tuple(int(i) for i in np.nonzero(np.abs(np.abs(vals) - 1) <= TOL_UNIMOD)[0])
     if uni:
         espan = orth(vecs[:, list(uni)])
     else:
@@ -461,7 +446,6 @@ def unimodular_eigenpairs(
         residual_budget=float(budget),
         unimodular_indices=uni,
         espan_basis=espan,
-        tol_unimod=tol_unimod,
     )
 
 
@@ -488,11 +472,7 @@ def principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
     return float(ang.max()) if ang.size else 0.0
 
 
-def jdg_split(
-    T: LinearOperator,
-    tol_unimod: float = TOL_UNIMOD,
-    power_bound_cap: float = POWER_BOUND_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
+def jdg_split(T: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
     """Split C^d into the rotation-like and dissipative spectral parts of T.
 
     Returns orthonormal bases ``(rev_basis, fl_basis)`` of the invariant
@@ -501,7 +481,7 @@ def jdg_split(
     decompositions (no Jordan forms).
 
     The gate is an estimate, not a proof: T must have
-    ``power_bound_estimate <= power_bound_cap`` AND must not show a growth
+    ``power_bound_estimate <= POWER_BOUND_CAP`` AND must not show a growth
     trend over the scan (norm at the scan horizon both > 2 and >= 1.5x the
     half-horizon norm). The trend test is what rejects linearly-growing
     unimodular Jordan blocks whose sup at the scan horizon is still below the
@@ -511,19 +491,19 @@ def jdg_split(
     The dissipative part is verified to decay: each unit fl basis vector must
     satisfy ``||T^N v|| < 1`` at the scan horizon.
     """
-    if T.power_bound_estimate > power_bound_cap:
+    if T.power_bound_estimate > POWER_BOUND_CAP:
         raise NotPowerBoundedError(
             f"power bound estimate {T.power_bound_estimate:.3e} exceeds cap "
-            f"{power_bound_cap:.3e} at horizon {T.power_bound_horizon}"
+            f"{POWER_BOUND_CAP:.3e} at horizon {POWER_BOUND_HORIZON}"
         )
     if T.power_norm_end > 2 and T.power_norm_end >= GROWTH_RATIO_CAP * T.power_norm_mid:
         raise NotPowerBoundedError(
-            f"norm still growing at horizon {T.power_bound_horizon}: "
+            f"norm still growing at horizon {POWER_BOUND_HORIZON}: "
             f"||T^N|| = {T.power_norm_end:.3e} vs ||T^(N/2)|| = {T.power_norm_mid:.3e}"
         )
 
     def is_unimodular(lam):
-        return bool(abs(abs(lam) - 1) <= tol_unimod)
+        return bool(abs(abs(lam) - 1) <= TOL_UNIMOD)
 
     _, z_rev, k_rev = schur(T.matrix, output="complex", sort=is_unimodular)
     rev = z_rev[:, :k_rev]
@@ -536,13 +516,13 @@ def jdg_split(
             f"spectral split sizes {k_rev}+{k_fl} do not cover dimension {T.dim}"
         )
     if k_fl:
-        p_end = np.linalg.matrix_power(T.matrix, T.power_bound_horizon)
+        p_end = np.linalg.matrix_power(T.matrix, POWER_BOUND_HORIZON)
         decay = np.linalg.norm(p_end @ fl, axis=0)
         worst = float(decay.max())
         if worst >= 1.0:
             raise NumericalFailureError(
                 f"dissipative part fails to decay at horizon "
-                f"{T.power_bound_horizon}: ||T^N v|| = {worst:.3e}",
+                f"{POWER_BOUND_HORIZON}: ||T^N v|| = {worst:.3e}",
                 residual=worst,
             )
     return rev, fl
@@ -553,8 +533,6 @@ def eigenvector_from_power_relation(
     x: np.ndarray,
     n: int,
     alpha: complex,
-    tol_fix: float = 1e-8,
-    tol_unimod: float = TOL_UNIMOD,
 ) -> tuple[np.ndarray, complex]:
     """Extract an eigenvector from a power relation T^n x = alpha x.
 
@@ -573,17 +551,17 @@ def eigenvector_from_power_relation(
     if n < 1:
         raise ValueError(f"power must be >= 1, got {n}")
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1) > tol_unimod:
+    if abs(abs(alpha) - 1) > TOL_UNIMOD:
         raise NotAPowerFixedPointError(
-            f"|alpha| = {abs(alpha):.12f} is not unimodular at tol {tol_unimod}"
+            f"|alpha| = {abs(alpha):.12f} is not unimodular at tol {TOL_UNIMOD}"
         )
     z = x
     for _ in range(n):
         z = T.apply(z)
     defect = np.linalg.norm(z - alpha * x)
-    if defect > tol_fix * nx:
+    if defect > TOL_FIX * nx:
         raise NotAPowerFixedPointError(
-            f"||T^n x - alpha x|| = {defect:.3e} exceeds {tol_fix:.1e} * ||x||"
+            f"||T^n x - alpha x|| = {defect:.3e} exceeds {TOL_FIX:.1e} * ||x||"
         )
 
     principal = np.exp(1j * np.angle(alpha) / n)
@@ -599,7 +577,7 @@ def eigenvector_from_power_relation(
         y = y_next
     eigval = complex(roots[k])
     resid = float(np.linalg.norm(T.apply(y) - eigval * y))
-    budget = max(1e-10 * np.linalg.norm(y), 10 * tol_fix * nx)
+    budget = max(1e-10 * np.linalg.norm(y), 10 * TOL_FIX * nx)
     if resid > budget:
         raise NumericalFailureError(
             f"chain produced residual {resid:.3e} beyond budget {budget:.3e}",

@@ -42,6 +42,8 @@ __all__ = [
     "density_summary",
 ]
 
+PROFILE_POINTS = 32
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteNatSet:
@@ -301,12 +303,9 @@ def dual_hit_test(A: FiniteNatSet, members: Sequence[FiniteNatSet]) -> bool:
     )
 
 
-def density_summary(
-    A: FiniteNatSet,
-    window_lengths: Sequence[int] = (),
-    profile_points: int = 32,
-) -> DensitySummary:
-    """Assemble the standard density readout of a set at its own horizon."""
+def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> DensitySummary:
+    """Assemble the standard density readout of a set at its own horizon; the
+    prefix profile samples at most ``PROFILE_POINTS`` geometric points."""
     H = A.horizon
     lo = lower_density(A, H)
     hi = upper_density(A, H)
@@ -314,7 +313,7 @@ def density_summary(
     if H == 0:
         ns = [0]
     else:
-        ns = sorted(set(np.geomspace(1, H, num=min(profile_points, H)).astype(int)))
+        ns = sorted(set(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)))
     counts = np.cumsum(A.indicator())
     profile = tuple((int(n), Fraction(int(counts[n]), int(n) + 1)) for n in ns)
     return DensitySummary(

@@ -69,24 +69,16 @@ class OrbitSegment:
         return self.points.shape[1]
 
 
-def iterate(
-    T: LinearOperator,
-    x: np.ndarray,
-    horizon: int,
-    overflow_cap: float = OVERFLOW_CAP,
-) -> OrbitSegment:
+def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
     """Record the orbit segment of x under T up to the horizon.
 
     The one-lane call of :func:`iterate_many`.
     """
-    return iterate_many((T,), x, horizon, overflow_cap)[0]
+    return iterate_many((T,), x, horizon)[0]
 
 
 def iterate_many(
-    ops: Sequence[LinearOperator],
-    x: np.ndarray,
-    horizon: int,
-    overflow_cap: float = OVERFLOW_CAP,
+    ops: Sequence[LinearOperator], x: np.ndarray, horizon: int
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
@@ -101,7 +93,7 @@ def iterate_many(
     replaced (2-vCPU host).
 
     Two checks run at the end of each chunk. A lane stops once some block
-    of its last point has passed the overflow cap, and each segment is cut
+    of its last point has passed ``OVERFLOW_CAP``, and each segment is cut
     at its first point past it. A pass whose last row equals the row
     before it bitwise (``-0.0`` and ``0.0`` differ) has reached a fixed
     point: it fills its later rows with that row and retires. The loop ends
@@ -131,7 +123,7 @@ def iterate_many(
             last = min(first + _CHUNK, horizon)
             for p in passes:
                 _step(p, pts[first : last + 1, p.cols])
-            for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]], overflow_cap)]:
+            for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]])]:
                 stops[k] = last + 1
                 live.remove(k)
             kept = []
@@ -144,7 +136,7 @@ def iterate_many(
             if not passes:
                 break
     segments = [
-        _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon, overflow_cap)
+        _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon)
         for k, T in enumerate(ops)
     ]
     if K > 1 and any(s.overflow for s in segments):
@@ -196,22 +188,18 @@ def _repeats(rows: np.ndarray) -> bool:
     return bool(np.array_equal(bits[0], bits[1]))
 
 
-def _escaped(T: LinearOperator, z: np.ndarray, overflow_cap: float) -> bool:
-    return not np.all(np.isfinite(z)) or T.norm_of(z) > overflow_cap
+def _escaped(T: LinearOperator, z: np.ndarray) -> bool:
+    return not np.all(np.isfinite(z)) or T.norm_of(z) > OVERFLOW_CAP
 
 
 def _segment(
-    points: np.ndarray,
-    base: np.ndarray,
-    block_dims: tuple[int, ...],
-    horizon: int,
-    overflow_cap: float,
+    points: np.ndarray, base: np.ndarray, block_dims: tuple[int, ...], horizon: int
 ) -> OrbitSegment:
     """The segment of ``points`` (``T^n base`` from n = 0) up to its first
-    point past the overflow cap."""
+    point past ``OVERFLOW_CAP``."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = block_norms(points, block_dims)
-    bad = np.nonzero(~np.isfinite(norms) | (norms > overflow_cap))[0]
+    bad = np.nonzero(~np.isfinite(norms) | (norms > OVERFLOW_CAP))[0]
     overflow = bad.size > 0
     h_eff = int(bad[0]) - 1 if overflow else points.shape[0] - 1
     if h_eff < 0:
@@ -252,9 +240,7 @@ def part_orbits(
             out.append(iterate(P, base, orbit.horizon_requested))
         else:
             points = orbit.points[:, start : start + P.dim]
-            out.append(
-                _segment(points, base, P.block_dims, orbit.horizon_requested, OVERFLOW_CAP)
-            )
+            out.append(_segment(points, base, P.block_dims, orbit.horizon_requested))
         start += P.dim
     return out
 
@@ -276,20 +262,16 @@ class BoundednessReport(NamedTuple):
     growth_detected: bool
 
 
-def boundedness(orbit: OrbitSegment, bound: float | None = None) -> BoundednessReport:
+def boundedness(orbit: OrbitSegment) -> BoundednessReport:
     """Sup of the recorded norms, with a monotone-growth heuristic.
 
-    With an explicit bound the verdict is ``sup <= bound``; otherwise the
-    segment counts as bounded-at-horizon unless iteration overflowed. Growth is
-    flagged when the norms increase strictly over the last half of the segment
-    and gain more than a relative 1e-9 overall (so unitary orbits with flat,
-    jittering norms are not flagged).
+    The segment counts as bounded-at-horizon unless iteration overflowed.
+    Growth is flagged when the norms increase strictly over the last half of
+    the segment and gain more than a relative 1e-9 overall (so unitary orbits
+    with flat, jittering norms are not flagged).
     """
     sup = float(orbit.norms.max())
-    if bound is not None:
-        bounded = sup <= bound
-    else:
-        bounded = not orbit.overflow
+    bounded = not orbit.overflow
     tail = orbit.norms[orbit.horizon_effective // 2 :]
     growth = False
     if tail.size >= 3:

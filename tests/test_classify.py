@@ -141,9 +141,15 @@ class TestClassifyVector:
         with pytest.raises(InsufficientHorizonError):
             classify_vector(T, np.array([1.0 + 0j]), epsilons=[0.5], horizon=1000)
 
+    def test_empty_epsilon_list_rejected(self):
+        # flags are conjunctions over the records; none would make them all true
+        T = realize(JordanBlock(1.0, 2))
+        with pytest.raises(ValueError, match="nonempty"):
+            classify_vector(T, np.array([0.0, 1.0 + 0j]), epsilons=[], horizon=10_000)
+
     def test_default_grid_geometric(self):
-        grid = default_epsilon_grid(2.0, count=3)
-        assert grid == (1.0, 0.5, 0.25)
+        grid = default_epsilon_grid(2.0)
+        assert grid[:3] == (1.0, 0.5, 0.25)
         with pytest.raises(ValueError):
             default_epsilon_grid(0.0)
 

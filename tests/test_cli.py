@@ -492,6 +492,32 @@ class TestMainEntry:
         assert rep["vector_flags"]["uniformly"] is True
         assert len(rep["epsilon_records"]) == 2
 
+    @pytest.mark.parametrize(
+        "op, eps, message",
+        [
+            # the eigen residual overflows to inf, whatever LAPACK's rounding
+            (
+                {"type": "dense_matrix", "entries": [[1e200, 1e200], [0, 1]]},
+                "0.5",
+                "error: eigen residual inf exceeds budget",
+            ),
+            (
+                {"type": "jordan_block", "eigenvalue": 1, "size": 2},
+                ",",
+                "error: epsilons must be nonempty",
+            ),
+        ],
+    )
+    def test_classify_failure_exits_2(self, tmp_path, capsys, op, eps, message):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(op))
+        code = main(["classify", "--op", str(op_path), "--vector", "ones", "--eps", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(message)
+
     def test_classify_bad_vector_exits_2(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
         op_path.write_text(json.dumps(ROTATION))

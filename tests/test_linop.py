@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (
     DenseMatrix,
@@ -196,7 +198,7 @@ class TestApplyConsistency:
             specs.append(DirectSum(tuple(parts)))
         wide = rng.normal(size=(300, d + 3)) + 1j * rng.normal(size=(300, d + 3))
         for spec in specs:
-            T = realize(spec, power_bound_horizon=4)
+            T = realize(spec)
             for rows in (np.ascontiguousarray(wide[:, 2 : d + 2]), wide[:, 2 : d + 2]):
                 looped = np.stack([T.apply(r) for r in rows])
                 assert np.array_equal(T.apply_to_rows(rows), looped), spec
@@ -409,6 +411,36 @@ class TestPrincipalAngle:
 # spec serialization
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+COMPLEXES = st.complex_numbers(allow_nan=False, allow_infinity=False)
+SIZES = st.integers(0, 4)
+
+
+def _square(n):
+    row = st.lists(COMPLEXES, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+LEAF_SPECS = st.one_of(
+    st.builds(DiagonalUnimodular, st.lists(FLOATS, max_size=3).map(tuple)),
+    SIZES.flatmap(_square).map(DenseMatrix),
+    st.builds(JordanBlock, COMPLEXES, SIZES),
+    st.builds(WeightedBackwardShiftTruncation, st.lists(FLOATS, max_size=3).map(tuple), SIZES),
+)
+# nested specs of all eight kinds; the parser does not realize, so specs
+# need not be realizable
+SPECS = st.recursive(
+    LEAF_SPECS,
+    lambda inner: st.one_of(
+        st.builds(DirectSum, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(Scale, COMPLEXES, inner),
+        st.builds(Inverse, inner),
+        st.builds(Power, st.integers(-4, 4), inner),
+    ),
+    max_leaves=6,
+)
+
+
 class TestSpecJson:
     CASES = [
         DiagonalUnimodular((0.25, GOLDEN)),
@@ -426,6 +458,12 @@ class TestSpecJson:
         text = json.dumps(spec_to_json_dict(spec))
         again = spec_from_json_dict(json.loads(text))
         assert np.array_equal(realize(spec).matrix, realize(again).matrix)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(SPECS)
+    def test_json_round_trip_is_identity(self, spec):
+        again = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(spec))))
+        assert again == spec
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):

@@ -511,12 +511,6 @@ class TestBoundedness:
         assert rep.bounded_at_horizon and rep.sup_norm == 1.0
         assert not rep.growth_detected
 
-    def test_explicit_bound(self):
-        T = realize(JordanBlock(1.0, 2))
-        orb = iterate(T, np.array([0.0, 1.0], dtype=complex), 100)
-        assert boundedness(orb, bound=200.0).bounded_at_horizon
-        assert not boundedness(orb, bound=50.0).bounded_at_horizon
-
     def test_overflow_not_bounded(self):
         T = realize(Scale(2.0, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 100)
