@@ -42,17 +42,25 @@ from .natset import (
     DensityEstimate,
     FiniteNatSet,
     dual_hit_test,
-    lower_density,
+    mask_statistics,
     syndetic_gap,
-    upper_banach_density,
-    upper_density,
 )
-from .orbit import BoundednessReport, OrbitSegment, boundedness, iterate, return_set
+# unused here; the benchmark tracer wraps these bindings
+from .natset import lower_density, upper_banach_density, upper_density  # noqa: F401
+from .orbit import (
+    OVERFLOW_CAP,
+    BoundednessReport,
+    OrbitSegment,
+    boundedness,
+    iterate,
+    return_set,
+)
 
 __all__ = [
     "Thresholds",
     "EpsilonRecord",
     "RecurrenceReport",
+    "epsilon_record",
     "classify_vector",
     "default_epsilon_grid",
     "spectral_data",
@@ -209,26 +217,21 @@ def default_epsilon_grid(scale: float) -> tuple[float, ...]:
     return tuple(scale * 2.0**-k for k in range(1, EPSILON_GRID_COUNT + 1))
 
 
-def _classify_return_times(
-    R: FiniteNatSet,
-    horizon_effective: int,
-    thresholds: Thresholds,
-    epsilon: float,
+def epsilon_record(
+    inside: np.ndarray, thresholds: Thresholds, epsilon: float
 ) -> EpsilonRecord:
-    h = horizon_effective
-    lo = lower_density(R, h)
-    hi = upper_density(R, h)
+    """The record of one radius from its return-time mask ``inside``
+    (``dists < epsilon`` over ``[0, horizon_effective]``), read in one
+    prefix-count pass (:func:`natset.mask_statistics`)."""
+    h = inside.size - 1
     n_win = thresholds.window_len(h)
-    banach = upper_banach_density(R, n_win)
-    gap = syndetic_gap(R)
-    positive = len(R) - 1
-    first = int(R.array[1]) if len(R) > 1 else None
+    m = mask_statistics(inside, n_win)
 
-    recurrent = positive >= 1
-    reiteratively = recurrent and banach.ratio >= thresholds.delta_banach
-    u_frequently = reiteratively and hi.running >= thresholds.delta_upper
-    frequently = u_frequently and lo.running >= thresholds.delta_lower
-    uniformly = frequently and gap <= thresholds.gap_max(h)
+    recurrent = m.first_return is not None
+    reiteratively = recurrent and m.banach.ratio >= thresholds.delta_banach
+    u_frequently = reiteratively and m.upper.running >= thresholds.delta_upper
+    frequently = u_frequently and m.lower.running >= thresholds.delta_lower
+    uniformly = frequently and m.gap <= thresholds.gap_max(h)
     flags = {
         "recurrent": recurrent,
         "reiteratively": reiteratively,
@@ -238,13 +241,13 @@ def _classify_return_times(
     }
     return EpsilonRecord(
         epsilon=float(epsilon),
-        return_count=len(R),
-        first_return=first,
-        lower=lo,
-        upper=hi,
-        banach=banach,
+        return_count=m.count,
+        first_return=m.first_return,
+        lower=m.lower,
+        upper=m.upper,
+        banach=m.banach,
         window_len=n_win,
-        gap=gap,
+        gap=m.gap,
         flags=flags,
     )
 
@@ -281,8 +284,10 @@ def classify_vector(
     * frequently:    running inf of prefix densities >= delta_lower
     * uniformly:     syndetic gap <= the scaled gap bound
 
-    combined as a conjunctive cascade (see module docstring). Vector-level
-    flags are the conjunction over the epsilon grid. The default grid is
+    combined as a conjunctive cascade (see module docstring). Each record
+    comes from one prefix-count pass over the mask ``orbit.dists < eps``
+    (:func:`epsilon_record`); no return set is built. Vector-level flags
+    are the conjunction over the epsilon grid. The default grid is
     geometric, ``||x|| * 2^-k`` for k = 1..8, in the operator's metric.
     ``orbit``, when given, must be ``iterate(T, x, horizon)``; the report
     carries it either way, for the checks that read classified orbits.
@@ -304,11 +309,14 @@ def classify_vector(
     if orbit is None:
         orbit = iterate(T, x, horizon)
     residual = eigen_span_residual(x, spectral_data(T))
-    records = tuple(
-        _classify_return_times(
-            return_set(orbit, eps), orbit.horizon_effective, thresholds, eps
+    if orbit.overflow and orbit.horizon_effective == 0:
+        raise InsufficientHorizonError(
+            f"orbit norm passed the overflow cap {OVERFLOW_CAP:g} at step 1: "
+            "no return time is left to classify"
         )
-        for eps in epsilons
+    # each mask is dropped before the next one is built
+    records = tuple(
+        epsilon_record(orbit.dists < eps, thresholds, eps) for eps in epsilons
     )
     vector_flags = {
         name: all(rec.flags[name] for rec in records) for name in FLAG_ORDER

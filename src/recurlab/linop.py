@@ -424,12 +424,17 @@ def unimodular_eigenpairs(T: LinearOperator) -> SpectralData:
         vals, vecs = np.linalg.eig(T.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    # a residual that overflows reads as inf and fails the budget below
+    norm = T.operator_norm_estimate
+    budget = 10 * np.finfo(float).eps * max(norm, 1.0) * T.dim
+    if not np.isfinite(budget):
+        raise NumericalFailureError(
+            f"operator norm estimate {norm:.3e} overflowed: no eigen residual budget"
+        )
+    # a residual that overflows reads as inf or nan and fails the budget below
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.linalg.norm(T.matrix @ vecs - vecs * vals, axis=0)
-    budget = 10 * np.finfo(float).eps * max(T.operator_norm_estimate, 1.0) * T.dim
     worst = float(resid.max())
-    if worst > budget:
+    if not worst <= budget:
         raise NumericalFailureError(
             f"eigen residual {worst:.3e} exceeds budget {budget:.3e}",
             residual=worst,

@@ -14,6 +14,11 @@ interval and all ratios exact :class:`fractions.Fraction` values:
   ``n in [floor(N/10), N]`` (the burn-in discards tiny prefixes)
 * upper Banach at window ``N``: ``max_m card(A, [m, m+N]) / (N + 1)`` over all
   windows contained in ``[0, horizon]``, with the smallest maximizing ``m``.
+
+All of them are read off one running count (``cumsum``) of the 0/1 mask of
+``A``. :func:`mask_statistics` reads every one in a single pass over a mask,
+which is how the classifier reads its return-time masks without building a
+:class:`FiniteNatSet`; the per-set functions share its arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ __all__ = [
     "DensityEstimate",
     "BanachWindow",
     "DensitySummary",
+    "MaskStatistics",
+    "mask_statistics",
     "lower_density",
     "upper_density",
     "upper_banach_density",
@@ -160,25 +167,101 @@ class DensitySummary:
     prefix_profile: tuple[tuple[int, Fraction], ...]
 
 
-def _running_density(A: FiniteNatSet, N: int, pick) -> DensityEstimate:
-    """Prefix density at ``N`` and the running extremum that ``pick``
-    (``np.argmin`` or ``np.argmax``) selects over ``[floor(N/10), N]``.
+class MaskStatistics(NamedTuple):
+    """One 0/1 mask over ``[0, horizon]`` read in one prefix-count pass.
+
+    ``count`` is the number of members and ``first_return`` the smallest
+    positive one (``None`` if there is none); the other fields are those of
+    :func:`lower_density`, :func:`upper_density` (both at the horizon),
+    :func:`upper_banach_density` and :func:`syndetic_gap`.
+    """
+
+    count: int
+    first_return: int | None
+    lower: DensityEstimate
+    upper: DensityEstimate
+    banach: BanachWindow
+    gap: int
+
+
+def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
+    """Every density of the set ``{n : inside[n]}``, ``horizon = len(inside) - 1``,
+    from one ``cumsum`` of the mask.
+
+    Each large intermediate is dropped before the next is built, so the pass
+    holds at most the counts and one derived array besides the mask: it runs
+    once per classified radius, and its peak adds to the orbit's.
+    """
+    h = inside.size - 1
+    _check_window(window_len, h)
+    counts = np.cumsum(inside)
+    lower, upper = _running_extremes(counts)
+    banach = _banach_window(counts, window_len)
+    del counts
+    returns = np.flatnonzero(inside)
+    gap = _largest_gap(returns, h)
+    positive = returns[1:] if returns[0] == 0 else returns
+    return MaskStatistics(
+        count=returns.size,
+        first_return=int(positive[0]) if positive.size else None,
+        lower=lower,
+        upper=upper,
+        banach=banach,
+        gap=gap,
+    )
+
+
+def _running_extremes(counts: np.ndarray) -> tuple[DensityEstimate, DensityEstimate]:
+    """Prefix density at ``N = len(counts) - 1`` with the running inf and sup
+    over ``[floor(N/10), N]``; ``counts`` is the running count of a mask.
 
     Index location uses floats (safe: distinct prefix ratios differ by at
-    least ``1/(N+1)^2``, far above roundoff), the returned values are exact.
+    least ``1/(N+1)^2``, far above roundoff), ties go to the smallest index,
+    and the returned values are exact.
     """
+    N = counts.size - 1
+    burn = N // 10
+    ratios = np.arange(burn + 1, N + 2, dtype=np.float64)
+    np.divide(counts[burn:], ratios, out=ratios)
+    lo, hi = burn + int(np.argmin(ratios)), burn + int(np.argmax(ratios))
+    value = Fraction(int(counts[N]), N + 1)
+    return (
+        DensityEstimate(value, Fraction(int(counts[lo]), lo + 1)),
+        DensityEstimate(value, Fraction(int(counts[hi]), hi + 1)),
+    )
+
+
+def _banach_window(counts: np.ndarray, N: int) -> BanachWindow:
+    """Best count over the windows ``[m, m + N]``: ``counts[m + N]`` less the
+    count before ``m``; ties go to the smallest ``m``."""
+    window = counts[N:].copy()
+    window[1:] -= counts[: counts.size - 1 - N]
+    m_star = int(np.argmax(window))
+    return BanachWindow(ratio=Fraction(int(window[m_star]), N + 1), start=m_star)
+
+
+def _largest_gap(returns: np.ndarray, horizon: int) -> int:
+    """Largest gap between sorted members, counting the lead-in from 0 and the
+    tail out to the horizon."""
+    if not returns.size:
+        raise EmptySetError("syndetic gap of the empty set is undefined")
+    inner = int(np.diff(returns).max()) if returns.size > 1 else 0
+    return max(int(returns[0]), inner, horizon - int(returns[-1]))
+
+
+def _check_window(window_len: int, horizon: int) -> None:
+    if window_len < 0:
+        raise ValueError(f"window_len must be >= 0, got {window_len}")
+    if window_len > horizon:
+        raise HorizonExceededError(f"window_len={window_len} exceeds horizon {horizon}")
+
+
+def _prefix_counts(A: FiniteNatSet, N: int) -> np.ndarray:
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > A.horizon:
         raise HorizonExceededError(f"N={N} exceeds horizon {A.horizon}")
-    counts = np.cumsum(A.indicator(N))
-    burn = N // 10
-    ratios = counts[burn:] / np.arange(burn + 1, N + 2, dtype=np.float64)
-    n = burn + int(pick(ratios))
-    return DensityEstimate(
-        value=Fraction(int(counts[N]), N + 1),
-        running=Fraction(int(counts[n]), n + 1),
-    )
+    return np.cumsum(A.indicator(N))
 
 
 def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
@@ -187,12 +270,12 @@ def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     The running infimum is the finite-horizon stand-in for the lower density
     liminf.
     """
-    return _running_density(A, N, np.argmin)
+    return _running_extremes(_prefix_counts(A, N))[0]
 
 
 def upper_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     """Prefix density at ``N`` and the running supremum over ``[floor(N/10), N]``."""
-    return _running_density(A, N, np.argmax)
+    return _running_extremes(_prefix_counts(A, N))[1]
 
 
 def upper_banach_density(A: FiniteNatSet, window_len: int) -> BanachWindow:
@@ -200,19 +283,8 @@ def upper_banach_density(A: FiniteNatSet, window_len: int) -> BanachWindow:
 
     Single cumulative pass, O(horizon). Ties resolve to the smallest ``m``.
     """
-    N = window_len
-    if N < 0:
-        raise ValueError(f"window_len must be >= 0, got {N}")
-    if N > A.horizon:
-        raise HorizonExceededError(
-            f"window_len={N} exceeds horizon {A.horizon}"
-        )
-    ind = A.indicator()
-    prefix = np.concatenate([[0], np.cumsum(ind)])
-    # window count for offset m is prefix[m + N + 1] - prefix[m]
-    counts = prefix[N + 1 :] - prefix[: A.horizon - N + 1]
-    m_star = int(np.argmax(counts))
-    return BanachWindow(ratio=Fraction(int(counts[m_star]), N + 1), start=m_star)
+    _check_window(window_len, A.horizon)
+    return _banach_window(np.cumsum(A.indicator()), window_len)
 
 
 def syndetic_gap(A: FiniteNatSet) -> int:
@@ -221,9 +293,7 @@ def syndetic_gap(A: FiniteNatSet) -> int:
     ``A`` is syndetic at horizon with bound ``m`` iff the returned gap is
     ``<= m + 1``: every length-``m+1`` window inside the horizon then meets ``A``.
     """
-    if not len(A):
-        raise EmptySetError("syndetic gap of the empty set is undefined")
-    return int(np.diff(A.array, prepend=0, append=A.horizon).max())
+    return _largest_gap(A.array, A.horizon)
 
 
 def delta_witness_search(
@@ -307,14 +377,16 @@ def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> Dens
     """Assemble the standard density readout of a set at its own horizon; the
     prefix profile samples at most ``PROFILE_POINTS`` geometric points."""
     H = A.horizon
-    lo = lower_density(A, H)
-    hi = upper_density(A, H)
-    banach = {int(N): upper_banach_density(A, int(N)) for N in window_lengths}
+    counts = np.cumsum(A.indicator())
+    lo, hi = _running_extremes(counts)
+    banach = {}
+    for N in map(int, window_lengths):
+        _check_window(N, H)
+        banach[N] = _banach_window(counts, N)
     if H == 0:
         ns = [0]
     else:
         ns = sorted(set(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)))
-    counts = np.cumsum(A.indicator())
     profile = tuple((int(n), Fraction(int(counts[n]), int(n) + 1)) for n in ns)
     return DensitySummary(
         lower_at_horizon=lo.running,

@@ -5,17 +5,21 @@ of |i^n - 1|, and a plain scalar loop recomputing simultaneous-rotation
 return sets and their gaps.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
+    FiniteNatSet,
     Inverse,
     JordanBlock,
     Scale,
@@ -27,12 +31,16 @@ from recurlab import (
     eigen_span_check,
     inverse_recurrence_check,
     iterate,
+    lower_density,
     product_recurrence_check,
     realize,
+    syndetic_gap,
     unimodular_return_set,
+    upper_banach_density,
+    upper_density,
 )
-from recurlab.classify import FLAG_ORDER
-from recurlab.errors import InsufficientHorizonError
+from recurlab.classify import FLAG_ORDER, epsilon_record
+from recurlab.errors import EmptySetError, InsufficientHorizonError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MIX = DirectSum((DiagonalUnimodular((0.25,)), Scale(0.5, DenseMatrix(((1.0,),)))))
@@ -85,6 +93,131 @@ def assert_cascade(flags):
     order = list(FLAG_ORDER)
     for weaker, stronger in zip(order, order[1:]):
         assert flags[stronger] <= flags[weaker], flags
+
+
+def _bool_array(bits):
+    return np.array(bits, dtype=bool)
+
+
+def _periodic(pattern, horizon):
+    return (pattern * (horizon // len(pattern) + 1))[: horizon + 1]
+
+
+def _seeded(horizon, seed, p):
+    return np.random.default_rng(seed).random(horizon + 1) < p
+
+
+_SMALL_HORIZONS = st.integers(min_value=1, max_value=64)
+
+# Return-time masks over [0, h]: arbitrary ones for h = 1..64, the all-in
+# mask and the mask holding only n = 0, periodic masks (whose prefix ratios
+# and window counts tie over and over), and seeded random ones near h = 10^4.
+MASKS = st.one_of(
+    _SMALL_HORIZONS.flatmap(
+        lambda h: st.lists(st.booleans(), min_size=h + 1, max_size=h + 1)
+    ).map(_bool_array),
+    _SMALL_HORIZONS.map(lambda h: np.ones(h + 1, dtype=bool)),
+    _SMALL_HORIZONS.map(lambda h: np.arange(h + 1) == 0),
+    st.builds(
+        _periodic, st.lists(st.booleans(), min_size=1, max_size=6), _SMALL_HORIZONS
+    ).map(_bool_array),
+    st.builds(
+        _seeded,
+        st.integers(min_value=9_990, max_value=10_010),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.001, 0.3, 0.9, 1.0]),
+    ),
+)
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+# window_fraction 1.0 makes the Banach window the whole horizon
+THRESHOLDS = st.builds(
+    Thresholds,
+    delta_lower=_UNIT,
+    delta_upper=_UNIT,
+    delta_banach=_UNIT,
+    gap_fraction=_UNIT,
+    window_fraction=st.one_of(st.just(1.0), _UNIT),
+)
+
+PROPERTY_SETTINGS = settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+
+
+def oracle_record(mask, window_len):
+    """Plain-Python prefix counts: the running extremes as exact Fractions,
+    the first maximizing Banach window, and the largest gap."""
+    h = len(mask) - 1
+    counts = list(itertools.accumulate(int(b) for b in mask))
+    ratios = [Fraction(counts[n], n + 1) for n in range(h // 10, h + 1)]
+    before = [0] + counts
+    windows = [before[m + window_len + 1] - before[m] for m in range(h - window_len + 1)]
+    best = max(windows)
+    members = [n for n in range(h + 1) if mask[n]]
+    bounds = [0] + members + [h]
+    gap = max(b - a for a, b in zip(bounds, bounds[1:]))
+    return (
+        min(ratios),
+        max(ratios),
+        Fraction(best, window_len + 1),
+        windows.index(best),
+        gap,
+    )
+
+
+class TestOnePassRecord:
+    """``epsilon_record`` reads a mask in one prefix-count pass; the library
+    path builds a FiniteNatSet and calls each density function on it."""
+
+    @PROPERTY_SETTINGS
+    @given(MASKS, THRESHOLDS)
+    def test_record_equals_finite_nat_set_path(self, mask, thresholds):
+        h = mask.size - 1
+        R = FiniteNatSet(np.flatnonzero(mask), h)
+        if not len(R):
+            with pytest.raises(EmptySetError):
+                syndetic_gap(R)
+            with pytest.raises(EmptySetError):
+                epsilon_record(mask, thresholds, 0.5)
+            return
+        rec = epsilon_record(mask, thresholds, 0.5)
+        assert rec.window_len == thresholds.window_len(h)
+        assert rec.lower == lower_density(R, h)
+        assert rec.upper == upper_density(R, h)
+        assert rec.banach == upper_banach_density(R, rec.window_len)
+        fractions = (*rec.lower, *rec.upper, rec.banach.ratio)
+        assert all(type(f) is Fraction for f in fractions)
+        assert rec.gap == syndetic_gap(R)
+        assert rec.return_count == len(R)
+        positive = R.array[R.array >= 1]
+        assert rec.first_return == (int(positive[0]) if positive.size else None)
+        assert all(type(v) is int for v in (rec.banach.start, rec.gap, rec.return_count))
+
+        low, high, ratio, start, gap = oracle_record(mask.tolist(), rec.window_len)
+        assert (rec.lower.running, rec.upper.running) == (low, high)
+        assert rec.lower.value == rec.upper.value == Fraction(len(R), h + 1)
+        assert rec.banach == (ratio, start)
+        assert rec.gap == gap
+
+    @PROPERTY_SETTINGS
+    @given(
+        MASKS,
+        THRESHOLDS,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    def test_cascade_is_monotone(self, mask, thresholds, seed, p):
+        """Each record's flags hold down the cascade, and growing the return
+        set (a larger ball) never clears a flag."""
+        mask[0] = True  # every orbit starts in its own ball
+        grown = mask | _seeded(mask.size - 1, seed, p)
+        rec, wider = (epsilon_record(m, thresholds, 0.5) for m in (mask, grown))
+        assert_cascade(rec.flags)
+        assert_cascade(wider.flags)
+        for name in FLAG_ORDER:
+            assert rec.flags[name] <= wider.flags[name], name
 
 
 class TestThresholds:

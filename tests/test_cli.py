@@ -506,6 +506,18 @@ class TestMainEntry:
                 ",",
                 "error: epsilons must be nonempty",
             ),
+            # the norm estimate overflows, so no residual could fail the budget
+            (
+                {"type": "dense_matrix", "entries": [[1.7e308, 1.7e308], [0, 1]]},
+                "0.5",
+                "error: operator norm estimate inf overflowed",
+            ),
+            # the orbit passes the overflow cap at its first step
+            (
+                {"type": "dense_matrix", "entries": [[1e13]]},
+                "0.5",
+                "error: orbit norm passed the overflow cap 1e+12 at step 1",
+            ),
         ],
     )
     def test_classify_failure_exits_2(self, tmp_path, capsys, op, eps, message):

@@ -35,6 +35,7 @@ from recurlab.errors import (
     DimensionError,
     NotAPowerFixedPointError,
     NotPowerBoundedError,
+    NumericalFailureError,
     SingularOperatorError,
     SizeCapError,
 )
@@ -264,6 +265,13 @@ class TestUnimodularEigenpairs:
             data = unimodular_eigenpairs(T)
             assert max(data.residuals) <= data.residual_budget
             assert len(data.unimodular_indices) == d
+
+    def test_overflowed_norm_estimate_fails_the_gate(self):
+        # an inf budget would let every residual pass
+        T = realize(DenseMatrix(((1.7e308, 1.7e308), (0.0, 1.0))))
+        assert T.operator_norm_estimate == math.inf
+        with pytest.raises(NumericalFailureError, match="norm estimate inf overflowed"):
+            unimodular_eigenpairs(T)
 
 
 class TestEigenSpanResidual:
