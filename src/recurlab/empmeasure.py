@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import orth
 
 from .errors import DimensionError
-from .linop import LinearOperator, principal_angle
+from .linop import LinearOperator, orth, principal_angle
 from .natset import FiniteNatSet, upper_banach_density
 from .orbit import OrbitSegment
 

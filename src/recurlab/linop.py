@@ -10,6 +10,10 @@ of the component Euclidean norms, tracked through ``block_dims``. ``apply`` /
 ``apply_to_rows`` are the canonical way to push vectors through an operator;
 orbit iteration and measure pushforwards share them so that repeated
 application and pushforward agree bit for bit.
+
+Only :func:`jdg_split` and :func:`principal_angle` need scipy, and they
+import it when called, so that a process that uses neither never pays for
+loading it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
-from scipy.linalg import block_diag, orth, schur, subspace_angles
 
 from .errors import (
     DimensionError,
@@ -213,6 +216,33 @@ def block_norms(rows: np.ndarray, block_dims: Sequence[int]) -> np.ndarray:
     return np.sqrt(out)
 
 
+def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The complex block-diagonal matrix with ``mats`` down its diagonal."""
+    out = np.zeros(tuple(sum(m.shape[i] for m in mats) for i in (0, 1)), dtype=complex)
+    r = c = 0
+    for m in mats:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
+def orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``a``: the left singular vectors
+    whose singular value exceeds ``max(s) * eps * max(a.shape)``.
+
+    This is ``scipy.linalg.orth`` on numpy's SVD, and equal to it bit for
+    bit, layout included. numpy returns ``U`` C-ordered and scipy
+    Fortran-ordered, and a BLAS product's bits depend on its operands'
+    layout: on a C-ordered basis, the eigen-span residual of one vector of
+    the benchmark's seed-7 dense workload reads 1.0897869595647491e-16
+    instead of 1.4272531291719075e-16. So the basis is returned
+    Fortran-ordered.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(a.shape)
+    return np.asfortranarray(u[:, : int(np.sum(s > tol))])
+
+
 def _exact_diagonal(m: np.ndarray) -> np.ndarray | None:
     """The diagonal of ``m`` when ``m`` is exactly diagonal, else None."""
     d = np.diagonal(m)
@@ -289,7 +319,7 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
         built = [_build(p) for p in spec.parts]
         mats = [b[0] for b in built]
         dims = tuple(d for b in built for d in b[1])
-        return block_diag(*mats).astype(complex), dims
+        return _block_diag(mats), dims
     if isinstance(spec, Scale):
         m, dims = _build(spec.inner)
         return complex(spec.factor) * m, dims
@@ -376,7 +406,7 @@ def direct_sum(parts: Sequence[LinearOperator]) -> LinearOperator:
     if d > DIM_CAP:
         raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
     return LinearOperator(
-        matrix=block_diag(*[p.matrix for p in parts]).astype(complex),
+        matrix=_block_diag([p.matrix for p in parts]),
         dim=d,
         block_dims=tuple(b for p in parts for b in p.block_dims),
         operator_norm_estimate=max(p.operator_norm_estimate for p in parts),
@@ -473,6 +503,8 @@ def principal_angle(b1: np.ndarray, b2: np.ndarray) -> float:
         return float(np.pi / 2)
     if r1 == 0:
         return 0.0
+    from scipy.linalg import subspace_angles  # see the module docstring
+
     ang = subspace_angles(b1, b2)
     return float(ang.max()) if ang.size else 0.0
 
@@ -506,6 +538,8 @@ def jdg_split(T: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
             f"norm still growing at horizon {POWER_BOUND_HORIZON}: "
             f"||T^N|| = {T.power_norm_end:.3e} vs ||T^(N/2)|| = {T.power_norm_mid:.3e}"
         )
+
+    from scipy.linalg import schur  # see the module docstring
 
     def is_unimodular(lam):
         return bool(abs(abs(lam) - 1) <= TOL_UNIMOD)

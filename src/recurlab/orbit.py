@@ -94,10 +94,11 @@ def iterate_many(
 
     Two checks run at the end of each chunk. A lane stops once some block
     of its last point has passed ``OVERFLOW_CAP``, and each segment is cut
-    at its first point past it. A pass whose last row equals the row
-    before it bitwise (``-0.0`` and ``0.0`` differ) has reached a fixed
-    point: it fills its later rows with that row and retires. The loop ends
-    when no pass is left with a live lane. When some lane stopped early,
+    at its first point past it; the lanes' norms are taken only when some
+    entry of the chunk's last row is non-finite or large. A pass whose last
+    row equals the row before it bitwise (``-0.0`` and ``0.0`` differ) has
+    reached a fixed point: it fills its later rows with that row and
+    retires. The loop ends when no pass is left with a live lane. When some lane stopped early,
     the others are copied out of the buffer, so no segment keeps the wider
     buffer alive.
     """
@@ -123,9 +124,10 @@ def iterate_many(
             last = min(first + _CHUNK, horizon)
             for p in passes:
                 _step(p, pts[first : last + 1, p.cols])
-            for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]])]:
-                stops[k] = last + 1
-                live.remove(k)
+            if not _below_cap(pts[last], d):
+                for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]])]:
+                    stops[k] = last + 1
+                    live.remove(k)
             kept = []
             for p in passes:
                 if _repeats(pts[last - 1 : last + 1, p.cols]):
@@ -186,6 +188,17 @@ def _repeats(rows: np.ndarray) -> bool:
     for ``0.0``, and a kernel need not map them alike."""
     bits = rows.view(np.uint64)
     return bool(np.array_equal(bits[0], bits[1]))
+
+
+def _below_cap(row: np.ndarray, d: int) -> bool:
+    """Whether no lane of a buffer row of ``d``-column lanes can have passed
+    ``OVERFLOW_CAP``: every entry is at most ``OVERFLOW_CAP / (2 d)`` in
+    modulus, so every block norm is at most half the cap, rounding
+    included, and :func:`_escaped` would hold for no lane. One pass over
+    the row instead of one norm per lane; ``nan`` and ``inf`` fail the
+    comparison.
+    """
+    return bool(np.abs(row).max() <= OVERFLOW_CAP / (2 * d))
 
 
 def _escaped(T: LinearOperator, z: np.ndarray) -> bool:

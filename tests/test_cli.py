@@ -213,6 +213,18 @@ class TestRunConfig:
         assert "classify" in exp["checks"]
         assert not document_has_failures(doc)
 
+    def test_summary_series_is_the_prefix_density(self, tmp_path):
+        # |i^n - 1| < 0.5 exactly when 4 divides n, so n//4 + 1 of the
+        # times 0..n return; at 1.5 the times n = 1, 3 mod 4 join them
+        obj = base_config()
+        obj["experiments"][0]["epsilons"] = [0.5, 1.5]
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        series = doc.experiments["quarter"]["summary"]["result"]["series"]
+        assert len(series) > 2 * 30
+        for eps, n, density in series:
+            count = n // 4 + 1 if eps == 0.5 else n + 1 - (n + 2) // 4
+            assert density == count / (n + 1), (eps, n)
+
     def test_empty_experiment_list(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"experiments": []}))
         doc = run_config(cfg)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +40,7 @@ from recurlab.errors import (
     SingularOperatorError,
     SizeCapError,
 )
-from recurlab.linop import DIM_CAP
+from recurlab.linop import DIM_CAP, _block_diag, orth
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -413,6 +414,62 @@ class TestPrincipalAngle:
     def test_empty_spans_agree(self):
         z = np.zeros((3, 0), dtype=complex)
         assert principal_angle(z, z) == 0.0
+
+
+def same_bits(a, b):
+    """Same shape, dtype and bits, whatever either array's layout."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestScipyFreeHelpers:
+    """The numpy ``orth`` and ``_block_diag`` against the scipy functions
+    they replace: the same bits, and for ``orth`` the same layout, which
+    later BLAS products' bits depend on."""
+
+    def check_orth(self, a):
+        q, ref = orth(a), scipy.linalg.orth(a)
+        assert same_bits(q, ref)
+        assert q.flags.f_contiguous and ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_orth_full_rank(self, d):
+        rng = np.random.default_rng(d)
+        for k in range(1, d + 1):
+            for _ in range(5):
+                self.check_orth(random_complex(rng, d, k))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_orth_rank_deficient(self, d):
+        rng = np.random.default_rng(100 + d)
+        for k in range(2, d + 1):
+            for r in range(1, k):
+                a = random_complex(rng, d, r) @ random_complex(rng, r, k)
+                assert orth(a).shape == (d, r)
+                self.check_orth(a)
+        self.check_orth(np.zeros((d, 2), dtype=complex))
+
+    def test_eigenvector_span_basis(self):
+        # a Haar unitary beside J(0.5): the operator shape of the benchmark's
+        # dense workload, whose eigen-span residuals read this basis
+        rng = np.random.default_rng(7)
+        q, r = np.linalg.qr(random_complex(rng, 4, 4))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        T = realize(DirectSum((DenseMatrix(tuple(map(tuple, u))), JordanBlock(0.5, 2))))
+        data = unimodular_eigenpairs(T)
+        ref = scipy.linalg.orth(data.eigenvectors[:, list(data.unimodular_indices)])
+        assert same_bits(data.espan_basis, ref) and data.espan_basis.flags.f_contiguous
+
+    def test_block_diag(self):
+        rng = np.random.default_rng(11)
+        for sizes in [(1,), (2, 3), (4, 1, 2), (3, 3, 3, 1)]:
+            mats = [random_complex(rng, n, n) for n in sizes]
+            assert same_bits(_block_diag(mats), scipy.linalg.block_diag(*mats))
+        mats = [np.eye(2), random_complex(rng, 1, 1)]
+        assert same_bits(_block_diag(mats), scipy.linalg.block_diag(*mats).astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,13 @@ def bitwise_equal(a, b):
 
 
 def count_kernel_calls(monkeypatch, calls):
-    """Append the first operand of every ``np.multiply`` and ``np.dot`` call
-    the orbit module makes to ``calls``: one per pass and row stepped. A
-    dot's first operand is the dense block's matrix."""
+    """Append the kernel operand of every ``np.multiply`` and ``np.dot``
+    call the orbit module makes to ``calls``: one per pass and row stepped.
+    That is a multiply's second operand, the pass's diagonal, and a dot's
+    first, the dense block's matrix."""
     fake_np = types.SimpleNamespace(**vars(np))
-
-    def counted(kernel):
-        return lambda a, *args, **kwargs: calls.append(a) or kernel(a, *args, **kwargs)
-
-    fake_np.multiply = counted(np.multiply)
-    fake_np.dot = counted(np.dot)
+    fake_np.multiply = lambda a, b, **kw: calls.append(b) or np.multiply(a, b, **kw)
+    fake_np.dot = lambda a, b, **kw: calls.append(a) or np.dot(a, b, **kw)
     monkeypatch.setattr(recurlab.orbit, "np", fake_np)
 
 
@@ -273,6 +270,56 @@ class TestIterateMany:
         assert not bounded.overflow and bounded.horizon_effective == 30_000
         # the full lane does not keep a buffer wider than its own orbit
         assert bounded.points.flags.c_contiguous
+
+    def test_chunk_end_prefilter_stops_lanes_where_the_norms_do(self, monkeypatch):
+        # A 1.01-scaled rotation and a dense block with eigenvalue 1.02 pass
+        # the cap in different chunks, beside a rotation that never does.
+        # Each growing lane stops at the first chunk end past its cap, as
+        # with a norm per lane at every chunk end, which is what the
+        # engine does with its whole-row prefilter switched off.
+        specs = [
+            Scale(1.01, DiagonalUnimodular((0.25, GOLDEN))),
+            DenseMatrix(((1.02, 0.3), (0.0, 1.01))),
+            DiagonalUnimodular((GOLDEN, 0.3)),
+        ]
+        ops = [realize(s) for s in specs]
+        x = np.array([1.0, 0.5j])
+
+        def run(prefilter):
+            calls = []
+            count_kernel_calls(monkeypatch, calls)
+            if not prefilter:
+                monkeypatch.setattr(recurlab.orbit, "_below_cap", lambda row, d: False)
+            lanes = iterate_many(ops, x, 5000)
+            monkeypatch.undo()
+            # the rows each lane was stepped: its own kernel operand's calls
+            # (no two lanes merge into one pass here)
+            kernels = [T.blocks[0].diagonal if T.blocks[0].diagonal is not None
+                       else T.blocks[0].matrix for T in ops]
+            return lanes, [sum(c is k for c in calls) for k in kernels]
+
+        lanes, steps = run(prefilter=True)
+        exact_lanes, exact_steps = run(prefilter=False)
+        assert steps == exact_steps
+        for lane, exact, T in zip(lanes, exact_lanes, ops):
+            assert bitwise_equal(lane.points, exact.points)
+            assert bitwise_equal(lane.points, reference_orbit(T, x, 5000))
+        scaled, dense, rotation = lanes
+        assert 2500 < scaled.horizon_effective and 1000 < dense.horizon_effective < 2000
+        for lane, n in zip(lanes, steps):
+            past_cap = lane.horizon_effective + 1
+            assert n == (5000 if not lane.overflow else -(-past_cap // 256) * 256)
+        assert scaled.overflow and dense.overflow and not rotation.overflow
+
+    def test_bounded_lanes_take_no_lane_norms(self, monkeypatch):
+        escaped = []
+        real = recurlab.orbit._escaped
+        monkeypatch.setattr(
+            recurlab.orbit, "_escaped", lambda T, z: escaped.append(T) or real(T, z)
+        )
+        rng = np.random.default_rng(8)
+        self.check_lanes([DiagonalUnimodular((0.25, GOLDEN)), random_dense(rng, 2)], 3000)
+        assert escaped == []
 
     def test_stopped_dense_lane_is_not_stepped_on(self, monkeypatch):
         # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps,
