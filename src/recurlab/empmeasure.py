@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .linop import LinearOperator, orth, principal_angle
+from .linop import LinearOperator, orth, principal_angle, row_sums
 from .natset import FiniteNatSet, upper_banach_density
 from .orbit import OrbitSegment
 
@@ -109,7 +109,7 @@ def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     if _all_distinct(keys):
         return atoms, np.ones(atoms.shape[0], dtype=np.int64)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = _group_index(keys)
     counts = np.bincount(inverse)
     weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
     w_out = np.zeros(counts.size)
@@ -118,6 +118,22 @@ def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(reps, inverse, atoms * weights[:, None])
     reps /= w_out[:, None]
     return reps, counts
+
+
+def _group_index(keys: np.ndarray) -> np.ndarray:
+    """Each row's group of equal rows, numbered as ``np.unique(keys, axis=0,
+    return_inverse=True)`` numbers them: in lexicographic order of the rows.
+
+    One ``lexsort`` instead of ``np.unique``'s sort of structured rows. A
+    group starts wherever a sorted row differs from the one before under
+    float ``!=``, so ``-0.0`` and ``0.0`` tie, as in ``np.unique``.
+    """
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    starts = np.any(rows[1:] != rows[:-1], axis=1)
+    inverse = np.empty(keys.shape[0], dtype=np.intp)
+    inverse[order] = np.concatenate(([0], np.cumsum(starts)))
+    return inverse
 
 
 def _all_distinct(keys: np.ndarray) -> bool:
@@ -195,12 +211,18 @@ def invariance_defect(
         raise ValueError("need at least one test ball")
     pushed = T.apply_to_rows(mu.atoms)
     exact = mu.counts is not None and mu.denominator
+    # each distinct center's distances, taken once for all its radii
+    dists = {}
     worst_int = 0
     worst_float = 0.0
     for center, radius in test_balls:
         center = np.asarray(center, dtype=complex)
-        in_b = T.block_norms(mu.atoms - center) < radius
-        in_pb = T.block_norms(pushed - center) < radius
+        key = center.tobytes()
+        if key not in dists:
+            dists[key] = (T.block_norms(mu.atoms - center), T.block_norms(pushed - center))
+        d_atoms, d_pushed = dists[key]
+        in_b = d_atoms < radius
+        in_pb = d_pushed < radius
         if exact:
             delta = abs(int(mu.counts[in_pb].sum()) - int(mu.counts[in_b].sum()))
             worst_int = max(worst_int, delta)
@@ -220,7 +242,8 @@ class Moments(NamedTuple):
 def moments(mu: EmpiricalMeasure) -> Moments:
     """First moment vector and scalar second moment ``sum_i w_i ||z_i||^2``."""
     exp = mu.weights @ mu.atoms
-    second = float(mu.weights @ (np.abs(mu.atoms) ** 2).sum(axis=1))
+    sq = np.abs(mu.atoms)
+    second = float(mu.weights @ row_sums(np.square(sq, out=sq)))
     return Moments(exp, second)
 
 

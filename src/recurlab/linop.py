@@ -162,7 +162,7 @@ class LinearOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T v, one kernel per entry of ``blocks``: ``np.multiply`` by a
-        diagonal, ``np.dot`` (a gemv) by a dense block.
+        diagonal, ``ndarray.dot`` (a gemv) by a dense block.
 
         Blockwise application keeps a direct sum bitwise consistent with its
         parts applied separately: a whole-matrix gemv rounds differently from
@@ -176,7 +176,7 @@ class LinearOperator:
             if diagonal is not None:
                 np.multiply(v[cols], diagonal, out=out[cols])
             else:
-                np.dot(sub, v[cols], out=out[cols])
+                sub.dot(v[cols], out[cols])
         return out
 
     def apply_to_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -185,7 +185,7 @@ class LinearOperator:
         The kernels of ``blocks`` over all rows at once: a diagonal block
         broadcasts its elementwise multiply, and a dense block runs one
         stacked ``matmul`` over ``(k, b, 1)``, which is bit-equal to the
-        gemv ``M @ r`` row by row. ``einsum`` and a 2-D gemm are not.
+        gemv ``M.dot(r)`` row by row. ``einsum`` and a 2-D gemm are not.
         """
         out = np.empty(rows.shape, dtype=complex)
         for cols, diagonal, sub in self.blocks:
@@ -203,17 +203,35 @@ class LinearOperator:
 
 
 def block_norms(rows: np.ndarray, block_dims: Sequence[int]) -> np.ndarray:
-    """Metric norm of each row: max over blocks of the Euclidean block norm."""
-    rows = np.atleast_2d(rows)
-    sq = np.abs(rows) ** 2
-    if len(block_dims) == 1:
-        return np.sqrt(sq.sum(axis=1))
-    out = np.zeros(rows.shape[0])
-    start = 0
+    """Metric norm of each row: max over blocks of the Euclidean block norm.
+
+    The squared moduli are summed per block by :func:`row_sums`, so each
+    norm is ``sqrt((abs(rows[:, block]) ** 2).sum(axis=1))`` bit for bit.
+    """
+    sq = np.abs(np.atleast_2d(rows)).astype(float, copy=False)
+    np.square(sq, out=sq)
+    out, start = None, 0
     for b in block_dims:
-        np.maximum(out, sq[:, start : start + b].sum(axis=1), out=out)
+        sums = row_sums(sq[:, start : start + b])
+        out = sums if out is None else np.maximum(out, sums, out=out)
         start += b
-    return np.sqrt(out)
+    return np.sqrt(out, out=out)
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a 2-D float array, bit for bit.
+
+    numpy adds a row of fewer than 8 terms left to right and a longer one
+    pairwise, and a reduction over a short row pays numpy's per-row
+    overhead. So a narrow ``a`` is summed one column add at a time over all
+    rows, in the same left-to-right order; a wide one goes to ``sum``.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
 
 
 def _block_diag(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -351,15 +369,30 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def _power_scan(m: np.ndarray) -> tuple[float, float, float]:
     """(sup, mid, end) of ||T^n||_2 over n in [1, POWER_BOUND_HORIZON]; early
-    out on blowup."""
-    p = m.copy()
-    sup = mid = end = float(np.linalg.norm(p, 2))
+    out on blowup.
+
+    The scan stops at the first n >= 2 whose norm is infinite or above
+    ``_NORM_OVERFLOW``. The powers are built first, up to the first one at
+    n >= 2 with an entry above twice that bound in modulus, or a non-finite
+    one: its norm passes the bound, so the scan stops there at the latest.
+    Their norms then come from one stacked SVD, each equal to
+    ``np.linalg.norm(T^n, 2)``.
+    """
+    powers = [m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(powers) < POWER_BOUND_HORIZON:
+            powers.append(m @ powers[-1])
+            if not np.abs(powers[-1]).max() <= 2 * _NORM_OVERFLOW:
+                break
+    # an overflowed power reads as infinite: LAPACK refuses non-finite input
+    overflowed = not np.isfinite(powers[-1]).all()
+    finite = np.stack(powers[:-1] if overflowed else powers)
+    norms = np.linalg.svd(finite, compute_uv=False).max(axis=1).tolist()
+    if overflowed:
+        norms.append(np.inf)
+    sup = mid = end = norms[0]
     half = POWER_BOUND_HORIZON // 2
-    for n in range(2, POWER_BOUND_HORIZON + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = m @ p
-        # an overflowed power reads as infinite: LAPACK refuses non-finite input
-        s = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else np.inf
+    for n, s in enumerate(norms[1:], start=2):
         sup = max(sup, s)
         if n == half:
             mid = s

@@ -13,7 +13,9 @@ from recurlab import (
     CovarianceMatrix,
     DenseMatrix,
     DiagonalUnimodular,
+    DirectSum,
     EmpiricalMeasure,
+    JordanBlock,
     ball_mass,
     best_banach_window,
     conjugation_invariance_check,
@@ -26,7 +28,7 @@ from recurlab import (
     realize,
     support_span_vs_kernel,
 )
-from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct
+from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct, _group_index, _merge
 from recurlab.errors import DimensionError
 from recurlab.natset import FiniteNatSet
 
@@ -51,6 +53,43 @@ def oracle_defect(T, mu, balls):
                 after += w
         worst = max(worst, abs(after - before))
     return worst
+
+
+def per_ball_defect(T, mu, balls):
+    """``invariance_defect`` as it was, with each ball's distances taken
+    afresh; the shared-center path must give the same number exactly."""
+    pushed = T.apply_to_rows(mu.atoms)
+    exact = mu.counts is not None and mu.denominator
+    worst_int, worst_float = 0, 0.0
+    for center, radius in balls:
+        center = np.asarray(center, dtype=complex)
+        in_b = T.block_norms(mu.atoms - center) < radius
+        in_pb = T.block_norms(pushed - center) < radius
+        if exact:
+            delta = abs(int(mu.counts[in_pb].sum()) - int(mu.counts[in_b].sum()))
+            worst_int = max(worst_int, delta)
+        else:
+            delta = abs(float(mu.weights[in_pb].sum()) - float(mu.weights[in_b].sum()))
+            worst_float = max(worst_float, delta)
+    return float(worst_int / mu.denominator) if exact else worst_float
+
+
+def unique_merge(atoms):
+    """``_merge`` as it was, grouping through ``np.unique(keys, axis=0)``."""
+    keys = np.round(np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS)
+    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    counts = np.bincount(inverse)
+    weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
+    w_out = np.zeros(counts.size)
+    np.add.at(w_out, inverse, weights)
+    reps = np.zeros((counts.size, atoms.shape[1]), dtype=complex)
+    np.add.at(reps, inverse, atoms * weights[:, None])
+    reps /= w_out[:, None]
+    return reps, counts
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def quarter_rotation_measure():
@@ -122,6 +161,36 @@ class TestWindowMeasure:
         # one more equal row makes any key set non-distinct
         assert not _all_distinct(np.vstack([keys, keys[-1:]]))
 
+    @pytest.mark.parametrize("kind", ["period_four", "decaying", "signed_zeros"])
+    def test_lexsort_grouping_matches_unique(self, kind):
+        # the merged atoms are sums in the group order np.unique gives, so
+        # any other order would change their bits
+        if kind == "period_four":
+            T = realize(DiagonalUnimodular((0.25, GOLDEN)))
+            atoms = iterate(T, np.array([1.0, 0.0 + 0j]), 20000).points
+        elif kind == "decaying":
+            # J(0.5) beside a quarter turn: the Jordan part decays to an
+            # exact zero, after which the window repeats every 4 steps
+            T = realize(DirectSum((DiagonalUnimodular((0.25,)), JordanBlock(0.5, 2))))
+            atoms = iterate(T, np.array([1.0, -1.0, 1.0 + 0j]), 3000).points
+        else:
+            # groups that hold -0.0 and 0.0 in either column, and rows that
+            # round to a signed zero
+            rng = np.random.default_rng(12)
+            base = np.array([-0.0, 0.0, 1e-13, -1e-13, 0.5, -0.5])
+            atoms = rng.choice(base, size=(500, 2)) + 1j * rng.choice(base, size=(500, 2))
+        reps, counts = _merge(atoms)
+        ref_reps, ref_counts = unique_merge(atoms)
+        assert counts.sum() == atoms.shape[0] and counts.size < atoms.shape[0]
+        assert same_bits(reps, ref_reps) and np.array_equal(counts, ref_counts)
+
+    def test_group_index_numbers_groups_as_unique(self):
+        rng = np.random.default_rng(13)
+        for width in (1, 2, 4):
+            keys = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(400, width))
+            _, inverse = np.unique(keys, axis=0, return_inverse=True)
+            assert np.array_equal(_group_index(keys), inverse.ravel())
+
     def test_golden_ball_mass_approximates_arc(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         orb = iterate(T, np.array([1.0 + 0j]), 10**5)
@@ -186,6 +255,28 @@ class TestInvarianceDefect:
         assert invariance_defect(T, mu, balls) == pytest.approx(
             oracle_defect(T, mu, balls), abs=1e-12
         )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_shared_centers_match_per_ball_loop(self, exact):
+        # a unitary beside J(0.5), as in the benchmark's dense workload;
+        # balls share centers (the same array, and equal copies) and also
+        # have distinct ones
+        rng = np.random.default_rng(37)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        T = realize(DirectSum((DenseMatrix(tuple(map(tuple, u))), JordanBlock(0.5, 2))))
+        x = np.array([1.0, 0.5j, -0.25, 1.0, 1.0 + 0j])
+        orb = iterate(T, x, 3000)
+        mu = empirical_from_window(orb, 100, 2000)
+        if not exact:
+            mu = EmpiricalMeasure(mu.atoms, mu.weights)
+        zero = np.zeros(5, dtype=complex)
+        balls = [(x, eps) for eps in (0.1, 0.5, 1.0, 2.0)]
+        balls += [(x.copy(), 0.75), (zero, 1.5), (zero.copy(), 3.0), (-zero, 2.5)]
+        balls += [(orb.points[int(n)], float(rng.uniform(0.1, 2.0))) for n in rng.integers(0, 3000, 6)]
+        for k in range(1, len(balls) + 1):
+            assert invariance_defect(T, mu, balls[:k]) == per_ball_defect(T, mu, balls[:k])
+        assert invariance_defect(T, mu, balls) > 0
 
     def test_golden_window_small_defect(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))

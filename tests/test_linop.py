@@ -40,7 +40,15 @@ from recurlab.errors import (
     SingularOperatorError,
     SizeCapError,
 )
-from recurlab.linop import DIM_CAP, _block_diag, orth
+from recurlab.linop import (
+    DIM_CAP,
+    POWER_BOUND_HORIZON,
+    _block_diag,
+    _power_scan,
+    block_norms,
+    orth,
+    row_sums,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -470,6 +478,112 @@ class TestScipyFreeHelpers:
             assert same_bits(_block_diag(mats), scipy.linalg.block_diag(*mats))
         mats = [np.eye(2), random_complex(rng, 1, 1)]
         assert same_bits(_block_diag(mats), scipy.linalg.block_diag(*mats).astype(complex))
+
+
+def reference_block_norms(rows, block_dims):
+    """The formula ``block_norms`` had before its row sums were unrolled."""
+    rows = np.atleast_2d(rows)
+    sq = np.abs(rows) ** 2
+    if len(block_dims) == 1:
+        return np.sqrt(sq.sum(axis=1))
+    out = np.zeros(rows.shape[0])
+    start = 0
+    for b in block_dims:
+        np.maximum(out, sq[:, start : start + b].sum(axis=1), out=out)
+        start += b
+    return np.sqrt(out)
+
+
+def reference_power_scan(m):
+    """The one-norm-per-power loop that ``_power_scan`` batches."""
+    p = m.copy()
+    sup = mid = end = float(np.linalg.norm(p, 2))
+    half = POWER_BOUND_HORIZON // 2
+    for n in range(2, POWER_BOUND_HORIZON + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = m @ p
+        s = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else np.inf
+        sup = max(sup, s)
+        if n == half:
+            mid = s
+        end = s
+        if not np.isfinite(s) or s > 1e9:
+            return sup, max(mid, s), s
+    return sup, mid, end
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(random_complex(rng, d, d))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestBitEqualRewrites:
+    """Faster forms of numpy reductions against the forms they replace,
+    bit for bit: every payload reads distances through ``block_norms``, and
+    the power scan's norms are gated and reported."""
+
+    @staticmethod
+    def special_rows(rng, k, width):
+        rows = random_complex(rng, k, width) * 10.0 ** rng.integers(-150, 150, size=(k, width))
+        pick = rng.random((k, width))
+        rows[pick < 0.03] = np.inf
+        rows[(pick >= 0.03) & (pick < 0.05)] = complex(np.nan, 1.0)
+        rows[(pick >= 0.05) & (pick < 0.1)] = complex(-0.0, -0.0)
+        rows[rng.random(k) < 0.05] = 0.0
+        return rows
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_row_sums_equal_numpy_sum(self, b):
+        # numpy adds fewer than 8 terms left to right and more pairwise
+        rng = np.random.default_rng(b)
+        wide = np.abs(random_complex(rng, 500, b + 5)) ** 2
+        for a in (np.ascontiguousarray(wide[:, 3 : b + 3]), wide[:, 3 : b + 3]):
+            assert same_bits(row_sums(a), a.sum(axis=1))
+
+    @pytest.mark.parametrize("b", range(1, 17))
+    def test_single_block_norms(self, b):
+        rng = np.random.default_rng(200 + b)
+        wide = self.special_rows(rng, 400, b + 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in (np.ascontiguousarray(wide[:, 1 : b + 1]), wide[:, 1 : b + 1]):
+                assert same_bits(block_norms(rows, (b,)), reference_block_norms(rows, (b,)))
+
+    def test_mixed_block_norms(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            dims = tuple(int(b) for b in rng.integers(1, 17, size=rng.integers(2, 5)))
+            d = sum(dims)
+            wide = self.special_rows(rng, 300, d + 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for rows in (np.ascontiguousarray(wide[:, 2 : d + 2]), wide[:, 2 : d + 2]):
+                    assert same_bits(block_norms(rows, dims), reference_block_norms(rows, dims))
+
+    def test_block_norms_of_one_row_and_zero_rows(self):
+        v = np.array([3.0, 4.0, -0.0, 12.0], dtype=complex)
+        for dims in [(4,), (2, 2), (2, 1, 1), (1, 3)]:
+            assert same_bits(block_norms(v, dims), reference_block_norms(v, dims))
+            zero = np.zeros((5, 4), dtype=complex)
+            assert same_bits(block_norms(zero, dims), np.zeros(5))
+        # real and integer rows give float norms, as before
+        assert same_bits(block_norms(np.array([[3, 4]]), (2,)), np.array([5.0]))
+
+    def test_power_scan_matches_the_loop(self):
+        rng = np.random.default_rng(41)
+        mats = []
+        for d in range(1, 7):
+            u = haar_unitary(rng, d)
+            # norms that stay bounded, pass 1e9 before, after and at the
+            # half horizon, start above it, and overflow at n = 2
+            mats += [u, 0.5 * u, 1.01 * u, 1.2 * u, 1.1 * u, 2.0 ** (30 / 128) * u]
+            mats += [3.0 * u, 1e3 * u, 1e100 * u, 1e200 * u]
+            mats.append(random_complex(rng, d, d))
+            for lam in (1.0, 1j, 0.5, 0.99, 1.01, -1.5):
+                mats.append(realize(JordanBlock(lam, d)).matrix)
+            mats.append(realize(WeightedBackwardShiftTruncation((2.0,) * d, d)).matrix)
+            mats.append(np.zeros((d, d), dtype=complex))
+        mats.append(realize(Scale(1e200, JordanBlock(1.0, 2))).matrix)
+        for m in mats:
+            assert same_bits(np.array(_power_scan(m)), np.array(reference_power_scan(m)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,15 @@ def bitwise_equal(a, b):
 
 
 def count_kernel_calls(monkeypatch, calls):
-    """Append the kernel operand of every ``np.multiply`` and ``np.dot``
-    call the orbit module makes to ``calls``: one per pass and row stepped.
-    That is a multiply's second operand, the pass's diagonal, and a dot's
-    first, the dense block's matrix."""
+    """Append the kernel operand of every ``np.multiply`` and
+    ``np.ndarray.dot`` call the orbit module makes to ``calls``: one per
+    pass and row stepped. That is a multiply's second operand, the pass's
+    diagonal, and a dot's first, the dense block's matrix."""
     fake_np = types.SimpleNamespace(**vars(np))
     fake_np.multiply = lambda a, b, **kw: calls.append(b) or np.multiply(a, b, **kw)
-    fake_np.dot = lambda a, b, **kw: calls.append(a) or np.dot(a, b, **kw)
+    fake_np.ndarray = types.SimpleNamespace(
+        dot=lambda a, b, out: calls.append(a) or np.ndarray.dot(a, b, out)
+    )
     monkeypatch.setattr(recurlab.orbit, "np", fake_np)
 
 
@@ -244,6 +246,21 @@ class TestIterateMany:
             JordanBlock(0.5, 6),
         ]
         self.check_lanes(specs, 3000)
+
+    @pytest.mark.parametrize("d", [2, 4, 7, 16])
+    def test_dense_pass_equals_np_dot_loop(self, d):
+        # the dense kernel calls ndarray.dot, np.dot's gemv without its
+        # dispatcher; every recorded payload came from the np.dot loop
+        rng = np.random.default_rng(50 + d)
+        for spec in (random_dense(rng, d), JordanBlock(0.5, d)):
+            T = realize(spec)
+            x = rng.normal(size=d) + 1j * rng.normal(size=d)
+            ref = np.empty((2001, d), dtype=complex)
+            ref[0] = x
+            for n in range(2000):
+                np.dot(T.matrix, ref[n], out=ref[n + 1])
+            assert bitwise_equal(iterate(T, x, 2000).points, ref)
+            assert bitwise_equal(T.apply(x), ref[1])
 
     def test_mixed_diagonal_and_dense_lanes(self):
         rng = np.random.default_rng(3)
