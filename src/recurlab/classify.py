@@ -552,9 +552,11 @@ def inverse_recurrence_check(
     epsilons = [rec.epsilon for rec in forward.records]
     if epsilons != [rec.epsilon for rec in backward.records]:
         raise ValueError("forward and backward reports cover different epsilons")
+    # the return times straight from the distances, one radius at a time
     identical = all(
         np.array_equal(
-            return_set(forward.orbit, eps).array, return_set(backward.orbit, eps).array
+            np.flatnonzero(forward.orbit.dists < eps),
+            np.flatnonzero(backward.orbit.dists < eps),
         )
         for eps in epsilons
     )

@@ -287,6 +287,12 @@ def _json_safe(value):
     return value
 
 
+# The checks that read orbit points: window measures (birkhoff, measure)
+# through ``empirical_from_window``, the parts of a sum (product) through
+# ``part_orbits``. Every other check reads the orbits' distances only.
+_READS_POINTS = frozenset(("birkhoff", "measure", "product"))
+
+
 @dataclass
 class _VectorRun:
     """One vector of an experiment with its orbits and forward classification.
@@ -309,9 +315,11 @@ class _VectorRun:
     @cached_property
     def orbits(self):
         """The forward orbit, and the backward one under ``T_inv`` when
-        there is one, stepped in one loop."""
+        there is one, stepped in one loop; with their points only when a
+        check of the experiment reads them."""
         ops = (self.T,) if self.T_inv is None else (self.T, self.T_inv)
-        return iterate_many(ops, self.v, self.exp.horizon)
+        points = not _READS_POINTS.isdisjoint(self.exp.checks)
+        return iterate_many(ops, self.v, self.exp.horizon, points)
 
     @property
     def orbit(self):

@@ -163,9 +163,13 @@ def empirical_from_window(
     """Uniform measure on the orbit points ``T^n x`` for ``n in [start, start+window_len]``.
 
     Atoms closer than the merge tolerance collapse with summed weights, so
-    exactly periodic orbits produce one atom per cycle point.
+    exactly periodic orbits produce one atom per cycle point. The orbit
+    must have kept its points.
     """
     N = window_len
+    if orbit.points is None:
+        raise ValueError("a window measure reads orbit points, and this orbit "
+                         "was iterated with points=False")
     if start < 0 or N < 0:
         raise ValueError("start and window_len must be >= 0")
     if start + N > orbit.horizon_effective:

@@ -1,26 +1,36 @@
 """Orbit segments, return sets, and boundedness verdicts.
 
-An orbit segment records ``x, Tx, ..., T^H x`` together with the metric norms
-of the points and their metric distances to ``x``. Iteration advances strictly
-one application at a time, each row of the orbit buffer computed from the row
-before it by the kernels of ``LinearOperator.blocks``, so that ``points[n+1]``
-equals ``T.apply(points[n])`` bit for bit; window measures built from orbits
-rely on this.
+An orbit segment records the metric norms of ``x, Tx, ..., T^H x`` and their
+metric distances to ``x``, and, when the caller asks for them, the points.
+Every return set is read from the distances; only the window measures and
+the parts of a direct sum read the points. Iteration advances strictly one
+application at a time, each row computed from the row before it by the
+kernels of ``LinearOperator.blocks``, so that ``points[n+1]`` equals
+``T.apply(points[n])`` bit for bit; window measures built from orbits rely
+on this.
 
-:func:`iterate_many` steps the orbit buffer in *passes*: a pass is one
-contiguous column range with one kernel, ``np.multiply`` by a diagonal or
-``ndarray.dot`` by a dense block, and it writes each row in place from the
-row before it, with no temporaries. ``ndarray.dot`` is the gemv of
+:func:`iterate_many` steps a reused buffer of 4096 rows (``_FILL``) in
+*passes*: a pass is one contiguous column range with one kernel,
+``np.multiply`` by a diagonal or ``ndarray.dot`` by a dense block, and it
+writes each row in place from the row before it, with no temporaries.
+Adjacent diagonal ranges, across blocks and across lanes, merge into one
+pass. A pass whose row repeats bit for bit has reached a fixed point of its
+deterministic kernel and retires, as a dissipative block that decays to an
+exact zero does. Per step, each pass costs one kernel call, made by ``map``
+over row views built once per call; ``ndarray.dot`` is the gemv of
 ``np.dot`` without its ``__array_function__`` dispatch, which takes about
-0.2 of the 0.6 µs of a 4x4 ``np.dot`` call (2-vCPU host). Adjacent diagonal
-ranges, across blocks and across lanes, merge into one pass. A pass whose row repeats bit for bit has
-reached a fixed point of its deterministic kernel and retires, as a
-dissipative block that decays to an exact zero does.
+0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. Norms and distances are taken
+once per fill, in whole-array calls, and cost two floats per step and lane;
+the points, 16 bytes per coordinate and step, are copied out of the buffer
+only for a caller that asks for them. A step costs about 0.4-0.5 µs on a
+2-vCPU host (:func:`iterate_many`).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,20 +51,23 @@ __all__ = [
 
 OVERFLOW_CAP = 1e12
 _CHUNK = 256  # rows a pass steps between the overflow and fixed-point checks
+_FILL = 16 * _CHUNK  # rows of the step buffer between two recordings
 
 
 @dataclass(frozen=True)
 class OrbitSegment:
-    """Points ``T^n x`` for ``n = 0..horizon_effective`` with their metric norms.
+    """Metric norms of ``T^n x`` for ``n = 0..horizon_effective``, and the
+    points themselves when they were kept.
 
-    ``dists[n]`` is the metric distance from ``points[n]`` to ``base``; every
-    return set of the segment is read from it. ``overflow`` marks an early
+    ``dists[n]`` is the metric distance from ``T^n x`` to ``base``; every
+    return set of the segment is read from it. ``points`` is None when the
+    segment was iterated with ``points=False``. ``overflow`` marks an early
     stop: some iterate's norm passed the overflow cap and the segment was
     truncated at the last admissible point.
     """
 
     base: np.ndarray
-    points: np.ndarray
+    points: np.ndarray | None
     norms: np.ndarray
     dists: np.ndarray
     block_dims: tuple[int, ...]
@@ -64,15 +77,17 @@ class OrbitSegment:
 
     def __post_init__(self):
         for arr in (self.base, self.points, self.norms, self.dists):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.base.shape[0]
 
 
 def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
-    """Record the orbit segment of x under T up to the horizon.
+    """Record the orbit segment of x under T up to the horizon, with its
+    points.
 
     The one-lane call of :func:`iterate_many`.
     """
@@ -80,30 +95,37 @@ def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
 
 
 def iterate_many(
-    ops: Sequence[LinearOperator], x: np.ndarray, horizon: int
+    ops: Sequence[LinearOperator], x: np.ndarray, horizon: int, points: bool = True
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
-    The K orbits are lanes side by side in one ``(horizon + 1, K * d)``
-    buffer, and each segment's points are a column view of it. The buffer
-    is stepped in passes (module docstring), chunk by chunk of 256 rows,
-    one row per kernel call, and every lane equals its own
-    ``z = T.apply(z)`` loop bit for bit. A call costs about 0.8-1.1 µs per
-    step for one diagonal pass, about 0.2 µs more per further diagonal
-    lane (mostly its norms and distances), and 1.2-1.6 µs for a 4x4 dense
-    block through ``np.dot``, about 0.15 µs less through ``ndarray.dot``,
-    against 1.5, 1.7 and 2.9 µs for the per-step ``apply`` loop it replaced
-    (2-vCPU host).
+    The K orbits are lanes side by side in one step buffer of ``_FILL + 1``
+    rows and ``K * d`` columns, stepped in passes (module docstring), chunk
+    by chunk of 256 rows. Every lane equals its own ``z = T.apply(z)`` loop
+    bit for bit. After each fill of the buffer, each lane's norms and
+    distances are computed from its rows by ``block_norms``, row by row the
+    same bits as over the whole orbit at once, and the last row is carried
+    to the top of the buffer for the next fill. A segment keeps its points
+    only with ``points=True``: the rows are then copied into one
+    ``(horizon + 1, K * d)`` array, and each segment's points are a column
+    view of it. Without points a lane holds two floats per step, against
+    ``16 d + 16`` bytes with them.
+
+    A call costs about 0.4-0.5 µs per step for one diagonal pass, with
+    or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
+    block, with or without points (2-vCPU host, best of 9 calls at
+    H = 2e5).
 
     Two checks run at the end of each chunk. A lane stops once some block
     of its last point has passed ``OVERFLOW_CAP``, and each segment is cut
     at its first point past it; the lanes' norms are taken only when some
     entry of the chunk's last row is non-finite or large. A pass whose last
     row equals the row before it bitwise (``-0.0`` and ``0.0`` differ) has
-    reached a fixed point: it fills its later rows with that row and
-    retires. The loop ends when no pass is left with a live lane. When some lane stopped early,
-    the others are copied out of the buffer, so no segment keeps the wider
-    buffer alive.
+    reached a fixed point: it retires, and its buffer columns hold that row
+    in every later row of this fill and of each later fill. The loop
+    ends when no pass is left with a live lane, and the rows after it
+    repeat the last one. When some lane stopped early, the others' points
+    are copied out of the shared array, so no segment keeps it alive.
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
@@ -114,39 +136,62 @@ def iterate_many(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     d, K = x.size, len(ops)
-    cols = [slice(k * d, (k + 1) * d) for k in range(K)]
-    pts = np.empty((horizon + 1, K * d), dtype=complex)
-    pts[0] = np.tile(x, K)
-    passes = _passes(ops, d)
-    stops = [horizon + 1] * K  # rows each lane keeps
-    live = set(range(K))
+    buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
+    buf[0] = np.tile(x, K)
+    pts = np.empty((horizon + 1, K * d), dtype=complex) if points else None
+    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon) for k, T in enumerate(ops)]
+
+    def record(rows: np.ndarray, lo: int) -> None:
+        # rows holds orbit rows lo, lo + 1, ...
+        for lane in lanes:
+            lane.record(rows, lo)
+        if pts is not None:
+            pts[lo : lo + rows.shape[0]] = rows
+
+    record(buf[:1], 0)
+    if any(lane.end == 0 for lane in lanes):
+        raise ValueError("base point already exceeds the overflow cap")
+    # each pass with the views of its columns in every buffer row
+    passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])]) for p in _passes(ops, d)]
+    live, retired = set(range(K)), []
+    lo = b = 0  # buf[0] holds orbit row lo; rows 1..b are stepped, not recorded
     # an orbit may overflow to inf before the chunk-end check sees it; the
     # truncation handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, horizon, _CHUNK):
-            last = min(first + _CHUNK, horizon)
-            for p in passes:
-                _step(p, pts[first : last + 1, p.cols])
-            if not _below_cap(pts[last], d):
-                for k in [k for k in live if _escaped(ops[k], pts[last, cols[k]])]:
-                    stops[k] = last + 1
-                    live.remove(k)
+            if first - lo == _FILL:
+                record(buf[1:], lo + 1)
+                buf[0] = buf[_FILL]
+                for cols in retired:  # rows stepped before it retired
+                    buf[1:, cols] = buf[0, cols]
+                lo = first
+            a, b = first - lo, min(first + _CHUNK, horizon) - lo
+            for p, rows in passes:
+                _step(p, rows[a:b], rows[a + 1 : b + 1])
+            if not _below_cap(buf[b], d):
+                live -= {k for k in live if _escaped(ops[k], buf[b, lanes[k].cols])}
             kept = []
-            for p in passes:
-                if _repeats(pts[last - 1 : last + 1, p.cols]):
-                    pts[last + 1 :, p.cols] = pts[last, p.cols]
+            for p, rows in passes:
+                if _repeats(buf[b - 1 : b + 1, p.cols]):
+                    buf[b + 1 :, p.cols] = buf[b, p.cols]
+                    retired.append(p.cols)
                 elif live.intersection(range(p.cols.start // d, (p.cols.stop - 1) // d + 1)):
-                    kept.append(p)  # some lane it covers is live
+                    kept.append((p, rows))  # some lane it covers is live
             passes = kept
             if not passes:
                 break
-    segments = [
-        _segment(pts[: stops[k], cols[k]], x, T.block_dims, horizon)
-        for k, T in enumerate(ops)
-    ]
-    if K > 1 and any(s.overflow for s in segments):
+        record(buf[1 : b + 1], lo + 1)
+    last = lo + b  # the last orbit row stepped; every later row repeats it
+    for lane in lanes:
+        if lane.end > last + 1:
+            lane.norms[last + 1 :] = lane.norms[last]
+            lane.dists[last + 1 :] = lane.dists[last]
+    if pts is not None:
+        pts[last + 1 :] = pts[last]
+    segments = [lane.segment(pts, horizon) for lane in lanes]
+    if K > 1 and pts is not None and any(s.overflow for s in segments):
         # an overflowed segment is a truncated copy; a full one would
-        # otherwise hold the whole K-lane buffer
+        # otherwise hold the whole K-lane array
         segments = [
             s if s.overflow else replace(s, points=s.points.copy())
             for s in segments
@@ -154,20 +199,59 @@ def iterate_many(
     return segments
 
 
-def _step(p: KernelBlock, rows: np.ndarray) -> None:
-    """Fill ``rows[1:]`` of the pass ``p`` in place, each row from the row
-    before it."""
-    prev = rows[0]
+class _Lane:
+    """One operator's columns of the step buffer, and the norms and
+    distances recorded from them up to the first point past
+    ``OVERFLOW_CAP``."""
+
+    def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int):
+        self.block_dims, self.cols, self.x = T.block_dims, cols, x
+        self.norms = np.empty(horizon + 1)
+        self.dists = np.empty(horizon + 1)
+        self.end = horizon + 1  # rows the segment keeps
+
+    def record(self, rows: np.ndarray, lo: int) -> None:
+        hi = min(lo + rows.shape[0], self.end)
+        if hi <= lo:
+            return
+        norms, dists = _norms_and_dists(rows[: hi - lo, self.cols], self.x, self.block_dims)
+        self.norms[lo:hi], self.dists[lo:hi] = norms, dists
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms > OVERFLOW_CAP))
+        if bad.size:
+            self.end = lo + int(bad[0])
+
+    def segment(self, pts: np.ndarray | None, horizon: int) -> OrbitSegment:
+        end, overflow = self.end, self.end <= horizon
+        points = None if pts is None else pts[:end, self.cols]
+        norms, dists = self.norms, self.dists
+        if overflow:  # truncated copies, which free the full arrays
+            points = None if points is None else points.copy()
+            norms, dists = norms[:end].copy(), dists[:end].copy()
+        return OrbitSegment(
+            base=self.x.copy(),
+            points=points,
+            norms=norms,
+            dists=dists,
+            block_dims=self.block_dims,
+            horizon_requested=horizon,
+            horizon_effective=end - 1,
+            overflow=overflow,
+        )
+
+
+def _norms_and_dists(rows: np.ndarray, base: np.ndarray, block_dims) -> tuple:
+    """The metric norms of ``rows`` and their metric distances to ``base``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return block_norms(rows, block_dims), block_norms(rows - base, block_dims)
+
+
+def _step(p: KernelBlock, prevs: list, rows: list) -> None:
+    """Fill each view of ``rows`` in place from the view of ``prevs``
+    before it, which is the row before it in the buffer."""
     if p.diagonal is not None:
-        multiply, diagonal = np.multiply, p.diagonal
-        for row in rows[1:]:
-            multiply(prev, diagonal, out=row)
-            prev = row
+        deque(map(np.multiply, prevs, repeat(p.diagonal), rows), 0)
     else:
-        dot, matrix = np.ndarray.dot, p.matrix
-        for row in rows[1:]:
-            dot(matrix, prev, row)
-            prev = row
+        deque(map(np.ndarray.dot, repeat(p.matrix), prevs, rows), 0)
 
 
 def _passes(ops: Sequence[LinearOperator], d: int) -> list[KernelBlock]:
@@ -208,33 +292,6 @@ def _escaped(T: LinearOperator, z: np.ndarray) -> bool:
     return not np.all(np.isfinite(z)) or T.norm_of(z) > OVERFLOW_CAP
 
 
-def _segment(
-    points: np.ndarray, base: np.ndarray, block_dims: tuple[int, ...], horizon: int
-) -> OrbitSegment:
-    """The segment of ``points`` (``T^n base`` from n = 0) up to its first
-    point past ``OVERFLOW_CAP``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = block_norms(points, block_dims)
-    bad = np.nonzero(~np.isfinite(norms) | (norms > OVERFLOW_CAP))[0]
-    overflow = bad.size > 0
-    h_eff = int(bad[0]) - 1 if overflow else points.shape[0] - 1
-    if h_eff < 0:
-        raise ValueError("base point already exceeds the overflow cap")
-    if h_eff + 1 < points.shape[0]:
-        points = points[: h_eff + 1].copy()
-        norms = norms[: h_eff + 1].copy()
-    return OrbitSegment(
-        base=base.copy(),
-        points=points,
-        norms=norms,
-        dists=block_norms(points - base, block_dims),
-        block_dims=block_dims,
-        horizon_requested=horizon,
-        horizon_effective=h_eff,
-        overflow=overflow,
-    )
-
-
 def part_orbits(
     orbit: OrbitSegment, parts: Sequence[LinearOperator]
 ) -> list[OrbitSegment]:
@@ -245,7 +302,11 @@ def part_orbits(
     its own norms and distances under its own block metric. The sum's orbit
     stops at the first part to pass the overflow cap while the other parts'
     orbits run on, so after an overflow each part is iterated on its own.
+    The sum's orbit must have kept its points.
     """
+    if orbit.points is None:
+        raise ValueError("part_orbits reads the points of the sum's orbit, "
+                         "which was iterated with points=False")
     dims = [P.dim for P in parts]
     if sum(dims) != orbit.dim:
         raise DimensionError(f"part dims {dims} do not add up to {orbit.dim}")
@@ -255,8 +316,12 @@ def part_orbits(
         if orbit.overflow:
             out.append(iterate(P, base, orbit.horizon_requested))
         else:
+            # a part's block norms are at most the sum's, so no part of a
+            # full orbit passes the cap
             points = orbit.points[:, start : start + P.dim]
-            out.append(_segment(points, base, P.block_dims, orbit.horizon_requested))
+            norms, dists = _norms_and_dists(points, base, P.block_dims)
+            out.append(replace(orbit, base=base.copy(), points=points, norms=norms,
+                               dists=dists, block_dims=P.block_dims))
         start += P.dim
     return out
 

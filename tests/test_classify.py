@@ -34,6 +34,7 @@ from recurlab import (
     lower_density,
     product_recurrence_check,
     realize,
+    return_set,
     syndetic_gap,
     unimodular_return_set,
     upper_banach_density,
@@ -508,6 +509,21 @@ class TestInverseRecurrence:
         assert len(rep.forward.records[0].flags) == 5
         assert all(rep.forward.vector_flags.values())
         assert all(rep.backward.vector_flags.values())
+
+    def test_return_times_compared_across_different_horizons(self):
+        # diag(2, 1/2) and its exact inverse, from (0.01, 0.02), pass the
+        # overflow cap at different steps; the check compares the return
+        # times alone, as the return sets' elements do
+        T = realize(DenseMatrix(((2.0, 0.0), (0.0, 0.5))))
+        x = np.array([0.01, 0.02], dtype=complex)
+        for eps, identical in [(0.025, True), (0.05, False)]:
+            rep = inverse_check(T, x, [eps], 10_000)
+            orbits = rep.forward.orbit, rep.backward.orbit
+            assert all(o.overflow for o in orbits)
+            assert orbits[0].horizon_effective != orbits[1].horizon_effective
+            elements = [return_set(o, eps).elements for o in orbits]
+            assert rep.return_sets_identical is identical
+            assert identical == (elements[0] == elements[1])
 
     def test_reports_must_cover_the_same_epsilons(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))

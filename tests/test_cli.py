@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +756,70 @@ class TestAllChecksRun:
         for payload in checks.values():
             assert "result" in payload
         assert "result" in doc.experiments["sum"]["checks"]["product"]
+
+
+class TestPointsOnlyForTheirReaders:
+    """The runner keeps orbit points only for the checks that read them."""
+
+    # a sum of two rotations: every per-vector check applies to it
+    SUM = {
+        "type": "direct_sum",
+        "parts": [
+            {"type": "diagonal_unimodular", "angles_turns": [0.25]},
+            {"type": "diagonal_unimodular", "angles_turns": [GOLDEN]},
+        ],
+    }
+    CHECKS = sorted(set(recurlab.cli._PER_VECTOR) - {"summary"})
+
+    def run_alone(self, tmp_path, check):
+        obj = base_config()
+        obj["experiments"][0].update(operator=self.SUM, checks=[check])
+        exp = run_config(load_config(write_config(tmp_path, obj))).experiments["quarter"]
+        assert "error" not in exp["summary"]
+        return exp["checks"][check]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_each_check_runs_alone(self, tmp_path, monkeypatch, check):
+        kept = []
+        iterate_many = recurlab.cli.iterate_many
+
+        def spy(ops, x, horizon, points):
+            kept.append(points)
+            return iterate_many(ops, x, horizon, points)
+
+        monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
+        entry = self.run_alone(tmp_path, check)
+        assert "error" not in entry and "result" in entry
+        assert kept == [check in ("birkhoff", "measure", "product")]
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_only_the_point_readers_need_points(self, tmp_path, monkeypatch, check):
+        monkeypatch.setattr(recurlab.cli, "_READS_POINTS", frozenset())
+        entry = self.run_alone(tmp_path, check)
+        if check in ("birkhoff", "measure", "product"):
+            assert "points=False" in entry["error"]
+        else:
+            assert "error" not in entry
+
+    def test_classify_only_run_keeps_no_points(self, tmp_path):
+        # one rotation at H = 10^6: its norms and distances take 16 MB;
+        # with the points and the whole-orbit distance temporaries the
+        # peak was 53 MB
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={"type": "diagonal_unimodular", "angles_turns": [GOLDEN]},
+            epsilons=[0.5, 0.25],
+            horizon=10**6,
+        )
+        config = load_config(write_config(tmp_path, obj))
+        tracemalloc.start()
+        try:
+            doc = run_config(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not document_has_failures(doc)
+        assert peak < 40 * 2**20
 
 
 # A config that loads, with every operator kind, vector kind and field.

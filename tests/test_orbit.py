@@ -7,8 +7,10 @@ engine's lanes are compared with plain ``z = T.apply(z)`` loops through their
 bits, since ``np.array_equal`` takes ``-0.0`` for ``0.0``.
 """
 
+import cmath
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +32,10 @@ from recurlab import (
     return_set,
     syndetic_gap,
 )
+from recurlab.empmeasure import empirical_from_window
 from recurlab.errors import DimensionError
-from recurlab.orbit import iterate_many, part_orbits
+from recurlab.linop import block_norms
+from recurlab.orbit import _FILL, _norms_and_dists, iterate_many, part_orbits
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWAP_SPEC = DenseMatrix(((0.0, 1.0), (1.0, 0.0)))
@@ -50,7 +54,7 @@ def count_kernel_calls(monkeypatch, calls):
     pass and row stepped. That is a multiply's second operand, the pass's
     diagonal, and a dot's first, the dense block's matrix."""
     fake_np = types.SimpleNamespace(**vars(np))
-    fake_np.multiply = lambda a, b, **kw: calls.append(b) or np.multiply(a, b, **kw)
+    fake_np.multiply = lambda a, b, *out: calls.append(b) or np.multiply(a, b, *out)
     fake_np.ndarray = types.SimpleNamespace(
         dot=lambda a, b, out: calls.append(a) or np.ndarray.dot(a, b, out)
     )
@@ -445,6 +449,120 @@ class TestIterateMany:
         with pytest.raises(DimensionError):
             iterate_many([T, realize(SWAP_SPEC)], np.array([1.0 + 0j]), 5)
 
+    @pytest.mark.parametrize("kind", ["jordan", "shift"])
+    @pytest.mark.parametrize("beside", ["block", "lane"])
+    def test_pass_retired_in_the_first_fill_holds_over_later_fills(self, kind, beside):
+        # The decaying pass reaches its fixed point early in the first fill
+        # of the step buffer, while a unitary pass beside it, in the same
+        # sum or in another lane, keeps the loop going for several fills.
+        # The retired columns must hold the fixed point in every row of
+        # each later fill, including the rows above its retirement point.
+        rng = np.random.default_rng(9)
+        spec, d = {
+            "jordan": (JordanBlock(0.5, 2), 2),
+            "shift": (WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4), 4),
+        }[kind]
+        specs = {
+            "block": [DirectSum((random_dense(rng, 2), spec))],
+            "lane": [spec, DiagonalUnimodular(tuple(rng.uniform(size=d)))],
+        }[beside]
+        lanes = self.check_lanes(specs, 3 * _FILL + 100)
+        points = lanes[0].points[:, -d:]
+        fixed = first_repeat(points)
+        assert fixed is not None and fixed < _FILL
+        assert not points[fixed:].any()
+        assert all(not lane.overflow for lane in lanes)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_lane_overflowing_in_a_later_fill(self, kind):
+        # 1.002^n passes the 1e12 cap near n = 13 830, in the fourth fill
+        rng = np.random.default_rng(10)
+        growing = {
+            "diagonal": Scale(1.002, DiagonalUnimodular((0.25, GOLDEN))),
+            "dense": Scale(1.002, random_dense(rng, 2)),
+        }[kind]
+        grown, bounded = self.check_lanes(
+            [growing, DiagonalUnimodular((GOLDEN, 0.3))], 5 * _FILL, np.array([1.0, 0.0j])
+        )
+        assert grown.overflow and 3 * _FILL < grown.horizon_effective < 4 * _FILL
+        assert not bounded.overflow and bounded.horizon_effective == 5 * _FILL
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_norms_and_dists_over_fills_equal_whole_orbit(self, d):
+        # block widths 1..16 cross row_sums' switch from column adds to
+        # numpy's pairwise sum at 8 columns; two lanes make the per-fill
+        # rows strided column views of the step buffer
+        rng = np.random.default_rng(60 + d)
+        U = random_dense(rng, d)
+        ops = [realize(U), realize(Inverse(U))]
+        x = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for orb, T in zip(iterate_many(ops, x, 2 * _FILL + 7), ops):
+            assert np.array_equal(orb.norms.view(np.uint64),
+                                  block_norms(orb.points, T.block_dims).view(np.uint64))
+            assert np.array_equal(orb.dists.view(np.uint64),
+                                  block_norms(orb.points - x, T.block_dims).view(np.uint64))
+
+    def test_norms_and_dists_over_fills_with_mixed_blocks_and_special_rows(self):
+        # the per-fill arithmetic on fill-sized row ranges of a three-lane
+        # buffer equals one pass over the whole columns, on mixed block
+        # dims and on rows holding inf, nan, -0.0, zeros and entries whose
+        # squares overflow
+        rng = np.random.default_rng(61)
+        for dims in [(1, 2), (3, 8), (9, 2, 1), (4, 4, 8), (16,), (7, 9)]:
+            d, n = sum(dims), 3 * _FILL + 11
+            buf = rng.normal(size=(n, 3 * d)) + 1j * rng.normal(size=(n, 3 * d))
+            buf[5, 0] = complex(np.inf, 1.0)
+            buf[7, d - 1] = complex(0.0, np.nan)
+            buf[9] = complex(-0.0, -0.0)
+            buf[11] = 0.0
+            buf[13, 1] = 1e200
+            base = buf[0, d : 2 * d].copy()
+            rows = buf[:, d : 2 * d]
+            with np.errstate(over="ignore", invalid="ignore"):
+                whole = (block_norms(rows, dims), block_norms(rows - base, dims))
+            pieces = [_norms_and_dists(rows[i : i + _FILL], base, dims)
+                      for i in range(0, n, _FILL)]
+            for k in (0, 1):
+                got = np.concatenate([piece[k] for piece in pieces])
+                assert np.array_equal(got.view(np.uint64), whole[k].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "kind", ["rotation_pair", "dense_jordan", "overflow", "retiring_shift", "zero_signs"]
+    )
+    def test_segment_without_points_matches_its_twin(self, kind):
+        rng = np.random.default_rng(11)
+        rotation = DiagonalUnimodular((0.1, GOLDEN))
+        specs, x = {
+            "rotation_pair": ([rotation, Inverse(rotation)], None),
+            "dense_jordan": ([DirectSum((random_dense(rng, 4), JordanBlock(0.5, 2)))], None),
+            "overflow": ([Scale(1.002, DiagonalUnimodular((0.25, GOLDEN))), rotation],
+                         np.array([1.0, 0.0j])),
+            "retiring_shift": ([WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4)], None),
+            "zero_signs": ([DenseMatrix(((-1.0,),))], np.zeros(1, dtype=complex)),
+        }[kind]
+        ops = [realize(s) for s in specs]
+        if x is None:
+            x = rng.normal(size=ops[0].dim) + 1j * rng.normal(size=ops[0].dim)
+        horizon = 4 * _FILL + 3
+        with_points = iterate_many(ops, x, horizon)
+        without = iterate_many(ops, x, horizon, points=False)
+        for a, b in zip(with_points, without):
+            assert b.points is None and a.points is not None
+            assert bitwise_equal(a.base, b.base) and b.dim == a.dim
+            assert np.array_equal(a.norms.view(np.uint64), b.norms.view(np.uint64))
+            assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
+            assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
+            assert not b.norms.flags.writeable and not b.dists.flags.writeable
+
+    def test_readers_of_points_refuse_a_segment_without_them(self):
+        parts = [realize(DiagonalUnimodular((0.25,))), realize(SWAP_SPEC)]
+        x = np.array([1.0, 2.0j, 3.0])
+        orbit = iterate_many((direct_sum(parts),), x, 100, points=False)[0]
+        with pytest.raises(ValueError, match="points=False"):
+            empirical_from_window(orbit, 0, 10)
+        with pytest.raises(ValueError, match="points=False"):
+            part_orbits(orbit, parts)
+
 
 class TestPartOrbits:
     def test_parts_are_views_with_their_own_metric(self):
@@ -549,6 +667,75 @@ class TestThreeGapOracle:
         if len(gaps) == 3:
             assert gaps[2] == gaps[0] + gaps[1]
         assert syndetic_gap(R) == gaps[-1]
+
+
+def oracle_rotation_dists(blocks, horizon):
+    """Distances from ``T^n x`` to x, n = 0..horizon, for a direct sum of
+    diagonal rotations, with the standard library alone.
+
+    ``blocks`` holds one ``(angles_turns, x)`` pair per block. Each phase
+    ``n * theta mod 1`` is reduced exactly on the integers of
+    ``Fraction(theta)`` and rounded once, then ``cmath.exp`` gives the
+    rotation: ``|lambda^n x_j - x_j| = |x_j| |e^(2 pi i n theta) - 1|``.
+    Blocks combine by the max of their Euclidean norms. Nothing here
+    shares arithmetic with ``iterate``, which multiplies by the rounded
+    ``exp(2 pi i theta)`` once per step.
+    """
+    turn = 2j * math.pi
+    block_squares = []
+    for angles, xs in blocks:
+        squares = [0.0] * (horizon + 1)
+        for theta, z in zip(angles, xs):
+            frac = Fraction(theta)
+            p, q, r = frac.numerator, frac.denominator, abs(complex(z))
+            squares = [
+                s + (r * abs(cmath.exp(turn * (n * p % q / q)) - 1)) ** 2
+                for s, n in zip(squares, range(horizon + 1))
+            ]
+        block_squares.append(squares)
+    return [math.sqrt(max(s)) for s in zip(*block_squares)]
+
+
+class TestClosedFormRotationOracle:
+    """Return times of iterated rotations against closed-form distances.
+
+    The iterated orbit drifts from the exact one by about 1e-16 per step
+    (2.6e-10 by n = 10^6 for theta = 0.618034), so a time whose oracle
+    distance lies within DELTA of epsilon is left undecided; every other
+    time must fall on the same side of epsilon. Both cases run on the
+    points-free path the runner takes for classify-only experiments.
+    """
+
+    DELTA = 1e-8
+
+    def check(self, blocks, orbit, epsilons):
+        oracle = np.array(oracle_rotation_dists(blocks, orbit.horizon_effective))
+        assert orbit.points is None and oracle.shape == orbit.dists.shape
+        for eps in epsilons:
+            clear = np.abs(oracle - eps) > self.DELTA
+            assert np.count_nonzero(~clear) < 10
+            assert np.array_equal((oracle < eps)[clear], (orbit.dists < eps)[clear])
+
+    def test_eps_sweep_radii_at_a_million_steps(self):
+        theta = 0.618034
+        T = realize(DiagonalUnimodular((theta,)))
+        orbit = iterate_many((T,), np.array([1.0 + 0j]), 10**6, points=False)[0]
+        radii = [round(0.4 + 0.1 * k, 10) for k in range(16)]
+        self.check([((theta,), (1.0,))], orbit, radii)
+
+    def test_product_of_rotations(self):
+        # criterion 13's direct sums of two rotations, over a longer horizon
+        rng = np.random.default_rng(1313)
+        for _ in range(3):
+            blocks = []
+            for _part in range(2):
+                d = int(rng.integers(1, 3))
+                blocks.append((tuple(rng.uniform(size=d)),
+                               tuple(np.exp(2j * np.pi * rng.uniform(size=d)))))
+            T = direct_sum([realize(DiagonalUnimodular(a)) for a, _ in blocks])
+            x = np.concatenate([np.array(xs) for _, xs in blocks])
+            orbit = iterate_many((T,), x, 10**5, points=False)[0]
+            self.check(blocks, orbit, [float(rng.uniform(0.2, 0.8))])
 
 
 class TestBoundedness:
