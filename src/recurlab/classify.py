@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .empmeasure import ball_mass, best_banach_window, empirical_from_window
+from .empmeasure import ball_mass, empirical_from_window
 from .errors import InsufficientHorizonError
 from .linop import (
     LinearOperator,
@@ -41,6 +41,7 @@ from .natset import (
     BanachWindow,
     DensityEstimate,
     FiniteNatSet,
+    _banach_window,
     dual_hit_test,
     mask_statistics,
     syndetic_gap,
@@ -53,7 +54,7 @@ from .orbit import (
     OrbitSegment,
     boundedness,
     iterate,
-    return_set,
+    return_set,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
 )
 
 __all__ = [
@@ -74,6 +75,7 @@ __all__ = [
     "UnimodularReturnReport",
     "unimodular_return_set",
     "ProductRecurrenceReport",
+    "product_recurrence_from_masks",
     "product_recurrence_check",
     "InverseRecurrenceReport",
     "inverse_recurrence_check",
@@ -81,6 +83,7 @@ __all__ = [
 
 EIGEN_SPAN_RESIDUAL_TOL = 1e-6
 EPSILON_GRID_COUNT = 8
+_ROWS = 4096  # rows of one block of unimodular_return_set's distances
 
 FLAG_ORDER = ("recurrent", "reiteratively", "u_frequently", "frequently", "uniformly")
 
@@ -351,17 +354,22 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     one: the best sliding window of the return set positions the Cesaro
     average. For orbits equidistributing on their closure the two numbers
     agree up to the window's discrepancy, which is the finite shadow of the
-    ``dens N(x, U) = m(U)`` mechanism.
+    ``dens N(x, U) = m(U)`` mechanism. The window and the density are read
+    from the mask ``orbit.dists < epsilon``; no return set is built.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     h = orbit.horizon_effective
     window_len = min(max(1, h // 10), h)
-    R = return_set(orbit, epsilon)
-    start = best_banach_window(R, window_len)
+    # the return times are the mask's; its prefix counts give the window
+    # as upper_banach_density gives it for their return set
+    inside = orbit.dists < epsilon
+    start = _banach_window(np.cumsum(inside), window_len).start
+    density = Fraction(int(np.count_nonzero(inside)), h + 1)
     mu = empirical_from_window(orbit, start, window_len)
     mass = ball_mass(
         mu, orbit.base, epsilon, metric=lambda rows: block_norms(rows, orbit.block_dims)
     )
-    density = Fraction(len(R), h + 1)
     return BirkhoffReport(
         density=density,
         window_mass=mass,
@@ -454,9 +462,13 @@ def unimodular_return_set(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     angles = np.asarray(angles_turns, dtype=float)
-    n = np.arange(horizon + 1)
-    lam_pow = np.exp(2j * np.pi * np.outer(n, angles))
-    dists = np.abs(lam_pow - 1.0).max(axis=1)
+    # max_i |lambda_i^n - 1|, one block of rows at a time: each entry is the
+    # same elementwise arithmetic as over all rows at once
+    dists = np.empty(horizon + 1)
+    for lo in range(0, horizon + 1, _ROWS):
+        n = np.arange(lo, min(lo + _ROWS, horizon + 1))
+        lam_pow = np.exp(2j * np.pi * np.outer(n, angles))
+        np.abs(lam_pow - 1.0).max(axis=1, out=dists[lo : lo + n.size])
     R = FiniteNatSet(np.nonzero(dists < epsilon)[0], horizon)
     gap = syndetic_gap(R)
 
@@ -485,15 +497,70 @@ def unimodular_return_set(
 
 @dataclass(frozen=True)
 class ProductRecurrenceReport:
+    """The product check at one radius. The masks mark the return times of
+    part 1, part 2 and the sum over ``[0, h]``, the sum's horizon; the
+    return sets are built from them on request."""
+
     return_sets_match: bool
-    sum_return: FiniteNatSet
-    part1_return: FiniteNatSet
-    part2_return: FiniteNatSet
     intersection_density: Fraction
     part1_flags: dict[str, bool]
     part2_flags: dict[str, bool]
     sum_flags: dict[str, bool]
     reiterative_parts_imply_frequent_sum: bool
+    part1_mask: np.ndarray = field(compare=False, repr=False)
+    part2_mask: np.ndarray = field(compare=False, repr=False)
+    sum_mask: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def sum_return(self) -> FiniteNatSet:
+        return _mask_set(self.sum_mask)
+
+    @property
+    def part1_return(self) -> FiniteNatSet:
+        """Part 1's return set up to the sum's horizon."""
+        return _mask_set(self.part1_mask)
+
+    @property
+    def part2_return(self) -> FiniteNatSet:
+        """Part 2's return set up to the sum's horizon."""
+        return _mask_set(self.part2_mask)
+
+
+def _mask_set(inside: np.ndarray) -> FiniteNatSet:
+    return FiniteNatSet(np.flatnonzero(inside), inside.size - 1)
+
+
+def product_recurrence_from_masks(
+    part1: tuple[dict[str, bool], np.ndarray],
+    part2: tuple[dict[str, bool], np.ndarray],
+    total: tuple[dict[str, bool], np.ndarray],
+) -> ProductRecurrenceReport:
+    """Return-set calculus on a direct sum, at one radius.
+
+    Each argument is the ``(flags, mask)`` of one classified orbit at the
+    radius: its record's flags and its return-time mask ``dists < epsilon``
+    over ``[0, h]``, the sum's horizon. A part's orbit runs at least as long
+    as the sum's, which stops at the first part to pass the overflow cap, so
+    a part's mask is its return times cut at ``h``. In the max metric the
+    epsilon-ball of the sum is the product of the component balls, so the
+    sum's mask must equal ``m1 & m2``; the report verifies that equality and
+    evaluates the "reiterative parts make the pair frequently recurrent"
+    implication at the flags' thresholds.
+    """
+    (flags1, m1), (flags2, m2), (flags12, m12) = part1, part2, total
+    both = m1 & m2
+    premise = flags1["reiteratively"] and flags2["reiteratively"]
+    return ProductRecurrenceReport(
+        return_sets_match=bool(np.array_equal(m12, both)),
+        intersection_density=Fraction(int(np.count_nonzero(both)), m12.size),
+        part1_flags=flags1,
+        part2_flags=flags2,
+        sum_flags=flags12,
+        reiterative_parts_imply_frequent_sum=(not premise) or flags12["frequently"],
+        part1_mask=m1,
+        part2_mask=m2,
+        sum_mask=m12,
+    )
 
 
 def product_recurrence_check(
@@ -502,32 +569,18 @@ def product_recurrence_check(
     total: RecurrenceReport,
     epsilon: float,
 ) -> ProductRecurrenceReport:
-    """Return-set calculus on a direct sum.
+    """Return-set calculus on a direct sum, from classified orbits.
 
     ``part1`` and ``part2`` classify x1 and x2 under the two parts, ``total``
     classifies their concatenation under the direct sum; each must have a
-    record at ``epsilon``. In the max metric the epsilon-ball of the sum is
-    the product of the component balls, so the sum's return set must equal
-    the exact integer intersection of the component return sets; the report
-    verifies that equality and evaluates the "reiterative parts make the pair
-    frequently recurrent" implication at the reports' thresholds.
+    record at ``epsilon``. The check is :func:`product_recurrence_from_masks`
+    on their records' flags and their return-time masks up to the sum's
+    horizon.
     """
-    flags1, flags2, flags12 = (
-        rep.record_for(epsilon).flags for rep in (part1, part2, total)
-    )
-    R1, R2, R12 = (return_set(rep.orbit, epsilon) for rep in (part1, part2, total))
-    inter = np.intersect1d(R1.array, R2.array, assume_unique=True)
-    premise = flags1["reiteratively"] and flags2["reiteratively"]
-    return ProductRecurrenceReport(
-        return_sets_match=np.array_equal(R12.array, inter),
-        sum_return=R12,
-        part1_return=R1,
-        part2_return=R2,
-        intersection_density=Fraction(len(inter), total.horizon_effective + 1),
-        part1_flags=flags1,
-        part2_flags=flags2,
-        sum_flags=flags12,
-        reiterative_parts_imply_frequent_sum=(not premise) or flags12["frequently"],
+    h = total.horizon_effective
+    return product_recurrence_from_masks(
+        *((rep.record_for(epsilon).flags, rep.orbit.dists[: h + 1] < epsilon)
+          for rep in (part1, part2, total))
     )
 
 

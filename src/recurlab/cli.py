@@ -34,7 +34,7 @@ from .classify import (
     classify_vector,
     eigen_span_entry,
     inverse_recurrence_check,
-    product_recurrence_check,
+    product_recurrence_from_masks,
     spectral_data,
     unimodular_return_set,
 )
@@ -315,10 +315,15 @@ class _VectorRun:
     @cached_property
     def orbits(self):
         """The forward orbit, and the backward one under ``T_inv`` when
-        there is one, stepped in one loop; with their points only when a
-        check of the experiment reads them."""
-        ops = (self.T,) if self.T_inv is None else (self.T, self.T_inv)
-        points = not _READS_POINTS.isdisjoint(self.exp.checks)
+        there is one, stepped in one loop. The forward orbit keeps its
+        points only when a check of the experiment reads them; the
+        backward one never does, since the inverse check reads its
+        distances only."""
+        forward = not _READS_POINTS.isdisjoint(self.exp.checks)
+        if self.T_inv is None:
+            ops, points = (self.T,), (forward,)
+        else:
+            ops, points = (self.T, self.T_inv), (forward, False)
         return iterate_many(ops, self.v, self.exp.horizon, points)
 
     @property
@@ -422,15 +427,21 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
 
 
 def _product_rows(run: _VectorRun) -> list:
-    (T1, T2), d1 = run.parts, run.parts[0].dim
     # The direct sum's report is the shared forward one, and the parts'
-    # orbits are column views of its orbit.
-    orbit1, orbit2 = part_orbits(run.orbit, run.parts)
-    part1 = run.classify(T1, run.v[:d1], "part1", orbit1)
-    part2 = run.classify(T2, run.v[d1:], "part2", orbit2)
+    # orbits are column views of its orbit. Each part is classified in
+    # turn and kept as its flags and return-time masks up to the sum's
+    # horizon; its orbit is dropped before the next part's is made, which
+    # a zip or enumerate over part_orbits would not do.
+    h = run.report.horizon_effective
+    parts = []
+    for orbit in part_orbits(run.orbit, run.parts):
+        k = len(parts)
+        rep = run.classify(run.parts[k], orbit.base, f"part{k + 1}", orbit)
+        parts.append([(rec.flags, orbit.dists[: h + 1] < rec.epsilon) for rec in rep.records])
+        del rep, orbit
     out = []
-    for eps in run.exp.epsilons:
-        r = product_recurrence_check(part1, part2, run.report, eps)
+    for eps, rec, part1, part2 in zip(run.exp.epsilons, run.report.records, *parts):
+        r = product_recurrence_from_masks(part1, part2, (rec.flags, run.orbit.dists < eps))
         out.append(
             {
                 "vector": run.label,

@@ -22,16 +22,16 @@ over row views built once per call; ``ndarray.dot`` is the gemv of
 0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. Norms and distances are taken
 once per fill, in whole-array calls, and cost two floats per step and lane;
 the points, 16 bytes per coordinate and step, are copied out of the buffer
-only for a caller that asks for them. A step costs about 0.4-0.5 µs on a
-2-vCPU host (:func:`iterate_many`).
+only for the lanes whose caller asks for them, each lane chosen on its own.
+A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import NamedTuple, Sequence
+from itertools import accumulate, repeat
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,7 +95,10 @@ def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
 
 
 def iterate_many(
-    ops: Sequence[LinearOperator], x: np.ndarray, horizon: int, points: bool = True
+    ops: Sequence[LinearOperator],
+    x: np.ndarray,
+    horizon: int,
+    points: bool | Sequence[bool] = True,
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
@@ -105,11 +108,12 @@ def iterate_many(
     bit for bit. After each fill of the buffer, each lane's norms and
     distances are computed from its rows by ``block_norms``, row by row the
     same bits as over the whole orbit at once, and the last row is carried
-    to the top of the buffer for the next fill. A segment keeps its points
-    only with ``points=True``: the rows are then copied into one
-    ``(horizon + 1, K * d)`` array, and each segment's points are a column
-    view of it. Without points a lane holds two floats per step, against
-    ``16 d + 16`` bytes with them.
+    to the top of the buffer for the next fill. ``points`` is one bool for
+    every lane or one bool per lane, and a segment keeps its points only
+    when its lane's is True: the rows of those lanes are copied into one
+    ``(horizon + 1, k * d)`` array, for k lanes that keep points, and each
+    of their segments' points is a column view of it. Without points a lane
+    holds two floats per step, against ``16 d + 16`` bytes with them.
 
     A call costs about 0.4-0.5 µs per step for one diagonal pass, with
     or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
@@ -118,14 +122,16 @@ def iterate_many(
 
     Two checks run at the end of each chunk. A lane stops once some block
     of its last point has passed ``OVERFLOW_CAP``, and each segment is cut
-    at its first point past it; the lanes' norms are taken only when some
-    entry of the chunk's last row is non-finite or large. A pass whose last
-    row equals the row before it bitwise (``-0.0`` and ``0.0`` differ) has
-    reached a fixed point: it retires, and its buffer columns hold that row
-    in every later row of this fill and of each later fill. The loop
-    ends when no pass is left with a live lane, and the rows after it
-    repeat the last one. When some lane stopped early, the others' points
-    are copied out of the shared array, so no segment keeps it alive.
+    at its first point past it; the live lanes' norms are taken only when
+    some entry of a live lane in the chunk's last row is non-finite or
+    large, so a stopped lane that shares a pass with a live one costs no
+    norms. A pass whose last row equals the row before it bitwise
+    (``-0.0`` and ``0.0`` differ) has reached a fixed point: it retires,
+    and its buffer columns hold that row in every later row of this fill
+    and of each later fill. The loop ends when no pass is left with a live
+    lane, and the rows after it repeat the last one. When some lane stopped
+    early, the others' points are copied out of the shared array, so no
+    segment keeps it alive.
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
@@ -136,17 +142,25 @@ def iterate_many(
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     d, K = x.size, len(ops)
+    keep = (points,) * K if isinstance(points, bool) else tuple(map(bool, points))
+    if len(keep) != K:
+        raise ValueError(f"points has {len(keep)} flags for {K} operators")
     buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
     buf[0] = np.tile(x, K)
-    pts = np.empty((horizon + 1, K * d), dtype=complex) if points else None
-    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon) for k, T in enumerate(ops)]
+    lanes, kept = [], 0
+    for k, T in enumerate(ops):
+        # the lane's columns in the points array, when it keeps points
+        pcols = slice(kept * d, (kept + 1) * d) if keep[k] else None
+        kept += keep[k]
+        lanes.append(_Lane(T, slice(k * d, (k + 1) * d), pcols, x, horizon))
+    pts = np.empty((horizon + 1, kept * d), dtype=complex) if kept else None
 
     def record(rows: np.ndarray, lo: int) -> None:
         # rows holds orbit rows lo, lo + 1, ...
         for lane in lanes:
             lane.record(rows, lo)
-        if pts is not None:
-            pts[lo : lo + rows.shape[0]] = rows
+            if lane.pcols is not None:
+                pts[lo : lo + rows.shape[0], lane.pcols] = rows[:, lane.cols]
 
     record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
@@ -154,6 +168,7 @@ def iterate_many(
     # each pass with the views of its columns in every buffer row
     passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])]) for p in _passes(ops, d)]
     live, retired = set(range(K)), []
+    watch = slice(None)  # the live lanes' columns of a buffer row
     lo = b = 0  # buf[0] holds orbit row lo; rows 1..b are stepped, not recorded
     # an orbit may overflow to inf before the chunk-end check sees it; the
     # truncation handles that, so numpy's warnings are noise
@@ -168,16 +183,19 @@ def iterate_many(
             a, b = first - lo, min(first + _CHUNK, horizon) - lo
             for p, rows in passes:
                 _step(p, rows[a:b], rows[a + 1 : b + 1])
-            if not _below_cap(buf[b], d):
+            if not _below_cap(buf[b, watch], d):
                 live -= {k for k in live if _escaped(ops[k], buf[b, lanes[k].cols])}
-            kept = []
+                # a stopped lane's columns, inf or nan in a pass it shares
+                # with a live lane, are not looked at again
+                watch = [j for k in sorted(live) for j in range(k * d, (k + 1) * d)]
+            stepping = []
             for p, rows in passes:
                 if _repeats(buf[b - 1 : b + 1, p.cols]):
                     buf[b + 1 :, p.cols] = buf[b, p.cols]
                     retired.append(p.cols)
                 elif live.intersection(range(p.cols.start // d, (p.cols.stop - 1) // d + 1)):
-                    kept.append((p, rows))  # some lane it covers is live
-            passes = kept
+                    stepping.append((p, rows))  # some lane it covers is live
+            passes = stepping
             if not passes:
                 break
         record(buf[1 : b + 1], lo + 1)
@@ -189,23 +207,25 @@ def iterate_many(
     if pts is not None:
         pts[last + 1 :] = pts[last]
     segments = [lane.segment(pts, horizon) for lane in lanes]
-    if K > 1 and pts is not None and any(s.overflow for s in segments):
+    if kept > 1 and any(s.overflow for s in segments):
         # an overflowed segment is a truncated copy; a full one would
-        # otherwise hold the whole K-lane array
+        # otherwise hold the points of every lane that keeps them
         segments = [
-            s if s.overflow else replace(s, points=s.points.copy())
+            s if s.overflow or s.points is None else replace(s, points=s.points.copy())
             for s in segments
         ]
     return segments
 
 
 class _Lane:
-    """One operator's columns of the step buffer, and the norms and
-    distances recorded from them up to the first point past
-    ``OVERFLOW_CAP``."""
+    """One operator's columns of the step buffer, its columns of the points
+    array when it keeps points, and the norms and distances recorded from
+    them up to the first point past ``OVERFLOW_CAP``."""
 
-    def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int):
-        self.block_dims, self.cols, self.x = T.block_dims, cols, x
+    def __init__(
+        self, T: LinearOperator, cols: slice, pcols: slice | None, x: np.ndarray, horizon: int
+    ):
+        self.block_dims, self.cols, self.pcols, self.x = T.block_dims, cols, pcols, x
         self.norms = np.empty(horizon + 1)
         self.dists = np.empty(horizon + 1)
         self.end = horizon + 1  # rows the segment keeps
@@ -222,7 +242,7 @@ class _Lane:
 
     def segment(self, pts: np.ndarray | None, horizon: int) -> OrbitSegment:
         end, overflow = self.end, self.end <= horizon
-        points = None if pts is None else pts[:end, self.cols]
+        points = None if self.pcols is None else pts[:end, self.pcols]
         norms, dists = self.norms, self.dists
         if overflow:  # truncated copies, which free the full arrays
             points = None if points is None else points.copy()
@@ -294,15 +314,19 @@ def _escaped(T: LinearOperator, z: np.ndarray) -> bool:
 
 def part_orbits(
     orbit: OrbitSegment, parts: Sequence[LinearOperator]
-) -> list[OrbitSegment]:
-    """The orbits of the parts of a direct sum, read off the sum's orbit.
+) -> Iterator[OrbitSegment]:
+    """The orbits of the parts of a direct sum, read off the sum's orbit,
+    one part at a time.
 
     Blockwise apply makes the sum's orbit its parts' orbits side by side,
     bit for bit, so each part's points are a column view of the sum's, with
     its own norms and distances under its own block metric. The sum's orbit
     stops at the first part to pass the overflow cap while the other parts'
     orbits run on, so after an overflow each part is iterated on its own.
-    The sum's orbit must have kept its points.
+    The sum's orbit must have kept its points; that and the dimensions are
+    checked on the call. Each part's orbit is made when the iterator reaches
+    it, so a caller that drops one part's orbit before it asks for the next
+    holds one at a time.
     """
     if orbit.points is None:
         raise ValueError("part_orbits reads the points of the sum's orbit, "
@@ -310,20 +334,24 @@ def part_orbits(
     dims = [P.dim for P in parts]
     if sum(dims) != orbit.dim:
         raise DimensionError(f"part dims {dims} do not add up to {orbit.dim}")
-    out, start = [], 0
-    for P in parts:
-        base = orbit.base[start : start + P.dim]
-        if orbit.overflow:
-            out.append(iterate(P, base, orbit.horizon_requested))
-        else:
-            # a part's block norms are at most the sum's, so no part of a
-            # full orbit passes the cap
-            points = orbit.points[:, start : start + P.dim]
-            norms, dists = _norms_and_dists(points, base, P.block_dims)
-            out.append(replace(orbit, base=base.copy(), points=points, norms=norms,
-                               dists=dists, block_dims=P.block_dims))
-        start += P.dim
-    return out
+    starts = accumulate(dims[:-1], initial=0)
+    return (_part_orbit(orbit, P, start) for P, start in zip(parts, starts))
+
+
+def _part_orbit(orbit: OrbitSegment, P: LinearOperator, start: int) -> OrbitSegment:
+    base = orbit.base[start : start + P.dim]
+    if orbit.overflow:
+        return iterate(P, base, orbit.horizon_requested)
+    # a part's block norms are at most the sum's, so no part of a full
+    # orbit passes the cap; its norms and distances are taken one buffer
+    # fill of rows at a time, the same bits as over the whole orbit
+    points = orbit.points[:, start : start + P.dim]
+    norms, dists = np.empty(points.shape[0]), np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], _FILL):
+        rows = slice(lo, lo + _FILL)
+        norms[rows], dists[rows] = _norms_and_dists(points[rows], base, P.block_dims)
+    return replace(orbit, base=base.copy(), points=points, norms=norms, dists=dists,
+                   block_dims=P.block_dims)
 
 
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:

@@ -40,7 +40,8 @@ from recurlab import (
     upper_banach_density,
     upper_density,
 )
-from recurlab.classify import FLAG_ORDER, epsilon_record
+from recurlab.classify import _ROWS, FLAG_ORDER, epsilon_record, product_recurrence_from_masks
+from recurlab.empmeasure import best_banach_window
 from recurlab.errors import EmptySetError, InsufficientHorizonError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -341,6 +342,36 @@ class TestBirkhoffCheck:
         rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 5000), 0.5)
         assert rep.density == 1 and rep.window_mass == 1.0
 
+    @pytest.mark.parametrize("case", ["rotations", "period_four"])
+    def test_window_and_density_equal_the_return_set_path(self, case):
+        # the check reads its window and density from the mask of return
+        # times; they equal those of the return set, ties included: the
+        # period-4 orbit's windows tie in groups of four starts, and the
+        # smallest start wins
+        rng = np.random.default_rng(0xB1)
+        if case == "rotations":
+            cases = [(DiagonalUnimodular(tuple(rng.uniform(size=int(rng.integers(1, 3))))),
+                      float(rng.uniform(0.2, 1.0)), int(rng.integers(2_000, 30_000)))
+                     for _ in range(8)]
+        else:
+            cases = [(DiagonalUnimodular((0.25,)), eps, h)
+                     for eps, h in [(0.5, 9_999), (0.5, 10_001), (1.5, 10_002)]]
+        for spec, eps, h in cases:
+            T = realize(spec)
+            x = np.exp(2j * np.pi * rng.uniform(size=T.dim))
+            orbit = iterate(T, x, h)
+            rep = birkhoff_frequent_check(orbit, eps)
+            R = return_set(orbit, eps)
+            assert rep.window_len == min(max(1, h // 10), h)
+            assert rep.window_start == best_banach_window(R, rep.window_len)
+            assert rep.density == Fraction(len(R), h + 1)
+
+    def test_epsilon_validated(self):
+        orbit = iterate(realize(DiagonalUnimodular((0.25,))), np.array([1.0 + 0j]), 100)
+        for eps in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                birkhoff_frequent_check(orbit, eps)
+
     def test_golden_small_discrepancy(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         rep = birkhoff_frequent_check(iterate(T, np.array([1.0 + 0j]), 10**5), 0.1)
@@ -439,6 +470,22 @@ class TestUnimodularReturnSet:
         with pytest.raises(ValueError):
             unimodular_return_set([0.25], 0.0, 100)
 
+    @pytest.mark.parametrize("horizon", [_ROWS - 1, _ROWS, 3 * _ROWS + 7])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_equal_the_whole_array_formula(self, horizon, d):
+        # The distances are written one block of rows at a time. Radii
+        # equal to distances of the whole-array formula put its exact
+        # values on the ball's boundary, where a distance one ulp off
+        # would move a return time in or out.
+        rng = np.random.default_rng(70 + d)
+        angles = rng.uniform(size=d)
+        n = np.arange(horizon + 1)
+        whole = np.abs(np.exp(2j * np.pi * np.outer(n, angles)) - 1.0).max(axis=1)
+        radii = np.unique(whole)[1:]
+        for eps in radii[rng.choice(radii.size, size=4, replace=False)]:
+            rep = unimodular_return_set(angles, float(eps), horizon)
+            assert np.array_equal(rep.return_set.array, np.flatnonzero(whole < eps))
+
 
 class TestProductRecurrence:
     def test_quarter_and_half_turn_lcm(self):
@@ -482,6 +529,42 @@ class TestProductRecurrence:
             assert rep.return_sets_match
             inter = rep.part1_return.as_set() & rep.part2_return.as_set()
             assert rep.sum_return.as_set() == inter
+
+
+    def test_overflowing_part(self):
+        # A 1.01-scaled rotation passes the overflow cap near step 2776, so
+        # the sum's orbit stops there while the rotation beside it runs the
+        # full horizon: the parts' masks are cut at the sum's horizon, and
+        # the check equals the intersection of the parts' whole return sets.
+        T1 = realize(Scale(1.01, DiagonalUnimodular((GOLDEN,))))
+        T2 = realize(DiagonalUnimodular((0.41421356,)))
+        one = np.array([1.0 + 0j])
+        for eps in (0.5, 0.25):
+            rep = product_check(T1, one, T2, one, eps, 10_000)
+            R1, R2, R12 = (
+                return_set(iterate(T, x, 10_000), eps)
+                for T, x in ((T1, one), (T2, one), (direct_sum([T1, T2]), np.r_[one, one]))
+            )
+            assert R12.horizon < R2.horizon == 10_000
+            inter = R1.as_set() & R2.as_set()
+            assert rep.return_sets_match and R12.as_set() == inter
+            assert rep.sum_return == R12
+            assert rep.intersection_density == Fraction(len(inter), R12.horizon + 1)
+            assert rep.part2_return.horizon == R12.horizon
+            assert rep.part2_return.as_set() == {n for n in R2.as_set() if n <= R12.horizon}
+
+    def test_masks_make_the_return_sets_on_request(self):
+        rows = ([1, 0, 1, 1, 0], [1, 1, 0, 1, 0], [1, 0, 0, 1, 0])
+        masks = [np.array(m, dtype=bool) for m in rows]
+        flags = dict.fromkeys(FLAG_ORDER, True)
+        rep = product_recurrence_from_masks(*((flags, m) for m in masks))
+        assert rep.return_sets_match and rep.intersection_density == Fraction(2, 5)
+        assert rep.part1_return == FiniteNatSet([0, 2, 3], 4)
+        assert rep.part2_return == FiniteNatSet([0, 1, 3], 4)
+        assert rep.sum_return == FiniteNatSet([0, 3], 4)
+        masks[2][2] = True
+        rep = product_recurrence_from_masks(*((flags, m) for m in masks))
+        assert not rep.return_sets_match and rep.intersection_density == Fraction(2, 5)
 
 
 class TestInverseRecurrence:

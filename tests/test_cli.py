@@ -6,6 +6,7 @@ import math
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 import recurlab.classify
 import recurlab.cli
 import recurlab.orbit
-from recurlab import FiniteNatSet, __version__
+from recurlab import (
+    FiniteNatSet,
+    __version__,
+    classify_vector,
+    direct_sum,
+    iterate,
+    realize,
+    return_set,
+    spec_from_json_dict,
+)
 from recurlab.cli import (
     document_has_failures,
     emit_report,
@@ -306,6 +316,39 @@ class TestRunConfig:
             assert rows[0]["window_len"] == (3000 if name == "unitary_jordan" else 100)
         # some windows start away from 0, so the equality has something to pin
         assert any(starts)
+
+    def test_product_with_an_overflowing_part(self, tmp_path):
+        # The scaled part passes the overflow cap near step 2776, so the
+        # sum's orbit stops there and the runner cuts the other part's
+        # masks at the sum's horizon; each row equals the intersection of
+        # the parts' own return sets, built from orbits iterated apart.
+        parts = [
+            {"type": "scale", "factor": [1.01, 0.0],
+             "inner": {"type": "diagonal_unimodular", "angles_turns": [GOLDEN]}},
+            {"type": "diagonal_unimodular", "angles_turns": [0.41421356]},
+        ]
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={"type": "direct_sum", "parts": parts},
+            vectors=["ones"],
+            epsilons=[0.5, 0.25],
+            checks=["product"],
+        )
+        exp = run_config(load_config(write_config(tmp_path, obj))).experiments["quarter"]
+        rows = exp["checks"]["product"]["result"]["per_case"]
+        one = np.ones(1, dtype=complex)
+        T1, T2 = (realize(spec_from_json_dict(p)) for p in parts)
+        orbits = [iterate(T, x, 10_000)
+                  for T, x in ((T1, one), (T2, one), (direct_sum([T1, T2]), np.r_[one, one]))]
+        assert orbits[2].overflow and orbits[2].horizon_effective < orbits[1].horizon_effective
+        for row, eps in zip(rows, (0.5, 0.25)):
+            R1, R2, R12 = (return_set(orbit, eps) for orbit in orbits)
+            inter = R1.as_set() & R2.as_set()
+            assert R12.as_set() == inter and row["return_sets_match"]
+            assert row["intersection_density"] == float(Fraction(len(inter), R12.horizon + 1))
+            for key, T, x in (("part1_flags", T1, one), ("part2_flags", T2, one)):
+                rep = classify_vector(T, x, epsilons=[eps], horizon=10_000)
+                assert row[key] == rep.records[0].flags
 
     def test_rerun_is_deterministic(self, tmp_path):
         obj = base_config()
@@ -643,9 +686,11 @@ class TestOrbitSharing:
             return iterate_many(ops, x, *args, **kwargs)
 
         def parts_counted(orbit, parts):
-            got = part_orbits(orbit, parts)
-            views.extend(np.shares_memory(p.points, orbit.points) for p in got)
-            return got
+            # part_orbits makes each part's orbit on request; pass them on
+            # one at a time, as it does
+            for p in part_orbits(orbit, parts):
+                views.append(np.shares_memory(p.points, orbit.points))
+                yield p
 
         # iterate() calls the orbit module's binding
         for module in (recurlab.cli, recurlab.orbit):
@@ -778,19 +823,36 @@ class TestPointsOnlyForTheirReaders:
         assert "error" not in exp["summary"]
         return exp["checks"][check]
 
-    @pytest.mark.parametrize("check", CHECKS)
-    def test_each_check_runs_alone(self, tmp_path, monkeypatch, check):
+    def spy_on_points(self, monkeypatch):
+        """The per-lane ``points`` flags of every ``iterate_many`` call."""
         kept = []
         iterate_many = recurlab.cli.iterate_many
 
         def spy(ops, x, horizon, points):
-            kept.append(points)
+            kept.append(tuple(points))
             return iterate_many(ops, x, horizon, points)
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
+        return kept
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_each_check_runs_alone(self, tmp_path, monkeypatch, check):
+        kept = self.spy_on_points(monkeypatch)
         entry = self.run_alone(tmp_path, check)
         assert "error" not in entry and "result" in entry
-        assert kept == [check in ("birkhoff", "measure", "product")]
+        # the forward lane keeps points for their readers; the backward
+        # lane, stepped for the inverse check, never does
+        assert [lanes[0] for lanes in kept] == [check in ("birkhoff", "measure", "product")]
+        assert [len(lanes) for lanes in kept] == [1 + (check == "inverse")]
+        assert not any(any(lanes[1:]) for lanes in kept)
+
+    def test_backward_lane_keeps_no_points_beside_point_readers(self, tmp_path, monkeypatch):
+        kept = self.spy_on_points(monkeypatch)
+        obj = base_config()
+        obj["experiments"][0].update(operator=self.SUM, checks=self.CHECKS)
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        assert not document_has_failures(doc)
+        assert kept == [(True, False)]
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_only_the_point_readers_need_points(self, tmp_path, monkeypatch, check):
@@ -820,6 +882,37 @@ class TestPointsOnlyForTheirReaders:
             tracemalloc.stop()
         assert not document_has_failures(doc)
         assert peak < 40 * 2**20
+
+
+    def test_product_check_holds_one_part_at_a_time(self, tmp_path):
+        # a sum of two rotations at H = 2 * 10^5 with all five per-vector
+        # checks: the forward orbit with its points and the backward
+        # lane's norms and distances take 12.8 MB, and the product check
+        # adds one part's norms and distances and its classification.
+        # With the backward lane's points, both parts' orbits at once and
+        # whole-orbit part temporaries, the peak was 29 MB; it is 19 MB.
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={
+                "type": "direct_sum",
+                "parts": [
+                    {"type": "diagonal_unimodular", "angles_turns": [0.618034]},
+                    {"type": "diagonal_unimodular", "angles_turns": [0.41421356]},
+                ],
+            },
+            epsilons=[0.5, 0.25],
+            horizon=200_000,
+            checks=["classify", "birkhoff", "product", "inverse", "measure"],
+        )
+        config = load_config(write_config(tmp_path, obj))
+        tracemalloc.start()
+        try:
+            doc = run_config(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not document_has_failures(doc)
+        assert peak < 24 * 2**20
 
 
 # A config that loads, with every operator kind, vector kind and field.

@@ -342,6 +342,31 @@ class TestIterateMany:
         self.check_lanes([DiagonalUnimodular((0.25, GOLDEN)), random_dense(rng, 2)], 3000)
         assert escaped == []
 
+    def test_stopped_lane_in_a_shared_pass_takes_no_more_norms(self, monkeypatch):
+        # A 1.01-scaled rotation and its inverse are one multiply pass. The
+        # growing lane passes the cap at step 2776 and its columns go on to
+        # inf and nan beside the decaying lane; only the live lane's columns
+        # are looked at after that, so the lanes' norms are taken at one
+        # chunk end only, not at each of the 390 after it.
+        escaped = []
+        real = recurlab.orbit._escaped
+        monkeypatch.setattr(
+            recurlab.orbit, "_escaped", lambda T, z: escaped.append(T) or real(T, z)
+        )
+        spec = Scale(1.01, DiagonalUnimodular((0.618034,)))
+        ops = [realize(spec), realize(Inverse(spec))]
+        x = np.array([1.0 + 0j])
+        grown, decayed = iterate_many(ops, x, 10**5)
+        monkeypatch.undo()
+        assert len(escaped) <= 2
+        assert grown.overflow and grown.horizon_effective == 2776
+        assert not decayed.overflow and decayed.horizon_effective == 10**5
+        alone = iterate(ops[1], x, 10**5)
+        assert bitwise_equal(decayed.points, alone.points)
+        for field in ("norms", "dists"):
+            assert np.array_equal(getattr(decayed, field).view(np.uint64),
+                                  getattr(alone, field).view(np.uint64))
+
     def test_stopped_dense_lane_is_not_stepped_on(self, monkeypatch):
         # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps,
         # while the forward lane decays to an exact zero and retires
@@ -554,6 +579,47 @@ class TestIterateMany:
             assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
             assert not b.norms.flags.writeable and not b.dists.flags.writeable
 
+    @pytest.mark.parametrize("kind", ["rotation_pair", "dense_pair", "overflow", "three_lanes"])
+    def test_points_per_lane(self, kind):
+        # only the lanes flagged True keep points; every lane's norms and
+        # distances, and the kept lanes' points, are those of a run that
+        # keeps every lane's points
+        rng = np.random.default_rng(12)
+        rotation = DiagonalUnimodular((0.1, GOLDEN))
+        dense = random_dense(rng, 2)
+        growing = Scale(1.002, DiagonalUnimodular((0.25, GOLDEN)))
+        specs, keeps = {
+            "rotation_pair": ([rotation, Inverse(rotation)], [(True, False), (False, True)]),
+            "dense_pair": ([dense, Inverse(dense)], [(True, False), (False, False)]),
+            # the kept lane is the one that overflows, or the one beside it
+            "overflow": ([growing, rotation], [(True, False), (False, True)]),
+            "three_lanes": ([rotation, growing, dense],
+                            [(False, True, True), (True, False, True)]),
+        }[kind]
+        ops = [realize(s) for s in specs]
+        x = np.array([1.0, 0.5j])
+        horizon = 4 * _FILL + 3
+        every = iterate_many(ops, x, horizon)
+        for flags in keeps:
+            some = iterate_many(ops, x, horizon, points=flags)
+            for a, b, kept in zip(every, some, flags):
+                assert (b.points is not None) == kept
+                if kept:
+                    assert bitwise_equal(a.points, b.points)
+                if kept and (sum(flags) == 1 or any(s.overflow for s in some)):
+                    # the points are not a view of a wider array
+                    assert b.points.flags.c_contiguous
+                for field in ("norms", "dists"):
+                    assert np.array_equal(getattr(a, field).view(np.uint64),
+                                          getattr(b, field).view(np.uint64))
+                assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
+        assert any(s.overflow for s in every) == (kind in ("overflow", "three_lanes"))
+
+    def test_points_flags_must_match_the_lanes(self):
+        T = realize(DenseMatrix(((1.0,),)))
+        with pytest.raises(ValueError, match="2 flags for 1 operators"):
+            iterate_many([T], np.array([1.0 + 0j]), 5, points=(True, False))
+
     def test_readers_of_points_refuse_a_segment_without_them(self):
         parts = [realize(DiagonalUnimodular((0.25,))), realize(SWAP_SPEC)]
         x = np.array([1.0, 2.0j, 3.0])
@@ -579,6 +645,24 @@ class TestPartOrbits:
                 assert np.array_equal(getattr(orb, field), getattr(ref, field))
             assert (orb.horizon_effective, orb.overflow) == (2000, False)
             start += P.dim
+
+    def test_part_norms_over_fills_equal_its_own_orbit(self):
+        # a part's norms and distances are taken one buffer fill of rows at
+        # a time; they equal those of the part's own orbit bit for bit
+        rng = np.random.default_rng(13)
+        parts = [realize(DirectSum((random_dense(rng, 3), DiagonalUnimodular((GOLDEN,))))),
+                 realize(random_dense(rng, 9))]
+        x = rng.normal(size=13) + 1j * rng.normal(size=13)
+        horizon = 2 * _FILL + 5
+        orbit = iterate(direct_sum(parts), x, horizon)
+        got = part_orbits(orbit, parts)
+        for P, start in zip(parts, (0, 4)):
+            part = next(got)
+            ref = iterate(P, x[start : start + P.dim], horizon)
+            for field in ("norms", "dists"):
+                assert np.array_equal(getattr(part, field).view(np.uint64),
+                                      getattr(ref, field).view(np.uint64))
+        assert next(got, None) is None
 
     def test_overflowed_sum_iterates_its_parts(self):
         # the sum stops when its growing part passes the cap; the bounded
