@@ -56,11 +56,11 @@ def main():
         ((0.25, GOLDEN, math.sqrt(2.0) - 1.0), 0.3),
     ]
     for angles, eps in batteries:
-        rep = unimodular_return_set(list(angles), eps, H)
+        (rep,) = unimodular_return_set(list(angles), [eps], H)
         hits = sum(p.hit for p in rep.probes)
         print(f"\n  angles { {round(a, 6) for a in angles} }  eps {eps}")
-        print(f"    returns {len(rep.return_set)}  density "
-              f"{len(rep.return_set) / (H + 1):.5f}  gap {rep.gap}")
+        print(f"    returns {rep.returns.size}  density "
+              f"{rep.returns.size / (H + 1):.5f}  gap {rep.gap}")
         print(f"    probes hit: {hits}/{len(rep.probes)}  "
               f"({', '.join(p.label for p in rep.probes if p.hit)})")
 

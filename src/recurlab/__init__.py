@@ -16,10 +16,7 @@ from .natset import (
     DensityEstimate,
     DensitySummary,
     FiniteNatSet,
-    delta_witness_search,
     density_summary,
-    dual_hit_test,
-    ip_witness_search,
     lower_density,
     syndetic_gap,
     upper_banach_density,
@@ -61,7 +58,6 @@ from .empmeasure import (
     EmpiricalMeasure,
     Moments,
     ball_mass,
-    best_banach_window,
     conjugation_invariance_check,
     covariance,
     empirical_from_window,
@@ -80,8 +76,6 @@ from .classify import (
     UnimodularReturnReport,
     birkhoff_frequent_check,
     classify_vector,
-    default_epsilon_grid,
-    eigen_span_check,
     eigen_span_entry,
     inverse_recurrence_check,
     product_recurrence_check,

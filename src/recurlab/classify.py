@@ -11,10 +11,9 @@ rule, so the chain holds for every input by construction; the marginal rules
 are the density/gap thresholds documented on :func:`classify_vector`.
 
 No flag is emitted for IP*-type recurrence: verifying a dual family needs all
-of its members, which a finite horizon cannot supply. The witness tools in
-``natset`` (finite-sums search, difference-set hit tests) are the auditable
-surrogates, and :func:`unimodular_return_set` reports sampled difference-set
-probes individually for the same reason.
+of its members, which a finite horizon cannot supply, so
+:func:`unimodular_return_set` reports sampled difference-set probes
+individually instead.
 """
 
 from __future__ import annotations
@@ -42,12 +41,11 @@ from .natset import (
     DensityEstimate,
     FiniteNatSet,
     _banach_window,
-    dual_hit_test,
+    _largest_gap,
     mask_statistics,
-    syndetic_gap,
 )
 # unused here; the benchmark tracer wraps these bindings
-from .natset import lower_density, upper_banach_density, upper_density  # noqa: F401
+from .natset import lower_density, syndetic_gap, upper_banach_density, upper_density  # noqa: F401
 from .orbit import (
     OVERFLOW_CAP,
     BoundednessReport,
@@ -63,14 +61,12 @@ __all__ = [
     "RecurrenceReport",
     "epsilon_record",
     "classify_vector",
-    "default_epsilon_grid",
     "spectral_data",
     "BirkhoffReport",
     "birkhoff_frequent_check",
     "EigenSpanEntry",
     "EigenSpanCheckReport",
     "eigen_span_entry",
-    "eigen_span_check",
     "ProbeResult",
     "UnimodularReturnReport",
     "unimodular_return_set",
@@ -82,7 +78,6 @@ __all__ = [
 ]
 
 EIGEN_SPAN_RESIDUAL_TOL = 1e-6
-EPSILON_GRID_COUNT = 8
 _ROWS = 4096  # rows of one block of unimodular_return_set's distances
 
 FLAG_ORDER = ("recurrent", "reiteratively", "u_frequently", "frequently", "uniformly")
@@ -213,13 +208,6 @@ class RecurrenceReport:
         }
 
 
-def default_epsilon_grid(scale: float) -> tuple[float, ...]:
-    """Geometric radii ``scale * 2^-k`` for ``k = 1..EPSILON_GRID_COUNT``."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return tuple(scale * 2.0**-k for k in range(1, EPSILON_GRID_COUNT + 1))
-
-
 def epsilon_record(
     inside: np.ndarray, thresholds: Thresholds, epsilon: float
 ) -> EpsilonRecord:
@@ -270,7 +258,7 @@ def spectral_data(T: LinearOperator) -> SpectralData:
 def classify_vector(
     T: LinearOperator,
     x: np.ndarray,
-    epsilons: Sequence[float] | None = None,
+    epsilons: Sequence[float],
     horizon: int = 10_000,
     thresholds: Thresholds | None = None,
     vector_id: str = "x",
@@ -290,8 +278,7 @@ def classify_vector(
     combined as a conjunctive cascade (see module docstring). Each record
     comes from one prefix-count pass over the mask ``orbit.dists < eps``
     (:func:`epsilon_record`); no return set is built. Vector-level flags
-    are the conjunction over the epsilon grid. The default grid is
-    geometric, ``||x|| * 2^-k`` for k = 1..8, in the operator's metric.
+    are the conjunction over the epsilon grid.
     ``orbit``, when given, must be ``iterate(T, x, horizon)``; the report
     carries it either way, for the checks that read classified orbits.
     """
@@ -301,8 +288,6 @@ def classify_vector(
             f"horizon {horizon} below minimum {thresholds.min_horizon}"
         )
     x = np.asarray(x, dtype=complex)
-    if epsilons is None:
-        epsilons = default_epsilon_grid(T.norm_of(x))
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         # every vector flag is a conjunction over the records
@@ -402,7 +387,13 @@ class EigenSpanCheckReport:
 
 
 def eigen_span_entry(rep: RecurrenceReport, vector_id: str) -> EigenSpanEntry:
-    """Both span implications for one classified vector (see eigen_span_check)."""
+    """Both span implications for one classified vector.
+
+    Direction one: a vector flagged uniformly recurrent, or reiteratively
+    recurrent with bounded orbit, must sit in the unimodular eigenvector span
+    (residual <= tol). Direction two: a vector in the span must come out
+    uniformly recurrent.
+    """
     uni = rep.vector_flags["uniformly"]
     reiter_bo = rep.vector_flags["reiteratively"] and rep.bounded.bounded_at_horizon
     in_span = rep.eigen_span_residual <= EIGEN_SPAN_RESIDUAL_TOL
@@ -417,19 +408,6 @@ def eigen_span_entry(rep: RecurrenceReport, vector_id: str) -> EigenSpanEntry:
     )
 
 
-def eigen_span_check(reports: Sequence[RecurrenceReport]) -> EigenSpanCheckReport:
-    """Two-directional span test over a battery of classified vectors.
-
-    Direction one: vectors flagged uniformly recurrent, or reiteratively
-    recurrent with bounded orbit, must sit in the unimodular eigenvector span
-    (residual <= tol). Direction two: vectors in the span must come out
-    uniformly recurrent. Each entry, ``v0``, ``v1``, ... in battery order,
-    records both implications.
-    """
-    entries = tuple(eigen_span_entry(rep, f"v{i}") for i, rep in enumerate(reports))
-    return EigenSpanCheckReport(entries, EIGEN_SPAN_RESIDUAL_TOL)
-
-
 class ProbeResult(NamedTuple):
     label: str
     hit: bool
@@ -437,29 +415,35 @@ class ProbeResult(NamedTuple):
 
 
 class UnimodularReturnReport(NamedTuple):
-    return_set: FiniteNatSet
+    """The return times of one radius, as an ``int64`` array, with their
+    syndetic gap and the difference-set probes."""
+
+    returns: np.ndarray
     gap: int
     probes: tuple[ProbeResult, ...]
 
 
 def unimodular_return_set(
     angles_turns: Sequence[float],
-    epsilon: float,
+    epsilons: Sequence[float],
     horizon: int,
     probe_seed: int = 0,
-) -> UnimodularReturnReport:
-    """Simultaneous-rotation return set {n : max_i |lambda_i^n - 1| < eps}.
+) -> tuple[UnimodularReturnReport, ...]:
+    """Simultaneous-rotation return sets {n : max_i |lambda_i^n - 1| < eps},
+    one report per radius of ``epsilons``.
 
-    Computed directly from the angles (no orbit needed). The difference-set
-    probes are a deterministic battery derived from the measured syndetic gap
-    g: consecutive blocks (their difference sets are intervals [1, L-1], which
+    Computed directly from the angles (no orbit needed): the distances once,
+    one block of rows at a time, then each radius from its own mask, which
+    is dropped before the next is built. The difference-set probes are a
+    deterministic battery derived from the measured syndetic gap g:
+    consecutive blocks (their difference sets are intervals [1, L-1], which
     must be hit because the first positive return time is at most g),
     arithmetic progressions with steps 2, 3, 5 spanning ~8g (do multiples of
-    small steps return?), and two seeded random sets. Each probe is reported
-    individually; hits are evidence toward difference-set dual recurrence,
-    never a verdict.
+    small steps return?), and two random sets seeded by ``probe_seed``. Each
+    probe is reported individually; hits are evidence toward difference-set
+    dual recurrence, never a verdict.
     """
-    if not epsilon > 0:
+    if any(not eps > 0 for eps in epsilons):
         raise ValueError("epsilon must be positive")
     angles = np.asarray(angles_turns, dtype=float)
     # max_i |lambda_i^n - 1|, one block of rows at a time: each entry is the
@@ -469,30 +453,32 @@ def unimodular_return_set(
         n = np.arange(lo, min(lo + _ROWS, horizon + 1))
         lam_pow = np.exp(2j * np.pi * np.outer(n, angles))
         np.abs(lam_pow - 1.0).max(axis=1, out=dists[lo : lo + n.size])
-    R = FiniteNatSet(np.nonzero(dists < epsilon)[0], horizon)
-    gap = syndetic_gap(R)
+    return tuple(_rotation_report(dists < eps, probe_seed) for eps in epsilons)
+
+
+def _rotation_report(inside: np.ndarray, probe_seed: int) -> UnimodularReturnReport:
+    """The report of one radius from its return-time mask over ``[0, horizon]``."""
+    horizon = inside.size - 1
+    returns = np.flatnonzero(inside)
+    gap = _largest_gap(returns, horizon)
+
+    def probe(label: str, diffs: np.ndarray) -> ProbeResult:
+        diffs = np.unique(diffs[(diffs >= 1) & (diffs <= horizon)])
+        return ProbeResult(label, bool(inside[diffs].any()), diffs.size)
 
     probes = []
-
-    def add_probe(label: str, diffs: set[int]):
-        diffs = {d for d in diffs if 1 <= d <= horizon}
-        D = FiniteNatSet.from_iterable(diffs, horizon)
-        hit = bool(len(D)) and dual_hit_test(R, [D])
-        probes.append(ProbeResult(label, hit, len(D)))
-
     for mult in (1, 2, 4):
         length = min(mult * (gap + 1), horizon)
-        add_probe(f"block_span_{length}", set(range(1, length + 1)))
+        probes.append(probe(f"block_span_{length}", np.arange(1, length + 1)))
     for step in (2, 3, 5):
         span = min(8 * max(gap, 1), horizon)
-        add_probe(f"ap_step_{step}", set(range(step, span + 1, step)))
+        probes.append(probe(f"ap_step_{step}", np.arange(step, span + 1, step)))
     rng = np.random.default_rng(probe_seed)
     for i in range(2):
         span = min(16 * max(gap, 1), horizon)
         b = rng.choice(span + 1, size=min(48, span + 1), replace=False)
-        diffs = {int(abs(p - q)) for p in b for q in b if p != q}
-        add_probe(f"random_{i}", diffs)
-    return UnimodularReturnReport(R, gap, tuple(probes))
+        probes.append(probe(f"random_{i}", np.abs(np.subtract.outer(b, b))))
+    return UnimodularReturnReport(returns, gap, tuple(probes))
 
 
 @dataclass(frozen=True)

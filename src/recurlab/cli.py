@@ -410,15 +410,16 @@ def _check_jdg(exp: ExperimentSpec, T, seed: int) -> dict:
 
 
 def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
-    angles = exp.operator_spec.angles_turns
+    reports = unimodular_return_set(
+        exp.operator_spec.angles_turns, exp.epsilons, exp.horizon, probe_seed=seed
+    )
     out = []
-    for eps in exp.epsilons:
-        rep = unimodular_return_set(angles, eps, exp.horizon, probe_seed=seed)
+    for eps, rep in zip(exp.epsilons, reports):
         out.append(
             {
                 "epsilon": eps,
-                "return_count": len(rep.return_set),
-                "first_times": rep.return_set.array[:16].tolist(),
+                "return_count": rep.returns.size,
+                "first_times": rep.returns[:16].tolist(),
                 "syndetic_gap": rep.gap,
                 "probes": [p._asdict() for p in rep.probes],
             }

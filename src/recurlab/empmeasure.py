@@ -21,14 +21,13 @@ import numpy as np
 
 from .errors import DimensionError
 from .linop import LinearOperator, orth, principal_angle, row_sums
-from .natset import FiniteNatSet, upper_banach_density
+from .natset import upper_banach_density  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
 from .orbit import OrbitSegment
 
 __all__ = [
     "EmpiricalMeasure",
     "CovarianceMatrix",
     "Moments",
-    "best_banach_window",
     "empirical_from_window",
     "invariance_defect",
     "ball_mass",
@@ -91,11 +90,6 @@ class EmpiricalMeasure:
     def point_mass(cls, x) -> "EmpiricalMeasure":
         x = np.asarray(x, dtype=complex)
         return cls(x[None, :], np.array([1.0]), np.array([1]), 1)
-
-
-def best_banach_window(return_times: FiniteNatSet, window_len: int) -> int:
-    """Smallest offset of a maximal-count window; the density-realizing start."""
-    return upper_banach_density(return_times, window_len).start
 
 
 def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

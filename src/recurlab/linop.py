@@ -466,13 +466,6 @@ class SpectralData:
     espan_basis: np.ndarray
 
     @property
-    def eigenpairs(self) -> list[tuple[complex, np.ndarray]]:
-        return [
-            (self.eigenvalues[i], self.eigenvectors[:, i])
-            for i in range(len(self.eigenvalues))
-        ]
-
-    @property
     def unimodular_pairs(self) -> list[tuple[complex, np.ndarray]]:
         return [
             (self.eigenvalues[i], self.eigenvectors[:, i])

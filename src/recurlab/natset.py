@@ -1,10 +1,9 @@
-"""Finite-horizon subsets of the naturals: exact densities and recurrence-family probes.
+"""Finite-horizon subsets of the naturals and their exact densities.
 
 A :class:`FiniteNatSet` knows its membership exactly on ``[0, horizon]`` and
 nothing beyond, so everything here is a statement "at horizon": densities are
-exact rationals computed on that window, and family memberships (syndetic,
-difference-set, finite-sums) are witness searches over the window, never
-decisions about an infinite set.
+exact rationals computed on that window, and the syndetic gap is that of the
+window, never a decision about an infinite set.
 
 Density conventions, with ``card`` counting elements of ``A`` in the stated
 interval and all ratios exact :class:`fractions.Fraction` values:
@@ -43,9 +42,6 @@ __all__ = [
     "upper_density",
     "upper_banach_density",
     "syndetic_gap",
-    "delta_witness_search",
-    "ip_witness_search",
-    "dual_hit_test",
     "density_summary",
 ]
 
@@ -294,83 +290,6 @@ def syndetic_gap(A: FiniteNatSet) -> int:
     ``<= m + 1``: every length-``m+1`` window inside the horizon then meets ``A``.
     """
     return _largest_gap(A.array, A.horizon)
-
-
-def delta_witness_search(
-    A: FiniteNatSet, size: int, bound: int
-) -> tuple[int, ...] | None:
-    """Search for ``B`` of the given size in ``[0, bound]`` with all positive
-    pairwise differences inside ``A``.
-
-    Depth-first over ascending candidates, so the greedy witness is found first
-    and backtracking kicks in only when the greedy path dies. ``None`` means no
-    witness exists within the bound, not that no difference set lands in ``A``.
-    """
-    if size < 2:
-        raise ValueError(f"size must be >= 2, got {size}")
-    if bound > A.horizon:
-        raise HorizonExceededError(f"bound={bound} exceeds horizon {A.horizon}")
-    members = A.as_set()
-
-    def extend(chosen: list[int], start: int) -> tuple[int, ...] | None:
-        if len(chosen) == size:
-            return tuple(chosen)
-        for c in range(start, bound + 1):
-            if all((c - b) in members for b in chosen):
-                chosen.append(c)
-                found = extend(chosen, c + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend([], 0)
-
-
-class IPWitness(NamedTuple):
-    generators: tuple[int, ...]
-    finite_sums: tuple[int, ...]
-
-
-def ip_witness_search(A: FiniteNatSet, size: int, bound: int) -> IPWitness | None:
-    """Search for generators ``x_1 < ... < x_k`` whose nonempty finite sums all
-    lie in ``A``.
-
-    Candidates are positive and sum-dominated (each new generator exceeds the
-    sum of those already chosen), so the ``2^k - 1`` finite sums are pairwise
-    distinct; greedy-first depth-first search with backtracking. The finite-sums
-    set is returned for audit. ``None`` means no such witness within the bound.
-    """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    members = A.as_set()
-
-    def extend(chosen: list[int], sums: list[int]) -> IPWitness | None:
-        if len(chosen) == size:
-            return IPWitness(tuple(chosen), tuple(sorted(sums)))
-        total = sum(chosen)
-        for c in range(total + 1, bound + 1):
-            if total + c > A.horizon:
-                break
-            new_sums = [c] + [c + s for s in sums]
-            if all(s in members for s in new_sums):
-                chosen.append(c)
-                found = extend(chosen, sums + new_sums)
-                if found is not None:
-                    return found
-                chosen.pop()
-        return None
-
-    return extend([], [])
-
-
-def dual_hit_test(A: FiniteNatSet, members: Sequence[FiniteNatSet]) -> bool:
-    """True iff ``A`` meets every set in ``members`` (a dual-family surrogate)."""
-    if not members:
-        raise ValueError("members must be nonempty")
-    return all(
-        np.intersect1d(A.array, B.array, assume_unique=True).size for B in members
-    )
 
 
 def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> DensitySummary:

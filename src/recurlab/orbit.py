@@ -322,7 +322,8 @@ def part_orbits(
     bit for bit, so each part's points are a column view of the sum's, with
     its own norms and distances under its own block metric. The sum's orbit
     stops at the first part to pass the overflow cap while the other parts'
-    orbits run on, so after an overflow each part is iterated on its own.
+    orbits run on, so after an overflow each part is iterated on its own,
+    without points: its norms and distances are those of ``iterate``.
     The sum's orbit must have kept its points; that and the dimensions are
     checked on the call. Each part's orbit is made when the iterator reaches
     it, so a caller that drops one part's orbit before it asks for the next
@@ -341,7 +342,7 @@ def part_orbits(
 def _part_orbit(orbit: OrbitSegment, P: LinearOperator, start: int) -> OrbitSegment:
     base = orbit.base[start : start + P.dim]
     if orbit.overflow:
-        return iterate(P, base, orbit.horizon_requested)
+        return iterate_many((P,), base, orbit.horizon_requested, False)[0]
     # a part's block norms are at most the sum's, so no part of a full
     # orbit passes the cap; its norms and distances are taken one buffer
     # fill of rows at a time, the same bits as over the whole orbit

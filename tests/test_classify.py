@@ -19,6 +19,7 @@ from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
+    EigenSpanCheckReport,
     FiniteNatSet,
     Inverse,
     JordanBlock,
@@ -26,9 +27,8 @@ from recurlab import (
     Thresholds,
     birkhoff_frequent_check,
     classify_vector,
-    default_epsilon_grid,
     direct_sum,
-    eigen_span_check,
+    eigen_span_entry,
     inverse_recurrence_check,
     iterate,
     lower_density,
@@ -40,8 +40,13 @@ from recurlab import (
     upper_banach_density,
     upper_density,
 )
-from recurlab.classify import _ROWS, FLAG_ORDER, epsilon_record, product_recurrence_from_masks
-from recurlab.empmeasure import best_banach_window
+from recurlab.classify import (
+    _ROWS,
+    EIGEN_SPAN_RESIDUAL_TOL,
+    FLAG_ORDER,
+    epsilon_record,
+    product_recurrence_from_masks,
+)
 from recurlab.errors import EmptySetError, InsufficientHorizonError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -85,10 +90,11 @@ def inverse_check(T, x, epsilons, horizon):
 
 
 def span_check(T, vectors, horizon, epsilons):
-    """The eigenvector-span check on a battery of vectors classified under T."""
-    return eigen_span_check(
-        [classify_vector(T, v, epsilons=epsilons, horizon=horizon) for v in vectors]
-    )
+    """The eigenvector-span check on a battery of vectors classified under T,
+    one entry per vector, ``v0``, ``v1``, ... in battery order."""
+    reports = [classify_vector(T, v, epsilons=epsilons, horizon=horizon) for v in vectors]
+    entries = tuple(eigen_span_entry(rep, f"v{i}") for i, rep in enumerate(reports))
+    return EigenSpanCheckReport(entries, EIGEN_SPAN_RESIDUAL_TOL)
 
 
 def assert_cascade(flags):
@@ -282,12 +288,6 @@ class TestClassifyVector:
         with pytest.raises(ValueError, match="nonempty"):
             classify_vector(T, np.array([0.0, 1.0 + 0j]), epsilons=[], horizon=10_000)
 
-    def test_default_grid_geometric(self):
-        grid = default_epsilon_grid(2.0)
-        assert grid[:3] == (1.0, 0.5, 0.25)
-        with pytest.raises(ValueError):
-            default_epsilon_grid(0.0)
-
     def test_vector_flags_are_conjunctions(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         x = np.array([1.0 + 0j])
@@ -363,7 +363,7 @@ class TestBirkhoffCheck:
             rep = birkhoff_frequent_check(orbit, eps)
             R = return_set(orbit, eps)
             assert rep.window_len == min(max(1, h // 10), h)
-            assert rep.window_start == best_banach_window(R, rep.window_len)
+            assert rep.window_start == upper_banach_density(R, rep.window_len).start
             assert rep.density == Fraction(len(R), h + 1)
 
     def test_epsilon_validated(self):
@@ -433,21 +433,21 @@ class TestEigenSpanCheck:
 
 class TestUnimodularReturnSet:
     def test_quarter_turn_frozen(self):
-        rep = unimodular_return_set([0.25], 0.5, 1000)
-        assert rep.return_set.elements[:5] == (0, 4, 8, 12, 16)
-        assert len(rep.return_set) == 251
+        (rep,) = unimodular_return_set([0.25], [0.5], 1000)
+        assert rep.returns[:5].tolist() == [0, 4, 8, 12, 16]
+        assert rep.returns.dtype == np.int64 and rep.returns.size == 251
         assert rep.gap == 4
 
     def test_golden_matches_scalar_oracle(self):
-        rep = unimodular_return_set([GOLDEN], 0.3, 10**5)
+        (rep,) = unimodular_return_set([GOLDEN], [0.3], 10**5)
         hits = oracle_rotation_returns([GOLDEN], 0.3, 10**5)
-        assert list(rep.return_set.elements) == hits
+        assert rep.returns.tolist() == hits
         gaps = [b - a for a, b in zip(hits, hits[1:])]
         assert rep.gap == max(max(gaps), hits[0], 10**5 - hits[-1]) == 13
 
     def test_pair_probes_all_hit(self):
-        rep = unimodular_return_set([0.25, GOLDEN], 0.3, 10**5)
-        assert len(rep.return_set) > 0
+        (rep,) = unimodular_return_set([0.25, GOLDEN], [0.3], 10**5)
+        assert rep.returns.size > 0
         assert all(p.hit for p in rep.probes)
         labels = [p.label for p in rep.probes]
         assert sum(l.startswith("block_span") for l in labels) == 3
@@ -455,36 +455,38 @@ class TestUnimodularReturnSet:
         assert sum(l.startswith("random") for l in labels) == 2
 
     def test_three_angles_probes_all_hit(self):
-        rep = unimodular_return_set([0.25, GOLDEN, math.sqrt(2.0) - 1.0], 0.3, 10**5)
-        assert len(rep.return_set) > 0
+        (rep,) = unimodular_return_set([0.25, GOLDEN, math.sqrt(2.0) - 1.0], [0.3], 10**5)
+        assert rep.returns.size > 0
         assert all(p.hit for p in rep.probes)
 
     def test_block_probe_consistent_with_gap(self):
         # the first positive return is at most the gap, so every block
         # probe spanning [1, gap + 1] must hit
-        rep = unimodular_return_set([GOLDEN, 0.3141], 0.4, 20_000)
-        positives = [n for n in rep.return_set.elements if n > 0]
+        (rep,) = unimodular_return_set([GOLDEN, 0.3141], [0.4], 20_000)
+        positives = rep.returns[rep.returns > 0]
         assert positives[0] <= rep.gap + 1
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
-            unimodular_return_set([0.25], 0.0, 100)
+            unimodular_return_set([0.25], [0.5, 0.0], 100)
 
     @pytest.mark.parametrize("horizon", [_ROWS - 1, _ROWS, 3 * _ROWS + 7])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_blocks_equal_the_whole_array_formula(self, horizon, d):
-        # The distances are written one block of rows at a time. Radii
-        # equal to distances of the whole-array formula put its exact
-        # values on the ball's boundary, where a distance one ulp off
-        # would move a return time in or out.
+        # The distances are written one block of rows at a time, once for
+        # every radius. Radii equal to distances of the whole-array formula
+        # put its exact values on the ball's boundary, where a distance one
+        # ulp off would move a return time in or out.
         rng = np.random.default_rng(70 + d)
         angles = rng.uniform(size=d)
         n = np.arange(horizon + 1)
         whole = np.abs(np.exp(2j * np.pi * np.outer(n, angles)) - 1.0).max(axis=1)
         radii = np.unique(whole)[1:]
-        for eps in radii[rng.choice(radii.size, size=4, replace=False)]:
-            rep = unimodular_return_set(angles, float(eps), horizon)
-            assert np.array_equal(rep.return_set.array, np.flatnonzero(whole < eps))
+        radii = radii[rng.choice(radii.size, size=4, replace=False)].tolist()
+        reports = unimodular_return_set(angles, radii, horizon)
+        assert len(reports) == 4
+        for eps, rep in zip(radii, reports):
+            assert np.array_equal(rep.returns, np.flatnonzero(whole < eps))
 
 
 class TestProductRecurrence:

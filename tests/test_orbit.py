@@ -673,6 +673,14 @@ class TestPartOrbits:
         grown, swapped = part_orbits(orbit, parts)
         assert grown.overflow and grown.horizon_effective == 39
         assert not swapped.overflow and swapped.horizon_effective == 100
+        # each part is stepped without points, and its norms and distances
+        # are those of its own iterate bit for bit
+        for P, part, base in zip(parts, (grown, swapped), ([1.0], [1.0, 0.0])):
+            ref = iterate(P, np.array(base, dtype=complex), 100)
+            assert part.points is None
+            for field in ("norms", "dists"):
+                assert np.array_equal(getattr(part, field).view(np.uint64),
+                                      getattr(ref, field).view(np.uint64))
 
     def test_dims_must_add_up(self):
         orbit = iterate(realize(SWAP_SPEC), np.array([1.0, 0.0j]), 5)
