@@ -41,6 +41,7 @@ from .natset import (
     DensityEstimate,
     FiniteNatSet,
     _banach_window,
+    _counts,
     _largest_gap,
     mask_statistics,
 )
@@ -349,7 +350,7 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     # the return times are the mask's; its prefix counts give the window
     # as upper_banach_density gives it for their return set
     inside = orbit.dists < epsilon
-    start = _banach_window(np.cumsum(inside), window_len).start
+    start = _banach_window(_counts(inside), window_len).start
     density = Fraction(int(np.count_nonzero(inside)), h + 1)
     mu = empirical_from_window(orbit, start, window_len)
     mass = ball_mass(

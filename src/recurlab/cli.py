@@ -348,13 +348,15 @@ def _summary_rows(run: _VectorRun) -> list:
     h = rep.horizon_effective
     sample = sorted(set(np.geomspace(1, max(h, 1), num=48).astype(int)))
     for eps in run.exp.epsilons:
-        # the return times up to each sample n, counted straight from the
-        # orbit's distances; only this radius's hits are alive at a time
-        hits = np.flatnonzero(orb.dists < eps)
+        # the return times up to each sample n, counted from the orbit's
+        # distances between consecutive samples; one radius's mask at a time
+        inside = orb.dists < eps
+        count = prev = 0
         for n in sample:
             if n <= h:
-                count = np.searchsorted(hits, n, side="right")
-                series.append([eps, int(n), float(count / (n + 1))])
+                count += int(np.count_nonzero(inside[prev : n + 1]))
+                prev = n + 1
+                series.append([eps, int(n), count / (n + 1)])
     return [
         {
             "vector": run.label,

@@ -40,6 +40,7 @@ __all__ = [
 WEIGHT_TOL = 1e-12
 MERGE_DECIMALS = 12
 SUPPORT_TOL = 1e-8
+_ROWS = 4096  # atoms of one block of invariance_defect's pushforward and distances
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,9 @@ def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns one representative per group, the mean of its members, and the
     group sizes.
     """
-    keys = np.round(
-        np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS
-    )
-    if _all_distinct(keys):
+    if _all_distinct(atoms):
         return atoms, np.ones(atoms.shape[0], dtype=np.int64)
-    inverse = _group_index(keys)
+    inverse = _group_index(_merge_keys(atoms))
     counts = np.bincount(inverse)
     weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
     w_out = np.zeros(counts.size)
@@ -130,15 +128,21 @@ def _group_index(keys: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _all_distinct(keys: np.ndarray) -> bool:
-    """Whether no two rows of ``keys`` are equal, as ``np.unique`` sees it.
+def _merge_keys(atoms: np.ndarray) -> np.ndarray:
+    """The rounded ``(real, imag)`` rows by which ``_merge`` groups atoms."""
+    return np.round(np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS)
 
-    Only rows tied in the first column can be equal, so only those are
-    sorted on every column, which puts equal rows next to each other.
-    Comparisons use float ``==``, under which ``-0.0`` and ``0.0`` tie, as
-    in ``np.unique``.
+
+def _all_distinct(atoms: np.ndarray) -> bool:
+    """Whether no two rows of ``_merge_keys(atoms)`` are equal, as ``np.unique``
+    sees it.
+
+    Only rows tied in the first key column (the rounded real part of the
+    first coordinate) can be equal, so only those get full keys, sorted on
+    every column. Comparisons use float ``==``, under which ``-0.0`` and
+    ``0.0`` tie, as in ``np.unique``.
     """
-    first = keys[:, 0]
+    first = np.round(atoms[:, 0].real, MERGE_DECIMALS)
     order = np.argsort(first)
     tie = first[order[1:]] == first[order[:-1]]
     if not tie.any():
@@ -146,7 +150,7 @@ def _all_distinct(keys: np.ndarray) -> bool:
     tied = np.zeros(first.size, dtype=bool)
     tied[1:] |= tie
     tied[:-1] |= tie
-    rows = keys[order[tied]]
+    rows = _merge_keys(atoms[order[tied]])
     rows = rows[np.lexsort(rows.T)]
     return not np.all(rows[1:] == rows[:-1], axis=1).any()
 
@@ -207,18 +211,22 @@ def invariance_defect(
     """
     if not test_balls:
         raise ValueError("need at least one test ball")
-    pushed = T.apply_to_rows(mu.atoms)
     exact = mu.counts is not None and mu.denominator
-    # each distinct center's distances, taken once for all its radii
-    dists = {}
+    # each distinct center's distances from the atoms and their images, once
+    # for all its radii; pushing ``_ROWS`` atoms at a time keeps each row's bits
+    balls = [(np.asarray(center, dtype=complex), radius) for center, radius in test_balls]
+    k = mu.n_atoms
+    dists = {c.tobytes(): (c, np.empty(k), np.empty(k)) for c, _ in balls}
+    for a in range(0, k, _ROWS):
+        rows = mu.atoms[a : a + _ROWS]
+        pushed = T.apply_to_rows(rows)
+        for center, d_atoms, d_pushed in dists.values():
+            d_atoms[a : a + _ROWS] = T.block_norms(rows - center)
+            d_pushed[a : a + _ROWS] = T.block_norms(pushed - center)
     worst_int = 0
     worst_float = 0.0
-    for center, radius in test_balls:
-        center = np.asarray(center, dtype=complex)
-        key = center.tobytes()
-        if key not in dists:
-            dists[key] = (T.block_norms(mu.atoms - center), T.block_norms(pushed - center))
-        d_atoms, d_pushed = dists[key]
+    for center, radius in balls:
+        _, d_atoms, d_pushed = dists[center.tobytes()]
         in_b = d_atoms < radius
         in_pb = d_pushed < radius
         if exact:

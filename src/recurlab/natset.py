@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 PROFILE_POINTS = 32
+_ROWS = 1 << 16  # entries of one block of the running-count passes
+_INT32_ENTRIES = 2**31  # masks shorter than this are counted in int32
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,29 +184,45 @@ class MaskStatistics(NamedTuple):
 
 def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
     """Every density of the set ``{n : inside[n]}``, ``horizon = len(inside) - 1``,
-    from one ``cumsum`` of the mask.
+    from one running count of the mask.
 
-    Each large intermediate is dropped before the next is built, so the pass
-    holds at most the counts and one derived array besides the mask: it runs
-    once per classified radius, and its peak adds to the orbit's.
+    Every step walks the counts and the mask ``_ROWS`` entries at a time, so
+    the pass holds the counts and block-sized temporaries besides the mask:
+    it runs once per classified radius, and its peak adds to the orbit's.
     """
     h = inside.size - 1
     _check_window(window_len, h)
-    counts = np.cumsum(inside)
+    counts = _counts(inside)
+    count = int(counts[-1])
+    if not count:
+        raise EmptySetError("syndetic gap of the empty set is undefined")
     lower, upper = _running_extremes(counts)
     banach = _banach_window(counts, window_len)
-    del counts
-    returns = np.flatnonzero(inside)
-    gap = _largest_gap(returns, h)
-    positive = returns[1:] if returns[0] == 0 else returns
-    return MaskStatistics(
-        count=returns.size,
-        first_return=int(positive[0]) if positive.size else None,
-        lower=lower,
-        upper=upper,
-        banach=banach,
-        gap=gap,
-    )
+    # the smallest positive member and the largest gap (see _largest_gap)
+    first, gap, last = None, 0, 0
+    for a in range(0, inside.size, _ROWS):
+        returns = np.flatnonzero(inside[a : a + _ROWS]) + a
+        if returns.size:
+            gap = max(gap, int(np.diff(returns, prepend=last).max()))
+            last = int(returns[-1])
+            if first is None and last > 0:
+                first = int(returns[returns > 0][0])
+    return MaskStatistics(count, first, lower, upper, banach, gap=max(gap, h - last))
+
+
+def _counts(inside: np.ndarray) -> np.ndarray:
+    """``np.cumsum(inside)`` of a bool mask in value, int32 below
+    ``_INT32_ENTRIES`` entries; filled block by block plus a carry, so numpy
+    makes no whole-mask cast copy."""
+    dtype = np.int32 if inside.size < _INT32_ENTRIES else np.int64
+    counts = np.empty(inside.size, dtype=dtype)
+    carry = 0
+    for a in range(0, inside.size, _ROWS):
+        block = counts[a : a + _ROWS]
+        np.cumsum(inside[a : a + _ROWS], dtype=dtype, out=block)
+        block += carry
+        carry = int(block[-1])
+    return counts
 
 
 def _running_extremes(counts: np.ndarray) -> tuple[DensityEstimate, DensityEstimate]:
@@ -212,14 +230,18 @@ def _running_extremes(counts: np.ndarray) -> tuple[DensityEstimate, DensityEstim
     over ``[floor(N/10), N]``; ``counts`` is the running count of a mask.
 
     Index location uses floats (safe: distinct prefix ratios differ by at
-    least ``1/(N+1)^2``, far above roundoff), ties go to the smallest index,
-    and the returned values are exact.
+    least ``1/(N+1)^2``, far above roundoff), one block at a time; ties go to
+    the smallest index, and the returned values are exact.
     """
     N = counts.size - 1
-    burn = N // 10
-    ratios = np.arange(burn + 1, N + 2, dtype=np.float64)
-    np.divide(counts[burn:], ratios, out=ratios)
-    lo, hi = burn + int(np.argmin(ratios)), burn + int(np.argmax(ratios))
+    lows, highs = [], []  # each block's (ratio, index) extremes; min() breaks ties by index
+    for a in range(N // 10, N + 1, _ROWS):
+        ratios = np.arange(a + 1, min(a + _ROWS, N + 1) + 1, dtype=np.float64)
+        np.divide(counts[a : a + ratios.size], ratios, out=ratios)
+        i, j = int(np.argmin(ratios)), int(np.argmax(ratios))
+        lows.append((ratios[i], a + i))
+        highs.append((-ratios[j], a + j))
+    lo, hi = min(lows)[1], min(highs)[1]
     value = Fraction(int(counts[N]), N + 1)
     return (
         DensityEstimate(value, Fraction(int(counts[lo]), lo + 1)),
@@ -229,11 +251,16 @@ def _running_extremes(counts: np.ndarray) -> tuple[DensityEstimate, DensityEstim
 
 def _banach_window(counts: np.ndarray, N: int) -> BanachWindow:
     """Best count over the windows ``[m, m + N]``: ``counts[m + N]`` less the
-    count before ``m``; ties go to the smallest ``m``."""
-    window = counts[N:].copy()
-    window[1:] -= counts[: counts.size - 1 - N]
-    m_star = int(np.argmax(window))
-    return BanachWindow(ratio=Fraction(int(window[m_star]), N + 1), start=m_star)
+    count before ``m``, one block of offsets at a time; ties go to the
+    smallest ``m``."""
+    best, m_star = int(counts[N]), 0  # m = 0 has no count before it
+    for a in range(1, counts.size - N, _ROWS):
+        ends = counts[a + N : a + N + _ROWS]
+        window = ends - counts[a - 1 : a - 1 + ends.size]
+        i = int(np.argmax(window))
+        if window[i] > best:
+            best, m_star = int(window[i]), a + i
+    return BanachWindow(ratio=Fraction(best, N + 1), start=m_star)
 
 
 def _largest_gap(returns: np.ndarray, horizon: int) -> int:

@@ -386,6 +386,6 @@ def boundedness(orbit: OrbitSegment) -> BoundednessReport:
     growth = False
     if tail.size >= 3:
         growth = bool(
-            np.all(np.diff(tail) > 0) and tail[-1] > tail[0] * (1 + 1e-9)
+            np.all(tail[1:] > tail[:-1]) and tail[-1] > tail[0] * (1 + 1e-9)
         )
     return BoundednessReport(bounded, sup, growth)

@@ -5,6 +5,7 @@ ball-counting loops for defects, and hand-computed covariance matrices.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,40 @@ def unique_merge(atoms):
     return reps, counts
 
 
+def keys_all_distinct(keys):
+    """``_all_distinct`` as it was, on the full rounded keys of every atom."""
+    first = keys[:, 0]
+    order = np.argsort(first)
+    tie = first[order[1:]] == first[order[:-1]]
+    if not tie.any():
+        return True
+    tied = np.zeros(first.size, dtype=bool)
+    tied[1:] |= tie
+    tied[:-1] |= tie
+    rows = keys[order[tied]]
+    rows = rows[np.lexsort(rows.T)]
+    return not np.all(rows[1:] == rows[:-1], axis=1).any()
+
+
+def added_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def unitary_jordan(rng, dim_unitary):
+    """A random unitary beside J(0.5), as in the benchmark's dense workload."""
+    shape = (dim_unitary, dim_unitary)
+    q, r = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return realize(DirectSum((DenseMatrix(tuple(map(tuple, u))), JordanBlock(0.5, 2))))
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -140,25 +175,35 @@ class TestWindowMeasure:
         with pytest.raises(DimensionError):
             empirical_from_window(orb, 5, 10)
 
-    @pytest.mark.parametrize("kind", ["periodic_window", "tied_first_column", "signed_zeros"])
+    @pytest.mark.parametrize(
+        "kind", ["periodic_window", "tied_first_column", "tied_window", "signed_zeros"]
+    )
     def test_distinctness_fast_path_agrees_with_unique(self, kind):
         rng = np.random.default_rng(8)
         if kind == "periodic_window":
             # the quarter turn repeats every 4 steps: the window merges
             T = realize(DiagonalUnimodular((0.25, 0.5)))
-            orb = iterate(T, np.array([1.0, 1.0 + 0j]), 40)
-            keys = np.round(np.column_stack([orb.points.real, orb.points.imag]), MERGE_DECIMALS)
+            atoms = iterate(T, np.array([1.0, 1.0 + 0j]), 40).points
         elif kind == "tied_first_column":
-            # every first column ties, and no full row does
-            keys = np.column_stack([np.repeat([0.5, -1.0], 50), rng.permutation(100).astype(float)])
+            # every first key column ties, and no full row does
+            real = np.column_stack([np.repeat([0.5, -1.0], 50), rng.permutation(100)])
+            atoms = real.astype(complex)
+        elif kind == "tied_window":
+            # the quarter turn's real parts take 3 rounded values, and the
+            # golden coordinate keeps every row distinct
+            T = realize(DiagonalUnimodular((0.25, GOLDEN)))
+            atoms = iterate(T, np.array([1.0, 1.0 + 0j]), 400).points
         else:
-            # rows that differ only in the sign of a zero
-            keys = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [3.0, 0.0], [2.0, 0.0]])
+            # rows that differ only in the sign of a zero, in either part
+            atoms = np.empty((5, 2), dtype=complex)
+            atoms.real = [[0.0, 1.0], [-0.0, 1.0], [2.0, -0.0], [3.0, 0.0], [2.0, 0.0]]
+            atoms.imag = [[1.0, -0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-0.0, 0.0]]
+        keys = np.round(np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS)
         distinct = np.unique(keys, axis=0).shape[0] == keys.shape[0]
-        assert _all_distinct(keys) == distinct
-        assert distinct == (kind == "tied_first_column")
-        # one more equal row makes any key set non-distinct
-        assert not _all_distinct(np.vstack([keys, keys[-1:]]))
+        assert _all_distinct(atoms) == keys_all_distinct(keys) == distinct
+        assert distinct == (kind in ("tied_first_column", "tied_window"))
+        # one more equal row makes any atom set non-distinct
+        assert not _all_distinct(np.vstack([atoms, atoms[-1:]]))
 
     @pytest.mark.parametrize("kind", ["period_four", "decaying", "signed_zeros"])
     def test_lexsort_grouping_matches_unique(self, kind):
@@ -250,25 +295,27 @@ class TestInvarianceDefect:
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_shared_centers_match_per_ball_loop(self, exact):
-        # a unitary beside J(0.5), as in the benchmark's dense workload;
         # balls share centers (the same array, and equal copies) and also
-        # have distinct ones
+        # have distinct ones; the longer window spans three blocks of
+        # invariance_defect's atoms, the last one partial
         rng = np.random.default_rng(37)
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        T = realize(DirectSum((DenseMatrix(tuple(map(tuple, u))), JordanBlock(0.5, 2))))
+        T = unitary_jordan(rng, 3)
         x = np.array([1.0, 0.5j, -0.25, 1.0, 1.0 + 0j])
-        orb = iterate(T, x, 3000)
-        mu = empirical_from_window(orb, 100, 2000)
-        if not exact:
-            mu = EmpiricalMeasure(mu.atoms, mu.weights)
-        zero = np.zeros(5, dtype=complex)
-        balls = [(x, eps) for eps in (0.1, 0.5, 1.0, 2.0)]
-        balls += [(x.copy(), 0.75), (zero, 1.5), (zero.copy(), 3.0), (-zero, 2.5)]
-        balls += [(orb.points[int(n)], float(rng.uniform(0.1, 2.0))) for n in rng.integers(0, 3000, 6)]
-        for k in range(1, len(balls) + 1):
-            assert invariance_defect(T, mu, balls[:k]) == per_ball_defect(T, mu, balls[:k])
-        assert invariance_defect(T, mu, balls) > 0
+        for window_len in (2000, 2 * 4096 + 808):
+            orb = iterate(T, x, window_len + 1000)
+            mu = empirical_from_window(orb, 100, window_len)
+            if not exact:
+                mu = EmpiricalMeasure(mu.atoms, mu.weights)
+            zero = np.zeros(5, dtype=complex)
+            balls = [(x, eps) for eps in (0.1, 0.5, 1.0, 2.0)]
+            balls += [(x.copy(), 0.75), (zero, 1.5), (zero.copy(), 3.0), (-zero, 2.5)]
+            balls += [
+                (orb.points[int(n)], float(rng.uniform(0.1, 2.0)))
+                for n in rng.integers(0, window_len + 1000, 6)
+            ]
+            for k in range(1, len(balls) + 1):
+                assert invariance_defect(T, mu, balls[:k]) == per_ball_defect(T, mu, balls[:k])
+            assert invariance_defect(T, mu, balls) > 0
 
     def test_golden_window_small_defect(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
@@ -408,3 +455,25 @@ class TestBallMass:
         assert ball_mass(mu, center, 1.001) == 1.0
         assert ball_mass(mu, center, 1.001, metric=T.block_norms) == 1.0
         assert ball_mass(mu, center, 0.5, metric=T.block_norms) == 0.0
+
+
+class TestPeakMemory:
+    """The window and invariance layers hold block-sized temporaries: at the
+    parent of their block passes these calls added 18.3 and 26.9 MiB."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        T = unitary_jordan(np.random.default_rng(2), 4)
+        x = np.array([1.0, 0.5j, -0.25, 1.0, 1.0, 1.0 + 0j])
+        return T, x, iterate(T, x, 100_000)
+
+    def test_empirical_from_window(self, window):
+        _, _, orb = window
+        assert added_peak(empirical_from_window, orb, 0, 100_000) <= 5 * 2**20
+
+    def test_invariance_defect_two_centers(self, window):
+        T, x, orb = window
+        mu = empirical_from_window(orb, 0, 100_000)
+        assert mu.n_atoms == 100_001
+        balls = [(x, 0.5), (np.zeros(6, dtype=complex), 1.0), (x, 1.0)]
+        assert added_peak(invariance_defect, T, mu, balls) <= 6 * 2**20

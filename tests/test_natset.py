@@ -8,6 +8,7 @@ frozen below were computed with these oracles.
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,15 @@ from recurlab import (
     upper_banach_density,
     upper_density,
 )
+from recurlab import natset
 from recurlab.errors import EmptySetError, HorizonExceededError
+from recurlab.natset import (
+    BanachWindow,
+    DensityEstimate,
+    MaskStatistics,
+    _counts,
+    mask_statistics,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -367,3 +376,144 @@ class TestDensityInvariants:
             elements = np.nonzero(rng.random(H + 1) < 0.4)[0]
             A = FiniteNatSet.from_iterable(elements, H)
             assert upper_banach_density(A, H).ratio == lower_density(A, H).value
+
+
+# ---------------------------------------------------------------------------
+# block passes over masks
+
+B = natset._ROWS
+
+
+def whole_array_statistics(inside, window_len):
+    """``mask_statistics`` as one whole-array pass: a single ``cumsum``, the
+    argmin/argmax of every prefix ratio and of every window count, and one
+    ``diff`` of all the return times."""
+    h = inside.size - 1
+    counts = np.cumsum(inside)
+    burn = h // 10
+    ratios = counts[burn:] / np.arange(burn + 1, h + 2, dtype=np.float64)
+    lo, hi = burn + int(np.argmin(ratios)), burn + int(np.argmax(ratios))
+    window = counts[window_len:].copy()
+    window[1:] -= counts[: h - window_len]
+    m = int(np.argmax(window))
+    returns = np.flatnonzero(inside)
+    positive = returns[returns > 0]
+    inner = int(np.diff(returns).max()) if returns.size > 1 else 0
+    value = Fraction(int(counts[h]), h + 1)
+    return MaskStatistics(
+        count=returns.size,
+        first_return=int(positive[0]) if positive.size else None,
+        lower=DensityEstimate(value, Fraction(int(counts[lo]), lo + 1)),
+        upper=DensityEstimate(value, Fraction(int(counts[hi]), hi + 1)),
+        banach=BanachWindow(Fraction(int(window[m]), window_len + 1), m),
+        gap=max(int(returns[0]), inner, h - int(returns[-1])),
+    )
+
+
+def block_masks(size):
+    """Masks whose statistics sit on or across the block edges."""
+    rng = np.random.default_rng(size)
+    edges = np.arange(B, size, B)
+    masks = {
+        "random": rng.random(size) < 0.3,
+        "sparse": rng.random(size) < 1e-3,
+        "only_zero": np.zeros(size, dtype=bool),
+        "all_true": np.ones(size, dtype=bool),
+        # returns only on the two sides of each block edge (and none at 0)
+        "block_edges": np.isin(np.arange(size), np.concatenate([edges - 1, edges, [size - 1]])),
+        # every prefix ratio at 4k + 3 is exactly 1/4, the minimum for the
+        # first and the maximum for the second, in every block
+        "period_four_first": np.arange(size) % 4 == 0,
+        "period_four_last": np.arange(size) % 4 == 3,
+    }
+    masks["only_zero"][0] = True
+    # a 600-long run across the last block edge with room after it, in an
+    # otherwise empty mask: the best windows straddle two blocks
+    edge = max(B * ((size - 401) // B), 200)
+    run = np.zeros(size, dtype=bool)
+    run[edge - 200 : edge + 400] = True
+    masks["straddling_run"] = run
+    return masks
+
+
+class TestBlockPasses:
+    """The block passes of ``mask_statistics`` and ``_counts`` against the
+    whole-array formulas, on masks sized around the block length."""
+
+    @pytest.mark.parametrize("size", [B - 1, B, B + 1, 3 * B + 7])
+    def test_mask_statistics_equals_whole_array_pass(self, size):
+        h = size - 1
+        for name, mask in block_masks(size).items():
+            for window_len in sorted({0, 1, 300, h // 3, h - 1, h}):
+                got = mask_statistics(mask, window_len)
+                assert got == whole_array_statistics(mask, window_len), (name, window_len)
+                assert isinstance(got.first_return, (int, type(None)))
+
+    def test_ties_across_blocks_go_to_the_smallest_index(self):
+        size = 3 * B + 7
+        # every block holds windows of the best count, 101 of 401 slots,
+        # starting at each m = 3 mod 4 (or 0 mod 4); every prefix ratio at
+        # 4k + 3 is 1/4, the running sup (or inf) in every block
+        got = mask_statistics(np.arange(size) % 4 == 3, 400)
+        assert got.banach == BanachWindow(Fraction(101, 401), 3)
+        assert got.upper.running == Fraction(1, 4)
+        got = mask_statistics(np.arange(size) % 4 == 0, 400)
+        assert got.banach == BanachWindow(Fraction(101, 401), 0)
+        assert got.lower.running == Fraction(1, 4)
+        # full windows inside the run start on both sides of the block edge
+        # at 2B + 1 of the window offsets
+        run = block_masks(size)["straddling_run"]
+        assert mask_statistics(run, 250).banach == BanachWindow(Fraction(1), 2 * B - 200)
+
+    def test_first_return_and_gap_at_block_edges(self):
+        size = 3 * B + 7
+        got = mask_statistics(block_masks(size)["block_edges"], 10)
+        assert got.first_return == B - 1
+        assert got.gap == B - 1
+        only_zero = block_masks(size)["only_zero"]
+        assert mask_statistics(only_zero, 10).first_return is None
+        assert mask_statistics(only_zero, 10).gap == size - 1
+        with pytest.raises(EmptySetError):
+            mask_statistics(np.zeros(size, dtype=bool), 10)
+
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_counts_equal_cumsum(self, size):
+        mask = np.random.default_rng(size).random(size) < 0.5
+        counts = _counts(mask)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, np.cumsum(mask))
+
+    def test_int64_counts_past_the_int32_limit(self, monkeypatch):
+        size = 3 * B + 7
+        monkeypatch.setattr(natset, "_INT32_ENTRIES", B)
+        for name, mask in block_masks(size).items():
+            counts = _counts(mask)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, np.cumsum(mask))
+            assert mask_statistics(mask, 500) == whole_array_statistics(mask, 500), name
+
+    def test_per_set_functions_across_blocks(self):
+        size = 3 * B + 7
+        h = size - 1
+        for name, mask in block_masks(size).items():
+            A = FiniteNatSet(np.flatnonzero(mask), h)
+            want = whole_array_statistics(mask, 1000)
+            assert lower_density(A, h) == want.lower, name
+            assert upper_density(A, h) == want.upper, name
+            assert upper_banach_density(A, 1000) == want.banach, name
+            assert density_summary(A, [1000]).banach_upper[1000] == want.banach, name
+
+    def test_peak_memory_bound(self):
+        # the whole-array pass adds 16 MiB here (int64 cumsum plus numpy's
+        # int64 cast copy of the mask); the block pass holds int32 counts
+        # and block temporaries
+        mask = np.random.default_rng(5).random(2**20 + 1) < 0.3
+        mask[0] = True
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mask_statistics(mask, 2**17)
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added <= 6 * 2**20

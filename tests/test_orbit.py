@@ -858,3 +858,39 @@ class TestBoundedness:
         T = realize(Scale(2.0, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 100)
         assert not boundedness(orb).bounded_at_horizon
+
+    def test_growth_check_equals_diff_formula(self):
+        # the check compares neighbours, with no np.diff of the tail: under
+        # IEEE subtraction with gradual underflow a - b > 0 iff a > b, inf
+        # and nan included
+        rng = np.random.default_rng(43)
+        tails = [np.sort(rng.uniform(1.0, 2.0, 50)), rng.uniform(1.0, 2.0, 50)]
+        tails += [np.cumsum(rng.uniform(0.0, 1e-300, 40)), np.sort(rng.normal(size=30))]
+        tails += [
+            np.array(t)
+            for t in (
+                [1.0, 2.0, 2.0, 3.0],
+                [1.0, 2.0, np.inf],
+                [1.0, np.inf, np.inf],
+                [-np.inf, 1.0, np.inf],
+                [1.0, np.nan, 3.0],
+                [1.0, 2.0, np.nan],
+                [-1.5e308, 1.5e308, 1.6e308],
+                [1.5e308, -1.5e308, 1.6e308],
+                [0.0, 5e-324, 1e-323],
+                [1e-323, 5e-324, 1e-322],
+                [-0.0, 0.0, 1.0],
+            )
+        ]
+        verdicts = set()
+        for tail in tails:
+            # the tail is the last tail.size of 2 * tail.size - 1 norms
+            norms = np.concatenate([np.ones(tail.size - 1), tail])
+            orbit = types.SimpleNamespace(
+                norms=norms, horizon_effective=norms.size - 1, overflow=False
+            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                old = bool(np.all(np.diff(tail) > 0) and tail[-1] > tail[0] * (1 + 1e-9))
+            assert boundedness(orbit).growth_detected == old, tail
+            verdicts.add(old)
+        assert verdicts == {True, False}
