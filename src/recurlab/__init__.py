@@ -47,7 +47,6 @@ from .linop import (
 from .orbit import (
     BoundednessReport,
     OrbitSegment,
-    boundedness,
     iterate,
     iterate_many,
     part_orbits,

@@ -41,7 +41,6 @@ from .natset import (
     DensityEstimate,
     FiniteNatSet,
     _banach_window,
-    _counts,
     _largest_gap,
     mask_statistics,
 )
@@ -51,7 +50,6 @@ from .orbit import (
     OVERFLOW_CAP,
     BoundednessReport,
     OrbitSegment,
-    boundedness,
     iterate,
     return_set,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
 )
@@ -213,8 +211,8 @@ def epsilon_record(
     inside: np.ndarray, thresholds: Thresholds, epsilon: float
 ) -> EpsilonRecord:
     """The record of one radius from its return-time mask ``inside``
-    (``dists < epsilon`` over ``[0, horizon_effective]``), read in one
-    prefix-count pass (:func:`natset.mask_statistics`)."""
+    (``dists < epsilon`` over ``[0, horizon_effective]``), read in carried
+    block passes (:func:`natset.mask_statistics`)."""
     h = inside.size - 1
     n_win = thresholds.window_len(h)
     m = mask_statistics(inside, n_win)
@@ -277,7 +275,7 @@ def classify_vector(
     * uniformly:     syndetic gap <= the scaled gap bound
 
     combined as a conjunctive cascade (see module docstring). Each record
-    comes from one prefix-count pass over the mask ``orbit.dists < eps``
+    comes from carried block passes over the mask ``orbit.dists < eps``
     (:func:`epsilon_record`); no return set is built. Vector-level flags
     are the conjunction over the epsilon grid.
     ``orbit``, when given, must be ``iterate(T, x, horizon)``; the report
@@ -316,7 +314,7 @@ def classify_vector(
         horizon_requested=horizon,
         horizon_effective=orbit.horizon_effective,
         overflow=orbit.overflow,
-        bounded=boundedness(orbit),
+        bounded=orbit.bounded,
         eigen_span_residual=residual,
         thresholds=thresholds,
         records=records,
@@ -347,10 +345,10 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     h = orbit.horizon_effective
     window_len = min(max(1, h // 10), h)
-    # the return times are the mask's; its prefix counts give the window
-    # as upper_banach_density gives it for their return set
+    # the return times are the mask's; its carried window counts give the
+    # window as upper_banach_density gives it for their return set
     inside = orbit.dists < epsilon
-    start = _banach_window(_counts(inside), window_len).start
+    start = _banach_window(inside, window_len).start
     density = Fraction(int(np.count_nonzero(inside)), h + 1)
     mu = empirical_from_window(orbit, start, window_len)
     mass = ball_mass(

@@ -40,7 +40,7 @@ __all__ = [
 WEIGHT_TOL = 1e-12
 MERGE_DECIMALS = 12
 SUPPORT_TOL = 1e-8
-_ROWS = 4096  # atoms of one block of invariance_defect's pushforward and distances
+_ROWS = 4096  # atoms of one block of invariance_defect's and moments' passes
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,18 @@ class Moments(NamedTuple):
 
 
 def moments(mu: EmpiricalMeasure) -> Moments:
-    """First moment vector and scalar second moment ``sum_i w_i ||z_i||^2``."""
+    """First moment vector and scalar second moment ``sum_i w_i ||z_i||^2``.
+
+    The atoms' squared norms are summed ``_ROWS`` atoms at a time into one
+    array of ``n_atoms`` floats, each row's sum the same bits as over the
+    whole window.
+    """
     exp = mu.weights @ mu.atoms
-    sq = np.abs(mu.atoms)
-    second = float(mu.weights @ row_sums(np.square(sq, out=sq)))
-    return Moments(exp, second)
+    norms_sq = np.empty(mu.n_atoms)
+    for a in range(0, mu.n_atoms, _ROWS):
+        sq = np.abs(mu.atoms[a : a + _ROWS])
+        norms_sq[a : a + _ROWS] = row_sums(np.square(sq, out=sq))
+    return Moments(exp, float(mu.weights @ norms_sq))
 
 
 @dataclass(frozen=True)
@@ -278,8 +285,16 @@ class CovarianceMatrix:
 
 
 def covariance(mu: EmpiricalMeasure) -> CovarianceMatrix:
-    """``S = sum_i w_i z_i z_i*`` (so ``S x = sum_i w_i <x, z_i> z_i``)."""
-    s = np.einsum("k,ki,kj->ij", mu.weights, mu.atoms, mu.atoms.conj())
+    """``S = sum_i w_i z_i z_i*`` (so ``S x = sum_i w_i <x, z_i> z_i``).
+
+    Column ``j`` is one ``einsum`` against the conjugate of the atoms'
+    ``j``-th coordinate, bit-equal to ``einsum("k,ki,kj->ij", w, A,
+    A.conj())`` without its conjugated copy of the whole window.
+    """
+    w, atoms = mu.weights, mu.atoms
+    s = np.empty((mu.dim, mu.dim), dtype=complex)
+    for j in range(mu.dim):
+        s[:, j] = np.einsum("k,ki,k->i", w, atoms, atoms[:, j].conj())
     return CovarianceMatrix((s + s.conj().T) / 2)
 
 

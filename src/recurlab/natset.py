@@ -14,17 +14,20 @@ interval and all ratios exact :class:`fractions.Fraction` values:
 * upper Banach at window ``N``: ``max_m card(A, [m, m+N]) / (N + 1)`` over all
   windows contained in ``[0, horizon]``, with the smallest maximizing ``m``.
 
-All of them are read off one running count (``cumsum``) of the 0/1 mask of
-``A``. :func:`mask_statistics` reads every one in a single pass over a mask,
-which is how the classifier reads its return-time masks without building a
-:class:`FiniteNatSet`; the per-set functions share its arithmetic.
+All of them are read off the bool mask of ``A`` in carried block passes:
+each pass walks the mask ``_ROWS`` entries at a time and hands one count
+from block to block, so none holds a running count of the whole mask.
+:func:`mask_statistics` reads every one from a mask, which is how the
+classifier reads its return-time masks without building a
+:class:`FiniteNatSet`; the per-set functions build the set's mask and share
+its arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ __all__ = [
 ]
 
 PROFILE_POINTS = 32
-_ROWS = 1 << 16  # entries of one block of the running-count passes
+_ROWS = 1 << 16  # entries of one block of the carried count passes
 _INT32_ENTRIES = 2**31  # masks shorter than this are counted in int32
 
 
@@ -166,7 +169,7 @@ class DensitySummary:
 
 
 class MaskStatistics(NamedTuple):
-    """One 0/1 mask over ``[0, horizon]`` read in one prefix-count pass.
+    """One 0/1 mask over ``[0, horizon]`` read in carried block passes.
 
     ``count`` is the number of members and ``first_return`` the smallest
     positive one (``None`` if there is none); the other fields are those of
@@ -184,79 +187,105 @@ class MaskStatistics(NamedTuple):
 
 def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
     """Every density of the set ``{n : inside[n]}``, ``horizon = len(inside) - 1``,
-    from one running count of the mask.
+    read off the mask in carried block passes.
 
-    Every step walks the counts and the mask ``_ROWS`` entries at a time, so
-    the pass holds the counts and block-sized temporaries besides the mask:
-    it runs once per classified radius, and its peak adds to the orbit's.
+    Each pass walks the mask ``_ROWS`` entries at a time and hands a count
+    from one block to the next, so it holds the mask and block-sized
+    temporaries, never a whole-mask running count: it runs once per
+    classified radius, and its peak adds to the orbit's.
     """
     h = inside.size - 1
     _check_window(window_len, h)
-    counts = _counts(inside)
-    count = int(counts[-1])
-    if not count:
-        raise EmptySetError("syndetic gap of the empty set is undefined")
-    lower, upper = _running_extremes(counts)
-    banach = _banach_window(counts, window_len)
-    # the smallest positive member and the largest gap (see _largest_gap)
-    first, gap, last = None, 0, 0
+    # the count, the smallest positive member and the largest gap (see
+    # _largest_gap) from one walk over the members
+    count, first, gap, last = 0, None, 0, 0
     for a in range(0, inside.size, _ROWS):
         returns = np.flatnonzero(inside[a : a + _ROWS]) + a
         if returns.size:
+            count += returns.size
             gap = max(gap, int(np.diff(returns, prepend=last).max()))
             last = int(returns[-1])
             if first is None and last > 0:
                 first = int(returns[returns > 0][0])
+    if not count:
+        raise EmptySetError("syndetic gap of the empty set is undefined")
+    lower, upper = _running_extremes(inside)
+    banach = _banach_window(inside, window_len)
     return MaskStatistics(count, first, lower, upper, banach, gap=max(gap, h - last))
 
 
-def _counts(inside: np.ndarray) -> np.ndarray:
-    """``np.cumsum(inside)`` of a bool mask in value, int32 below
-    ``_INT32_ENTRIES`` entries; filled block by block plus a carry, so numpy
-    makes no whole-mask cast copy."""
-    dtype = np.int32 if inside.size < _INT32_ENTRIES else np.int64
-    counts = np.empty(inside.size, dtype=dtype)
-    carry = 0
-    for a in range(0, inside.size, _ROWS):
-        block = counts[a : a + _ROWS]
-        np.cumsum(inside[a : a + _ROWS], dtype=dtype, out=block)
-        block += carry
-        carry = int(block[-1])
-    return counts
+def _count_dtype(size: int) -> type:
+    """The integer type of the running counts of a ``size``-entry mask."""
+    return np.int32 if size < _INT32_ENTRIES else np.int64
 
 
-def _running_extremes(counts: np.ndarray) -> tuple[DensityEstimate, DensityEstimate]:
-    """Prefix density at ``N = len(counts) - 1`` with the running inf and sup
-    over ``[floor(N/10), N]``; ``counts`` is the running count of a mask.
+def _count_blocks(inside: np.ndarray, start: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The running count of a bool mask from ``start`` on, one block at a
+    time: pairs ``(a, counts)`` with ``counts[i] = count_nonzero(inside[: a
+    + i + 1])`` for the ``_ROWS`` entries from ``a``, each block carried on
+    from the one before; int32 below ``_INT32_ENTRIES`` entries. Every
+    block is a view of one buffer, which the next block overwrites."""
+    dtype = _count_dtype(inside.size)
+    buf = np.empty(min(_ROWS, inside.size - start), dtype=dtype)
+    carry = int(np.count_nonzero(inside[:start]))
+    for a in range(start, inside.size, _ROWS):
+        counts = buf[: min(_ROWS, inside.size - a)]
+        np.cumsum(inside[a : a + counts.size], dtype=dtype, out=counts)
+        counts += carry
+        carry = int(counts[-1])
+        yield a, counts
+
+
+def _running_extremes(inside: np.ndarray) -> tuple[DensityEstimate, DensityEstimate]:
+    """Prefix density of a mask at ``N = len(inside) - 1`` with the running
+    inf and sup over ``[floor(N/10), N]``.
 
     Index location uses floats (safe: distinct prefix ratios differ by at
-    least ``1/(N+1)^2``, far above roundoff), one block at a time; ties go to
-    the smallest index, and the returned values are exact.
+    least ``1/(N+1)^2``, far above roundoff), one block of counts at a time,
+    each block handing on its ``(ratio, index, count)`` extremes; ties go
+    to the smallest index, and the returned values are exact.
     """
-    N = counts.size - 1
-    lows, highs = [], []  # each block's (ratio, index) extremes; min() breaks ties by index
-    for a in range(N // 10, N + 1, _ROWS):
-        ratios = np.arange(a + 1, min(a + _ROWS, N + 1) + 1, dtype=np.float64)
-        np.divide(counts[a : a + ratios.size], ratios, out=ratios)
-        i, j = int(np.argmin(ratios)), int(np.argmax(ratios))
-        lows.append((ratios[i], a + i))
-        highs.append((-ratios[j], a + j))
-    lo, hi = min(lows)[1], min(highs)[1]
-    value = Fraction(int(counts[N]), N + 1)
+    N = inside.size - 1
+    lows, highs = [], []  # min() orders by ratio, then by the unique index
+    for a, counts in _count_blocks(inside, N // 10):
+        low, high = _block_extremes(a, counts)
+        lows.append(low)
+        highs.append(high)
+    value = Fraction(int(counts[-1]), N + 1)  # the last block ends at N
+    (_, lo, low), (_, hi, high) = min(lows), min(highs)
     return (
-        DensityEstimate(value, Fraction(int(counts[lo]), lo + 1)),
-        DensityEstimate(value, Fraction(int(counts[hi]), hi + 1)),
+        DensityEstimate(value, Fraction(low, lo + 1)),
+        DensityEstimate(value, Fraction(high, hi + 1)),
     )
 
 
-def _banach_window(counts: np.ndarray, N: int) -> BanachWindow:
-    """Best count over the windows ``[m, m + N]``: ``counts[m + N]`` less the
-    count before ``m``, one block of offsets at a time; ties go to the
-    smallest ``m``."""
-    best, m_star = int(counts[N]), 0  # m = 0 has no count before it
-    for a in range(1, counts.size - N, _ROWS):
-        ends = counts[a + N : a + N + _ROWS]
-        window = ends - counts[a - 1 : a - 1 + ends.size]
+def _block_extremes(a: int, counts: np.ndarray) -> tuple[tuple, tuple]:
+    """The ``(ratio, index, count)`` of the smallest and (ratio negated) of
+    the largest prefix ratio of a block of running counts from index ``a``;
+    the first of tied ratios. Its ratios die with the call, before the next
+    block's."""
+    ratios = np.arange(a + 1, a + counts.size + 1, dtype=np.float64)
+    np.divide(counts, ratios, out=ratios)
+    i, j = int(np.argmin(ratios)), int(np.argmax(ratios))
+    return (ratios[i], a + i, int(counts[i])), (-ratios[j], a + j, int(counts[j]))
+
+
+def _banach_window(inside: np.ndarray, N: int) -> BanachWindow:
+    """Best count of a mask over the windows ``[m, m + N]``, one block of
+    offsets at a time: each window's count is the one before it plus
+    ``inside[m + N]`` less ``inside[m - 1]``, carried across blocks; ties go
+    to the smallest ``m``."""
+    offsets = inside.size - N  # m = 0 .. h - N
+    buf = np.empty(min(_ROWS, offsets - 1), dtype=_count_dtype(inside.size))
+    best = carry = int(np.count_nonzero(inside[: N + 1]))
+    m_star = 0
+    for a in range(1, offsets, _ROWS):
+        window = buf[: min(_ROWS, offsets - a)]
+        np.subtract(inside[a + N : a + N + window.size], inside[a - 1 : a - 1 + window.size],
+                    out=window, dtype=window.dtype)
+        np.cumsum(window, out=window)
+        window += carry
+        carry = int(window[-1])
         i = int(np.argmax(window))
         if window[i] > best:
             best, m_star = int(window[i]), a + i
@@ -279,12 +308,15 @@ def _check_window(window_len: int, horizon: int) -> None:
         raise HorizonExceededError(f"window_len={window_len} exceeds horizon {horizon}")
 
 
-def _prefix_counts(A: FiniteNatSet, N: int) -> np.ndarray:
+def _mask(A: FiniteNatSet, N: int) -> np.ndarray:
+    """The bool mask of ``A`` over ``[0, N]``."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > A.horizon:
         raise HorizonExceededError(f"N={N} exceeds horizon {A.horizon}")
-    return np.cumsum(A.indicator(N))
+    inside = np.zeros(N + 1, dtype=bool)
+    inside[A.array[: np.searchsorted(A.array, N, side="right")]] = True
+    return inside
 
 
 def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
@@ -293,21 +325,22 @@ def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     The running infimum is the finite-horizon stand-in for the lower density
     liminf.
     """
-    return _running_extremes(_prefix_counts(A, N))[0]
+    return _running_extremes(_mask(A, N))[0]
 
 
 def upper_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     """Prefix density at ``N`` and the running supremum over ``[floor(N/10), N]``."""
-    return _running_extremes(_prefix_counts(A, N))[1]
+    return _running_extremes(_mask(A, N))[1]
 
 
 def upper_banach_density(A: FiniteNatSet, window_len: int) -> BanachWindow:
     """Best density over all windows ``[m, m + window_len]`` inside the horizon.
 
-    Single cumulative pass, O(horizon). Ties resolve to the smallest ``m``.
+    One carried block pass over the set's mask, O(horizon). Ties resolve to
+    the smallest ``m``.
     """
     _check_window(window_len, A.horizon)
-    return _banach_window(np.cumsum(A.indicator()), window_len)
+    return _banach_window(_mask(A, A.horizon), window_len)
 
 
 def syndetic_gap(A: FiniteNatSet) -> int:
@@ -323,20 +356,25 @@ def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> Dens
     """Assemble the standard density readout of a set at its own horizon; the
     prefix profile samples at most ``PROFILE_POINTS`` geometric points."""
     H = A.horizon
-    counts = np.cumsum(A.indicator())
-    lo, hi = _running_extremes(counts)
+    inside = _mask(A, H)
+    lo, hi = _running_extremes(inside)
     banach = {}
     for N in map(int, window_lengths):
         _check_window(N, H)
-        banach[N] = _banach_window(counts, N)
+        banach[N] = _banach_window(inside, N)
     if H == 0:
         ns = [0]
     else:
         ns = sorted(set(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)))
-    profile = tuple((int(n), Fraction(int(counts[n]), int(n) + 1)) for n in ns)
+    # the members up to each sample point, counted between consecutive ones
+    profile, count, prev = [], 0, 0
+    for n in map(int, ns):
+        count += int(np.count_nonzero(inside[prev : n + 1]))
+        prev = n + 1
+        profile.append((n, Fraction(count, n + 1)))
     return DensitySummary(
         lower_at_horizon=lo.running,
         upper_at_horizon=hi.running,
         banach_upper=banach,
-        prefix_profile=profile,
+        prefix_profile=tuple(profile),
     )

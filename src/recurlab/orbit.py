@@ -1,13 +1,13 @@
 """Orbit segments, return sets, and boundedness verdicts.
 
-An orbit segment records the metric norms of ``x, Tx, ..., T^H x`` and their
-metric distances to ``x``, and, when the caller asks for them, the points.
-Every return set is read from the distances; only the window measures and
-the parts of a direct sum read the points. Iteration advances strictly one
-application at a time, each row computed from the row before it by the
-kernels of ``LinearOperator.blocks``, so that ``points[n+1]`` equals
-``T.apply(points[n])`` bit for bit; window measures built from orbits rely
-on this.
+An orbit segment records the metric distances of ``x, Tx, ..., T^H x`` to
+``x``, the boundedness verdict of their metric norms, and, when the caller
+asks for them, the points. Every return set is read from the distances;
+only the window measures and the parts of a direct sum read the points.
+Iteration advances strictly one application at a time, each row computed
+from the row before it by the kernels of ``LinearOperator.blocks``, so that
+``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window measures
+built from orbits rely on this.
 
 :func:`iterate_many` steps a reused buffer of 4096 rows (``_FILL``) in
 *passes*: a pass is one contiguous column range with one kernel,
@@ -20,9 +20,11 @@ exact zero does. Per step, each pass costs one kernel call, made by ``map``
 over row views built once per call; ``ndarray.dot`` is the gemv of
 ``np.dot`` without its ``__array_function__`` dispatch, which takes about
 0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. Norms and distances are taken
-once per fill, in whole-array calls, and cost two floats per step and lane;
-the points, 16 bytes per coordinate and step, are copied out of the buffer
-only for the lanes whose caller asks for them, each lane chosen on its own.
+once per fill, in whole-array calls. A lane keeps its distances, one float
+per step; its norms only update the running facts of its boundedness
+verdict (:class:`_NormRecord`) and are dropped with the fill. The points,
+16 bytes per coordinate and step, are copied out of the buffer only for
+the lanes whose caller asks for them, each lane chosen on its own.
 A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
 
@@ -46,7 +48,6 @@ __all__ = [
     "iterate_many",
     "part_orbits",
     "return_set",
-    "boundedness",
 ]
 
 OVERFLOW_CAP = 1e12
@@ -54,21 +55,39 @@ _CHUNK = 256  # rows a pass steps between the overflow and fixed-point checks
 _FILL = 16 * _CHUNK  # rows of the step buffer between two recordings
 
 
+class BoundednessReport(NamedTuple):
+    """Sup of a segment's metric norms, with a monotone-growth heuristic.
+
+    The segment counts as bounded-at-horizon unless iteration overflowed.
+    Growth is flagged when the norms increase strictly over the last half of
+    the segment, from ``horizon_effective // 2`` on, and gain more than a
+    relative 1e-9 overall (so unitary orbits with flat, jittering norms are
+    not flagged).
+    """
+
+    bounded_at_horizon: bool
+    sup_norm: float
+    growth_detected: bool
+
+
 @dataclass(frozen=True)
 class OrbitSegment:
-    """Metric norms of ``T^n x`` for ``n = 0..horizon_effective``, and the
-    points themselves when they were kept.
+    """The orbit ``T^n x`` for ``n = 0..horizon_effective``: its distances to
+    ``base``, the boundedness verdict of its metric norms, and the points
+    themselves when they were kept.
 
     ``dists[n]`` is the metric distance from ``T^n x`` to ``base``; every
-    return set of the segment is read from it. ``points`` is None when the
-    segment was iterated with ``points=False``. ``overflow`` marks an early
-    stop: some iterate's norm passed the overflow cap and the segment was
-    truncated at the last admissible point.
+    return set of the segment is read from it. ``bounded`` was decided
+    while the orbit was recorded, and no per-step norm is kept. ``points``
+    is None when the segment was iterated with ``points=False``.
+    ``overflow`` marks an early stop: some iterate's norm passed the
+    overflow cap and the segment was truncated at the last admissible
+    point.
     """
 
     base: np.ndarray
     points: np.ndarray | None
-    norms: np.ndarray
+    bounded: BoundednessReport
     dists: np.ndarray
     block_dims: tuple[int, ...]
     horizon_requested: int
@@ -76,7 +95,7 @@ class OrbitSegment:
     overflow: bool
 
     def __post_init__(self):
-        for arr in (self.base, self.points, self.norms, self.dists):
+        for arr in (self.base, self.points, self.dists):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -107,13 +126,15 @@ def iterate_many(
     by chunk of 256 rows. Every lane equals its own ``z = T.apply(z)`` loop
     bit for bit. After each fill of the buffer, each lane's norms and
     distances are computed from its rows by ``block_norms``, row by row the
-    same bits as over the whole orbit at once, and the last row is carried
-    to the top of the buffer for the next fill. ``points`` is one bool for
-    every lane or one bool per lane, and a segment keeps its points only
-    when its lane's is True: the rows of those lanes are copied into one
-    ``(horizon + 1, k * d)`` array, for k lanes that keep points, and each
-    of their segments' points is a column view of it. Without points a lane
-    holds two floats per step, against ``16 d + 16`` bytes with them.
+    same bits as over the whole orbit at once; the distances are stored,
+    the norms update the lane's boundedness facts, and the last row is
+    carried to the top of the buffer for the next fill. ``points`` is one
+    bool for every lane or one bool per lane, and a segment keeps its
+    points only when its lane's is True: the rows of those lanes are copied
+    into one ``(horizon + 1, k * d)`` array, for k lanes that keep points,
+    and each of their segments' points is a column view of it. Without
+    points a lane holds one float per step, against ``16 d + 8`` bytes with
+    them.
 
     A call costs about 0.4-0.5 µs per step for one diagonal pass, with
     or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
@@ -202,8 +223,8 @@ def iterate_many(
     last = lo + b  # the last orbit row stepped; every later row repeats it
     for lane in lanes:
         if lane.end > last + 1:
-            lane.norms[last + 1 :] = lane.norms[last]
             lane.dists[last + 1 :] = lane.dists[last]
+            lane.norms.repeat(lane.end - 1 - last)
     if pts is not None:
         pts[last + 1 :] = pts[last]
     segments = [lane.segment(pts, horizon) for lane in lanes]
@@ -219,44 +240,118 @@ def iterate_many(
 
 class _Lane:
     """One operator's columns of the step buffer, its columns of the points
-    array when it keeps points, and the norms and distances recorded from
-    them up to the first point past ``OVERFLOW_CAP``."""
+    array when it keeps points, and the distances and norm facts recorded
+    from them up to the first point past ``OVERFLOW_CAP``.
+
+    The top row of each fill is kept while the lane is live, one row per
+    ``_FILL`` steps: a cut moves the growth check's midpoint to
+    ``(end - 1) // 2``, which may lie in an earlier fill, and its norm is
+    then stepped again from the nearest top row by ``T.apply``, whose rows
+    equal the buffer's bit for bit.
+    """
 
     def __init__(
         self, T: LinearOperator, cols: slice, pcols: slice | None, x: np.ndarray, horizon: int
     ):
-        self.block_dims, self.cols, self.pcols, self.x = T.block_dims, cols, pcols, x
-        self.norms = np.empty(horizon + 1)
+        self.T, self.cols, self.pcols, self.x = T, cols, pcols, x
         self.dists = np.empty(horizon + 1)
+        self.norms = _NormRecord(horizon // 2)
+        self.tops: list[tuple[int, np.ndarray]] = []  # (orbit row, its copy)
         self.end = horizon + 1  # rows the segment keeps
 
     def record(self, rows: np.ndarray, lo: int) -> None:
         hi = min(lo + rows.shape[0], self.end)
         if hi <= lo:
             return
-        norms, dists = _norms_and_dists(rows[: hi - lo, self.cols], self.x, self.block_dims)
-        self.norms[lo:hi], self.dists[lo:hi] = norms, dists
+        self.tops.append((lo, rows[0, self.cols].copy()))
+        norms, dists = _norms_and_dists(rows[: hi - lo, self.cols], self.x, self.T.block_dims)
         bad = np.flatnonzero(~np.isfinite(norms) | (norms > OVERFLOW_CAP))
         if bad.size:
-            self.end = lo + int(bad[0])
+            self.end = hi = lo + int(bad[0])
+            norms = norms[: hi - lo]
+            mid = (self.end - 1) // 2
+            self.norms.mid, self.norms.at_mid = mid, None
+            if 0 <= mid < lo:
+                self.norms.at_mid = self._norm_at(mid)
+        self.dists[lo:hi] = dists[: hi - lo]
+        self.norms.feed(norms)
+
+    def _norm_at(self, n: int) -> float:
+        """The norm of orbit row ``n``, stepped from the last top row at or
+        before it."""
+        start, z = next(top for top in reversed(self.tops) if top[0] <= n)
+        for _ in range(n - start):
+            z = self.T.apply(z)
+        return self.T.norm_of(z)
 
     def segment(self, pts: np.ndarray | None, horizon: int) -> OrbitSegment:
         end, overflow = self.end, self.end <= horizon
         points = None if self.pcols is None else pts[:end, self.pcols]
-        norms, dists = self.norms, self.dists
+        dists = self.dists
         if overflow:  # truncated copies, which free the full arrays
             points = None if points is None else points.copy()
-            norms, dists = norms[:end].copy(), dists[:end].copy()
+            dists = dists[:end].copy()
         return OrbitSegment(
             base=self.x.copy(),
             points=points,
-            norms=norms,
+            bounded=self.norms.report(overflow),
             dists=dists,
-            block_dims=self.block_dims,
+            block_dims=self.T.block_dims,
             horizon_requested=horizon,
             horizon_effective=end - 1,
             overflow=overflow,
         )
+
+
+class _NormRecord:
+    """The boundedness facts of a norm sequence fed in order, block by
+    block: its running sup, the index of the last norm that does not
+    strictly exceed the one before it, its last norm, and its norm at
+    ``mid``, the start of the growth check's tail.
+
+    :meth:`report` equals :class:`BoundednessReport` of the whole sequence
+    ``v``, with sup ``v.max()`` and growth ``all(tail[1:] > tail[:-1]) and
+    tail[-1] > tail[0] * (1 + 1e-9)`` on ``tail = v[(v.size - 1) // 2 :]``
+    of at least 3 norms, when ``mid`` is that tail's start.
+    """
+
+    def __init__(self, mid: int):
+        self.mid, self.at_mid = mid, None
+        self.size, self.flat = 0, 0  # 0: no norm before the last has failed
+        self.sup = self.last = -np.inf
+
+    def feed(self, norms: np.ndarray) -> None:
+        if not norms.size:
+            return
+        lo = self.size
+        self.sup = np.maximum(self.sup, norms.max())  # nan propagates, as in max()
+        # each norm against the one before it (row 0 has none); nan
+        # compares False, so it fails, as in the whole-sequence formula
+        drops = np.flatnonzero(~(norms[1:] > norms[:-1]))
+        if drops.size:
+            self.flat = lo + 1 + int(drops[-1])
+        elif lo and not norms[0] > self.last:
+            self.flat = lo
+        if lo <= self.mid < lo + norms.size:
+            self.at_mid = norms[self.mid - lo]
+        self.last = norms[-1]
+        self.size += norms.size
+
+    def repeat(self, n: int) -> None:
+        """Feed ``n`` copies of the last norm. The last copy does not rise,
+        so no growth is flagged, and the norm at the midpoint is not read."""
+        if n > 0:
+            self.size += n
+            self.flat = self.size - 1
+
+    def report(self, overflow: bool) -> BoundednessReport:
+        mid = (self.size - 1) // 2
+        growth = (
+            self.size - mid >= 3
+            and self.flat <= mid
+            and bool(self.last > self.at_mid * (1 + 1e-9))
+        )
+        return BoundednessReport(not overflow, float(self.sup), growth)
 
 
 def _norms_and_dists(rows: np.ndarray, base: np.ndarray, block_dims) -> tuple:
@@ -347,12 +442,14 @@ def _part_orbit(orbit: OrbitSegment, P: LinearOperator, start: int) -> OrbitSegm
     # orbit passes the cap; its norms and distances are taken one buffer
     # fill of rows at a time, the same bits as over the whole orbit
     points = orbit.points[:, start : start + P.dim]
-    norms, dists = np.empty(points.shape[0]), np.empty(points.shape[0])
+    dists = np.empty(points.shape[0])
+    record = _NormRecord(orbit.horizon_effective // 2)
     for lo in range(0, points.shape[0], _FILL):
         rows = slice(lo, lo + _FILL)
-        norms[rows], dists[rows] = _norms_and_dists(points[rows], base, P.block_dims)
-    return replace(orbit, base=base.copy(), points=points, norms=norms, dists=dists,
-                   block_dims=P.block_dims)
+        norms, dists[rows] = _norms_and_dists(points[rows], base, P.block_dims)
+        record.feed(norms)
+    return replace(orbit, base=base.copy(), points=points, bounded=record.report(False),
+                   dists=dists, block_dims=P.block_dims)
 
 
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:
@@ -364,28 +461,3 @@ def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
     return FiniteNatSet(np.nonzero(orbit.dists < epsilon)[0], orbit.horizon_effective)
-
-
-class BoundednessReport(NamedTuple):
-    bounded_at_horizon: bool
-    sup_norm: float
-    growth_detected: bool
-
-
-def boundedness(orbit: OrbitSegment) -> BoundednessReport:
-    """Sup of the recorded norms, with a monotone-growth heuristic.
-
-    The segment counts as bounded-at-horizon unless iteration overflowed.
-    Growth is flagged when the norms increase strictly over the last half of
-    the segment and gain more than a relative 1e-9 overall (so unitary orbits
-    with flat, jittering norms are not flagged).
-    """
-    sup = float(orbit.norms.max())
-    bounded = not orbit.overflow
-    tail = orbit.norms[orbit.horizon_effective // 2 :]
-    growth = False
-    if tail.size >= 3:
-        growth = bool(
-            np.all(tail[1:] > tail[:-1]) and tail[-1] > tail[0] * (1 + 1e-9)
-        )
-    return BoundednessReport(bounded, sup, growth)

@@ -882,9 +882,11 @@ class TestPointsOnlyForTheirReaders:
             assert "error" not in entry
 
     def test_classify_only_run_keeps_no_points(self, tmp_path):
-        # one rotation at H = 10^6: its norms and distances take 16 MB;
-        # with the points and the whole-orbit distance temporaries the
-        # peak was 53 MB
+        # one rotation at H = 10^6: its distances take 8 MB, and each
+        # radius adds its mask and block temporaries; the peak is 9.6 MiB.
+        # With the points and the whole-orbit distance temporaries it was
+        # 53 MB, and with per-step norms and a whole-mask running count
+        # 21.0 MiB
         obj = base_config()
         obj["experiments"][0].update(
             operator={"type": "diagonal_unimodular", "angles_turns": [GOLDEN]},
@@ -899,16 +901,17 @@ class TestPointsOnlyForTheirReaders:
         finally:
             tracemalloc.stop()
         assert not document_has_failures(doc)
-        assert peak < 40 * 2**20
+        assert peak < 14 * 2**20
 
 
     def test_product_check_holds_one_part_at_a_time(self, tmp_path):
         # a sum of two rotations at H = 2 * 10^5 with all five per-vector
-        # checks: the forward orbit with its points and the backward
-        # lane's norms and distances take 12.8 MB, and the product check
-        # adds one part's norms and distances and its classification.
-        # With the backward lane's points, both parts' orbits at once and
-        # whole-orbit part temporaries, the peak was 29 MB; it is 19 MB.
+        # checks: the forward orbit with its points and distances and the
+        # backward lane's distances take 9.6 MB, and the product check
+        # adds one part's distances and its classification. With the
+        # backward lane's points, both parts' orbits at once and
+        # whole-orbit part temporaries, the peak was 29 MB; with per-step
+        # norms and whole-mask running counts 17.6 MiB; it is 12.1 MiB.
         obj = base_config()
         obj["experiments"][0].update(
             operator={
@@ -930,7 +933,7 @@ class TestPointsOnlyForTheirReaders:
         finally:
             tracemalloc.stop()
         assert not document_has_failures(doc)
-        assert peak < 24 * 2**20
+        assert peak < 16 * 2**20
 
 
 # A config that loads, with every operator kind, vector kind and field.

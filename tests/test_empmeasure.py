@@ -28,6 +28,7 @@ from recurlab import (
     realize,
     support_span_vs_kernel,
 )
+from recurlab import empmeasure
 from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct, _group_index, _merge
 from recurlab.errors import DimensionError
 from recurlab.natset import FiniteNatSet, upper_banach_density
@@ -349,6 +350,25 @@ class TestMoments:
         mu = empirical_from_window(orb, 0, 10**5 - 1)
         assert np.linalg.norm(moments(mu).expectation) <= 1e-3
 
+    @pytest.mark.parametrize("d", [1, 6, 9])
+    def test_blocks_equal_the_whole_array_form(self, d):
+        # the squared norms are summed in blocks of atoms, across row_sums'
+        # switch from column adds to numpy's pairwise sum at 8 columns
+        rng = np.random.default_rng(38 + d)
+        B = empmeasure._ROWS
+        for k in (1, B - 1, B, B + 1, 2 * B + 3):
+            wide = rng.normal(size=(k, d + 2)) + 1j * rng.normal(size=(k, d + 2))
+            # weight on every atom, and weight only on the atoms at the
+            # block edges, so that each of their squared norms shows
+            sparse = np.zeros(k)
+            sparse[[i for i in (0, B - 1, B, B + 1, k - 1) if i < k]] = 1.0
+            for w in (rng.uniform(0.1, 1.0, size=k), sparse):
+                mu = EmpiricalMeasure(wide[:, 1 : 1 + d], w / w.sum())
+                want = float(mu.weights @ (np.abs(mu.atoms) ** 2).sum(axis=1))
+                got = moments(mu)
+                assert float(got.second_moment).hex() == want.hex(), k
+                assert same_bits(got.expectation, mu.weights @ mu.atoms)
+
 
 class TestCovariance:
     def test_period_four_scalar(self):
@@ -378,6 +398,21 @@ class TestCovariance:
             assert covariance(mu).trace == pytest.approx(
                 moments(mu).second_moment, rel=1e-12
             )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 12])
+    def test_columns_equal_the_three_operand_einsum(self, d):
+        # one einsum per column, against the conjugate of that coordinate
+        # only, on contiguous atoms and on read-only window views of a
+        # wider points array
+        rng = np.random.default_rng(70 + d)
+        for k in (1, 2, 7, 100, 4095, 4097, 8191, 8193, 20000, 100001):
+            points = rng.normal(size=(k + 10, d + 3)) + 1j * rng.normal(size=(k + 10, d + 3))
+            points.setflags(write=False)
+            w = rng.uniform(0.1, 1.0, size=k)
+            for atoms in (points[:k, :d].copy(), points[5 : 5 + k, 2 : 2 + d]):
+                mu = EmpiricalMeasure(atoms, w / w.sum())
+                s = np.einsum("k,ki,kj->ij", mu.weights, mu.atoms, mu.atoms.conj())
+                assert same_bits(covariance(mu).entries, (s + s.conj().T) / 2), (k, d)
 
     def test_psd_validation(self):
         with pytest.raises(ValueError):
@@ -458,8 +493,11 @@ class TestBallMass:
 
 
 class TestPeakMemory:
-    """The window and invariance layers hold block-sized temporaries: at the
-    parent of their block passes these calls added 18.3 and 26.9 MiB."""
+    """The window, invariance and moment layers hold block-sized or
+    column-sized temporaries: before their block passes, the window and the
+    invariance defect added 18.3 and 26.9 MiB here, and covariance with
+    moments 9.5 MiB (a conjugated copy of the window; moments alone took
+    the moduli of every atom, 5.3 MiB)."""
 
     @pytest.fixture(scope="class")
     def window(self):
@@ -477,3 +515,9 @@ class TestPeakMemory:
         assert mu.n_atoms == 100_001
         balls = [(x, 0.5), (np.zeros(6, dtype=complex), 1.0), (x, 1.0)]
         assert added_peak(invariance_defect, T, mu, balls) <= 6 * 2**20
+
+    def test_covariance_and_moments(self, window):
+        _, _, orb = window
+        mu = empirical_from_window(orb, 0, 100_000)
+        assert mu.n_atoms == 100_001
+        assert added_peak(lambda: (covariance(mu), moments(mu))) <= 3 * 2**20

@@ -29,8 +29,9 @@ from recurlab.errors import EmptySetError, HorizonExceededError
 from recurlab.natset import (
     BanachWindow,
     DensityEstimate,
+    DensitySummary,
     MaskStatistics,
-    _counts,
+    _count_blocks,
     mask_statistics,
 )
 
@@ -436,8 +437,39 @@ def block_masks(size):
     return masks
 
 
+def whole_array_summary(A, window_lengths):
+    """``density_summary`` from one int64 ``cumsum`` of the set's indicator
+    over the whole horizon."""
+    H = A.horizon
+    counts = np.cumsum(A.indicator())
+    mask = A.indicator().astype(bool)
+    first = whole_array_statistics(mask, 0)
+    ns = [0] if H == 0 else sorted(set(np.geomspace(1, H, num=min(32, H)).astype(int)))
+    return DensitySummary(
+        lower_at_horizon=first.lower.running,
+        upper_at_horizon=first.upper.running,
+        banach_upper={N: whole_array_statistics(mask, N).banach for N in window_lengths},
+        prefix_profile=tuple((int(n), Fraction(int(counts[n]), int(n) + 1)) for n in ns),
+    )
+
+
+def first_member_masks(size, window_len):
+    """Masks whose best window of ``window_len + 1`` slots starts at a block
+    edge of the window pass, whose blocks start at offsets ``1 + k B``: one
+    member at ``m + window_len`` for ``m`` on both sides of each edge, and a
+    second, equal window further on, which must lose the tie."""
+    masks = {}
+    for edge in range(1, size - window_len, B):
+        for m in (edge - 1, edge):
+            if 0 <= m and m + 2 * window_len + 2 < size:
+                mask = np.zeros(size, dtype=bool)
+                mask[[m + window_len, m + 2 * window_len + 2]] = True
+                masks[f"m={m}"] = mask
+    return masks
+
+
 class TestBlockPasses:
-    """The block passes of ``mask_statistics`` and ``_counts`` against the
+    """The carried block passes of ``mask_statistics`` against the
     whole-array formulas, on masks sized around the block length."""
 
     @pytest.mark.parametrize("size", [B - 1, B, B + 1, 3 * B + 7])
@@ -478,19 +510,48 @@ class TestBlockPasses:
 
     @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 3 * B + 7])
     def test_counts_equal_cumsum(self, size):
+        # the carried blocks from any start are the whole mask's cumsum
         mask = np.random.default_rng(size).random(size) < 0.5
-        counts = _counts(mask)
-        assert counts.dtype == np.int32
-        assert np.array_equal(counts, np.cumsum(mask))
+        for start in sorted({0, 1, size // 10, B - 1, B, size - 1} & set(range(size))):
+            # each block overwrites the one before, so each is copied
+            blocks = [(a, counts.copy()) for a, counts in _count_blocks(mask, start)]
+            assert [a for a, _ in blocks] == list(range(start, size, B))
+            assert all(counts.dtype == np.int32 for _, counts in blocks)
+            got = np.concatenate([counts for _, counts in blocks])
+            assert np.array_equal(got, np.cumsum(mask)[start:])
 
     def test_int64_counts_past_the_int32_limit(self, monkeypatch):
         size = 3 * B + 7
+        h = size - 1
         monkeypatch.setattr(natset, "_INT32_ENTRIES", B)
         for name, mask in block_masks(size).items():
-            counts = _counts(mask)
-            assert counts.dtype == np.int64
-            assert np.array_equal(counts, np.cumsum(mask))
-            assert mask_statistics(mask, 500) == whole_array_statistics(mask, 500), name
+            blocks = [(a, counts.copy()) for a, counts in _count_blocks(mask, h // 10)]
+            assert all(counts.dtype == np.int64 for _, counts in blocks)
+            got = np.concatenate([counts for _, counts in blocks])
+            assert np.array_equal(got, np.cumsum(mask)[h // 10 :])
+            for window_len in (1, B - 1, B + 1, h):
+                want = whole_array_statistics(mask, window_len)
+                assert mask_statistics(mask, window_len) == want, (name, window_len)
+
+    @pytest.mark.parametrize("size", [B + 1, 3 * B + 7])
+    def test_window_lengths_around_the_block_length(self, size):
+        h = size - 1
+        lengths = [n for n in (1, B - 1, B, B + 1, 2 * B + 3, h - 1, h) if 0 <= n <= h]
+        for window_len in lengths:
+            masks = {**block_masks(size), **first_member_masks(size, window_len)}
+            for name, mask in masks.items():
+                want = whole_array_statistics(mask, window_len)
+                assert mask_statistics(mask, window_len) == want, (name, window_len)
+
+    def test_best_windows_at_the_window_pass_edges(self):
+        size = 3 * B + 7
+        for window_len in (1, 300):
+            for name, mask in first_member_masks(size, window_len).items():
+                m = int(name[2:])
+                # every window holding the first member counts 1; the
+                # smallest offset that reaches it is m
+                got = mask_statistics(mask, window_len).banach
+                assert got == BanachWindow(Fraction(1, window_len + 1), m), name
 
     def test_per_set_functions_across_blocks(self):
         size = 3 * B + 7
@@ -503,10 +564,36 @@ class TestBlockPasses:
             assert upper_banach_density(A, 1000) == want.banach, name
             assert density_summary(A, [1000]).banach_upper[1000] == want.banach, name
 
+    def test_density_summary_of_a_set_file(self):
+        # a set file's horizon sets the size of every pass over it: the
+        # whole-array summary of 11 members over 2 * 10^6 slots added 30.5
+        # MiB (an int64 indicator and its int64 cumsum); the carried passes
+        # hold the bool mask and block temporaries
+        A = FiniteNatSet.from_runs([[0, 10]], 2_000_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = density_summary(A, [1000])
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added <= 3 * 2**20
+        assert got == whole_array_summary(A, [1000])
+
+    def test_density_summary_equals_whole_array_oracle(self):
+        rng = np.random.default_rng(77)
+        for size in (1, 2, B - 1, B + 1, 3 * B + 7):
+            h = size - 1
+            for mask in (rng.random(size) < 0.3, np.arange(size) % 7 == 0):
+                mask[0] = True
+                A = FiniteNatSet(np.flatnonzero(mask), h)
+                windows = sorted({0, h // 3, h})
+                assert density_summary(A, windows) == whole_array_summary(A, windows)
+
     def test_peak_memory_bound(self):
-        # the whole-array pass adds 16 MiB here (int64 cumsum plus numpy's
-        # int64 cast copy of the mask); the block pass holds int32 counts
-        # and block temporaries
+        # the whole-array pass added 16 MiB here (int64 cumsum plus numpy's
+        # int64 cast copy of the mask), and a whole-mask int32 running count
+        # 5 MiB; the carried passes hold block temporaries only
         mask = np.random.default_rng(5).random(2**20 + 1) < 0.3
         mask[0] = True
         tracemalloc.start()
@@ -516,4 +603,4 @@ class TestBlockPasses:
             added = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert added <= 6 * 2**20
+        assert added <= 2 * 2**20

@@ -25,7 +25,6 @@ from recurlab import (
     Power,
     Scale,
     WeightedBackwardShiftTruncation,
-    boundedness,
     direct_sum,
     iterate,
     realize,
@@ -35,7 +34,14 @@ from recurlab import (
 from recurlab.empmeasure import empirical_from_window
 from recurlab.errors import DimensionError
 from recurlab.linop import block_norms
-from recurlab.orbit import _FILL, _norms_and_dists, iterate_many, part_orbits
+from recurlab.orbit import (
+    _FILL,
+    BoundednessReport,
+    _NormRecord,
+    _norms_and_dists,
+    iterate_many,
+    part_orbits,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SWAP_SPEC = DenseMatrix(((0.0, 1.0), (1.0, 0.0)))
@@ -73,6 +79,18 @@ def oracle_jordan_orbit(horizon):
     return np.array([[n, 1] for n in range(horizon + 1)], dtype=complex)
 
 
+def oracle_boundedness(norms, overflow):
+    """The boundedness verdict from the whole norm sequence at once: its
+    max, and growth when the last half, from ``(size - 1) // 2`` on, holds
+    at least 3 norms, rises strictly and gains a relative 1e-9."""
+    tail = norms[(norms.size - 1) // 2 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = tail.size >= 3 and bool(
+            np.all(tail[1:] > tail[:-1]) and tail[-1] > tail[0] * (1 + 1e-9)
+        )
+    return BoundednessReport(not overflow, float(norms.max()), growth)
+
+
 def oracle_quarter_rotation_returns(horizon, epsilon):
     """|i^n - 1| cycles through 0, sqrt2, 2, sqrt2."""
     pattern = [0.0, math.sqrt(2.0), 2.0, math.sqrt(2.0)]
@@ -91,7 +109,9 @@ class TestIterate:
         T = realize(JordanBlock(1.0, 2))
         orb = iterate(T, np.array([0.0, 1.0], dtype=complex), 10)
         assert np.array_equal(orb.points, oracle_jordan_orbit(10))
-        assert np.allclose(orb.norms, np.hypot(np.arange(11), 1.0))
+        norms = T.block_norms(orb.points)
+        assert np.allclose(norms, np.hypot(np.arange(11), 1.0))
+        assert orb.bounded == oracle_boundedness(norms, False)
 
     def test_dists_to_base(self):
         # [[1,1],[0,1]]^n e2 = (n, 1) lies at distance exactly n from e2
@@ -110,7 +130,8 @@ class TestIterate:
     def test_dyadic_decay_exact(self):
         T = realize(Scale(0.5, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 50)
-        assert np.array_equal(orb.norms, 2.0 ** -np.arange(51, dtype=float))
+        assert np.array_equal(T.block_norms(orb.points), 2.0 ** -np.arange(51, dtype=float))
+        assert orb.bounded == (True, 1.0, False)
         assert not orb.overflow
 
     def test_pushforward_identity_bitwise(self):
@@ -137,7 +158,7 @@ class TestIterate:
         assert orb.overflow
         # 2^40 is the first norm past the 1e12 cap
         assert orb.horizon_effective == 39
-        assert orb.norms[-1] == 2.0**39
+        assert orb.bounded == (False, 2.0**39, True)
         assert orb.points.shape[0] == 40
 
     def test_overflow_stops_iterating_near_the_cap(self, monkeypatch):
@@ -163,7 +184,7 @@ class TestIterate:
         assert orb.overflow
         assert orb.horizon_effective == ref.shape[0] - 1 == 27644
         assert bitwise_equal(orb.points, ref)
-        assert np.array_equal(orb.norms, T.block_norms(ref))
+        assert orb.bounded == oracle_boundedness(T.block_norms(ref), True)
         # the loop stops at the chunk-end check after the cap, not at inf
         assert orb.horizon_effective < len(calls) <= orb.horizon_effective + 257
 
@@ -191,7 +212,9 @@ class TestIterate:
                         realize(DiagonalUnimodular((GOLDEN,)))])
         x = np.array([3.0, 4.0], dtype=complex)
         orb = iterate(T, x, 20)
-        assert np.allclose(orb.norms, 4.0, atol=1e-12)  # max(|3|, |4|)
+        # max(|3|, |4|)
+        assert np.allclose(T.block_norms(orb.points), 4.0, atol=1e-12)
+        assert orb.bounded.sup_norm == pytest.approx(4.0, abs=1e-12)
 
 
 def reference_orbit(T, x, horizon, cap=1e12):
@@ -224,7 +247,7 @@ class TestIterateMany:
         for T, orb in zip(ops, lanes):
             ref = reference_orbit(T, x, horizon)
             assert bitwise_equal(orb.points, ref)
-            assert np.array_equal(orb.norms, T.block_norms(ref))
+            assert orb.bounded == oracle_boundedness(T.block_norms(ref), orb.overflow)
             assert np.array_equal(orb.dists, T.block_norms(ref - x))
             assert orb.horizon_effective == ref.shape[0] - 1
             assert orb.block_dims == T.block_dims
@@ -363,9 +386,8 @@ class TestIterateMany:
         assert not decayed.overflow and decayed.horizon_effective == 10**5
         alone = iterate(ops[1], x, 10**5)
         assert bitwise_equal(decayed.points, alone.points)
-        for field in ("norms", "dists"):
-            assert np.array_equal(getattr(decayed, field).view(np.uint64),
-                                  getattr(alone, field).view(np.uint64))
+        assert np.array_equal(decayed.dists.view(np.uint64), alone.dists.view(np.uint64))
+        assert decayed.bounded == alone.bounded
 
     def test_stopped_dense_lane_is_not_stepped_on(self, monkeypatch):
         # T^-1 of a Jordan block at 0.5 passes the cap after about 40 steps,
@@ -522,8 +544,8 @@ class TestIterateMany:
         ops = [realize(U), realize(Inverse(U))]
         x = rng.normal(size=d) + 1j * rng.normal(size=d)
         for orb, T in zip(iterate_many(ops, x, 2 * _FILL + 7), ops):
-            assert np.array_equal(orb.norms.view(np.uint64),
-                                  block_norms(orb.points, T.block_dims).view(np.uint64))
+            norms = block_norms(orb.points, T.block_dims)
+            assert orb.bounded == oracle_boundedness(norms, False)
             assert np.array_equal(orb.dists.view(np.uint64),
                                   block_norms(orb.points - x, T.block_dims).view(np.uint64))
 
@@ -574,10 +596,10 @@ class TestIterateMany:
         for a, b in zip(with_points, without):
             assert b.points is None and a.points is not None
             assert bitwise_equal(a.base, b.base) and b.dim == a.dim
-            assert np.array_equal(a.norms.view(np.uint64), b.norms.view(np.uint64))
+            assert a.bounded == b.bounded
             assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
             assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
-            assert not b.norms.flags.writeable and not b.dists.flags.writeable
+            assert not b.dists.flags.writeable
 
     @pytest.mark.parametrize("kind", ["rotation_pair", "dense_pair", "overflow", "three_lanes"])
     def test_points_per_lane(self, kind):
@@ -609,9 +631,8 @@ class TestIterateMany:
                 if kept and (sum(flags) == 1 or any(s.overflow for s in some)):
                     # the points are not a view of a wider array
                     assert b.points.flags.c_contiguous
-                for field in ("norms", "dists"):
-                    assert np.array_equal(getattr(a, field).view(np.uint64),
-                                          getattr(b, field).view(np.uint64))
+                assert a.bounded == b.bounded
+                assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
                 assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
         assert any(s.overflow for s in every) == (kind in ("overflow", "three_lanes"))
 
@@ -641,8 +662,9 @@ class TestPartOrbits:
         for P, orb in zip(parts, got):
             ref = iterate(P, x[start : start + P.dim], 2000)
             assert np.shares_memory(orb.points, orbit.points)
-            for field in ("base", "points", "norms", "dists"):
+            for field in ("base", "points", "dists"):
                 assert np.array_equal(getattr(orb, field), getattr(ref, field))
+            assert orb.bounded == ref.bounded
             assert (orb.horizon_effective, orb.overflow) == (2000, False)
             start += P.dim
 
@@ -659,9 +681,9 @@ class TestPartOrbits:
         for P, start in zip(parts, (0, 4)):
             part = next(got)
             ref = iterate(P, x[start : start + P.dim], horizon)
-            for field in ("norms", "dists"):
-                assert np.array_equal(getattr(part, field).view(np.uint64),
-                                      getattr(ref, field).view(np.uint64))
+            assert np.array_equal(part.dists.view(np.uint64), ref.dists.view(np.uint64))
+            assert part.bounded == ref.bounded
+            assert part.bounded == oracle_boundedness(P.block_norms(part.points), False)
         assert next(got, None) is None
 
     def test_overflowed_sum_iterates_its_parts(self):
@@ -678,9 +700,8 @@ class TestPartOrbits:
         for P, part, base in zip(parts, (grown, swapped), ([1.0], [1.0, 0.0])):
             ref = iterate(P, np.array(base, dtype=complex), 100)
             assert part.points is None
-            for field in ("norms", "dists"):
-                assert np.array_equal(getattr(part, field).view(np.uint64),
-                                      getattr(ref, field).view(np.uint64))
+            assert np.array_equal(part.dists.view(np.uint64), ref.dists.view(np.uint64))
+            assert part.bounded == ref.bounded
 
     def test_dims_must_add_up(self):
         orbit = iterate(realize(SWAP_SPEC), np.array([1.0, 0.0j]), 5)
@@ -830,11 +851,36 @@ class TestClosedFormRotationOracle:
             self.check(blocks, orbit, [float(rng.uniform(0.2, 0.8))])
 
 
+def norm_splits(norms):
+    """Ways to feed a norm sequence in blocks: whole, in two blocks split at
+    every position, in singletons, and with a one-norm block at, before and
+    after the growth check's midpoint, so that the midpoint straddles a
+    split."""
+    n, mid = norms.size, (norms.size - 1) // 2
+    yield [norms]
+    yield [norms[:0], norms, norms[n:]]
+    for k in range(1, n):
+        yield [norms[:k], norms[k:]]
+    yield [norms[i : i + 1] for i in range(n)]
+    for m in (mid - 1, mid, mid + 1):
+        if 0 <= m < n:
+            yield [norms[:m], norms[m : m + 1], norms[m + 1 :]]
+
+
+def fed_report(size, pieces, overflow=False):
+    """The report of a ``_NormRecord`` fed ``pieces`` of a ``size``-norm
+    sequence in order."""
+    record = _NormRecord((size - 1) // 2)
+    for piece in pieces:
+        record.feed(piece)
+    return record.report(overflow)
+
+
 class TestBoundedness:
     def test_rotation_flat(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         orb = iterate(T, np.array([1.0 + 0j]), 500)
-        rep = boundedness(orb)
+        rep = orb.bounded
         assert rep.bounded_at_horizon
         assert abs(rep.sup_norm - 1.0) < 1e-12
         assert not rep.growth_detected
@@ -842,7 +888,7 @@ class TestBoundedness:
     def test_jordan_growth_detected(self):
         T = realize(JordanBlock(1.0, 2))
         orb = iterate(T, np.array([0.0, 1.0], dtype=complex), 100)
-        rep = boundedness(orb)
+        rep = orb.bounded
         assert rep.bounded_at_horizon  # no overflow at this horizon
         assert rep.sup_norm == pytest.approx(math.hypot(100.0, 1.0))
         assert rep.growth_detected
@@ -850,14 +896,14 @@ class TestBoundedness:
     def test_decay_bounded(self):
         T = realize(Scale(0.5, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 60)
-        rep = boundedness(orb)
+        rep = orb.bounded
         assert rep.bounded_at_horizon and rep.sup_norm == 1.0
         assert not rep.growth_detected
 
     def test_overflow_not_bounded(self):
         T = realize(Scale(2.0, DenseMatrix(((1.0,),))))
         orb = iterate(T, np.array([1.0 + 0j]), 100)
-        assert not boundedness(orb).bounded_at_horizon
+        assert not orb.bounded.bounded_at_horizon
 
     def test_growth_check_equals_diff_formula(self):
         # the check compares neighbours, with no np.diff of the tail: under
@@ -886,11 +932,116 @@ class TestBoundedness:
         for tail in tails:
             # the tail is the last tail.size of 2 * tail.size - 1 norms
             norms = np.concatenate([np.ones(tail.size - 1), tail])
-            orbit = types.SimpleNamespace(
-                norms=norms, horizon_effective=norms.size - 1, overflow=False
-            )
             with np.errstate(over="ignore", invalid="ignore"):
                 old = bool(np.all(np.diff(tail) > 0) and tail[-1] > tail[0] * (1 + 1e-9))
-            assert boundedness(orbit).growth_detected == old, tail
+            for pieces in norm_splits(norms):
+                assert fed_report(norms.size, pieces).growth_detected == old, (tail, pieces)
             verdicts.add(old)
         assert verdicts == {True, False}
+
+    def test_fed_record_equals_the_whole_sequence_formula(self):
+        # sup and growth of a record fed block by block, against the
+        # formula on the whole sequence, for every split; sequences with
+        # plateaus, drops and a rise that stops just before or after the
+        # midpoint
+        rng = np.random.default_rng(44)
+        sequences = [np.cumsum(rng.uniform(0.0, 1.0, n)) for n in (1, 2, 3, 4, 5, 9, 40)]
+        sequences += [rng.uniform(1.0, 2.0, 12), np.ones(7), np.arange(10.0)[::-1]]
+        for n in (9, 10, 41):
+            for stop in ((n - 1) // 2 - 1, (n - 1) // 2, (n - 1) // 2 + 1):
+                seq = np.arange(1.0, n + 1.0)
+                seq[stop] = seq[stop - 1]  # the last norm that does not rise
+                sequences.append(seq)
+        for norms in sequences:
+            for overflow in (False, True):
+                want = oracle_boundedness(norms, overflow)
+                for pieces in norm_splits(norms):
+                    assert fed_report(norms.size, pieces, overflow) == want, (norms, pieces)
+
+    def test_repeated_last_norm_equals_its_copies(self):
+        # the rows after a loop that ended early repeat its last row
+        rng = np.random.default_rng(45)
+        for n, copies in [(1, 1), (1, 5), (4, 1), (6, 3), (6, 7), (20, 30)]:
+            norms = np.cumsum(rng.uniform(0.1, 1.0, n))
+            for split in range(n + 1):
+                record = _NormRecord((n + copies - 1) // 2)
+                record.feed(norms[:split])
+                record.feed(norms[split:])
+                record.repeat(copies)
+                whole = np.concatenate([norms, np.full(copies, norms[-1])])
+                assert record.report(False) == oracle_boundedness(whole, False)
+
+    @pytest.mark.parametrize("kind", ["dense_1", "dense_9", "diagonal_2"])
+    def test_overflow_midpoint_in_an_earlier_fill(self, monkeypatch, kind):
+        # 1.005^n passes the cap near n = 5541, in the second fill; the
+        # growth check's tail starts near 2770, in the first, and its norm
+        # is stepped again from that fill's top row. Nine columns take
+        # row_sums' pairwise sum
+        spec = {
+            "dense_1": DenseMatrix(((1.0,),)),
+            "dense_9": random_dense(np.random.default_rng(46), 9),
+            "diagonal_2": DiagonalUnimodular((0.25, GOLDEN)),
+        }[kind]
+        T = realize(Scale(1.005, spec))
+        x = np.zeros(T.dim, dtype=complex)
+        x[0] = 1.0
+        mids = []
+        report = _NormRecord.report
+        monkeypatch.setattr(_NormRecord, "report",
+                            lambda self, overflow: mids.append(self.at_mid) or report(self, overflow))
+        orb = iterate_many((T,), x, 4 * _FILL, points=False)[0]
+        ref = reference_orbit(T, x, 4 * _FILL)
+        h = ref.shape[0] - 1
+        assert orb.overflow and orb.horizon_effective == h and _FILL < h < 2 * _FILL
+        norms = T.block_norms(ref)
+        assert orb.bounded == oracle_boundedness(norms, True)
+        assert orb.bounded.growth_detected
+        assert float(mids[0]).hex() == float(norms[h // 2]).hex()
+
+    def test_overflow_moves_the_midpoint_past_a_flat_spot(self):
+        # a rotation of modulus 1 beside a part that starts at 1e-13 and
+        # grows by 1.005 per step: the norm is flat at 1 until the growing
+        # part passes it near n = 6000, in the second fill, and strictly
+        # rising from there to the cap near n = 11 540, in the third. The
+        # tail of the cut segment starts near 5770, before the flat spot
+        # ends, so no growth is flagged; the requested horizon's midpoint
+        # would lie after it
+        parts = [realize(DiagonalUnimodular((GOLDEN,))),
+                 realize(Scale(1.005, DenseMatrix(((1.0,),))))]
+        T = direct_sum(parts)
+        x = np.array([1.0, 1e-13], dtype=complex)
+        for keep in (True, False):
+            orb = iterate_many((T,), x, 6 * _FILL, points=keep)[0]
+            ref = reference_orbit(T, x, 6 * _FILL)
+            norms = T.block_norms(ref)
+            h = orb.horizon_effective
+            assert orb.overflow and h == ref.shape[0] - 1 and 2 * _FILL < h < 3 * _FILL
+            flat = int(np.flatnonzero(~(norms[1:] > norms[:-1]))[-1]) + 1
+            assert _FILL < h // 2 < flat < 3 * _FILL
+            assert orb.bounded == oracle_boundedness(norms, True)
+            assert not orb.bounded.growth_detected
+
+    @pytest.mark.parametrize("horizon", [2000, 3 * _FILL + 5])
+    def test_retired_to_an_exact_zero(self, horizon):
+        # 0.5^n reaches an exact zero near n = 1075 and the pass retires;
+        # the norms after it repeat 0.0, past the midpoint at the longer
+        # horizon
+        T = realize(Scale(0.5, DenseMatrix(((1.0,),))))
+        x = np.array([1.0 + 0j])
+        orb = iterate_many((T,), x, horizon, points=False)[0]
+        ref = reference_orbit(T, x, horizon)
+        assert not orb.overflow and ref.shape[0] == horizon + 1
+        assert orb.bounded == oracle_boundedness(T.block_norms(ref), False)
+        assert orb.bounded == (True, 1.0, False)
+
+    def test_part_orbits_of_a_sum(self):
+        # a Jordan part that grows and a rotation beside it, over several
+        # fills; each part's report is that of its own norms
+        parts = [realize(JordanBlock(1.0, 2)), realize(DiagonalUnimodular((GOLDEN,)))]
+        x = np.array([0.0, 1.0, 1.0], dtype=complex)
+        orbit = iterate(direct_sum(parts), x, 2 * _FILL + 9)
+        grown, turned = part_orbits(orbit, parts)
+        for P, part in ((parts[0], grown), (parts[1], turned)):
+            assert part.bounded == oracle_boundedness(P.block_norms(part.points), False)
+        assert grown.bounded.growth_detected and not turned.bounded.growth_detected
+        assert orbit.bounded.growth_detected
