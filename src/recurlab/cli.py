@@ -59,7 +59,7 @@ from .linop import (
     spec_from_json_dict,
     unimodular_eigenpairs,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
 )
-from .natset import FiniteNatSet, density_summary
+from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
 from .orbit import iterate, iterate_many, part_orbits, return_set  # noqa: F401
@@ -346,17 +346,11 @@ def _summary_rows(run: _VectorRun) -> list:
     rep, orb = run.report, run.orbit
     series = []
     h = rep.horizon_effective
-    sample = sorted(set(np.geomspace(1, max(h, 1), num=48).astype(int)))
+    sample = [int(n) for n in np.unique(np.geomspace(1, max(h, 1), num=48).astype(int)) if n <= h]
     for eps in run.exp.epsilons:
-        # the return times up to each sample n, counted from the orbit's
-        # distances between consecutive samples; one radius's mask at a time
-        inside = orb.dists < eps
-        count = prev = 0
-        for n in sample:
-            if n <= h:
-                count += int(np.count_nonzero(inside[prev : n + 1]))
-                prev = n + 1
-                series.append([eps, int(n), count / (n + 1)])
+        # the return times up to each sample n, one radius's mask at a time
+        counts = prefix_counts(orb.dists < eps, sample)
+        series.extend([eps, n, c / (n + 1)] for n, c in zip(sample, counts))
     return [
         {
             "vector": run.label,
@@ -702,9 +696,9 @@ def _cmd_densities(args) -> int:
         A = FiniteNatSet.from_json_dict(obj)
         windows = [json_int(w) for w in args.windows.split(",") if w]
         windows = [w for w in windows if 0 <= w <= A.horizon]
-        # a horizon too large to index raises here, from numpy
+        # a horizon too large to index or to allocate raises here, from numpy
         summary = density_summary(A, window_lengths=windows)
-    except (OSError, TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = {
@@ -729,7 +723,7 @@ def _cmd_classify(args) -> int:
         x = _parse_vector_arg(args.vector, T.dim, seed=0)
         epsilons = [float(e) for e in args.eps.split(",") if e]
         rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
-    except (OSError, ValueError, KeyError, NumericalFailureError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError, NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))

@@ -41,6 +41,7 @@ __all__ = [
     "DensitySummary",
     "MaskStatistics",
     "mask_statistics",
+    "prefix_counts",
     "lower_density",
     "upper_density",
     "upper_banach_density",
@@ -214,6 +215,18 @@ def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
     return MaskStatistics(count, first, lower, upper, banach, gap=max(gap, h - last))
 
 
+def prefix_counts(inside: np.ndarray, ns: Iterable[int]) -> list[int]:
+    """``count_nonzero(inside[: n + 1])`` at each of the increasing sample
+    points ``ns``, counted between consecutive points, so each entry is
+    read once and no running count of the whole mask is held."""
+    counts, count, prev = [], 0, 0
+    for n in ns:
+        count += int(np.count_nonzero(inside[prev : n + 1]))
+        prev = n + 1
+        counts.append(count)
+    return counts
+
+
 def _count_dtype(size: int) -> type:
     """The integer type of the running counts of a ``size``-entry mask."""
     return np.int32 if size < _INT32_ENTRIES else np.int64
@@ -365,16 +378,11 @@ def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> Dens
     if H == 0:
         ns = [0]
     else:
-        ns = sorted(set(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)))
-    # the members up to each sample point, counted between consecutive ones
-    profile, count, prev = [], 0, 0
-    for n in map(int, ns):
-        count += int(np.count_nonzero(inside[prev : n + 1]))
-        prev = n + 1
-        profile.append((n, Fraction(count, n + 1)))
+        ns = np.unique(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)).tolist()
+    profile = tuple((n, Fraction(c, n + 1)) for n, c in zip(ns, prefix_counts(inside, ns)))
     return DensitySummary(
         lower_at_horizon=lo.running,
         upper_at_horizon=hi.running,
         banach_upper=banach,
-        prefix_profile=tuple(profile),
+        prefix_profile=profile,
     )

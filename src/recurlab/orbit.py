@@ -19,12 +19,14 @@ deterministic kernel and retires, as a dissipative block that decays to an
 exact zero does. Per step, each pass costs one kernel call, made by ``map``
 over row views built once per call; ``ndarray.dot`` is the gemv of
 ``np.dot`` without its ``__array_function__`` dispatch, which takes about
-0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. Norms and distances are taken
-once per fill, in whole-array calls. A lane keeps its distances, one float
-per step; its norms only update the running facts of its boundedness
-verdict (:class:`_NormRecord`) and are dropped with the fill. The points,
-16 bytes per coordinate and step, are copied out of the buffer only for
-the lanes whose caller asks for them, each lane chosen on its own.
+0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. After each fill every lane
+records its rows (:class:`_Lane`), in whole-array calls: it keeps its
+distances, one float per step, and cuts its segment at the first point
+past ``OVERFLOW_CAP``, the one overflow rule; its norms only update the
+running facts of its boundedness verdict (:class:`_NormRecord`) and are
+dropped with the fill. The points, 16 bytes per coordinate and step, are
+copied out of the buffer only by the lanes whose caller asks for them,
+each lane chosen on its own, into an array of its own.
 A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
 
@@ -51,8 +53,7 @@ __all__ = [
 ]
 
 OVERFLOW_CAP = 1e12
-_CHUNK = 256  # rows a pass steps between the overflow and fixed-point checks
-_FILL = 16 * _CHUNK  # rows of the step buffer between two recordings
+_FILL = 4096  # rows of the step buffer between two recordings
 
 
 class BoundednessReport(NamedTuple):
@@ -122,37 +123,31 @@ def iterate_many(
     """The orbit segment of x under each operator of ``ops``.
 
     The K orbits are lanes side by side in one step buffer of ``_FILL + 1``
-    rows and ``K * d`` columns, stepped in passes (module docstring), chunk
-    by chunk of 256 rows. Every lane equals its own ``z = T.apply(z)`` loop
-    bit for bit. After each fill of the buffer, each lane's norms and
-    distances are computed from its rows by ``block_norms``, row by row the
-    same bits as over the whole orbit at once; the distances are stored,
-    the norms update the lane's boundedness facts, and the last row is
-    carried to the top of the buffer for the next fill. ``points`` is one
-    bool for every lane or one bool per lane, and a segment keeps its
-    points only when its lane's is True: the rows of those lanes are copied
-    into one ``(horizon + 1, k * d)`` array, for k lanes that keep points,
-    and each of their segments' points is a column view of it. Without
-    points a lane holds one float per step, against ``16 d + 8`` bytes with
-    them.
+    rows and ``K * d`` columns, stepped in passes (module docstring), one
+    fill of the buffer at a time. Every lane equals its own
+    ``z = T.apply(z)`` loop bit for bit. After each fill, each lane records
+    its rows (:meth:`_Lane.record`): its norms and distances are computed by
+    ``block_norms``, row by row the same bits as over the whole orbit at
+    once; the distances are stored, the norms update the lane's boundedness
+    facts, and the segment is cut at its first point past
+    ``OVERFLOW_CAP``. ``points`` is one bool for every lane or one bool per
+    lane, and a lane whose flag is True copies its rows into its own
+    ``(horizon + 1, d)`` array as the segment's points. Without points a
+    lane holds one float per step, against ``16 d + 8`` bytes with them.
+
+    Then a pass stops stepping when it covers no lane still recording, or
+    when its last row equals the row before it bitwise (``-0.0`` and
+    ``0.0`` differ): it has reached a fixed point of its deterministic
+    kernel, and its buffer columns hold that row in every row of each
+    later fill. So a lane that overflowed, or a pass at its fixed point,
+    is stepped to the end of that fill and no further. The last row is
+    carried to the top of the buffer for the next fill. The loop ends when
+    no pass is left, and the rows after it repeat the last one.
 
     A call costs about 0.4-0.5 µs per step for one diagonal pass, with
     or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
     block, with or without points (2-vCPU host, best of 9 calls at
     H = 2e5).
-
-    Two checks run at the end of each chunk. A lane stops once some block
-    of its last point has passed ``OVERFLOW_CAP``, and each segment is cut
-    at its first point past it; the live lanes' norms are taken only when
-    some entry of a live lane in the chunk's last row is non-finite or
-    large, so a stopped lane that shares a pass with a live one costs no
-    norms. A pass whose last row equals the row before it bitwise
-    (``-0.0`` and ``0.0`` differ) has reached a fixed point: it retires,
-    and its buffer columns hold that row in every later row of this fill
-    and of each later fill. The loop ends when no pass is left with a live
-    lane, and the rows after it repeat the last one. When some lane stopped
-    early, the others' points are copied out of the shared array, so no
-    segment keeps it alive.
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
@@ -168,103 +163,65 @@ def iterate_many(
         raise ValueError(f"points has {len(keep)} flags for {K} operators")
     buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
     buf[0] = np.tile(x, K)
-    lanes, kept = [], 0
-    for k, T in enumerate(ops):
-        # the lane's columns in the points array, when it keeps points
-        pcols = slice(kept * d, (kept + 1) * d) if keep[k] else None
-        kept += keep[k]
-        lanes.append(_Lane(T, slice(k * d, (k + 1) * d), pcols, x, horizon))
-    pts = np.empty((horizon + 1, kept * d), dtype=complex) if kept else None
-
-    def record(rows: np.ndarray, lo: int) -> None:
-        # rows holds orbit rows lo, lo + 1, ...
-        for lane in lanes:
-            lane.record(rows, lo)
-            if lane.pcols is not None:
-                pts[lo : lo + rows.shape[0], lane.pcols] = rows[:, lane.cols]
-
-    record(buf[:1], 0)
+    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon, keep[k]) for k, T in enumerate(ops)]
+    for lane in lanes:
+        lane.record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
         raise ValueError("base point already exceeds the overflow cap")
-    # each pass with the views of its columns in every buffer row
-    passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])]) for p in _passes(ops, d)]
-    live, retired = set(range(K)), []
-    watch = slice(None)  # the live lanes' columns of a buffer row
-    lo = b = 0  # buf[0] holds orbit row lo; rows 1..b are stepped, not recorded
-    # an orbit may overflow to inf before the chunk-end check sees it; the
-    # truncation handles that, so numpy's warnings are noise
+    # each pass, the views of its columns in every buffer row, and the lanes it covers
+    passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])],
+               lanes[p.cols.start // d : (p.cols.stop - 1) // d + 1]) for p in _passes(ops, d)]
+    last = 0  # buf[0] holds orbit row last
+    # an orbit may overflow to inf or nan before its fill is recorded; the
+    # recorder's cut handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, horizon, _CHUNK):
-            if first - lo == _FILL:
-                record(buf[1:], lo + 1)
-                buf[0] = buf[_FILL]
-                for cols in retired:  # rows stepped before it retired
-                    buf[1:, cols] = buf[0, cols]
-                lo = first
-            a, b = first - lo, min(first + _CHUNK, horizon) - lo
-            for p, rows in passes:
-                _step(p, rows[a:b], rows[a + 1 : b + 1])
-            if not _below_cap(buf[b, watch], d):
-                live -= {k for k in live if _escaped(ops[k], buf[b, lanes[k].cols])}
-                # a stopped lane's columns, inf or nan in a pass it shares
-                # with a live lane, are not looked at again
-                watch = [j for k in sorted(live) for j in range(k * d, (k + 1) * d)]
+        while passes and last < horizon:
+            b = min(horizon - last, _FILL)
+            for p, rows, _ in passes:
+                _step(p, rows[:b], rows[1 : b + 1])
+            for lane in lanes:
+                lane.record(buf[1 : b + 1], last + 1)
+            last += b
             stepping = []
-            for p, rows in passes:
+            for p, rows, covered in passes:
                 if _repeats(buf[b - 1 : b + 1, p.cols]):
-                    buf[b + 1 :, p.cols] = buf[b, p.cols]
-                    retired.append(p.cols)
-                elif live.intersection(range(p.cols.start // d, (p.cols.stop - 1) // d + 1)):
-                    stepping.append((p, rows))  # some lane it covers is live
+                    buf[:, p.cols] = buf[b, p.cols]
+                elif any(lane.end > last + 1 for lane in covered):
+                    stepping.append((p, rows, covered))
             passes = stepping
-            if not passes:
-                break
-        record(buf[1 : b + 1], lo + 1)
-    last = lo + b  # the last orbit row stepped; every later row repeats it
-    for lane in lanes:
-        if lane.end > last + 1:
-            lane.dists[last + 1 :] = lane.dists[last]
-            lane.norms.repeat(lane.end - 1 - last)
-    if pts is not None:
-        pts[last + 1 :] = pts[last]
-    segments = [lane.segment(pts, horizon) for lane in lanes]
-    if kept > 1 and any(s.overflow for s in segments):
-        # an overflowed segment is a truncated copy; a full one would
-        # otherwise hold the points of every lane that keeps them
-        segments = [
-            s if s.overflow or s.points is None else replace(s, points=s.points.copy())
-            for s in segments
-        ]
-    return segments
+            buf[0] = buf[b]
+    # every orbit row after the last one stepped repeats it
+    return [lane.segment(last, horizon) for lane in lanes]
 
 
 class _Lane:
-    """One operator's columns of the step buffer, its columns of the points
-    array when it keeps points, and the distances and norm facts recorded
-    from them up to the first point past ``OVERFLOW_CAP``.
+    """One operator's columns of the step buffer, and the distances, norm
+    facts and, when it keeps them, points recorded from them up to the
+    first point past ``OVERFLOW_CAP``.
 
-    The top row of each fill is kept while the lane is live, one row per
-    ``_FILL`` steps: a cut moves the growth check's midpoint to
+    The top row of each fill is kept while the lane is recording, one row
+    per ``_FILL`` steps: a cut moves the growth check's midpoint to
     ``(end - 1) // 2``, which may lie in an earlier fill, and its norm is
     then stepped again from the nearest top row by ``T.apply``, whose rows
     equal the buffer's bit for bit.
     """
 
-    def __init__(
-        self, T: LinearOperator, cols: slice, pcols: slice | None, x: np.ndarray, horizon: int
-    ):
-        self.T, self.cols, self.pcols, self.x = T, cols, pcols, x
+    def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int, keep: bool):
+        self.T, self.cols, self.x = T, cols, x
+        self.points = np.empty((horizon + 1, x.size), dtype=complex) if keep else None
         self.dists = np.empty(horizon + 1)
         self.norms = _NormRecord(horizon // 2)
         self.tops: list[tuple[int, np.ndarray]] = []  # (orbit row, its copy)
         self.end = horizon + 1  # rows the segment keeps
 
     def record(self, rows: np.ndarray, lo: int) -> None:
+        """Record ``rows``, which hold orbit rows ``lo, lo + 1, ...``."""
         hi = min(lo + rows.shape[0], self.end)
         if hi <= lo:
             return
-        self.tops.append((lo, rows[0, self.cols].copy()))
-        norms, dists = _norms_and_dists(rows[: hi - lo, self.cols], self.x, self.T.block_dims)
+        rows = rows[:, self.cols]
+        self.tops.append((lo, rows[0].copy()))
+        norms, dists = _norms_and_dists(rows[: hi - lo], self.x, self.T.block_dims)
         bad = np.flatnonzero(~np.isfinite(norms) | (norms > OVERFLOW_CAP))
         if bad.size:
             self.end = hi = lo + int(bad[0])
@@ -275,6 +232,8 @@ class _Lane:
                 self.norms.at_mid = self._norm_at(mid)
         self.dists[lo:hi] = dists[: hi - lo]
         self.norms.feed(norms)
+        if self.points is not None:
+            self.points[lo:hi] = rows[: hi - lo]
 
     def _norm_at(self, n: int) -> float:
         """The norm of orbit row ``n``, stepped from the last top row at or
@@ -284,12 +243,17 @@ class _Lane:
             z = self.T.apply(z)
         return self.T.norm_of(z)
 
-    def segment(self, pts: np.ndarray | None, horizon: int) -> OrbitSegment:
+    def segment(self, last: int, horizon: int) -> OrbitSegment:
+        """The lane's segment, whose rows after orbit row ``last`` repeat it."""
         end, overflow = self.end, self.end <= horizon
-        points = None if self.pcols is None else pts[:end, self.pcols]
-        dists = self.dists
+        points, dists = self.points, self.dists
+        if end > last + 1:
+            dists[last + 1 :] = dists[last]
+            self.norms.repeat(end - 1 - last)
+            if points is not None:
+                points[last + 1 :] = points[last]
         if overflow:  # truncated copies, which free the full arrays
-            points = None if points is None else points.copy()
+            points = None if points is None else points[:end].copy()
             dists = dists[:end].copy()
         return OrbitSegment(
             base=self.x.copy(),
@@ -392,21 +356,6 @@ def _repeats(rows: np.ndarray) -> bool:
     return bool(np.array_equal(bits[0], bits[1]))
 
 
-def _below_cap(row: np.ndarray, d: int) -> bool:
-    """Whether no lane of a buffer row of ``d``-column lanes can have passed
-    ``OVERFLOW_CAP``: every entry is at most ``OVERFLOW_CAP / (2 d)`` in
-    modulus, so every block norm is at most half the cap, rounding
-    included, and :func:`_escaped` would hold for no lane. One pass over
-    the row instead of one norm per lane; ``nan`` and ``inf`` fail the
-    comparison.
-    """
-    return bool(np.abs(row).max() <= OVERFLOW_CAP / (2 * d))
-
-
-def _escaped(T: LinearOperator, z: np.ndarray) -> bool:
-    return not np.all(np.isfinite(z)) or T.norm_of(z) > OVERFLOW_CAP
-
-
 def part_orbits(
     orbit: OrbitSegment, parts: Sequence[LinearOperator]
 ) -> Iterator[OrbitSegment]:
@@ -439,17 +388,14 @@ def _part_orbit(orbit: OrbitSegment, P: LinearOperator, start: int) -> OrbitSegm
     if orbit.overflow:
         return iterate_many((P,), base, orbit.horizon_requested, False)[0]
     # a part's block norms are at most the sum's, so no part of a full
-    # orbit passes the cap; its norms and distances are taken one buffer
-    # fill of rows at a time, the same bits as over the whole orbit
-    points = orbit.points[:, start : start + P.dim]
-    dists = np.empty(points.shape[0])
-    record = _NormRecord(orbit.horizon_effective // 2)
-    for lo in range(0, points.shape[0], _FILL):
-        rows = slice(lo, lo + _FILL)
-        norms, dists[rows] = _norms_and_dists(points[rows], base, P.block_dims)
-        record.feed(norms)
-    return replace(orbit, base=base.copy(), points=points, bounded=record.report(False),
-                   dists=dists, block_dims=P.block_dims)
+    # orbit passes the cap; it is recorded one buffer fill of rows at a
+    # time, the same bits as over the whole orbit
+    cols = slice(start, start + P.dim)
+    lane = _Lane(P, cols, base, orbit.horizon_effective, keep=False)
+    for lo in range(0, orbit.points.shape[0], _FILL):
+        lane.record(orbit.points[lo : lo + _FILL], lo)
+    return replace(lane.segment(orbit.horizon_effective, orbit.horizon_effective),
+                   points=orbit.points[:, cols])
 
 
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:

@@ -625,6 +625,24 @@ class TestMainEntry:
         assert code == 2
         assert "run [0, 3000000]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["densities", "classify"])
+    def test_unallocatable_horizon_exits_2(self, tmp_path, capsys, command):
+        # 2^60 mask bytes and 2^56 orbit rows pass any 57-bit address space,
+        # so the allocation fails at once on every host
+        path = tmp_path / "in.json"
+        if command == "densities":
+            path.write_text(json.dumps({"horizon": 2**60, "runs": [[0, 10]]}))
+            argv = ["densities", "--set", str(path)]
+        else:
+            path.write_text(json.dumps(ROTATION))
+            argv = ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5",
+                    "--horizon", str(2**56)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "allocate" in line
+
     def test_classify_malformed_op_exits_2(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
         op_path.write_text(json.dumps(ANGLES_5))

@@ -33,6 +33,7 @@ from recurlab.natset import (
     MaskStatistics,
     _count_blocks,
     mask_statistics,
+    prefix_counts,
 )
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,14 @@ class TestDensitySummary:
         s = density_summary(A)
         for n, frac in s.prefix_profile:
             assert frac == Fraction(oracle_prefix_count(A.elements, n), n + 1)
+
+    def test_prefix_counts_equal_cumsum(self):
+        # the counter shared with the run summary's series, at sample points
+        # that include 0, neighbours and the mask's last entry
+        inside = np.random.default_rng(3).random(1001) < 0.3
+        ns = [0, 1, 2, 7, 8, 500, 999, 1000]
+        assert prefix_counts(inside, ns) == np.cumsum(inside)[ns].tolist()
+        assert prefix_counts(inside, []) == []
 
 
 class TestDensityInvariants:

@@ -185,8 +185,9 @@ class TestIterate:
         assert orb.horizon_effective == ref.shape[0] - 1 == 27644
         assert bitwise_equal(orb.points, ref)
         assert orb.bounded == oracle_boundedness(T.block_norms(ref), True)
-        # the loop stops at the chunk-end check after the cap, not at inf
-        assert orb.horizon_effective < len(calls) <= orb.horizon_effective + 257
+        # the loop stops at the end of the fill in which the recorder cut
+        # the orbit, not at inf
+        assert orb.horizon_effective < len(calls) <= orb.horizon_effective + _FILL
 
     def test_overflow_to_inf_is_silent(self):
         # 1e10^k passes the cap at k = 2 and reaches inf before the first
@@ -262,8 +263,10 @@ class TestIterateMany:
             DiagonalUnimodular(tuple(rng.uniform(size=3))),
         ]
         lanes = self.check_lanes(specs, 5000)
-        # the lanes are views of one buffer
-        assert lanes[0].points.base is lanes[2].points.base
+        # each lane owns its points; none is a view of the step buffer
+        for a in lanes:
+            assert a.points.flags.owndata
+            assert all(a is b or not np.shares_memory(a.points, b.points) for b in lanes)
 
     def test_dense_and_jordan_lanes(self):
         rng = np.random.default_rng(2)
@@ -315,73 +318,29 @@ class TestIterateMany:
         # the full lane does not keep a buffer wider than its own orbit
         assert bounded.points.flags.c_contiguous
 
-    def test_chunk_end_prefilter_stops_lanes_where_the_norms_do(self, monkeypatch):
-        # A 1.01-scaled rotation and a dense block with eigenvalue 1.02 pass
-        # the cap in different chunks, beside a rotation that never does.
-        # Each growing lane stops at the first chunk end past its cap, as
-        # with a norm per lane at every chunk end, which is what the
-        # engine does with its whole-row prefilter switched off.
-        specs = [
-            Scale(1.01, DiagonalUnimodular((0.25, GOLDEN))),
-            DenseMatrix(((1.02, 0.3), (0.0, 1.01))),
-            DiagonalUnimodular((GOLDEN, 0.3)),
-        ]
-        ops = [realize(s) for s in specs]
-        x = np.array([1.0, 0.5j])
-
-        def run(prefilter):
-            calls = []
-            count_kernel_calls(monkeypatch, calls)
-            if not prefilter:
-                monkeypatch.setattr(recurlab.orbit, "_below_cap", lambda row, d: False)
-            lanes = iterate_many(ops, x, 5000)
-            monkeypatch.undo()
-            # the rows each lane was stepped: its own kernel operand's calls
-            # (no two lanes merge into one pass here)
-            kernels = [T.blocks[0].diagonal if T.blocks[0].diagonal is not None
-                       else T.blocks[0].matrix for T in ops]
-            return lanes, [sum(c is k for c in calls) for k in kernels]
-
-        lanes, steps = run(prefilter=True)
-        exact_lanes, exact_steps = run(prefilter=False)
-        assert steps == exact_steps
-        for lane, exact, T in zip(lanes, exact_lanes, ops):
-            assert bitwise_equal(lane.points, exact.points)
-            assert bitwise_equal(lane.points, reference_orbit(T, x, 5000))
-        scaled, dense, rotation = lanes
-        assert 2500 < scaled.horizon_effective and 1000 < dense.horizon_effective < 2000
-        for lane, n in zip(lanes, steps):
-            past_cap = lane.horizon_effective + 1
-            assert n == (5000 if not lane.overflow else -(-past_cap // 256) * 256)
-        assert scaled.overflow and dense.overflow and not rotation.overflow
-
-    def test_bounded_lanes_take_no_lane_norms(self, monkeypatch):
-        escaped = []
-        real = recurlab.orbit._escaped
-        monkeypatch.setattr(
-            recurlab.orbit, "_escaped", lambda T, z: escaped.append(T) or real(T, z)
-        )
-        rng = np.random.default_rng(8)
-        self.check_lanes([DiagonalUnimodular((0.25, GOLDEN)), random_dense(rng, 2)], 3000)
-        assert escaped == []
-
     def test_stopped_lane_in_a_shared_pass_takes_no_more_norms(self, monkeypatch):
         # A 1.01-scaled rotation and its inverse are one multiply pass. The
-        # growing lane passes the cap at step 2776 and its columns go on to
-        # inf and nan beside the decaying lane; only the live lane's columns
-        # are looked at after that, so the lanes' norms are taken at one
-        # chunk end only, not at each of the 390 after it.
-        escaped = []
-        real = recurlab.orbit._escaped
+        # growing lane passes the cap at step 2776, in the first fill, and
+        # its columns go on to inf and nan beside the decaying lane; it
+        # records no row after that fill, so every later norm and distance
+        # call is the decaying lane's.
+        rows = []
+        real = recurlab.orbit._norms_and_dists
         monkeypatch.setattr(
-            recurlab.orbit, "_escaped", lambda T, z: escaped.append(T) or real(T, z)
+            recurlab.orbit, "_norms_and_dists",
+            lambda r, base, dims: rows.append(r.shape[0]) or real(r, base, dims),
         )
+        calls = []
+        count_kernel_calls(monkeypatch, calls)
         spec = Scale(1.01, DiagonalUnimodular((0.618034,)))
         ops = [realize(spec), realize(Inverse(spec))]
         x = np.array([1.0 + 0j])
         grown, decayed = iterate_many(ops, x, 10**5)
         monkeypatch.undo()
-        assert len(escaped) <= 2
+        assert len(calls) == 10**5  # one pass
+        # row 0 and the first fill for both lanes, then the decaying lane's
+        # 23 full fills and its last 1696 rows
+        assert rows == [1, 1, _FILL, _FILL] + [_FILL] * 23 + [10**5 - 24 * _FILL]
         assert grown.overflow and grown.horizon_effective == 2776
         assert not decayed.overflow and decayed.horizon_effective == 10**5
         alone = iterate(ops[1], x, 10**5)
@@ -401,9 +360,9 @@ class TestIterateMany:
         assert steps[0] + steps[1] == len(calls)
         assert not forward.overflow and forward.horizon_effective == 20_000
         fixed = first_repeat(forward.points)
-        assert fixed is not None and fixed <= steps[0] <= fixed + 256
+        assert fixed is not None and fixed <= steps[0] <= fixed + _FILL
         assert backward.overflow and backward.horizon_effective < 64
-        assert steps[1] <= 257
+        assert steps[1] <= _FILL
 
     def test_loop_stops_once_every_lane_overflowed(self, monkeypatch):
         calls = []
@@ -413,9 +372,9 @@ class TestIterateMany:
         monkeypatch.undo()
         assert slow.overflow and slow.horizon_effective == 27644
         assert fast.overflow and fast.horizon_effective < 27644
-        # both lanes are one multiply pass, which stops at the chunk-end
-        # check after the last lane's cap
-        assert slow.horizon_effective < len(calls) <= slow.horizon_effective + 257
+        # both lanes are one multiply pass, which stops at the end of the
+        # fill in which the last lane was cut
+        assert slow.horizon_effective < len(calls) <= slow.horizon_effective + _FILL
 
     @pytest.mark.parametrize(
         "kind",
@@ -486,7 +445,8 @@ class TestIterateMany:
         (orb,) = self.check_lanes([spec], 5000, x)
         monkeypatch.undo()
         fixed = first_repeat(orb.points)
-        assert fixed is not None and fixed <= len(calls) <= fixed + 256
+        # the pass retires at the end of the fill that reached the fixed point
+        assert fixed is not None and fixed <= len(calls) <= fixed + _FILL
         assert not orb.points[fixed:].any()
 
     def test_validation(self):
@@ -533,6 +493,20 @@ class TestIterateMany:
         )
         assert grown.overflow and 3 * _FILL < grown.horizon_effective < 4 * _FILL
         assert not bounded.overflow and bounded.horizon_effective == 5 * _FILL
+
+    @pytest.mark.parametrize("horizon", [0, 1, _FILL - 1, _FILL, _FILL + 1, 2 * _FILL])
+    def test_horizons_at_the_fill_edges(self, horizon):
+        # J(0.5) retires to an exact zero after about 1100 steps, and the
+        # 1.01-scaled rotation passes the cap at about 2800, in the pass it
+        # shares with the rotation beside it
+        lanes = self.check_lanes(
+            [JordanBlock(0.5, 2), DiagonalUnimodular((GOLDEN, 0.3)),
+             Scale(1.01, DiagonalUnimodular((0.25, GOLDEN)))],
+            horizon,
+            np.array([1.0, 1.0 + 0j]),
+        )
+        assert [lane.overflow for lane in lanes] == [False, False, horizon >= _FILL - 1]
+        assert all(lane.horizon_requested == horizon for lane in lanes)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_norms_and_dists_over_fills_equal_whole_orbit(self, d):
@@ -628,9 +602,8 @@ class TestIterateMany:
                 assert (b.points is not None) == kept
                 if kept:
                     assert bitwise_equal(a.points, b.points)
-                if kept and (sum(flags) == 1 or any(s.overflow for s in some)):
-                    # the points are not a view of a wider array
-                    assert b.points.flags.c_contiguous
+                    # each lane owns its points, not a view of a wider array
+                    assert b.points.flags.c_contiguous and b.points.flags.owndata
                 assert a.bounded == b.bounded
                 assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
                 assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
