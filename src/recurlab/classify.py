@@ -19,6 +19,7 @@ individually instead.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -121,6 +122,8 @@ class Thresholds:
             except ValueError:
                 kind = "an integer" if integral else "a number"
                 raise ValueError(f"threshold {key} must be {kind}, got {value!r}") from None
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"threshold {key} must be finite, got {value!r}")
         return cls(**values)
 
 
@@ -291,8 +294,8 @@ def classify_vector(
     if not epsilons:
         # every vector flag is a conjunction over the records
         raise ValueError("epsilons must be nonempty")
-    if any(not e > 0 for e in epsilons):
-        raise ValueError("epsilons must be positive")
+    if any(not 0 < e < math.inf for e in epsilons):
+        raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
     if orbit is None:
         orbit = iterate(T, x, horizon)
     residual = eigen_span_residual(x, spectral_data(T))

@@ -17,11 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,16 +77,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-KNOWN_CHECKS = (
-    "classify",
-    "birkhoff",
-    "eigen_span",
-    "jdg",
-    "unimodular_return",
-    "product",
-    "inverse",
-    "measure",
-)
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,12 @@ def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.
         ) from None
     if len(coords) != dim:
         raise ConfigError(f"{where}: vector of dim {len(coords)} with operator of dim {dim}")
-    return "explicit", np.asarray(coords, dtype=complex)
+    v = np.asarray(coords, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ConfigError(
+            f"{where}: an explicit vector's coordinates must be finite, got {token!r}"
+        )
+    return "explicit", v
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -217,8 +214,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
             _field(float, x, f"{where}: an epsilon")
             for x in _field(json_list, e.get("epsilons", []), f"{where}: epsilons")
         )
-        if not epsilons or any(not x > 0 for x in epsilons):
-            raise ConfigError(f"{where}: epsilons must be positive and nonempty")
+        if not epsilons or any(not 0 < x < math.inf for x in epsilons):
+            raise ConfigError(
+                f"{where}: epsilons must be positive, finite and nonempty, got {list(epsilons)}"
+            )
         horizon = _field(json_int, e.get("horizon", 10_000), f"{where}: horizon")
         if horizon < 1:
             raise ConfigError(f"{where}: horizon must be >= 1")
@@ -234,17 +233,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         for c in checks:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"{where}: unknown check {c!r}")
-        if "product" in checks:
-            if not (isinstance(spec, DirectSum) and len(spec.parts) == 2):
-                raise ConfigError(
-                    f"{where}: the product check needs a direct_sum "
-                    f"operator with exactly two parts"
-                )
-        if "unimodular_return" in checks and not isinstance(spec, DiagonalUnimodular):
-            raise ConfigError(
-                f"{where}: the unimodular_return check needs a "
-                f"diagonal_unimodular operator"
-            )
+            need = _CHECKS[c].operator
+            if need and not need[0](spec):
+                raise ConfigError(f"{where}: the {c} check needs {need[1]}")
         if "jdg" in checks:
             # jdg is the one check that needs scipy (a sorted Schur split
             # and a principal angle); loading it with the config keeps the
@@ -287,12 +278,6 @@ def _json_safe(value):
     return value
 
 
-# The checks that read orbit points: window measures (birkhoff, measure)
-# through ``empirical_from_window``, the parts of a sum (product) through
-# ``part_orbits``. Every other check reads the orbits' distances only.
-_READS_POINTS = frozenset(("birkhoff", "measure", "product"))
-
-
 @dataclass
 class _VectorRun:
     """One vector of an experiment with its orbits and forward classification.
@@ -319,7 +304,7 @@ class _VectorRun:
         points only when a check of the experiment reads them; the
         backward one never does, since the inverse check reads its
         distances only."""
-        forward = not _READS_POINTS.isdisjoint(self.exp.checks)
+        forward = any(_CHECKS[c].reads_points for c in self.exp.checks)
         if self.T_inv is None:
             ops, points = (self.T,), (forward,)
         else:
@@ -497,23 +482,55 @@ def _measure_rows(run: _VectorRun) -> list:
     ]
 
 
-# The summary (first vector only) and the per-vector checks: the rows one
-# vector contributes, and the payload built from the rows of all vectors.
-_PER_VECTOR = {
-    "summary": (_summary_rows, lambda rows: rows[0]),
-    "classify": (_classify_rows, lambda rows: {"reports": rows}),
-    "birkhoff": (_birkhoff_rows, lambda rows: {"comparisons": rows}),
-    "eigen_span": (_eigen_span_rows, _eigen_span_payload),
-    "product": (_product_rows, lambda rows: {"per_case": rows}),
-    "inverse": (_inverse_rows, lambda rows: {"per_vector": rows}),
-    "measure": (_measure_rows, lambda rows: {"per_vector": rows}),
-}
+class _Check(NamedTuple):
+    """One check, or the summary: ``rows(run)`` gives one vector's rows and
+    ``payload(rows)`` the result from all vectors' rows; a check without
+    ``rows`` reads the operator only, as ``payload(exp, T, seed)``.
+    ``passed(result)`` is the verdict that ``--strict`` reads;
+    ``reads_points``, whether it reads the forward orbit's points and not
+    only its distances; ``operator``, a ``(predicate, what it needs)`` pair
+    on the operator spec. Entries hold this module's functions only, since
+    the benchmark tracer wraps the library functions where they are bound.
+    """
 
-# Checks that read the operator only, not an orbit.
-_PER_EXPERIMENT = {
-    "jdg": _check_jdg,
-    "unimodular_return": _check_unimodular_return,
+    rows: Callable | None
+    payload: Callable
+    passed: Callable[[dict], bool] = lambda result: True
+    reads_points: bool = False
+    operator: tuple | None = None
+
+
+_CHECKS = {
+    "summary": _Check(_summary_rows, lambda rows: rows[0]),
+    "classify": _Check(_classify_rows, lambda rows: {"reports": rows}),
+    "birkhoff": _Check(_birkhoff_rows, lambda rows: {"comparisons": rows}, reads_points=True),
+    "eigen_span": _Check(_eigen_span_rows, _eigen_span_payload, lambda r: r["all_ok"]),
+    "jdg": _Check(None, _check_jdg),
+    "unimodular_return": _Check(None, _check_unimodular_return, operator=(
+        lambda spec: isinstance(spec, DiagonalUnimodular), "a diagonal_unimodular operator"
+    )),
+    "product": _Check(
+        _product_rows,
+        lambda rows: {"per_case": rows},
+        lambda r: all(
+            c["return_sets_match"] and c["reiterative_parts_imply_frequent_sum"]
+            for c in r["per_case"]
+        ),
+        reads_points=True,
+        operator=(
+            lambda spec: isinstance(spec, DirectSum) and len(spec.parts) == 2,
+            "a direct_sum operator with exactly two parts",
+        ),
+    ),
+    "inverse": _Check(_inverse_rows, lambda rows: {"per_vector": rows}),
+    "measure": _Check(
+        _measure_rows,
+        lambda rows: {"per_vector": rows},
+        lambda r: all(not v["invariance_defect"] > v["defect_bound"] for v in r["per_vector"]),
+        reads_points=True,
+    ),
 }
+KNOWN_CHECKS = tuple(name for name in _CHECKS if name != "summary")
 
 
 def _timed(entry: dict, fn, *args):
@@ -543,18 +560,12 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     inverse fails that check alone; once that check has an error, the
     vectors step the forward orbit only.
     """
-    T = realize(exp.operator_spec)
-    parts = (
-        tuple(realize(p) for p in exp.operator_spec.parts)
-        if "product" in exp.checks
-        else ()
-    )
-    names = list(dict.fromkeys(("summary", *exp.checks)))
-    entries = {name: {"wall_time_s": 0.0} for name in names}
-    T_inv = None
-    if "inverse" in entries:
-        T_inv = _timed(entries["inverse"], realize, Inverse(exp.operator_spec))
-    rows = {name: [] for name in names if name in _PER_VECTOR}
+    spec = exp.operator_spec
+    T = realize(spec)
+    parts = tuple(map(realize, spec.parts)) if "product" in exp.checks else ()
+    entries = {name: {"wall_time_s": 0.0} for name in ("summary", *exp.checks)}
+    T_inv = _timed(entries["inverse"], realize, Inverse(spec)) if "inverse" in entries else None
+    rows = {name: [] for name in entries if _CHECKS[name].rows}
     for index, (label, v) in enumerate(exp.vectors):
         if "error" in entries.get("inverse", {}):
             T_inv = None  # no later vector needs its backward orbit
@@ -562,16 +573,16 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
         for name in rows:
             if "error" in entries[name] or (name == "summary" and index > 0):
                 continue
-            got = _timed(entries[name], _PER_VECTOR[name][0], run)
+            got = _timed(entries[name], _CHECKS[name].rows, run)
             if got is not None:
                 rows[name] += got
         del run
-    for name in names:
-        entry = entries[name]
-        if name in _PER_EXPERIMENT:
-            payload = _timed(entry, _PER_EXPERIMENT[name], exp, T, seed)
+    for name, entry in entries.items():
+        check = _CHECKS[name]
+        if check.rows is None:
+            payload = _timed(entry, check.payload, exp, T, seed)
         else:
-            payload = None if "error" in entry else _PER_VECTOR[name][1](rows[name])
+            payload = None if "error" in entry else check.payload(rows[name])
         if "error" not in entry:
             entry["result"] = payload
     summary = entries.pop("summary")
@@ -593,29 +604,13 @@ def run_config(config: ExperimentConfig) -> ReportDocument:
     )
 
 
-def _verdicts_hold(check: str, result: dict) -> bool:
-    """Whether the pass/fail verdicts a check's payload carries all pass."""
-    if check == "eigen_span":
-        return result["all_ok"]
-    if check == "product":
-        return all(
-            c["return_sets_match"] and c["reiterative_parts_imply_frequent_sum"]
-            for c in result["per_case"]
-        )
-    if check == "measure":
-        return all(
-            not r["invariance_defect"] > r["defect_bound"] for r in result["per_vector"]
-        )
-    return True
-
-
 def document_has_failures(doc: ReportDocument) -> bool:
     """True when the summary or a check raised, or a check's verdict failed."""
     for exp in doc.experiments.values():
         if "error" in exp.get("summary", {}):
             return True
         for check, payload in exp.get("checks", {}).items():
-            if "error" in payload or not _verdicts_hold(check, payload["result"]):
+            if "error" in payload or not _CHECKS[check].passed(payload["result"]):
                 return True
     return False
 

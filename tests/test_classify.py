@@ -244,6 +244,12 @@ class TestThresholds:
         with pytest.raises(ValueError):
             Thresholds.from_json_dict({"delta_low": 1e-3})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["delta_banach", "gap_fraction", "window_fraction"])
+    def test_non_finite_field_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"threshold {key} must be finite"):
+            Thresholds.from_json_dict({key: value})
+
 
 class TestClassifyVector:
     def test_quarter_rotation_exact(self):
@@ -287,6 +293,14 @@ class TestClassifyVector:
         T = realize(JordanBlock(1.0, 2))
         with pytest.raises(ValueError, match="nonempty"):
             classify_vector(T, np.array([0.0, 1.0 + 0j]), epsilons=[], horizon=10_000)
+
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, eps):
+        # an infinite radius would hold every return time, and its records
+        # would write a bare Infinity into a report
+        T = realize(DiagonalUnimodular((0.25,)))
+        with pytest.raises(ValueError, match="epsilons must be positive and finite"):
+            classify_vector(T, np.array([1.0 + 0j]), epsilons=[0.5, eps], horizon=10_000)
 
     def test_vector_flags_are_conjunctions(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))

@@ -422,6 +422,39 @@ class TestMainEntry:
         assert "'quarter'" in err and "epsilons must be positive" in err
 
     @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"]
+    )
+    @pytest.mark.parametrize(
+        "where, key, make, message",
+        [
+            ("quarter", "epsilons", lambda x: [0.5, x], "epsilons must be positive, finite"),
+            (None, "thresholds", lambda x: {"delta_banach": x}, "delta_banach must be finite"),
+            (
+                "quarter",
+                "thresholds",
+                lambda x: {"window_fraction": x},
+                "bad thresholds: threshold window_fraction must be finite",
+            ),
+            ("quarter", "vectors", lambda x: [[[x, 0.0]]], "coordinates must be finite"),
+        ],
+        ids=["epsilon", "thresholds", "experiment_thresholds", "vector"],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, where, key, make, message, value):
+        # Python's json module reads NaN, Infinity and -Infinity; each is
+        # refused at load time, before it can fail every classification or
+        # reach the report as a token that strict JSON does not allow
+        obj = base_config()
+        (obj["experiments"][0] if where else obj)[key] = make(value)
+        cfg_path = write_config(tmp_path, obj)
+        assert re.search(r"NaN|Infinity", cfg_path.read_text())
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out), "--strict"])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert message in err
+        assert (f"experiment {where!r}" in err) == (where is not None)
+
+    @pytest.mark.parametrize(
         "where, key, value, message",
         [
             (None, "seed", "abc", "seed must be an integer, got 'abc'"),
@@ -585,6 +618,25 @@ class TestMainEntry:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(message)
+
+    @pytest.mark.parametrize(
+        "eps, vector, message",
+        [
+            ("inf", "ones", "error: epsilons must be positive and finite"),
+            ("0.5,inf", "ones", "error: epsilons must be positive and finite"),
+            ("0.5,-inf", "ones", "error: epsilons must be positive and finite"),
+            ("nan", "ones", "error: epsilons must be positive and finite"),
+            ("0.5", "[[NaN, 0.0]]", "error: experiment '<cli>': an explicit vector's"),
+        ],
+    )
+    def test_classify_non_finite_exits_2(self, tmp_path, capsys, eps, vector, message):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(ROTATION))
+        code = main(["classify", "--op", str(op_path), "--vector", vector, "--eps", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
     def test_classify_bad_vector_exits_2(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
@@ -850,7 +902,9 @@ class TestPointsOnlyForTheirReaders:
             {"type": "diagonal_unimodular", "angles_turns": [GOLDEN]},
         ],
     }
-    CHECKS = sorted(set(recurlab.cli._PER_VECTOR) - {"summary"})
+    CHECKS = sorted(
+        name for name, check in recurlab.cli._CHECKS.items() if check.rows and name != "summary"
+    )
 
     def run_alone(self, tmp_path, check):
         obj = base_config()
@@ -892,7 +946,11 @@ class TestPointsOnlyForTheirReaders:
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_only_the_point_readers_need_points(self, tmp_path, monkeypatch, check):
-        monkeypatch.setattr(recurlab.cli, "_READS_POINTS", frozenset())
+        no_points = {
+            name: check._replace(reads_points=False)
+            for name, check in recurlab.cli._CHECKS.items()
+        }
+        monkeypatch.setattr(recurlab.cli, "_CHECKS", no_points)
         entry = self.run_alone(tmp_path, check)
         if check in ("birkhoff", "measure", "product"):
             assert "points=False" in entry["error"]
