@@ -49,7 +49,6 @@ from .orbit import (
     OrbitSegment,
     iterate,
     iterate_many,
-    part_orbits,
     return_set,
 )
 from .empmeasure import (

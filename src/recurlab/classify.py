@@ -122,8 +122,9 @@ class Thresholds:
             except ValueError:
                 kind = "an integer" if integral else "a number"
                 raise ValueError(f"threshold {key} must be {kind}, got {value!r}") from None
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"threshold {key} must be finite, got {value!r}")
+            # one test for both: nan and the infinities fail it too
+            if not integral and not 0 <= value <= 1:
+                raise ValueError(f"threshold {key} must be finite and in [0, 1], got {value!r}")
         return cls(**values)
 
 

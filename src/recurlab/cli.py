@@ -36,7 +36,7 @@ from .classify import (
     classify_vector,
     eigen_span_entry,
     inverse_recurrence_check,
-    product_recurrence_from_masks,
+    product_recurrence_check,
     spectral_data,
     unimodular_return_set,
 )
@@ -64,7 +64,7 @@ from .linop import (
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
-from .orbit import iterate, iterate_many, part_orbits, return_set  # noqa: F401
+from .orbit import iterate, iterate_many, return_set  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -171,6 +171,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError("parse error: the config nests too deeply") from None
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     schema = _field(json_int, obj.get("schema_version", SCHEMA_VERSION), "schema_version")
@@ -204,6 +206,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{where}: missing {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        except RecursionError:
+            raise ConfigError(f"{where}: the operator spec nests too deeply") from None
         vectors = tuple(
             _resolve_vector(tok, T.dim, seed, name)
             for tok in _field(json_list, e.get("vectors", ["ones"]), f"{where}: vectors")
@@ -299,17 +303,18 @@ class _VectorRun:
 
     @cached_property
     def orbits(self):
-        """The forward orbit, and the backward one under ``T_inv`` when
-        there is one, stepped in one loop. The forward orbit keeps its
-        points only when a check of the experiment reads them; the
-        backward one never does, since the inverse check reads its
-        distances only."""
+        """The forward orbit, the backward one under ``T_inv`` when there
+        is one, and the orbits of ``parts``, stepped in one loop. The
+        forward orbit keeps its points only when a check of the experiment
+        reads them; the backward one never does, since the inverse check
+        reads its distances only, nor do the parts, recorded off the
+        forward orbit's columns."""
         forward = any(_CHECKS[c].reads_points for c in self.exp.checks)
         if self.T_inv is None:
             ops, points = (self.T,), (forward,)
         else:
             ops, points = (self.T, self.T_inv), (forward, False)
-        return iterate_many(ops, self.v, self.exp.horizon, points)
+        return iterate_many(ops, self.v, self.exp.horizon, points, self.parts)
 
     @property
     def orbit(self):
@@ -409,21 +414,13 @@ def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
 
 
 def _product_rows(run: _VectorRun) -> list:
-    # The direct sum's report is the shared forward one, and the parts'
-    # orbits are column views of its orbit. Each part is classified in
-    # turn and kept as its flags and return-time masks up to the sum's
-    # horizon; its orbit is dropped before the next part's is made, which
-    # a zip or enumerate over part_orbits would not do.
-    h = run.report.horizon_effective
-    parts = []
-    for orbit in part_orbits(run.orbit, run.parts):
-        k = len(parts)
-        rep = run.classify(run.parts[k], orbit.base, f"part{k + 1}", orbit)
-        parts.append([(rec.flags, orbit.dists[: h + 1] < rec.epsilon) for rec in rep.records])
-        del rep, orbit
+    part1, part2 = (
+        run.classify(P, orbit.base, f"part{k}", orbit)
+        for k, (P, orbit) in enumerate(zip(run.parts, run.orbits[-2:]), 1)
+    )
     out = []
-    for eps, rec, part1, part2 in zip(run.exp.epsilons, run.report.records, *parts):
-        r = product_recurrence_from_masks(part1, part2, (rec.flags, run.orbit.dists < eps))
+    for eps in run.exp.epsilons:
+        r = product_recurrence_check(part1, part2, run.report, eps)
         out.append(
             {
                 "vector": run.label,
@@ -516,7 +513,6 @@ _CHECKS = {
             c["return_sets_match"] and c["reiterative_parts_imply_frequent_sum"]
             for c in r["per_case"]
         ),
-        reads_points=True,
         operator=(
             lambda spec: isinstance(spec, DirectSum) and len(spec.parts) == 2,
             "a direct_sum operator with exactly two parts",
@@ -696,6 +692,9 @@ def _cmd_densities(args) -> int:
     except (OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: the set file nests too deeply", file=sys.stderr)
+        return 2
     out = {
         "horizon": A.horizon,
         "count": len(A),
@@ -720,6 +719,9 @@ def _cmd_classify(args) -> int:
         rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
     except (OSError, ValueError, KeyError, MemoryError, NumericalFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the operator spec nests too deeply", file=sys.stderr)
         return 2
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     return 0

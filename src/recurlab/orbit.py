@@ -3,7 +3,7 @@
 An orbit segment records the metric distances of ``x, Tx, ..., T^H x`` to
 ``x``, the boundedness verdict of their metric norms, and, when the caller
 asks for them, the points. Every return set is read from the distances;
-only the window measures and the parts of a direct sum read the points.
+only the window measures read the points.
 Iteration advances strictly one application at a time, each row computed
 from the row before it by the kernels of ``LinearOperator.blocks``, so that
 ``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window measures
@@ -26,16 +26,18 @@ past ``OVERFLOW_CAP``, the one overflow rule; its norms only update the
 running facts of its boundedness verdict (:class:`_NormRecord`) and are
 dropped with the fill. The points, 16 bytes per coordinate and step, are
 copied out of the buffer only by the lanes whose caller asks for them,
-each lane chosen on its own, into an array of its own.
+each lane chosen on its own, into an array of its own. The parts of a
+direct sum are lanes too, recorded off the sum's columns with no kernel
+call of their own.
 A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +50,6 @@ __all__ = [
     "BoundednessReport",
     "iterate",
     "iterate_many",
-    "part_orbits",
     "return_set",
 ]
 
@@ -119,6 +120,7 @@ def iterate_many(
     x: np.ndarray,
     horizon: int,
     points: bool | Sequence[bool] = True,
+    parts: Sequence[LinearOperator] = (),
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
@@ -135,14 +137,21 @@ def iterate_many(
     ``(horizon + 1, d)`` array as the segment's points. Without points a
     lane holds one float per step, against ``16 d + 8`` bytes with them.
 
+    ``parts``, the parts of a direct sum ``ops[0]``, adds one lane per part
+    over its columns of lane 0, without points: the sum's kernel blocks are
+    its parts' own, so each part lane records its part's orbit bit for bit,
+    under its own block metric. Their segments come after the ops'.
+
     Then a pass stops stepping when it covers no lane still recording, or
     when its last row equals the row before it bitwise (``-0.0`` and
-    ``0.0`` differ): it has reached a fixed point of its deterministic
-    kernel, and its buffer columns hold that row in every row of each
-    later fill. So a lane that overflowed, or a pass at its fixed point,
-    is stepped to the end of that fill and no further. The last row is
-    carried to the top of the buffer for the next fill. The loop ends when
-    no pass is left, and the rows after it repeat the last one.
+    ``0.0`` differ, and a kernel need not map them alike): it has reached
+    a fixed point of its deterministic kernel, and its buffer columns hold
+    that row in every row of each later fill. So a lane that overflowed,
+    or a pass at its fixed point, is stepped to the end of that fill and no
+    further; a live part keeps its passes stepping past another part's
+    overflow. The last row is carried to the top of the buffer for the
+    next fill. The loop ends when no pass is left, and the rows after it
+    repeat the last one.
 
     A call costs about 0.4-0.5 µs per step for one diagonal pass, with
     or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
@@ -161,16 +170,23 @@ def iterate_many(
     keep = (points,) * K if isinstance(points, bool) else tuple(map(bool, points))
     if len(keep) != K:
         raise ValueError(f"points has {len(keep)} flags for {K} operators")
+    dims = [P.dim for P in parts]
+    if parts and sum(dims) != d:
+        raise DimensionError(f"part dims {dims} do not add up to {d}")
     buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
     buf[0] = np.tile(x, K)
     lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon, keep[k]) for k, T in enumerate(ops)]
+    for P, a in zip(parts, accumulate(dims, initial=0)):  # parts of ops[0], in its columns
+        lanes.append(_Lane(P, slice(a, a + P.dim), x[a : a + P.dim], horizon, False))
     for lane in lanes:
         lane.record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
         raise ValueError("base point already exceeds the overflow cap")
     # each pass, the views of its columns in every buffer row, and the lanes it covers
     passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])],
-               lanes[p.cols.start // d : (p.cols.stop - 1) // d + 1]) for p in _passes(ops, d)]
+               [lane for lane in lanes
+                if lane.cols.start < p.cols.stop and p.cols.start < lane.cols.stop])
+              for p in _passes(ops, d)]
     last = 0  # buf[0] holds orbit row last
     # an orbit may overflow to inf or nan before its fill is recorded; the
     # recorder's cut handles that, so numpy's warnings are noise
@@ -184,7 +200,8 @@ def iterate_many(
             last += b
             stepping = []
             for p, rows, covered in passes:
-                if _repeats(buf[b - 1 : b + 1, p.cols]):
+                bits = buf[b - 1 : b + 1, p.cols].view(np.uint64)
+                if np.array_equal(bits[0], bits[1]):
                     buf[:, p.cols] = buf[b, p.cols]
                 elif any(lane.end > last + 1 for lane in covered):
                     stepping.append((p, rows, covered))
@@ -347,55 +364,6 @@ def _passes(ops: Sequence[LinearOperator], d: int) -> list[KernelBlock]:
             else:
                 passes.append(block._replace(cols=cols))
     return passes
-
-
-def _repeats(rows: np.ndarray) -> bool:
-    """Whether two rows are equal bit for bit: ``==`` would take ``-0.0``
-    for ``0.0``, and a kernel need not map them alike."""
-    bits = rows.view(np.uint64)
-    return bool(np.array_equal(bits[0], bits[1]))
-
-
-def part_orbits(
-    orbit: OrbitSegment, parts: Sequence[LinearOperator]
-) -> Iterator[OrbitSegment]:
-    """The orbits of the parts of a direct sum, read off the sum's orbit,
-    one part at a time.
-
-    Blockwise apply makes the sum's orbit its parts' orbits side by side,
-    bit for bit, so each part's points are a column view of the sum's, with
-    its own norms and distances under its own block metric. The sum's orbit
-    stops at the first part to pass the overflow cap while the other parts'
-    orbits run on, so after an overflow each part is iterated on its own,
-    without points: its norms and distances are those of ``iterate``.
-    The sum's orbit must have kept its points; that and the dimensions are
-    checked on the call. Each part's orbit is made when the iterator reaches
-    it, so a caller that drops one part's orbit before it asks for the next
-    holds one at a time.
-    """
-    if orbit.points is None:
-        raise ValueError("part_orbits reads the points of the sum's orbit, "
-                         "which was iterated with points=False")
-    dims = [P.dim for P in parts]
-    if sum(dims) != orbit.dim:
-        raise DimensionError(f"part dims {dims} do not add up to {orbit.dim}")
-    starts = accumulate(dims[:-1], initial=0)
-    return (_part_orbit(orbit, P, start) for P, start in zip(parts, starts))
-
-
-def _part_orbit(orbit: OrbitSegment, P: LinearOperator, start: int) -> OrbitSegment:
-    base = orbit.base[start : start + P.dim]
-    if orbit.overflow:
-        return iterate_many((P,), base, orbit.horizon_requested, False)[0]
-    # a part's block norms are at most the sum's, so no part of a full
-    # orbit passes the cap; it is recorded one buffer fill of rows at a
-    # time, the same bits as over the whole orbit
-    cols = slice(start, start + P.dim)
-    lane = _Lane(P, cols, base, orbit.horizon_effective, keep=False)
-    for lo in range(0, orbit.points.shape[0], _FILL):
-        lane.record(orbit.points[lo : lo + _FILL], lo)
-    return replace(lane.segment(orbit.horizon_effective, orbit.horizon_effective),
-                   points=orbit.points[:, cols])
 
 
 def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:

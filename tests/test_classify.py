@@ -8,6 +8,7 @@ return sets and their gaps.
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +250,23 @@ class TestThresholds:
     def test_non_finite_field_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"threshold {key} must be finite"):
             Thresholds.from_json_dict({key: value})
+
+    FRACTIONS = ["delta_lower", "delta_upper", "delta_banach", "gap_fraction", "window_fraction"]
+
+    @pytest.mark.parametrize("value", [-1, -0.5, -1e-300, 1.0000000000000002, 5.0, 2])
+    @pytest.mark.parametrize("key", FRACTIONS)
+    def test_field_outside_the_unit_interval_rejected(self, key, value):
+        message = f"threshold {key} must be finite and in [0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Thresholds.from_json_dict({key: value})
+
+    @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1, 1.0])
+    @pytest.mark.parametrize("key", FRACTIONS)
+    def test_unit_interval_accepted(self, key, value):
+        th = Thresholds.from_json_dict({key: value})
+        assert getattr(th, key) == value
+        # a zero fraction still gives a gap and a window of at least 1
+        assert th.gap_max(10) >= 1 and th.window_len(10) >= 1
 
 
 class TestClassifyVector:

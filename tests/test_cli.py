@@ -42,6 +42,13 @@ ROTATION = {"type": "diagonal_unimodular", "angles_turns": [0.25]}
 JORDAN_2_7 = {"type": "jordan_block", "eigenvalue": [1.0, 0.0], "size": 2.7}
 POWER_2_5 = {"type": "power", "exponent": 2.5, "inner": ROTATION}
 ANGLES_5 = {"type": "diagonal_unimodular", "angles_turns": 5}
+# a list past the JSON parser's recursion limit, and an operator spec past
+# the spec reader's; the chain is built as text, since json.dumps would
+# hit the limit too
+DEEP_LIST = "[" * 200_000 + "]" * 200_000
+DEEP_CHAIN = (
+    '{"type": "scale", "factor": [1.0, 0.0], "inner": ' * 900 + json.dumps(ROTATION) + "}" * 900
+)
 PARTS_5 = {"type": "direct_sum", "parts": 5}
 
 
@@ -702,6 +709,60 @@ class TestMainEntry:
         assert code == 2
         assert "diagonal_unimodular operator: expected a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", DEEP_LIST, "parse error: the config nests too deeply"),
+            (
+                "run",
+                '{"experiments": [{"operator": ' + DEEP_CHAIN + "}]}",
+                "experiment 'experiment_0': the operator spec nests too deeply",
+            ),
+            ("densities", DEEP_LIST, "the set file nests too deeply"),
+            ("classify", DEEP_LIST, "the operator spec nests too deeply"),
+            ("classify", DEEP_CHAIN, "the operator spec nests too deeply"),
+        ],
+        ids=["run_list", "run_chain", "densities_list", "classify_list", "classify_chain"],
+    )
+    def test_deeply_nested_input_exits_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        out = tmp_path / "report.json"
+        argv = {
+            "run": ["run", "--config", str(path), "--out", str(out), "--strict"],
+            "densities": ["densities", "--set", str(path)],
+            "classify": ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("delta_banach", -1),
+            ("gap_fraction", 5.0),
+            ("window_fraction", -0.5),
+            ("delta_lower", 1.5),
+            ("delta_upper", -1e-300),
+        ],
+    )
+    @pytest.mark.parametrize("where", [None, "quarter"])
+    def test_threshold_outside_the_unit_interval_exits_2(
+        self, tmp_path, capsys, where, key, value
+    ):
+        # a negative delta or a fraction above 1 would turn verdicts on: a
+        # rotation by 1e-5 turns was flagged uniformly recurrent
+        obj = base_config()
+        (obj["experiments"][0] if where else obj)["thresholds"] = {key: value}
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"threshold {key} must be finite and in [0, 1], got {value!r}" in err
+        assert (f"experiment {where!r}" in err) == (where is not None)
+
     def test_version(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip() == __version__
@@ -709,7 +770,7 @@ class TestMainEntry:
 
 # The benchmark's pair_sum config at H = 10^4: 14 distinct orbits, namely
 # 5 forward orbits, 5 backward orbits for the inverse check, and 2 part
-# orbits for each of the 2 product vectors.
+# lanes for each of the 2 product vectors, all in 5 loops.
 PAIR_SUM = {
     "schema_version": 1,
     "seed": 7,
@@ -745,27 +806,24 @@ PAIR_SUM = {
 
 class TestOrbitSharing:
     def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
-        # Each vector's forward and backward orbits are lanes of one loop,
-        # and the product's part orbits are column views of the sum orbit.
-        loops, views, classified = [], [], []
-        iterate_many, part_orbits = recurlab.orbit.iterate_many, recurlab.cli.part_orbits
+        # Each vector's forward and backward orbits, and the product's part
+        # orbits, are lanes of one loop.
+        loops, classified = [], []
+        iterate_many = recurlab.orbit.iterate_many
 
-        def loop_counted(ops, x, *args, **kwargs):
+        def loop_counted(ops, x, horizon, points=True, parts=()):
             x = np.asarray(x, dtype=complex)
-            loops.append([(T.matrix.tobytes(), x.tobytes()) for T in ops])
-            return iterate_many(ops, x, *args, **kwargs)
-
-        def parts_counted(orbit, parts):
-            # part_orbits makes each part's orbit on request; pass them on
-            # one at a time, as it does
-            for p in part_orbits(orbit, parts):
-                views.append(np.shares_memory(p.points, orbit.points))
-                yield p
+            lanes = [(T.matrix.tobytes(), x.tobytes()) for T in ops]
+            start = 0
+            for P in parts:
+                lanes.append((P.matrix.tobytes(), x[start : start + P.dim].tobytes()))
+                start += P.dim
+            loops.append(lanes)
+            return iterate_many(ops, x, horizon, points, parts)
 
         # iterate() calls the orbit module's binding
         for module in (recurlab.cli, recurlab.orbit):
             monkeypatch.setattr(module, "iterate_many", loop_counted)
-        monkeypatch.setattr(recurlab.cli, "part_orbits", parts_counted)
         for module in (recurlab.cli, recurlab.classify):
             def classify_counted(T, *args, _classify=module.classify_vector, **kwargs):
                 classified.append(T)
@@ -774,14 +832,13 @@ class TestOrbitSharing:
             monkeypatch.setattr(module, "classify_vector", classify_counted)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
-        # 5 vectors, each with a forward and a backward lane
-        assert len(loops) == 5
+        # 5 vectors, each with a forward and a backward lane, and the sum
+        # experiment's two vectors with two part lanes each
+        assert [len(loop) for loop in loops] == [2, 2, 2, 4, 4]
         lanes = [lane for loop in loops for lane in loop]
-        assert len(lanes) == 10
+        assert len(lanes) == 14
         # no (operator, vector) pair is stepped twice
-        assert len(set(lanes)) == 10
-        # two parts for each of the sum experiment's two vectors
-        assert views == [True] * 4
+        assert len(set(lanes)) == 14
         # one classification per orbit
         assert len(classified) == 14
 
@@ -918,9 +975,9 @@ class TestPointsOnlyForTheirReaders:
         kept = []
         iterate_many = recurlab.cli.iterate_many
 
-        def spy(ops, x, horizon, points):
+        def spy(ops, x, horizon, points, parts):
             kept.append(tuple(points))
-            return iterate_many(ops, x, horizon, points)
+            return iterate_many(ops, x, horizon, points, parts)
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
         return kept
@@ -932,7 +989,7 @@ class TestPointsOnlyForTheirReaders:
         assert "error" not in entry and "result" in entry
         # the forward lane keeps points for their readers; the backward
         # lane, stepped for the inverse check, never does
-        assert [lanes[0] for lanes in kept] == [check in ("birkhoff", "measure", "product")]
+        assert [lanes[0] for lanes in kept] == [check in ("birkhoff", "measure")]
         assert [len(lanes) for lanes in kept] == [1 + (check == "inverse")]
         assert not any(any(lanes[1:]) for lanes in kept)
 
@@ -952,7 +1009,7 @@ class TestPointsOnlyForTheirReaders:
         }
         monkeypatch.setattr(recurlab.cli, "_CHECKS", no_points)
         entry = self.run_alone(tmp_path, check)
-        if check in ("birkhoff", "measure", "product"):
+        if check in ("birkhoff", "measure"):
             assert "points=False" in entry["error"]
         else:
             assert "error" not in entry
@@ -980,14 +1037,16 @@ class TestPointsOnlyForTheirReaders:
         assert peak < 14 * 2**20
 
 
-    def test_product_check_holds_one_part_at_a_time(self, tmp_path):
+    def test_product_check_keeps_no_part_points(self, tmp_path):
         # a sum of two rotations at H = 2 * 10^5 with all five per-vector
         # checks: the forward orbit with its points and distances and the
         # backward lane's distances take 9.6 MB, and the product check
-        # adds one part's distances and its classification. With the
-        # backward lane's points, both parts' orbits at once and
-        # whole-orbit part temporaries, the peak was 29 MB; with per-step
-        # norms and whole-mask running counts 17.6 MiB; it is 12.1 MiB.
+        # adds both part lanes' distances, recorded in the same loop
+        # without points, and their classifications. With the backward
+        # lane's points, both parts' orbits as views of the sum's points
+        # and whole-orbit part temporaries, the peak was 29 MB; with
+        # per-step norms and whole-mask running counts 17.6 MiB; with one
+        # part made at a time off the sum's points 12.1 MiB; it is 14.0 MiB.
         obj = base_config()
         obj["experiments"][0].update(
             operator={

@@ -40,7 +40,6 @@ from recurlab.orbit import (
     _NormRecord,
     _norms_and_dists,
     iterate_many,
-    part_orbits,
 )
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -620,25 +619,50 @@ class TestIterateMany:
         orbit = iterate_many((direct_sum(parts),), x, 100, points=False)[0]
         with pytest.raises(ValueError, match="points=False"):
             empirical_from_window(orbit, 0, 10)
-        with pytest.raises(ValueError, match="points=False"):
-            part_orbits(orbit, parts)
+        # part lanes never keep points, even beside a sum that does
+        orbit, *got = iterate_many((direct_sum(parts),), x, 100, True, parts)
+        assert orbit.points is not None
+        assert [part.points for part in got] == [None, None]
+
+
+def assert_same_segment(a, b):
+    """Two segments with the same distances, bit for bit, and the same
+    base, boundedness verdict and horizons."""
+    assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
+    assert bitwise_equal(a.base, b.base)
+    assert a.bounded == b.bounded
+    assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
+
+
+def count_steps(monkeypatch):
+    """The calls of ``orbit._step``, one per pass and fill; the list grows
+    as the engine calls it."""
+    calls = []
+    step = recurlab.orbit._step
+    monkeypatch.setattr(
+        recurlab.orbit, "_step", lambda p, *rows: calls.append(p.cols) or step(p, *rows)
+    )
+    return calls
 
 
 class TestPartOrbits:
-    def test_parts_are_views_with_their_own_metric(self):
+    """The orbits of a direct sum's parts, as lanes over the sum's columns."""
+
+    def test_parts_are_lanes_with_their_own_metric(self):
         parts = [realize(DiagonalUnimodular((0.25, GOLDEN))), realize(SWAP_SPEC)]
         T = direct_sum(parts)
         x = np.array([1.0, 2.0j, 3.0, 4.0])
-        orbit = iterate(T, x, 2000)
-        got = part_orbits(orbit, parts)
+        orbit, *got = iterate_many((T,), x, 2000, True, parts)
         start = 0
         for P, orb in zip(parts, got):
             ref = iterate(P, x[start : start + P.dim], 2000)
-            assert np.shares_memory(orb.points, orbit.points)
-            for field in ("base", "points", "dists"):
+            assert orb.points is None
+            assert bitwise_equal(orbit.points[:, start : start + P.dim], ref.points)
+            for field in ("base", "dists"):
                 assert np.array_equal(getattr(orb, field), getattr(ref, field))
             assert orb.bounded == ref.bounded
             assert (orb.horizon_effective, orb.overflow) == (2000, False)
+            assert orb.block_dims == P.block_dims
             start += P.dim
 
     def test_part_norms_over_fills_equal_its_own_orbit(self):
@@ -649,27 +673,27 @@ class TestPartOrbits:
                  realize(random_dense(rng, 9))]
         x = rng.normal(size=13) + 1j * rng.normal(size=13)
         horizon = 2 * _FILL + 5
-        orbit = iterate(direct_sum(parts), x, horizon)
-        got = part_orbits(orbit, parts)
-        for P, start in zip(parts, (0, 4)):
-            part = next(got)
+        orbit, *got = iterate_many((direct_sum(parts),), x, horizon, True, parts)
+        assert len(got) == 2
+        for P, start, part in zip(parts, (0, 4), got):
             ref = iterate(P, x[start : start + P.dim], horizon)
             assert np.array_equal(part.dists.view(np.uint64), ref.dists.view(np.uint64))
             assert part.bounded == ref.bounded
-            assert part.bounded == oracle_boundedness(P.block_norms(part.points), False)
-        assert next(got, None) is None
+            norms = P.block_norms(orbit.points[:, start : start + P.dim])
+            assert part.bounded == oracle_boundedness(norms, False)
 
     def test_overflowed_sum_iterates_its_parts(self):
         # the sum stops when its growing part passes the cap; the bounded
-        # part's own orbit runs the full horizon
+        # part's own orbit runs the full horizon, with no second loop
         parts = [realize(Scale(2.0, DenseMatrix(((1.0,),)))), realize(SWAP_SPEC)]
-        orbit = iterate(direct_sum(parts), np.array([1.0, 1.0, 0.0]), 100)
+        orbit, grown, swapped = iterate_many(
+            (direct_sum(parts),), np.array([1.0, 1.0, 0.0]), 100, True, parts
+        )
         assert orbit.overflow and orbit.horizon_effective == 39
-        grown, swapped = part_orbits(orbit, parts)
         assert grown.overflow and grown.horizon_effective == 39
         assert not swapped.overflow and swapped.horizon_effective == 100
-        # each part is stepped without points, and its norms and distances
-        # are those of its own iterate bit for bit
+        # each part keeps no points, and its norms and distances are those
+        # of its own iterate bit for bit
         for P, part, base in zip(parts, (grown, swapped), ([1.0], [1.0, 0.0])):
             ref = iterate(P, np.array(base, dtype=complex), 100)
             assert part.points is None
@@ -677,9 +701,64 @@ class TestPartOrbits:
             assert part.bounded == ref.bounded
 
     def test_dims_must_add_up(self):
-        orbit = iterate(realize(SWAP_SPEC), np.array([1.0, 0.0j]), 5)
-        with pytest.raises(DimensionError):
-            part_orbits(orbit, [realize(DenseMatrix(((1.0,),)))])
+        with pytest.raises(DimensionError, match="part dims"):
+            iterate_many((realize(SWAP_SPEC),), np.array([1.0, 0.0j]), 5,
+                         parts=[realize(DenseMatrix(((1.0,),)))])
+
+    # (parts, horizon): rotations in one diagonal pass, merged with the
+    # inverse lane's; dense parts over several fills; a part that retires
+    # at an exact zero; sums cut by a part that grows from 1e-13 in their
+    # third fill, beside a rotation in the same diagonal pass or a dense
+    # unitary in a pass of its own, each of which runs to the full horizon
+    CASES = {
+        "diagonal": ([DiagonalUnimodular((0.25, GOLDEN)), DiagonalUnimodular((0.41421356,))],
+                     2 * _FILL + 3),
+        "dense": ([DirectSum((DenseMatrix(((0.0, 1.0), (1.0, 0.0))),
+                              DiagonalUnimodular((GOLDEN,)))),
+                   JordanBlock(0.5, 2)], 2 * _FILL + 5),
+        "retired": ([Scale(0.5, DenseMatrix(((1.0,),))), DiagonalUnimodular((GOLDEN,))],
+                    3 * _FILL),
+        "overflow": ([DiagonalUnimodular((GOLDEN,)), Scale(1.005, DenseMatrix(((1.0,),)))],
+                     4 * _FILL),
+        "overflow_beside_dense": ([random_dense(np.random.default_rng(5), 2),
+                                   Scale(1.005, DenseMatrix(((1.0,),)))], 4 * _FILL),
+    }
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "with_inverse"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_part_lanes_equal_their_own_loops(self, monkeypatch, case, inverse):
+        specs, horizon = self.CASES[case]
+        parts = [realize(s) for s in specs]
+        T = direct_sum(parts)
+        ops = (T, realize(Inverse(DirectSum(tuple(specs)))))[: 1 + inverse]
+        points = (True, False)[: len(ops)]
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=T.dim) + 1j * rng.normal(size=T.dim)
+        if case.startswith("overflow"):
+            x[-1] = 1e-13
+        calls = count_steps(monkeypatch)
+        alone = iterate_many(ops, x, horizon, points)
+        without = len(calls)
+        got = iterate_many(ops, x, horizon, points, parts)
+        assert len(got) == len(ops) + 2
+        live, grown = got[len(ops) :]
+        if case.startswith("overflow"):
+            # the live part keeps its pass stepping past the sum's cut
+            assert alone[0].overflow and 2 * _FILL < alone[0].horizon_effective < 3 * _FILL
+            assert not live.overflow and live.horizon_effective == horizon
+            assert grown.horizon_effective == alone[0].horizon_effective
+        else:
+            # the part lanes add no kernel call
+            assert calls[without:] == calls[:without]
+        for a, b in zip(alone, got):
+            assert_same_segment(a, b)
+        assert bitwise_equal(alone[0].points, got[0].points)
+        start = 0
+        for P, part in zip(parts, (live, grown)):
+            ref = iterate_many((P,), x[start : start + P.dim], horizon, False)[0]
+            assert part.points is None and part.block_dims == P.block_dims
+            assert_same_segment(part, ref)
+            start += P.dim
 
 
 class TestReturnSet:
@@ -1012,9 +1091,11 @@ class TestBoundedness:
         # fills; each part's report is that of its own norms
         parts = [realize(JordanBlock(1.0, 2)), realize(DiagonalUnimodular((GOLDEN,)))]
         x = np.array([0.0, 1.0, 1.0], dtype=complex)
-        orbit = iterate(direct_sum(parts), x, 2 * _FILL + 9)
-        grown, turned = part_orbits(orbit, parts)
-        for P, part in ((parts[0], grown), (parts[1], turned)):
-            assert part.bounded == oracle_boundedness(P.block_norms(part.points), False)
+        orbit, grown, turned = iterate_many(
+            (direct_sum(parts),), x, 2 * _FILL + 9, True, parts
+        )
+        for P, part, cols in ((parts[0], grown, slice(0, 2)), (parts[1], turned, slice(2, 3))):
+            norms = P.block_norms(orbit.points[:, cols])
+            assert part.bounded == oracle_boundedness(norms, False)
         assert grown.bounded.growth_detected and not turned.bounded.growth_detected
         assert orbit.bounded.growth_detected
