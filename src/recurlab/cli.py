@@ -54,6 +54,7 @@ from .linop import (
     Inverse,
     LinearOperator,
     jdg_split,
+    json_float,
     json_int,
     json_list,
     principal_angle,
@@ -82,7 +83,7 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
-    operator_spec: object
+    operator: LinearOperator
     vectors: tuple[tuple[str, np.ndarray], ...]
     epsilons: tuple[float, ...]
     horizon: int
@@ -116,7 +117,7 @@ class ReportDocument:
         }
 
 
-_KINDS = {json_int: "an integer", float: "a number", json_list: "a list"}
+_KINDS = {json_int: "an integer", json_float: "a number", json_list: "a list"}
 
 
 def _field(convert, value, what: str):
@@ -147,7 +148,7 @@ def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.
         rng = np.random.default_rng([seed, k])
         return token, rng.normal(size=dim) + 1j * rng.normal(size=dim)
     try:
-        coords = [complex(re, im) for re, im in token]
+        coords = [complex(json_float(re), json_float(im)) for re, im in token]
     except (TypeError, ValueError):
         raise ConfigError(
             f"{where}: an explicit vector is a list of [re, im] pairs, got {token!r}"
@@ -164,7 +165,10 @@ def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment config; all errors become ConfigError."""
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"the config is not UTF-8: {exc}") from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -195,13 +199,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
         name = e.get("name", f"experiment_{i}")
         if not isinstance(name, str):
             raise ConfigError(f"experiment {i}: name must be a string, got {name!r}")
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"experiment {i}: name {name!r} is not valid Unicode") from None
         if name in seen:
             raise ConfigError(f"duplicate experiment name {name!r}")
         seen.add(name)
         where = f"experiment {name!r}"
         try:
-            spec = spec_from_json_dict(e["operator"])
-            T = realize(spec)
+            T = realize(spec_from_json_dict(e["operator"]))
         except KeyError as exc:
             raise ConfigError(f"{where}: missing {exc}") from exc
         except ValueError as exc:
@@ -215,7 +222,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not vectors:
             raise ConfigError(f"{where}: vectors must be nonempty")
         epsilons = tuple(
-            _field(float, x, f"{where}: an epsilon")
+            _field(json_float, x, f"{where}: an epsilon")
             for x in _field(json_list, e.get("epsilons", []), f"{where}: epsilons")
         )
         if not epsilons or any(not 0 < x < math.inf for x in epsilons):
@@ -238,7 +245,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if c not in KNOWN_CHECKS:
                 raise ConfigError(f"{where}: unknown check {c!r}")
             need = _CHECKS[c].operator
-            if need and not need[0](spec):
+            if need and not need[0](T.spec):
                 raise ConfigError(f"{where}: the {c} check needs {need[1]}")
         if "jdg" in checks:
             # jdg is the one check that needs scipy (a sorted Schur split
@@ -249,7 +256,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         experiments.append(
             ExperimentSpec(
                 name=name,
-                operator_spec=spec,
+                operator=T,
                 vectors=vectors,
                 epsilons=epsilons,
                 horizon=horizon,
@@ -397,7 +404,7 @@ def _check_jdg(exp: ExperimentSpec, T, seed: int) -> dict:
 
 def _check_unimodular_return(exp: ExperimentSpec, T, seed: int) -> dict:
     reports = unimodular_return_set(
-        exp.operator_spec.angles_turns, exp.epsilons, exp.horizon, probe_seed=seed
+        T.spec.angles_turns, exp.epsilons, exp.horizon, probe_seed=seed
     )
     out = []
     for eps, rep in zip(exp.epsilons, reports):
@@ -556,11 +563,10 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     inverse fails that check alone; once that check has an error, the
     vectors step the forward orbit only.
     """
-    spec = exp.operator_spec
-    T = realize(spec)
-    parts = tuple(map(realize, spec.parts)) if "product" in exp.checks else ()
+    T = exp.operator
+    parts = tuple(map(realize, T.spec.parts)) if "product" in exp.checks else ()
     entries = {name: {"wall_time_s": 0.0} for name in ("summary", *exp.checks)}
-    T_inv = _timed(entries["inverse"], realize, Inverse(spec)) if "inverse" in entries else None
+    T_inv = _timed(entries["inverse"], realize, Inverse(T.spec)) if "inverse" in entries else None
     rows = {name: [] for name in entries if _CHECKS[name].rows}
     for index, (label, v) in enumerate(exp.vectors):
         if "error" in entries.get("inverse", {}):
@@ -621,11 +627,11 @@ def emit_report(doc: ReportDocument, fmt: str, path: str | Path) -> None:
     path = Path(path)
     if fmt == "json":
         text = json.dumps(doc.to_json_dict(), indent=2, sort_keys=True)
-        path.write_text(text + "\n")
+        path.write_text(text + "\n", encoding="utf-8")
         return
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "epsilon", "lower", "upper", "banach", "gap"])
         for name, exp in doc.experiments.items():
@@ -642,7 +648,7 @@ def emit_report(doc: ReportDocument, fmt: str, path: str | Path) -> None:
                     ]
                 )
     series_path = path.with_name(path.stem + "_series.csv")
-    with open(series_path, "w", newline="") as fh:
+    with open(series_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "epsilon", "n", "prefix_density"])
         for name, exp in doc.experiments.items():
@@ -681,7 +687,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_densities(args) -> int:
     try:
-        obj = json.loads(Path(args.set).read_text())
+        obj = json.loads(Path(args.set).read_text(encoding="utf-8"))
         if not isinstance(obj, dict):
             raise ValueError(f"a set file holds an object, got {obj!r}")
         A = FiniteNatSet.from_json_dict(obj)
@@ -712,8 +718,7 @@ def _cmd_densities(args) -> int:
 
 def _cmd_classify(args) -> int:
     try:
-        spec = spec_from_json_dict(json.loads(Path(args.op).read_text()))
-        T = realize(spec)
+        T = realize(spec_from_json_dict(json.loads(Path(args.op).read_text(encoding="utf-8"))))
         x = _parse_vector_arg(args.vector, T.dim, seed=0)
         epsilons = [float(e) for e in args.eps.split(",") if e]
         rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)

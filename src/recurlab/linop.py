@@ -3,7 +3,9 @@
 Operators are described by a small tagged-union spec language (diagonal
 rotations, dense matrices, Jordan blocks, truncated weighted backward shifts,
 and the combinators direct sum / scale / inverse / power) and realized as
-concrete complex matrices with norm and power-boundedness metadata attached.
+concrete complex matrices. A realized operator holds its matrix, its kernel
+blocks and its spec; the norm and power estimates are computed by the
+functions that read them.
 
 Metric convention: the norm on C^d is Euclidean; on direct sums it is the max
 of the component Euclidean norms, tracked through ``block_dims``. ``apply`` /
@@ -131,11 +133,8 @@ OperatorSpec = Union[
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """A realized d x d complex matrix with norm/power-bound metadata.
+    """A realized d x d complex matrix.
 
-    ``power_bound_estimate`` is ``sup_{n <= POWER_BOUND_HORIZON} ||T^n||_2``;
-    ``power_norm_mid`` / ``power_norm_end`` are the norms at the half and full
-    scan horizon, kept for the growth-trend gate in :func:`jdg_split`.
     ``spec`` is the spec the operator was realized from.
     ``blocks``, set at construction, is the apply kernel: the
     :class:`KernelBlock` list that covers the columns.
@@ -144,10 +143,6 @@ class LinearOperator:
     matrix: np.ndarray
     dim: int
     block_dims: tuple[int, ...]
-    operator_norm_estimate: float
-    power_bound_estimate: float
-    power_norm_mid: float
-    power_norm_end: float
     spec: OperatorSpec
 
     def __post_init__(self):
@@ -403,7 +398,7 @@ def _power_scan(m: np.ndarray) -> tuple[float, float, float]:
 
 
 def realize(spec: OperatorSpec) -> LinearOperator:
-    """Build the concrete matrix for a spec and attach norm/power metadata."""
+    """Build the concrete matrix for a spec."""
     with np.errstate(over="ignore", invalid="ignore"):
         m, dims = _build(spec)
     if not np.isfinite(m).all():
@@ -411,43 +406,14 @@ def realize(spec: OperatorSpec) -> LinearOperator:
     d = m.shape[0]
     if d > DIM_CAP:
         raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
-    sup, mid, end = _power_scan(m)
-    return LinearOperator(
-        matrix=m,
-        dim=d,
-        block_dims=dims,
-        operator_norm_estimate=float(np.linalg.norm(m, 2)),
-        power_bound_estimate=sup,
-        power_norm_mid=mid,
-        power_norm_end=end,
-        spec=spec,
-    )
+    return LinearOperator(matrix=m, dim=d, block_dims=dims, spec=spec)
 
 
 def direct_sum(parts: Sequence[LinearOperator]) -> LinearOperator:
-    """Block-diagonal join of realized operators.
-
-    The recorded norm is the max of the component norms (which for the
-    Euclidean 2-norm of a block-diagonal matrix is also exact), and the metric
-    on the sum is the max of component norms via ``block_dims``. The power
-    norms are the parts' maxima too, each part having been scanned over the
-    same horizon.
-    """
-    if not parts:
-        raise DimensionError("direct sum needs at least one part")
-    d = sum(p.dim for p in parts)
-    if d > DIM_CAP:
-        raise SizeCapError(f"dimension {d} exceeds cap {DIM_CAP}")
-    return LinearOperator(
-        matrix=_block_diag([p.matrix for p in parts]),
-        dim=d,
-        block_dims=tuple(b for p in parts for b in p.block_dims),
-        operator_norm_estimate=max(p.operator_norm_estimate for p in parts),
-        power_bound_estimate=max(p.power_bound_estimate for p in parts),
-        power_norm_mid=max(p.power_norm_mid for p in parts),
-        power_norm_end=max(p.power_norm_end for p in parts),
-        spec=DirectSum(tuple(p.spec for p in parts)),
-    )
+    """Block-diagonal join of realized operators: the realized direct sum of
+    their specs. The metric on the sum is the max of component norms via
+    ``block_dims``."""
+    return realize(DirectSum(tuple(p.spec for p in parts)))
 
 
 @dataclass(frozen=True)
@@ -480,7 +446,7 @@ def unimodular_eigenpairs(T: LinearOperator) -> SpectralData:
         vals, vecs = np.linalg.eig(T.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver failed: {exc}") from exc
-    norm = T.operator_norm_estimate
+    norm = float(np.linalg.norm(T.matrix, 2))
     budget = 10 * np.finfo(float).eps * max(norm, 1.0) * T.dim
     if not np.isfinite(budget):
         raise NumericalFailureError(
@@ -543,10 +509,10 @@ def jdg_split(T: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
     subspace for the contractive spectrum, computed by two sorted Schur
     decompositions (no Jordan forms).
 
-    The gate is an estimate, not a proof: T must have
-    ``power_bound_estimate <= POWER_BOUND_CAP`` AND must not show a growth
-    trend over the scan (norm at the scan horizon both > 2 and >= 1.5x the
-    half-horizon norm). The trend test is what rejects linearly-growing
+    The gate is an estimate, not a proof: the sup of ``||T^n||_2`` over the
+    scan ``n <= POWER_BOUND_HORIZON`` must be at most ``POWER_BOUND_CAP``,
+    AND T must not show a growth trend over the scan (norm at the scan
+    horizon both > 2 and >= 1.5x the half-horizon norm). The trend test is what rejects linearly-growing
     unimodular Jordan blocks whose sup at the scan horizon is still below the
     cap; it also conservatively rejects power-bounded operators with slowly
     decaying defective parts.
@@ -554,15 +520,16 @@ def jdg_split(T: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
     The dissipative part is verified to decay: each unit fl basis vector must
     satisfy ``||T^N v|| < 1`` at the scan horizon.
     """
-    if T.power_bound_estimate > POWER_BOUND_CAP:
+    sup, mid, end = _power_scan(T.matrix)
+    if sup > POWER_BOUND_CAP:
         raise NotPowerBoundedError(
-            f"power bound estimate {T.power_bound_estimate:.3e} exceeds cap "
+            f"power bound estimate {sup:.3e} exceeds cap "
             f"{POWER_BOUND_CAP:.3e} at horizon {POWER_BOUND_HORIZON}"
         )
-    if T.power_norm_end > 2 and T.power_norm_end >= GROWTH_RATIO_CAP * T.power_norm_mid:
+    if end > 2 and end >= GROWTH_RATIO_CAP * mid:
         raise NotPowerBoundedError(
             f"norm still growing at horizon {POWER_BOUND_HORIZON}: "
-            f"||T^N|| = {T.power_norm_end:.3e} vs ||T^(N/2)|| = {T.power_norm_mid:.3e}"
+            f"||T^N|| = {end:.3e} vs ||T^(N/2)|| = {mid:.3e}"
         )
 
     from scipy.linalg import schur  # see the module docstring
@@ -631,7 +598,7 @@ def eigenvector_from_power_relation(
 
     principal = np.exp(1j * np.angle(alpha) / n)
     roots = [principal * np.exp(2j * np.pi * j / n) for j in range(n)]
-    scale = max(T.operator_norm_estimate, 1.0)
+    scale = max(float(np.linalg.norm(T.matrix, 2)), 1.0)
     y = x
     k = n - 1
     for j in range(n - 1):
@@ -670,9 +637,9 @@ def _complex_to_json(z: complex) -> list[float]:
 
 def _complex_from_json(v) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+        return complex(json_float(v))
+    re, im = json_list(v)
+    return complex(json_float(re), json_float(im))
 
 
 def spec_to_json_dict(spec: OperatorSpec) -> dict:
@@ -728,6 +695,18 @@ def json_int(value) -> int:
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
+def json_float(value) -> float:
+    """``float(value)``, except that a boolean, which ``float`` reads as 0.0
+    or 1.0, raises ValueError, and so does an integer too large for a float.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("an integer too large for a float") from None
+
+
 def json_list(value) -> list:
     """A JSON array as given; anything else, a string too, raises ValueError."""
     if not isinstance(value, (list, tuple)):
@@ -751,7 +730,7 @@ def spec_from_json_dict(obj: dict) -> OperatorSpec:
 
 def _spec_fields(tag: str, obj: dict) -> OperatorSpec:
     if tag == "diagonal_unimodular":
-        return DiagonalUnimodular(tuple(float(a) for a in json_list(obj["angles_turns"])))
+        return DiagonalUnimodular(tuple(map(json_float, json_list(obj["angles_turns"]))))
     if tag == "dense_matrix":
         rows = json_list(obj["entries"])
         return DenseMatrix(tuple(tuple(_complex_from_json(z) for z in row) for row in rows))
@@ -759,7 +738,7 @@ def _spec_fields(tag: str, obj: dict) -> OperatorSpec:
         return JordanBlock(_complex_from_json(obj["eigenvalue"]), json_int(obj["size"]))
     if tag == "weighted_backward_shift":
         return WeightedBackwardShiftTruncation(
-            tuple(float(w) for w in json_list(obj["weights"])), json_int(obj["dim"])
+            tuple(map(json_float, json_list(obj["weights"]))), json_int(obj["dim"])
         )
     if tag == "direct_sum":
         return DirectSum(tuple(spec_from_json_dict(p) for p in json_list(obj["parts"])))

@@ -104,7 +104,7 @@ class TestLoadConfig:
         obj["experiments"][0]["operator"] = dict(JORDAN_2_7, size=2e0)
         exp = load_config(write_config(tmp_path, obj)).experiments[0]
         assert exp.horizon == 200_000 and type(exp.horizon) is int
-        assert exp.operator_spec.size == 2 and type(exp.operator_spec.size) is int
+        assert exp.operator.spec.size == 2 and type(exp.operator.spec.size) is int
         min_horizon = exp.thresholds.min_horizon
         assert min_horizon == 10_000 and type(min_horizon) is int
 
@@ -149,6 +149,32 @@ class TestLoadConfig:
             obj["experiments"][0]["epsilons"] = eps
             with pytest.raises(ConfigError, match="epsilons must be positive"):
                 load_config(write_config(tmp_path, obj))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("epsilons", [True], "an epsilon must be a number, got True"),
+            ("operator", {"type": "diagonal_unimodular", "angles_turns": [True, 0.25]},
+             "diagonal_unimodular operator: expected a number, got True"),
+            ("operator", {"type": "weighted_backward_shift", "weights": [True], "dim": 2},
+             "weighted_backward_shift operator: expected a number, got True"),
+            ("operator", {"type": "jordan_block", "eigenvalue": [True, 0.0], "size": 1},
+             "jordan_block operator: expected a number, got True"),
+            ("operator", {"type": "jordan_block", "eigenvalue": [1.0, True], "size": 1},
+             "jordan_block operator: expected a number, got True"),
+            ("operator", {"type": "scale", "factor": True, "inner": ROTATION},
+             "scale operator: expected a number, got True"),
+            ("vectors", [[[True, 0.0]]], r"list of \[re, im\] pairs"),
+        ],
+        ids=["epsilon", "angle", "weight", "complex_re", "complex_im", "complex_scalar",
+             "vector"],
+    )
+    def test_boolean_numbers_refused(self, tmp_path, key, value, message):
+        # float(True) is 1.0, so a boolean would otherwise load as the number 1
+        obj = base_config()
+        obj["experiments"][0][key] = value
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, obj))
 
     def test_bad_horizon(self, tmp_path):
         obj = base_config()
@@ -419,6 +445,24 @@ class TestMainEntry:
         assert code == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe" + json.dumps(base_config()).encode("utf-16-le"))
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "the config is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_lone_surrogate_name_exits_2(self, tmp_path, capsys, fmt):
+        # valid JSON, but no UTF-8 report can hold the name
+        obj = base_config()
+        obj["experiments"][0]["name"] = "a\ud800"
+        out = tmp_path / "report.csv"
+        code = main(["run", "--config", str(write_config(tmp_path, obj)),
+                     "--out", str(out), "--format", fmt])
+        assert code == 2 and not out.exists()
+        assert "is not valid Unicode" in capsys.readouterr().err
+
     def test_nan_epsilon_exits_2(self, tmp_path, capsys):
         obj = base_config()
         obj["experiments"][0]["epsilons"] = ["nan"]
@@ -482,6 +526,9 @@ class TestMainEntry:
             ("quarter", "operator", ANGLES_5, "diagonal_unimodular operator: .* got 5"),
             ("quarter", "operator", PARTS_5, "direct_sum operator: .* got 5"),
             ("quarter", "checks", "classify", "checks must be a list, got 'classify'"),
+            ("quarter", "operator", {"type": "diagonal_unimodular", "angles_turns": [10**400]},
+             "diagonal_unimodular operator: an integer too large for a float"),
+            ("quarter", "vectors", [[[10**400, 0]]], "list of \\[re, im\\] pairs"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
@@ -855,6 +902,23 @@ class TestOrbitSharing:
         assert not document_has_failures(doc)
         # golden_pair's T and T^-1; sum's T, T^-1 and its two parts
         assert len(decomposed) == len({id(T) for T in decomposed}) == 6
+
+    def test_one_realize_per_operator(self, tmp_path, monkeypatch):
+        realized = []
+        realize = recurlab.cli.realize
+
+        def counted(spec):
+            realized.append(spec)
+            return realize(spec)
+
+        monkeypatch.setattr(recurlab.cli, "realize", counted)
+        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
+        assert not document_has_failures(doc)
+        # each experiment's T at load and its T^-1 at run; the sum's two parts
+        assert [type(spec).__name__ for spec in realized] == [
+            "DiagonalUnimodular", "DirectSum",
+            "Inverse", "DiagonalUnimodular", "DiagonalUnimodular", "Inverse",
+        ]
 
     def test_backward_lane_dropped_after_inverse_error(self, tmp_path, monkeypatch):
         lanes = []
