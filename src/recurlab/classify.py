@@ -26,12 +26,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .empmeasure import ball_mass, empirical_from_window
+# unused here; the benchmark tracer wraps these bindings
+from .empmeasure import ball_mass, empirical_from_window  # noqa: F401
 from .errors import InsufficientHorizonError
 from .linop import (
     LinearOperator,
     SpectralData,
-    block_norms,
     eigen_span_residual,
     json_int,
     realize,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
@@ -51,7 +51,8 @@ from .orbit import (
     OVERFLOW_CAP,
     BoundednessReport,
     OrbitSegment,
-    iterate,
+    iterate,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
+    iterate_many,
     return_set,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
 )
 
@@ -282,7 +283,9 @@ def classify_vector(
     comes from carried block passes over the mask ``orbit.dists < eps``
     (:func:`epsilon_record`); no return set is built. Vector-level flags
     are the conjunction over the epsilon grid.
-    ``orbit``, when given, must be ``iterate(T, x, horizon)``; the report
+    ``orbit``, when given, must be the orbit of x under T up to ``horizon``,
+    with or without points; without one, the orbit is stepped without
+    points, since the classification reads only its distances. The report
     carries it either way, for the checks that read classified orbits.
     """
     thresholds = thresholds or Thresholds()
@@ -298,7 +301,7 @@ def classify_vector(
     if any(not 0 < e < math.inf for e in epsilons):
         raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
     if orbit is None:
-        orbit = iterate(T, x, horizon)
+        orbit = iterate_many((T,), x, horizon, False)[0]
     residual = eigen_span_residual(x, spectral_data(T))
     if orbit.overflow and orbit.horizon_effective == 0:
         raise InsufficientHorizonError(
@@ -342,8 +345,12 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     one: the best sliding window of the return set positions the Cesaro
     average. For orbits equidistributing on their closure the two numbers
     agree up to the window's discrepancy, which is the finite shadow of the
-    ``dens N(x, U) = m(U)`` mechanism. The window and the density are read
-    from the mask ``orbit.dists < epsilon``; no return set is built.
+    ``dens N(x, U) = m(U)`` mechanism. The measure is the uniform one on the
+    window's orbit points, so its mass of the epsilon-ball around the base
+    is the share of window times that return, an int over an int. The
+    density, the window and its mass are all read from the mask
+    ``orbit.dists < epsilon``: no return set and no measure is built, and
+    the orbit need not have kept its points.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -354,10 +361,7 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     inside = orbit.dists < epsilon
     start = _banach_window(inside, window_len).start
     density = Fraction(int(np.count_nonzero(inside)), h + 1)
-    mu = empirical_from_window(orbit, start, window_len)
-    mass = ball_mass(
-        mu, orbit.base, epsilon, metric=lambda rows: block_norms(rows, orbit.block_dims)
-    )
+    mass = int(np.count_nonzero(inside[start : start + window_len + 1])) / (window_len + 1)
     return BirkhoffReport(
         density=density,
         window_mass=mass,

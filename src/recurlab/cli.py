@@ -175,6 +175,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # such as an integer literal past the interpreter's digit limit
+        raise ConfigError(f"parse error: {exc}") from None
     except RecursionError:
         raise ConfigError("parse error: the config nests too deeply") from None
     if not isinstance(obj, dict):
@@ -507,7 +509,7 @@ class _Check(NamedTuple):
 _CHECKS = {
     "summary": _Check(_summary_rows, lambda rows: rows[0]),
     "classify": _Check(_classify_rows, lambda rows: {"reports": rows}),
-    "birkhoff": _Check(_birkhoff_rows, lambda rows: {"comparisons": rows}, reads_points=True),
+    "birkhoff": _Check(_birkhoff_rows, lambda rows: {"comparisons": rows}),
     "eigen_span": _Check(_eigen_span_rows, _eigen_span_payload, lambda r: r["all_ok"]),
     "jdg": _Check(None, _check_jdg),
     "unimodular_return": _Check(None, _check_unimodular_return, operator=(

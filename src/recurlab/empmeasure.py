@@ -180,20 +180,12 @@ def empirical_from_window(
     return EmpiricalMeasure(atoms, counts / (N + 1), counts, N + 1)
 
 
-def ball_mass(
-    mu: EmpiricalMeasure,
-    center: np.ndarray,
-    radius: float,
-    metric=None,
-) -> float:
-    """Mass of the open ball; metric defaults to the Euclidean norm."""
+def ball_mass(mu: EmpiricalMeasure, center: np.ndarray, radius: float) -> float:
+    """Mass of the open Euclidean ball. A window measure's mass of a ball in
+    its orbit's block metric is the share of window times inside it, read
+    from the orbit's distances (``classify.birkhoff_frequent_check``)."""
     center = np.asarray(center, dtype=complex)
-    diff = mu.atoms - center
-    if metric is None:
-        dists = np.linalg.norm(diff, axis=1)
-    else:
-        dists = metric(diff)
-    inside = dists < radius
+    inside = np.linalg.norm(mu.atoms - center, axis=1) < radius
     if mu.counts is not None and mu.denominator:
         return float(int(mu.counts[inside].sum()) / mu.denominator)
     return float(mu.weights[inside].sum())

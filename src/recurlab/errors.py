@@ -34,14 +34,8 @@ class InsufficientHorizonError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical routine produced residuals beyond its budget.
-
-    The offending residual is carried in ``residual`` when available.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical routine produced residuals beyond its budget; the message
+    names the residual and the budget."""
 
 
 class ConfigError(ValueError):

@@ -302,6 +302,8 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
         lam = np.exp(2j * np.pi * np.asarray(spec.angles_turns, dtype=float))
         if lam.size == 0:
             raise DimensionError("diagonal operator needs at least one angle")
+        if lam.size > DIM_CAP:
+            raise SizeCapError(f"dimension {lam.size} exceeds cap {DIM_CAP}")
         return np.diag(lam), (lam.size,)
     if isinstance(spec, DenseMatrix):
         m = _complex_matrix(spec.entries)
@@ -329,9 +331,13 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
     if isinstance(spec, DirectSum):
         if not spec.parts:
             raise DimensionError("direct sum needs at least one part")
-        built = [_build(p) for p in spec.parts]
-        mats = [b[0] for b in built]
-        dims = tuple(d for b in built for d in b[1])
+        mats, dims = [], ()
+        for part in spec.parts:
+            m, part_dims = _build(part)
+            dims += part_dims
+            if sum(dims) > DIM_CAP:  # before the parts and their sum grow
+                raise SizeCapError(f"dimension {sum(dims)} exceeds cap {DIM_CAP}")
+            mats.append(m)
         return _block_diag(mats), dims
     if isinstance(spec, Scale):
         m, dims = _build(spec.inner)
@@ -458,8 +464,7 @@ def unimodular_eigenpairs(T: LinearOperator) -> SpectralData:
     worst = float(resid.max())
     if not worst <= budget:
         raise NumericalFailureError(
-            f"eigen residual {worst:.3e} exceeds budget {budget:.3e}",
-            residual=worst,
+            f"eigen residual {worst:.3e} exceeds budget {budget:.3e}"
         )
     uni = tuple(int(i) for i in np.nonzero(np.abs(np.abs(vals) - 1) <= TOL_UNIMOD)[0])
     if uni:
@@ -554,8 +559,7 @@ def jdg_split(T: LinearOperator) -> tuple[np.ndarray, np.ndarray]:
         if worst >= 1.0:
             raise NumericalFailureError(
                 f"dissipative part fails to decay at horizon "
-                f"{POWER_BOUND_HORIZON}: ||T^N v|| = {worst:.3e}",
-                residual=worst,
+                f"{POWER_BOUND_HORIZON}: ||T^N v|| = {worst:.3e}"
             )
     return rev, fl
 
@@ -612,8 +616,7 @@ def eigenvector_from_power_relation(
     budget = max(1e-10 * np.linalg.norm(y), 10 * TOL_FIX * nx)
     if resid > budget:
         raise NumericalFailureError(
-            f"chain produced residual {resid:.3e} beyond budget {budget:.3e}",
-            residual=resid,
+            f"chain produced residual {resid:.3e} beyond budget {budget:.3e}"
         )
     return y, eigval
 

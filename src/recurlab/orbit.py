@@ -78,10 +78,13 @@ class OrbitSegment:
     ``base``, the boundedness verdict of its metric norms, and the points
     themselves when they were kept.
 
-    ``dists[n]`` is the metric distance from ``T^n x`` to ``base``; every
-    return set of the segment is read from it. ``bounded`` was decided
-    while the orbit was recorded, and no per-step norm is kept. ``points``
-    is None when the segment was iterated with ``points=False``.
+    ``dists[n]`` is the distance from ``T^n x`` to ``base`` in the block
+    metric of T; every return set of the segment, and the mass a window
+    measure on it gives a ball around ``base``, is read from it.
+    ``bounded`` was decided while the orbit was recorded, and no per-step
+    norm is kept. ``points`` is None when the segment was iterated with
+    ``points=False``; only window measures
+    (:func:`empmeasure.empirical_from_window`) read them.
     ``overflow`` marks an early stop: some iterate's norm passed the
     overflow cap and the segment was truncated at the last admissible
     point.
@@ -91,8 +94,6 @@ class OrbitSegment:
     points: np.ndarray | None
     bounded: BoundednessReport
     dists: np.ndarray
-    block_dims: tuple[int, ...]
-    horizon_requested: int
     horizon_effective: int
     overflow: bool
 
@@ -100,10 +101,6 @@ class OrbitSegment:
         for arr in (self.base, self.points, self.dists):
             if arr is not None:
                 arr.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.base.shape[0]
 
 
 def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
@@ -277,8 +274,6 @@ class _Lane:
             points=points,
             bounded=self.norms.report(overflow),
             dists=dists,
-            block_dims=self.T.block_dims,
-            horizon_requested=horizon,
             horizon_effective=end - 1,
             overflow=overflow,
         )

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +31,10 @@ from recurlab import (
     classify_vector,
     direct_sum,
     eigen_span_entry,
+    empirical_from_window,
     inverse_recurrence_check,
     iterate,
+    iterate_many,
     lower_density,
     product_recurrence_check,
     realize,
@@ -49,6 +52,7 @@ from recurlab.classify import (
     product_recurrence_from_masks,
 )
 from recurlab.errors import EmptySetError, InsufficientHorizonError
+from recurlab.linop import block_norms
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MIX = DirectSum((DiagonalUnimodular((0.25,)), Scale(0.5, DenseMatrix(((1.0,),)))))
@@ -345,6 +349,21 @@ class TestClassifyVector:
             assert_cascade(rep.records[0].flags)
             assert_cascade(rep.vector_flags)
 
+    def test_own_orbit_keeps_no_points(self):
+        # eight angles at H = 10^5: the distances take 0.8 MB. With the
+        # points, 12.8 MB more, the peak was 14.76 MiB
+        T = realize(DiagonalUnimodular(tuple(np.linspace(0.05, 0.95, 8))))
+        x = np.ones(8, dtype=complex)
+        tracemalloc.start()
+        try:
+            rep = classify_vector(T, x, [0.5, 0.25], 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.orbit.points is None and rep.horizon_effective == 10**5
+        assert rep == classify_vector(T, x, [0.5, 0.25], 10**5, orbit=iterate(T, x, 10**5))
+        assert peak <= 4 * 2**20
+
     def test_report_json_shape(self):
         T = realize(DiagonalUnimodular((0.25,)))
         rep = classify_vector(T, np.array([1.0 + 0j]), epsilons=[0.5], horizon=10_000)
@@ -397,6 +416,47 @@ class TestBirkhoffCheck:
             assert rep.window_len == min(max(1, h // 10), h)
             assert rep.window_start == upper_banach_density(R, rep.window_len).start
             assert rep.density == Fraction(len(R), h + 1)
+
+    @staticmethod
+    def measure_mass(T, orbit, rep, eps):
+        """The window mass as a window measure gives it: the uniform measure
+        on the window's orbit points, merged into atoms, and the counts of
+        the atoms inside the ball in T's block metric."""
+        mu = empirical_from_window(orbit, rep.window_start, rep.window_len)
+        inside = block_norms(mu.atoms - orbit.base, T.block_dims) < eps
+        return float(int(mu.counts[inside].sum()) / mu.denominator)
+
+    @pytest.mark.parametrize("case", ["random", "periodic"])
+    def test_window_mass_equals_the_window_measure(self, case):
+        # periodic orbits merge their window into one atom per cycle
+        # point; sums read the block metric, the max over their parts
+        rng = np.random.default_rng(0xB2 if case == "random" else 0xB3)
+        rotation = DenseMatrix(((0.0, -1.0), (1.0, 0.0)))
+        for _ in range(12):
+            if case == "random":
+                parts = [DiagonalUnimodular(tuple(rng.uniform(size=int(rng.integers(1, 3)))))
+                         for _ in range(int(rng.integers(1, 3)))]
+            else:
+                parts = [rotation if rng.integers(2) else
+                         DiagonalUnimodular(tuple(rng.integers(0, 8, size=2) / 8))
+                         for _ in range(int(rng.integers(1, 3)))]
+            T = realize(parts[0] if len(parts) == 1 else DirectSum(tuple(parts)))
+            x = np.exp(2j * np.pi * rng.uniform(size=T.dim))
+            orbit = iterate(T, x, int(rng.integers(1_000, 20_000)))
+            for eps in rng.uniform(0.2, 2.0, size=3):
+                rep = birkhoff_frequent_check(orbit, eps)
+                assert rep.window_mass == self.measure_mass(T, orbit, rep, eps)
+                assert rep.discrepancy == abs(float(rep.density) - rep.window_mass)
+
+    def test_reads_no_points(self):
+        T = realize(DirectSum((DiagonalUnimodular((GOLDEN,)), DenseMatrix(((0.0, -1.0), (1.0, 0.0))))))
+        x = np.array([1.0, 0.5, 1j])
+        bare = iterate_many((T,), x, 10_000, False)[0]
+        assert bare.points is None
+        for eps in (0.3, 0.9, 1.6):
+            assert birkhoff_frequent_check(bare, eps) == birkhoff_frequent_check(
+                iterate(T, x, 10_000), eps
+            )
 
     def test_epsilon_validated(self):
         orbit = iterate(realize(DiagonalUnimodular((0.25,))), np.array([1.0 + 0j]), 100)

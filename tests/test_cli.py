@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -72,8 +73,16 @@ def base_config(**extra):
 
 
 def write_config(tmp_path, obj, name="config.json"):
+    # json.dumps writes integers past the interpreter's digit limit for
+    # int-to-str conversion only with the limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, indent=1)
+    finally:
+        sys.set_int_max_str_digits(limit)
     path = tmp_path / name
-    path.write_text(json.dumps(obj, indent=1))
+    path.write_text(text)
     return path
 
 
@@ -529,6 +538,8 @@ class TestMainEntry:
             ("quarter", "operator", {"type": "diagonal_unimodular", "angles_turns": [10**400]},
              "diagonal_unimodular operator: an integer too large for a float"),
             ("quarter", "vectors", [[[10**400, 0]]], "list of \\[re, im\\] pairs"),
+            (None, "experiments", [{"epsilons": [10**5000]}],
+             "parse error: Exceeds the limit \\(4300 digits\\)"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
@@ -1053,7 +1064,7 @@ class TestPointsOnlyForTheirReaders:
         assert "error" not in entry and "result" in entry
         # the forward lane keeps points for their readers; the backward
         # lane, stepped for the inverse check, never does
-        assert [lanes[0] for lanes in kept] == [check in ("birkhoff", "measure")]
+        assert [lanes[0] for lanes in kept] == [check == "measure"]
         assert [len(lanes) for lanes in kept] == [1 + (check == "inverse")]
         assert not any(any(lanes[1:]) for lanes in kept)
 
@@ -1073,10 +1084,26 @@ class TestPointsOnlyForTheirReaders:
         }
         monkeypatch.setattr(recurlab.cli, "_CHECKS", no_points)
         entry = self.run_alone(tmp_path, check)
-        if check in ("birkhoff", "measure"):
+        if check == "measure":
             assert "points=False" in entry["error"]
         else:
             assert "error" not in entry
+
+    def test_birkhoff_reads_no_points(self, tmp_path, monkeypatch):
+        # the window mass is the share of window times in the ball, read
+        # off the distances like the density
+        segments = []
+        iterate_many = recurlab.cli.iterate_many
+
+        def spy(*args):
+            out = iterate_many(*args)
+            segments.extend(out)
+            return out
+
+        monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
+        entry = self.run_alone(tmp_path, "birkhoff")
+        assert "error" not in entry and len(entry["result"]["comparisons"]) == 1
+        assert segments[0].points is None
 
     def test_classify_only_run_keeps_no_points(self, tmp_path):
         # one rotation at H = 10^6: its distances take 8 MB, and each

@@ -20,7 +20,6 @@ from recurlab import (
     ball_mass,
     conjugation_invariance_check,
     covariance,
-    direct_sum,
     empirical_from_window,
     invariance_defect,
     iterate,
@@ -480,16 +479,14 @@ class TestSupportSpanVsKernel:
 
 
 class TestBallMass:
-    def test_metric_override(self):
-        T = direct_sum([realize(DiagonalUnimodular((0.25,))),
-                        realize(DiagonalUnimodular((0.25,)))])
+    def test_open_euclidean_ball(self):
         atoms = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
         mu = EmpiricalMeasure(atoms, np.array([0.5, 0.5]))
         center = np.zeros(2, dtype=complex)
-        # euclidean: both atoms at distance 1; max-block metric: also 1
+        # both atoms at Euclidean distance 1, on the boundary of the unit ball
         assert ball_mass(mu, center, 1.001) == 1.0
-        assert ball_mass(mu, center, 1.001, metric=T.block_norms) == 1.0
-        assert ball_mass(mu, center, 0.5, metric=T.block_norms) == 0.0
+        assert ball_mass(mu, center, 1.0) == 0.0
+        assert ball_mass(mu, np.array([1.0, 0.5j]), 0.75) == 0.5
 
 
 class TestPeakMemory:

@@ -6,6 +6,7 @@ repeated matrix multiplication. Frozen matrices below were worked out by hand.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -673,13 +674,28 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "spec",
-        [JordanBlock(1.0, 10**6), WeightedBackwardShiftTruncation((1.0,) * 10**6, 10**6 + 1)],
-        ids=["jordan", "shift"],
+        [
+            JordanBlock(1.0, 10**6),
+            WeightedBackwardShiftTruncation((1.0,) * 10**6, 10**6 + 1),
+            DiagonalUnimodular((0.1,) * 2000),
+            DirectSum((JordanBlock(0.5, 64),) * 20),
+            DirectSum((DiagonalUnimodular((0.1,)),) * 2000),
+        ],
+        ids=["jordan", "shift", "angles", "jordan_parts", "one_angle_parts"],
     )
     def test_size_cap_checked_before_building(self, spec):
-        # a 10^6 x 10^6 complex matrix would need 16 TB
-        with pytest.raises(SizeCapError):
-            realize(spec)
+        # a 10^6 x 10^6 complex matrix would need 16 TB. Built first, the
+        # 2000 angles' diagonal matrix peaked at 64.9 MiB, the 20 Jordan
+        # parts and their sum at 26.6 MiB and the 2000 one-angle parts at
+        # 65.0 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                realize(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan])
     def test_non_finite_matrix_rejected(self, factor):

@@ -251,7 +251,6 @@ class TestIterateMany:
             assert orb.bounded == oracle_boundedness(T.block_norms(ref), orb.overflow)
             assert np.array_equal(orb.dists, T.block_norms(ref - x))
             assert orb.horizon_effective == ref.shape[0] - 1
-            assert orb.block_dims == T.block_dims
         return lanes
 
     def test_all_diagonal_lanes(self):
@@ -506,7 +505,6 @@ class TestIterateMany:
             np.array([1.0, 1.0 + 0j]),
         )
         assert [lane.overflow for lane in lanes] == [False, False, horizon >= _FILL - 1]
-        assert all(lane.horizon_requested == horizon for lane in lanes)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_norms_and_dists_over_fills_equal_whole_orbit(self, d):
@@ -569,7 +567,7 @@ class TestIterateMany:
         without = iterate_many(ops, x, horizon, points=False)
         for a, b in zip(with_points, without):
             assert b.points is None and a.points is not None
-            assert bitwise_equal(a.base, b.base) and b.dim == a.dim
+            assert bitwise_equal(a.base, b.base)
             assert a.bounded == b.bounded
             assert np.array_equal(a.dists.view(np.uint64), b.dists.view(np.uint64))
             assert (a.horizon_effective, a.overflow) == (b.horizon_effective, b.overflow)
@@ -663,7 +661,6 @@ class TestPartOrbits:
                 assert np.array_equal(getattr(orb, field), getattr(ref, field))
             assert orb.bounded == ref.bounded
             assert (orb.horizon_effective, orb.overflow) == (2000, False)
-            assert orb.block_dims == P.block_dims
             start += P.dim
 
     def test_part_norms_over_fills_equal_its_own_orbit(self):
@@ -757,7 +754,7 @@ class TestPartOrbits:
         start = 0
         for P, part in zip(parts, (live, grown)):
             ref = iterate_many((P,), x[start : start + P.dim], horizon, False)[0]
-            assert part.points is None and part.block_dims == P.block_dims
+            assert part.points is None
             assert_same_segment(part, ref)
             start += P.dim
 
