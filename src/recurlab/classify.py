@@ -31,7 +31,6 @@ from .empmeasure import ball_mass, empirical_from_window  # noqa: F401
 from .errors import InsufficientHorizonError
 from .linop import (
     LinearOperator,
-    SpectralData,
     eigen_span_residual,
     json_int,
     realize,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
@@ -62,7 +61,6 @@ __all__ = [
     "RecurrenceReport",
     "epsilon_record",
     "classify_vector",
-    "spectral_data",
     "BirkhoffReport",
     "birkhoff_frequent_check",
     "EigenSpanEntry",
@@ -247,18 +245,6 @@ def epsilon_record(
     )
 
 
-def spectral_data(T: LinearOperator) -> SpectralData:
-    """``unimodular_eigenpairs(T)``, computed on the first request and kept
-    with the operator object, so each realized operator is decomposed once
-    however many vectors are classified under it."""
-    data = T.__dict__.get("_spectral_data")
-    if data is None:
-        # the operator is frozen; like functools.cached_property, store
-        # straight into its __dict__
-        data = T.__dict__["_spectral_data"] = unimodular_eigenpairs(T)
-    return data
-
-
 def classify_vector(
     T: LinearOperator,
     x: np.ndarray,
@@ -282,7 +268,8 @@ def classify_vector(
     combined as a conjunctive cascade (see module docstring). Each record
     comes from carried block passes over the mask ``orbit.dists < eps``
     (:func:`epsilon_record`); no return set is built. Vector-level flags
-    are the conjunction over the epsilon grid.
+    are the conjunction over the epsilon grid. The eigen-span residual of x
+    comes from one ``unimodular_eigenpairs(T)`` per call.
     ``orbit``, when given, must be the orbit of x under T up to ``horizon``,
     with or without points; without one, the orbit is stepped without
     points, since the classification reads only its distances. The report
@@ -302,7 +289,7 @@ def classify_vector(
         raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
     if orbit is None:
         orbit = iterate_many((T,), x, horizon, False)[0]
-    residual = eigen_span_residual(x, spectral_data(T))
+    residual = eigen_span_residual(x, unimodular_eigenpairs(T))
     if orbit.overflow and orbit.horizon_effective == 0:
         raise InsufficientHorizonError(
             f"orbit norm passed the overflow cap {OVERFLOW_CAP:g} at step 1: "

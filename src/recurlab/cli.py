@@ -37,7 +37,6 @@ from .classify import (
     eigen_span_entry,
     inverse_recurrence_check,
     product_recurrence_check,
-    spectral_data,
     unimodular_return_set,
 )
 from .empmeasure import (
@@ -60,7 +59,7 @@ from .linop import (
     principal_angle,
     realize,
     spec_from_json_dict,
-    unimodular_eigenpairs,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
+    unimodular_eigenpairs,
 )
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
@@ -396,11 +395,11 @@ def _eigen_span_payload(entries: list) -> dict:
 
 def _check_jdg(exp: ExperimentSpec, T, seed: int) -> dict:
     rev, fl = jdg_split(T)
-    spectral = spectral_data(T)
+    espan = unimodular_eigenpairs(T).espan_basis
     return {
         "rev_dim": rev.shape[1],
         "fl_dim": fl.shape[1],
-        "principal_angle_rev_vs_espan": principal_angle(rev, spectral.espan_basis),
+        "principal_angle_rev_vs_espan": principal_angle(rev, espan),
     }
 
 
@@ -542,10 +541,14 @@ def _timed(entry: dict, fn, *args):
     """``fn(*args)``, or None after recording its error in ``entry``.
 
     The call's duration is added to ``entry["wall_time_s"]`` either way.
+    A ``MemoryError`` propagates: a horizon too large to allocate fails
+    every check alike, so the run as a whole is refused.
     """
     t0 = time.perf_counter()
     try:
         return fn(*args)
+    except MemoryError:
+        raise
     except Exception as exc:
         entry["error"] = f"{type(exc).__name__}: {exc}"
         return None
@@ -596,7 +599,8 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
 def run_config(config: ExperimentConfig) -> ReportDocument:
     """Run the experiments one at a time, in config order.
 
-    Individual check failures are recorded, not raised.
+    Individual check failures are recorded, not raised, except a
+    ``MemoryError``.
     """
     experiments = {exp.name: _run_experiment(exp, config.seed) for exp in config.experiments}
     return ReportDocument(
@@ -671,11 +675,10 @@ def _parse_vector_arg(text: str, dim: int, seed: int):
 
 def _cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-    except (OSError, ConfigError) as exc:
+        doc = run_config(load_config(args.config))
+    except (OSError, ConfigError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = run_config(config)
     try:
         emit_report(doc, args.format, args.out)
     except OSError as exc:

@@ -97,11 +97,11 @@ def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group atoms equal after rounding to MERGE_DECIMALS.
 
     Returns one representative per group, the mean of its members, and the
-    group sizes.
+    group sizes, groups in ``np.unique``'s lexicographic order of the keys.
     """
     if _all_distinct(atoms):
         return atoms, np.ones(atoms.shape[0], dtype=np.int64)
-    inverse = _group_index(_merge_keys(atoms))
+    inverse = np.unique(_merge_keys(atoms), axis=0, return_inverse=True)[1].ravel()
     counts = np.bincount(inverse)
     weights = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
     w_out = np.zeros(counts.size)
@@ -110,22 +110,6 @@ def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(reps, inverse, atoms * weights[:, None])
     reps /= w_out[:, None]
     return reps, counts
-
-
-def _group_index(keys: np.ndarray) -> np.ndarray:
-    """Each row's group of equal rows, numbered as ``np.unique(keys, axis=0,
-    return_inverse=True)`` numbers them: in lexicographic order of the rows.
-
-    One ``lexsort`` instead of ``np.unique``'s sort of structured rows. A
-    group starts wherever a sorted row differs from the one before under
-    float ``!=``, so ``-0.0`` and ``0.0`` tie, as in ``np.unique``.
-    """
-    order = np.lexsort(keys.T[::-1])
-    rows = keys[order]
-    starts = np.any(rows[1:] != rows[:-1], axis=1)
-    inverse = np.empty(keys.shape[0], dtype=np.intp)
-    inverse[order] = np.concatenate(([0], np.cumsum(starts)))
-    return inverse
 
 
 def _merge_keys(atoms: np.ndarray) -> np.ndarray:

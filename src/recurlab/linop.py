@@ -181,7 +181,12 @@ class LinearOperator:
         broadcasts its elementwise multiply, and a dense block runs one
         stacked ``matmul`` over ``(k, b, 1)``, which is bit-equal to the
         gemv ``M.dot(r)`` row by row. ``einsum`` and a 2-D gemm are not.
+        One row goes to ``apply``: numpy 2.4 multiplies a ``(1, 1)`` complex
+        array by the plain product, not the FMA loop of 1-D and many-row
+        arrays, so a width-1 diagonal block would round differently.
         """
+        if rows.shape[0] == 1:
+            return self.apply(rows[0])[None, :]
         out = np.empty(rows.shape, dtype=complex)
         for cols, diagonal, sub in self.blocks:
             if diagonal is not None:
@@ -372,33 +377,22 @@ def _power_scan(m: np.ndarray) -> tuple[float, float, float]:
     """(sup, mid, end) of ||T^n||_2 over n in [1, POWER_BOUND_HORIZON]; early
     out on blowup.
 
-    The scan stops at the first n >= 2 whose norm is infinite or above
-    ``_NORM_OVERFLOW``. The powers are built first, up to the first one at
-    n >= 2 with an entry above twice that bound in modulus, or a non-finite
-    one: its norm passes the bound, so the scan stops there at the latest.
-    Their norms then come from one stacked SVD, each equal to
-    ``np.linalg.norm(T^n, 2)``.
+    One ``np.linalg.norm(T^n, 2)`` per power, up to the first n >= 2 whose
+    norm is infinite or above ``_NORM_OVERFLOW``. An overflowed power reads
+    as infinite: LAPACK refuses non-finite input.
     """
-    powers = [m]
-    with np.errstate(over="ignore", invalid="ignore"):
-        while len(powers) < POWER_BOUND_HORIZON:
-            powers.append(m @ powers[-1])
-            if not np.abs(powers[-1]).max() <= 2 * _NORM_OVERFLOW:
-                break
-    # an overflowed power reads as infinite: LAPACK refuses non-finite input
-    overflowed = not np.isfinite(powers[-1]).all()
-    finite = np.stack(powers[:-1] if overflowed else powers)
-    norms = np.linalg.svd(finite, compute_uv=False).max(axis=1).tolist()
-    if overflowed:
-        norms.append(np.inf)
-    sup = mid = end = norms[0]
+    p = m
+    sup = mid = end = float(np.linalg.norm(p, 2))
     half = POWER_BOUND_HORIZON // 2
-    for n, s in enumerate(norms[1:], start=2):
+    for n in range(2, POWER_BOUND_HORIZON + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = m @ p
+        s = float(np.linalg.norm(p, 2)) if np.isfinite(p).all() else np.inf
         sup = max(sup, s)
         if n == half:
             mid = s
         end = s
-        if not np.isfinite(s) or s > _NORM_OVERFLOW:
+        if not s <= _NORM_OVERFLOW:
             return sup, max(mid, s), s
     return sup, mid, end
 

@@ -742,21 +742,29 @@ class TestMainEntry:
         assert code == 2
         assert "run [0, 3000000]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["densities", "classify"])
+    @pytest.mark.parametrize("command", ["densities", "classify", "run"])
     def test_unallocatable_horizon_exits_2(self, tmp_path, capsys, command):
         # 2^60 mask bytes and 2^56 orbit rows pass any 57-bit address space,
         # so the allocation fails at once on every host
         path = tmp_path / "in.json"
+        out = tmp_path / "report.json"
         if command == "densities":
             path.write_text(json.dumps({"horizon": 2**60, "runs": [[0, 10]]}))
             argv = ["densities", "--set", str(path)]
-        else:
+        elif command == "classify":
             path.write_text(json.dumps(ROTATION))
             argv = ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5",
                     "--horizon", str(2**56)]
+        else:
+            # every check fails alike, so the run is refused with no report
+            obj = base_config()
+            obj["experiments"][0]["horizon"] = 2**56
+            obj["experiments"][0]["checks"] = ["classify", "birkhoff", "eigen_span", "measure"]
+            argv = ["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out),
+                    "--strict"]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == "" and not out.exists()
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "allocate" in line
 
@@ -899,20 +907,6 @@ class TestOrbitSharing:
         assert len(set(lanes)) == 14
         # one classification per orbit
         assert len(classified) == 14
-
-    def test_one_eigendecomposition_per_operator(self, tmp_path, monkeypatch):
-        decomposed = []
-        eigenpairs = recurlab.classify.unimodular_eigenpairs
-
-        def counted(T, *args, **kwargs):
-            decomposed.append(T)
-            return eigenpairs(T, *args, **kwargs)
-
-        monkeypatch.setattr(recurlab.classify, "unimodular_eigenpairs", counted)
-        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
-        assert not document_has_failures(doc)
-        # golden_pair's T and T^-1; sum's T, T^-1 and its two parts
-        assert len(decomposed) == len({id(T) for T in decomposed}) == 6
 
     def test_one_realize_per_operator(self, tmp_path, monkeypatch):
         realized = []

@@ -28,7 +28,7 @@ from recurlab import (
     support_span_vs_kernel,
 )
 from recurlab import empmeasure
-from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct, _group_index, _merge
+from recurlab.empmeasure import MERGE_DECIMALS, _all_distinct, _merge
 from recurlab.errors import DimensionError
 from recurlab.natset import FiniteNatSet, upper_banach_density
 
@@ -75,7 +75,8 @@ def per_ball_defect(T, mu, balls):
 
 
 def unique_merge(atoms):
-    """``_merge`` as it was, grouping through ``np.unique(keys, axis=0)``."""
+    """``_merge`` without its all-distinct shortcut, grouping through
+    ``np.unique(keys, axis=0)``."""
     keys = np.round(np.column_stack([atoms.real, atoms.imag]), MERGE_DECIMALS)
     _, inverse = np.unique(keys, axis=0, return_inverse=True)
     counts = np.bincount(inverse)
@@ -227,13 +228,6 @@ class TestWindowMeasure:
         ref_reps, ref_counts = unique_merge(atoms)
         assert counts.sum() == atoms.shape[0] and counts.size < atoms.shape[0]
         assert same_bits(reps, ref_reps) and np.array_equal(counts, ref_counts)
-
-    def test_group_index_numbers_groups_as_unique(self):
-        rng = np.random.default_rng(13)
-        for width in (1, 2, 4):
-            keys = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(400, width))
-            _, inverse = np.unique(keys, axis=0, return_inverse=True)
-            assert np.array_equal(_group_index(keys), inverse.ravel())
 
     def test_golden_ball_mass_approximates_arc(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))

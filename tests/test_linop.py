@@ -26,6 +26,7 @@ from recurlab import (
     direct_sum,
     eigen_span_residual,
     eigenvector_from_power_relation,
+    iterate,
     jdg_split,
     principal_angle,
     realize,
@@ -215,6 +216,33 @@ class TestApplyConsistency:
             for rows in (np.ascontiguousarray(wide[:, 2 : d + 2]), wide[:, 2 : d + 2]):
                 looped = np.stack([T.apply(r) for r in rows])
                 assert np.array_equal(T.apply_to_rows(rows), looped), spec
+
+    @pytest.mark.parametrize("k", [1, 2, 4097])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DiagonalUnimodular((GOLDEN,)),
+            DirectSum((
+                DiagonalUnimodular((0.3,)),
+                DiagonalUnimodular((GOLDEN,)),
+                DenseMatrix(tuple(map(tuple, np.linalg.qr(
+                    np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]))),
+            )),
+        ],
+        ids=["rotation", "mixed_sum"],
+    )
+    def test_apply_to_rows_equals_apply_at_any_row_count(self, spec, k):
+        # numpy multiplies a (1, 1) complex array by another loop than a
+        # 1-D one, so one row through a width-1 diagonal block is the edge
+        T = realize(spec)
+        rng = np.random.default_rng(k)
+        rows = rng.normal(size=(k, T.dim)) + 1j * rng.normal(size=(k, T.dim))
+        assert np.array_equal(T.apply_to_rows(rows), np.stack([T.apply(r) for r in rows]))
+        # an orbit's rows, pushed together and one at a time, give its next rows
+        points = iterate(T, np.ones(T.dim, dtype=complex), k).points
+        assert np.array_equal(T.apply_to_rows(points[:-1]), points[1:])
+        for n in range(k):
+            assert np.array_equal(T.apply_to_rows(points[n : n + 1])[0], points[n + 1])
 
     def test_block_norms_max_convention(self):
         T = direct_sum([realize(SWAP), realize(DiagonalUnimodular((0.25,)))])
