@@ -87,11 +87,6 @@ class EmpiricalMeasure:
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
 
-    @classmethod
-    def point_mass(cls, x) -> "EmpiricalMeasure":
-        x = np.asarray(x, dtype=complex)
-        return cls(x[None, :], np.array([1.0]), np.array([1]), 1)
-
 
 def _merge(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group atoms equal after rounding to MERGE_DECIMALS.

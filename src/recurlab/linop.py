@@ -431,13 +431,6 @@ class SpectralData:
     unimodular_indices: tuple[int, ...]
     espan_basis: np.ndarray
 
-    @property
-    def unimodular_pairs(self) -> list[tuple[complex, np.ndarray]]:
-        return [
-            (self.eigenvalues[i], self.eigenvectors[:, i])
-            for i in self.unimodular_indices
-        ]
-
 
 def unimodular_eigenpairs(T: LinearOperator) -> SpectralData:
     """Eigendecompose T and isolate the eigenvalues within TOL_UNIMOD of the
@@ -615,69 +608,6 @@ def eigenvector_from_power_relation(
     return y, eigval
 
 
-_TAGS = {
-    "diagonal_unimodular": DiagonalUnimodular,
-    "dense_matrix": DenseMatrix,
-    "jordan_block": JordanBlock,
-    "weighted_backward_shift": WeightedBackwardShiftTruncation,
-    "direct_sum": DirectSum,
-    "scale": Scale,
-    "inverse": Inverse,
-    "power": Power,
-}
-
-
-def _complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(json_float(v))
-    re, im = json_list(v)
-    return complex(json_float(re), json_float(im))
-
-
-def spec_to_json_dict(spec: OperatorSpec) -> dict:
-    if isinstance(spec, DiagonalUnimodular):
-        return {"type": "diagonal_unimodular", "angles_turns": list(spec.angles_turns)}
-    if isinstance(spec, DenseMatrix):
-        return {
-            "type": "dense_matrix",
-            "entries": [[_complex_to_json(z) for z in row] for row in spec.entries],
-        }
-    if isinstance(spec, JordanBlock):
-        return {
-            "type": "jordan_block",
-            "eigenvalue": _complex_to_json(spec.eigenvalue),
-            "size": spec.size,
-        }
-    if isinstance(spec, WeightedBackwardShiftTruncation):
-        return {
-            "type": "weighted_backward_shift",
-            "weights": list(spec.weights),
-            "dim": spec.dim,
-        }
-    if isinstance(spec, DirectSum):
-        return {"type": "direct_sum", "parts": [spec_to_json_dict(p) for p in spec.parts]}
-    if isinstance(spec, Scale):
-        return {
-            "type": "scale",
-            "factor": _complex_to_json(spec.factor),
-            "inner": spec_to_json_dict(spec.inner),
-        }
-    if isinstance(spec, Inverse):
-        return {"type": "inverse", "inner": spec_to_json_dict(spec.inner)}
-    if isinstance(spec, Power):
-        return {
-            "type": "power",
-            "exponent": spec.exponent,
-            "inner": spec_to_json_dict(spec.inner),
-        }
-    raise TypeError(f"unknown operator spec {type(spec).__name__}")
-
-
 def json_int(value) -> int:
     """An int, an integral float such as ``2e5`` or an integer string, as an int.
 
@@ -711,36 +641,74 @@ def json_list(value) -> list:
     return value
 
 
+def _reals(v) -> tuple[float, ...]:
+    return tuple(map(json_float, json_list(v)))
+
+
+def _complex_from_json(v) -> complex:
+    if isinstance(v, (int, float)):
+        return complex(json_float(v))
+    re, im = json_list(v)
+    return complex(json_float(re), json_float(im))
+
+
+def _complex_pair(z) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _rows(v) -> tuple[tuple[complex, ...], ...]:
+    return tuple(tuple(_complex_from_json(z) for z in row) for row in json_list(v))
+
+
+def _specs(v) -> tuple[OperatorSpec, ...]:
+    return tuple(map(spec_from_json_dict, json_list(v)))
+
+
 def spec_from_json_dict(obj: dict) -> OperatorSpec:
-    """Parse a spec; a missing field raises KeyError, any other defect ValueError."""
+    """Parse a spec; a missing field raises KeyError, any other defect
+    ValueError, the first one in ``_SPECS`` field order."""
     try:
         tag = obj["type"]
     except (TypeError, KeyError):
         raise ValueError("operator spec must be an object with a 'type' tag")
-    if not isinstance(tag, str) or tag not in _TAGS:
+    if not isinstance(tag, str) or tag not in _SPECS:
         raise ValueError(f"unknown operator type {tag!r}")
+    cls, fields = _SPECS[tag]
     try:
-        return _spec_fields(tag, obj)
+        return cls(*(parse(obj[name]) for name, parse, _ in fields))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{tag} operator: {exc}") from None
 
 
-def _spec_fields(tag: str, obj: dict) -> OperatorSpec:
-    if tag == "diagonal_unimodular":
-        return DiagonalUnimodular(tuple(map(json_float, json_list(obj["angles_turns"]))))
-    if tag == "dense_matrix":
-        rows = json_list(obj["entries"])
-        return DenseMatrix(tuple(tuple(_complex_from_json(z) for z in row) for row in rows))
-    if tag == "jordan_block":
-        return JordanBlock(_complex_from_json(obj["eigenvalue"]), json_int(obj["size"]))
-    if tag == "weighted_backward_shift":
-        return WeightedBackwardShiftTruncation(
-            tuple(map(json_float, json_list(obj["weights"]))), json_int(obj["dim"])
-        )
-    if tag == "direct_sum":
-        return DirectSum(tuple(spec_from_json_dict(p) for p in json_list(obj["parts"])))
-    if tag == "scale":
-        return Scale(_complex_from_json(obj["factor"]), spec_from_json_dict(obj["inner"]))
-    if tag == "inverse":
-        return Inverse(spec_from_json_dict(obj["inner"]))
-    return Power(json_int(obj["exponent"]), spec_from_json_dict(obj["inner"]))
+def spec_to_json_dict(spec: OperatorSpec) -> dict:
+    for tag, (cls, fields) in _SPECS.items():
+        if isinstance(spec, cls):
+            dumped = {name: dump(getattr(spec, name)) for name, _, dump in fields}
+            return {"type": tag, **dumped}
+    raise TypeError(f"unknown operator spec {type(spec).__name__}")
+
+
+# The JSON format of each operator type: its tag, its dataclass, and its
+# fields in dataclass order, each with the (parse, dump) pair of its kind.
+# A complex scalar dumps as [re, im], a tuple as a list, a spec as a dict.
+_REALS = (_reals, list)
+_INT = (json_int, lambda n: n)
+_COMPLEX = (_complex_from_json, _complex_pair)
+_ROWS = (_rows, lambda rows: [[_complex_pair(z) for z in row] for row in rows])
+_SPEC = (spec_from_json_dict, spec_to_json_dict)
+_SPEC_LIST = (_specs, lambda specs: list(map(spec_to_json_dict, specs)))
+
+_SPECS = {
+    "diagonal_unimodular": (DiagonalUnimodular, [("angles_turns", *_REALS)]),
+    "dense_matrix": (DenseMatrix, [("entries", *_ROWS)]),
+    "jordan_block": (JordanBlock, [("eigenvalue", *_COMPLEX), ("size", *_INT)]),
+    "weighted_backward_shift": (
+        WeightedBackwardShiftTruncation,
+        [("weights", *_REALS), ("dim", *_INT)],
+    ),
+    "direct_sum": (DirectSum, [("parts", *_SPEC_LIST)]),
+    "scale": (Scale, [("factor", *_COMPLEX), ("inner", *_SPEC)]),
+    "inverse": (Inverse, [("inner", *_SPEC)]),
+    "power": (Power, [("exponent", *_INT), ("inner", *_SPEC)]),
+}

@@ -108,14 +108,6 @@ class FiniteNatSet:
         pieces = [np.arange(a, b + 1, dtype=np.int64) for a, b in bounds]
         return cls(np.unique(np.concatenate([np.empty(0, np.int64), *pieces])), horizon)
 
-    @classmethod
-    def full(cls, horizon: int) -> "FiniteNatSet":
-        return cls(np.arange(horizon + 1), horizon)
-
-    @classmethod
-    def empty(cls, horizon: int) -> "FiniteNatSet":
-        return cls((), horizon)
-
     def __len__(self):
         return len(self.array)
 

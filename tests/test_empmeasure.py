@@ -141,7 +141,7 @@ class TestEmpiricalMeasure:
             EmpiricalMeasure(np.array([[1.0 + 0j], [2.0]]), np.array([1.5, -0.5]))
 
     def test_point_mass(self):
-        mu = EmpiricalMeasure.point_mass(np.array([1.0, 2.0j]))
+        mu = EmpiricalMeasure(np.array([[1.0, 2.0j]]), [1.0], [1], 1)
         assert mu.n_atoms == 1 and mu.dim == 2
         assert mu.weights[0] == 1.0 and mu.denominator == 1
 
@@ -256,7 +256,7 @@ class TestInvarianceDefect:
 
     def test_point_mass_moves_out(self):
         T = realize(DiagonalUnimodular((0.25,)))
-        mu = EmpiricalMeasure.point_mass(np.array([1.0 + 0j]))
+        mu = EmpiricalMeasure(np.array([[1.0 + 0j]]), [1.0], [1], 1)
         assert invariance_defect(T, mu, [(np.array([1.0 + 0j]), 0.1)]) == 1.0
 
     def test_boundary_bound_exact(self):
@@ -333,7 +333,7 @@ class TestMoments:
 
     def test_point_mass(self):
         x = np.array([3.0, 4.0j])
-        mom = moments(EmpiricalMeasure.point_mass(x))
+        mom = moments(EmpiricalMeasure(x[None, :], [1.0], [1], 1))
         assert np.array_equal(mom.expectation, x)
         assert mom.second_moment == 25.0
 
@@ -370,7 +370,7 @@ class TestCovariance:
         assert abs(cov.entries[0, 0] - 1.0) < 1e-13
 
     def test_point_mass_at_zero(self):
-        cov = covariance(EmpiricalMeasure.point_mass(np.zeros(2, dtype=complex)))
+        cov = covariance(EmpiricalMeasure(np.zeros((1, 2), dtype=complex), [1.0], [1], 1))
         assert np.array_equal(cov.entries, np.zeros((2, 2), dtype=complex))
 
     def test_two_atom_line(self):
@@ -426,7 +426,7 @@ class TestConjugationInvariance:
 
     def test_moved_point_mass_defect(self):
         T = realize(DenseMatrix(((0.0, 1.0), (1.0, 0.0))))
-        mu = EmpiricalMeasure.point_mass(np.array([1.0, 0.0], dtype=complex))
+        mu = EmpiricalMeasure(np.array([[1.0, 0.0]], dtype=complex), [1.0], [1], 1)
         # T e1 e1* T* = e2 e2*, frozen Frobenius distance sqrt(2)
         assert conjugation_invariance_check(T, covariance(mu)) == pytest.approx(
             math.sqrt(2.0)

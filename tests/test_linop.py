@@ -266,7 +266,8 @@ class TestUnimodularEigenpairs:
                                Scale(0.5, DenseMatrix(((1.0,),))))))
         data = unimodular_eigenpairs(T)
         assert data.unimodular_indices == (0,)
-        lam, v = data.unimodular_pairs[0]
+        i = data.unimodular_indices[0]
+        lam, v = data.eigenvalues[i], data.eigenvectors[:, i]
         assert abs(lam - 1j) < 1e-15
         assert abs(abs(v[0]) - 1.0) < 1e-12 and abs(v[1]) < 1e-12
         assert data.espan_basis.shape == (2, 1)
@@ -277,9 +278,9 @@ class TestUnimodularEigenpairs:
         assert len(data.unimodular_indices) == 2
         for lam_expected, v_expected in hand_swap_eigenpairs():
             found = [
-                (lam, v)
-                for lam, v in data.unimodular_pairs
-                if abs(lam - lam_expected) < 1e-12
+                (data.eigenvalues[i], data.eigenvectors[:, i])
+                for i in data.unimodular_indices
+                if abs(data.eigenvalues[i] - lam_expected) < 1e-12
             ]
             assert len(found) == 1
             _, v = found[0]
@@ -673,6 +674,85 @@ class TestSpecJson:
     def test_json_round_trip_is_identity(self, spec):
         again = spec_from_json_dict(json.loads(json.dumps(spec_to_json_dict(spec))))
         assert again == spec
+
+    # the JSON each spec dumps to, fixed here because a change made alike to
+    # the serializer and the parser would leave the round trips passing
+    GOLDEN_DICTS = [
+        {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.6180339887498949]},
+        {"type": "dense_matrix", "entries": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+        {"type": "jordan_block", "eigenvalue": [0.0, 1.0], "size": 3},
+        {"type": "weighted_backward_shift", "weights": [2.0, 1.5], "dim": 3},
+        {
+            "type": "direct_sum",
+            "parts": [
+                {"type": "diagonal_unimodular", "angles_turns": [0.5]},
+                {"type": "jordan_block", "eigenvalue": [0.5, 0.0], "size": 2},
+            ],
+        },
+        {
+            "type": "scale",
+            "factor": [0.5, 0.5],
+            "inner": {"type": "diagonal_unimodular", "angles_turns": [0.1]},
+        },
+        {"type": "inverse", "inner": {"type": "diagonal_unimodular", "angles_turns": [0.3]}},
+        {
+            "type": "power",
+            "exponent": 3,
+            "inner": {
+                "type": "dense_matrix",
+                "entries": [[[1.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            },
+        },
+        # real scalars still dump as [re, im]
+        {"type": "jordan_block", "eigenvalue": [0.5, 0.0], "size": 2},
+        {
+            "type": "scale",
+            "factor": [2.0, 0.0],
+            "inner": {"type": "diagonal_unimodular", "angles_turns": [0.1]},
+        },
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        list(
+            zip(
+                CASES + [JordanBlock(0.5, 2), Scale(2.0, DiagonalUnimodular((0.1,)))],
+                GOLDEN_DICTS,
+                strict=True,
+            )
+        ),
+        ids=lambda s: type(s).__name__,
+    )
+    def test_dumps_the_golden_dict(self, spec, expected):
+        got = spec_to_json_dict(spec)
+        assert got == expected
+        assert json.dumps(got) == json.dumps(expected)
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            # the first bad field in field order is the one reported
+            (
+                {"type": "jordan_block", "eigenvalue": True, "size": 2.5},
+                ValueError("jordan_block operator: expected a number, got True"),
+            ),
+            ({"type": "scale", "factor": 1}, KeyError("inner")),
+            (
+                {"type": "dense_matrix", "entries": [1]},
+                ValueError("dense_matrix operator: 'int' object is not iterable"),
+            ),
+            (
+                {"type": "scale", "factor": 1, "inner": {"type": "power", "exponent": 1.5}},
+                ValueError("scale operator: power operator: expected an integer, got 1.5"),
+            ),
+        ],
+        ids=["first_bad_field", "missing_inner", "int_row", "nested_exponent"],
+    )
+    def test_malformed_field_error(self, obj, error):
+        with pytest.raises(type(error)) as info:
+            spec_from_json_dict(obj)
+        assert type(info.value) is type(error)
+        assert info.value.args == error.args
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):

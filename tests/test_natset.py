@@ -116,7 +116,7 @@ class TestFiniteNatSet:
             FiniteNatSet.from_runs([[1, 3], run], 10)
 
     def test_from_runs_empty_list(self):
-        assert FiniteNatSet.from_runs([], 10) == FiniteNatSet.empty(10)
+        assert FiniteNatSet.from_runs([], 10) == FiniteNatSet([], 10)
 
     def test_json_horizon_must_be_integral(self):
         with pytest.raises(ValueError, match="10.7"):
@@ -215,7 +215,7 @@ class TestLowerUpperDensity:
         assert upper_density(EVENS_9999, 9999).value == Fraction(1, 2)
 
     def test_full_set_density_one(self):
-        A = FiniteNatSet.full(500)
+        A = FiniteNatSet(np.arange(501), 500)
         est = lower_density(A, 500)
         assert est.value == 1 and est.running == 1
 
@@ -226,7 +226,7 @@ class TestLowerUpperDensity:
         assert lower_density(A, 5040).value == Fraction(27, 5041)
 
     def test_empty_set(self):
-        A = FiniteNatSet.empty(100)
+        A = FiniteNatSet([], 100)
         assert upper_density(A, 100).value == 0
         assert upper_density(A, 100).running == 0
 
@@ -255,7 +255,7 @@ class TestLowerUpperDensity:
 
     def test_horizon_exceeded(self):
         with pytest.raises(HorizonExceededError):
-            lower_density(FiniteNatSet.full(10), 11)
+            lower_density(FiniteNatSet(np.arange(11), 10), 11)
 
 
 class TestUpperBanachDensity:
@@ -273,7 +273,7 @@ class TestUpperBanachDensity:
         assert best.start == 0
 
     def test_empty_set(self):
-        best = upper_banach_density(FiniteNatSet.empty(50), 10)
+        best = upper_banach_density(FiniteNatSet([], 50), 10)
         assert best.ratio == 0 and best.start == 0
 
     def test_matches_oracle_random(self):
@@ -288,7 +288,7 @@ class TestUpperBanachDensity:
 
     def test_window_exceeding_horizon(self):
         with pytest.raises(HorizonExceededError):
-            upper_banach_density(FiniteNatSet.full(10), 11)
+            upper_banach_density(FiniteNatSet(np.arange(11), 10), 11)
 
     def test_dominates_prefix_density(self):
         rng = np.random.default_rng(3)
@@ -323,7 +323,7 @@ class TestSyndeticGap:
 
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
-            syndetic_gap(FiniteNatSet.empty(5))
+            syndetic_gap(FiniteNatSet([], 5))
 
     def test_every_window_of_gap_length_meets_set(self):
         rng = np.random.default_rng(11)
