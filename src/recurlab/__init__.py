@@ -65,7 +65,6 @@ from .empmeasure import (
 )
 from .classify import (
     BirkhoffReport,
-    EigenSpanCheckReport,
     EpsilonRecord,
     InverseRecurrenceReport,
     ProductRecurrenceReport,

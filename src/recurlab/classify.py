@@ -64,13 +64,11 @@ __all__ = [
     "BirkhoffReport",
     "birkhoff_frequent_check",
     "EigenSpanEntry",
-    "EigenSpanCheckReport",
     "eigen_span_entry",
     "ProbeResult",
     "UnimodularReturnReport",
     "unimodular_return_set",
     "ProductRecurrenceReport",
-    "product_recurrence_from_masks",
     "product_recurrence_check",
     "InverseRecurrenceReport",
     "inverse_recurrence_check",
@@ -368,18 +366,6 @@ class EigenSpanEntry(NamedTuple):
     span_implies_uniform: bool
 
 
-@dataclass(frozen=True)
-class EigenSpanCheckReport:
-    entries: tuple[EigenSpanEntry, ...]
-    residual_tol: float
-
-    @property
-    def all_ok(self) -> bool:
-        return all(
-            e.recurrence_implies_span and e.span_implies_uniform for e in self.entries
-        )
-
-
 def eigen_span_entry(rep: RecurrenceReport, vector_id: str) -> EigenSpanEntry:
     """Both span implications for one classified vector.
 
@@ -510,24 +496,31 @@ def _mask_set(inside: np.ndarray) -> FiniteNatSet:
     return FiniteNatSet(np.flatnonzero(inside), inside.size - 1)
 
 
-def product_recurrence_from_masks(
-    part1: tuple[dict[str, bool], np.ndarray],
-    part2: tuple[dict[str, bool], np.ndarray],
-    total: tuple[dict[str, bool], np.ndarray],
+def product_recurrence_check(
+    part1: RecurrenceReport,
+    part2: RecurrenceReport,
+    total: RecurrenceReport,
+    epsilon: float,
 ) -> ProductRecurrenceReport:
     """Return-set calculus on a direct sum, at one radius.
 
-    Each argument is the ``(flags, mask)`` of one classified orbit at the
-    radius: its record's flags and its return-time mask ``dists < epsilon``
-    over ``[0, h]``, the sum's horizon. A part's orbit runs at least as long
-    as the sum's, which stops at the first part to pass the overflow cap, so
-    a part's mask is its return times cut at ``h``. In the max metric the
-    epsilon-ball of the sum is the product of the component balls, so the
-    sum's mask must equal ``m1 & m2``; the report verifies that equality and
-    evaluates the "reiterative parts make the pair frequently recurrent"
-    implication at the flags' thresholds.
+    ``part1`` and ``part2`` classify x1 and x2 under the two parts, ``total``
+    classifies their concatenation under the direct sum; each must have a
+    record at ``epsilon``. The check reads each record's flags and each
+    orbit's return-time mask ``dists < epsilon`` over ``[0, h]``, the sum's
+    horizon. A part's orbit runs at least as long as the sum's, which stops
+    at the first part to pass the overflow cap, so a part's mask is its
+    return times cut at ``h``. In the max metric the epsilon-ball of the sum
+    is the product of the component balls, so the sum's mask must equal
+    ``m1 & m2``; the report verifies that equality and evaluates the
+    "reiterative parts make the pair frequently recurrent" implication at
+    the flags' thresholds.
     """
-    (flags1, m1), (flags2, m2), (flags12, m12) = part1, part2, total
+    h = total.horizon_effective
+    (flags1, m1), (flags2, m2), (flags12, m12) = (
+        (rep.record_for(epsilon).flags, rep.orbit.dists[: h + 1] < epsilon)
+        for rep in (part1, part2, total)
+    )
     both = m1 & m2
     premise = flags1["reiteratively"] and flags2["reiteratively"]
     return ProductRecurrenceReport(
@@ -540,27 +533,6 @@ def product_recurrence_from_masks(
         part1_mask=m1,
         part2_mask=m2,
         sum_mask=m12,
-    )
-
-
-def product_recurrence_check(
-    part1: RecurrenceReport,
-    part2: RecurrenceReport,
-    total: RecurrenceReport,
-    epsilon: float,
-) -> ProductRecurrenceReport:
-    """Return-set calculus on a direct sum, from classified orbits.
-
-    ``part1`` and ``part2`` classify x1 and x2 under the two parts, ``total``
-    classifies their concatenation under the direct sum; each must have a
-    record at ``epsilon``. The check is :func:`product_recurrence_from_masks`
-    on their records' flags and their return-time masks up to the sum's
-    horizon.
-    """
-    h = total.horizon_effective
-    return product_recurrence_from_masks(
-        *((rep.record_for(epsilon).flags, rep.orbit.dists[: h + 1] < epsilon)
-          for rep in (part1, part2, total))
     )
 
 

@@ -8,8 +8,12 @@ so the emitted bytes do not depend on execution order. Per-check wall times
 are the only nondeterministic fields; they live under dedicated
 ``wall_time_s`` keys so downstream comparisons can strip them.
 
-Exit codes: 0 success, 2 validation/config errors or a failed numerical gate,
-3 when ``--strict`` is set and at least one check failed.
+Exit codes: 0 success, 2 refused input, 3 when ``--strict`` is set and at
+least one check failed. Every subcommand refuses input in one place,
+:func:`main`: an ``OSError``, ``TypeError``, ``ValueError`` (``ConfigError``
+among them), ``KeyError``, ``OverflowError``, ``MemoryError``,
+``NumericalFailureError`` or ``RecursionError`` prints one ``error:`` line and
+no traceback. ``run`` also exits 2 when it cannot write its report.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import numpy as np
 from . import __version__
 from .classify import (
     EIGEN_SPAN_RESIDUAL_TOL,
-    EigenSpanCheckReport,
     Thresholds,
     birkhoff_frequent_check,
     classify_vector,
@@ -92,7 +95,6 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    schema_version: int
     seed: int
     experiments: tuple[ExperimentSpec, ...]
     raw_text: str
@@ -266,7 +268,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             )
         )
     return ExperimentConfig(
-        schema_version=schema,
         seed=seed,
         experiments=tuple(experiments),
         raw_text=raw,
@@ -385,11 +386,10 @@ def _eigen_span_rows(run: _VectorRun) -> list:
 
 
 def _eigen_span_payload(entries: list) -> dict:
-    rep = EigenSpanCheckReport(tuple(entries), EIGEN_SPAN_RESIDUAL_TOL)
     return {
-        "residual_tol": rep.residual_tol,
-        "all_ok": rep.all_ok,
-        "entries": [e._asdict() for e in rep.entries],
+        "residual_tol": EIGEN_SPAN_RESIDUAL_TOL,
+        "all_ok": all(e.recurrence_implies_span and e.span_implies_uniform for e in entries),
+        "entries": [e._asdict() for e in entries],
     }
 
 
@@ -674,11 +674,7 @@ def _parse_vector_arg(text: str, dim: int, seed: int):
 
 
 def _cmd_run(args) -> int:
-    try:
-        doc = run_config(load_config(args.config))
-    except (OSError, ConfigError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    doc = run_config(load_config(args.config))
     try:
         emit_report(doc, args.format, args.out)
     except OSError as exc:
@@ -691,21 +687,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_densities(args) -> int:
-    try:
-        obj = json.loads(Path(args.set).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError(f"a set file holds an object, got {obj!r}")
-        A = FiniteNatSet.from_json_dict(obj)
-        windows = [json_int(w) for w in args.windows.split(",") if w]
-        windows = [w for w in windows if 0 <= w <= A.horizon]
-        # a horizon too large to index or to allocate raises here, from numpy
-        summary = density_summary(A, window_lengths=windows)
-    except (OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: the set file nests too deeply", file=sys.stderr)
-        return 2
+    obj = json.loads(Path(args.set).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"a set file holds an object, got {obj!r}")
+    A = FiniteNatSet.from_json_dict(obj)
+    windows = [json_int(w) for w in args.windows.split(",") if w]
+    windows = [w for w in windows if 0 <= w <= A.horizon]
+    # a horizon too large to index or to allocate raises here, from numpy
+    summary = density_summary(A, window_lengths=windows)
     out = {
         "horizon": A.horizon,
         "count": len(A),
@@ -722,17 +711,10 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        T = realize(spec_from_json_dict(json.loads(Path(args.op).read_text(encoding="utf-8"))))
-        x = _parse_vector_arg(args.vector, T.dim, seed=0)
-        epsilons = [float(e) for e in args.eps.split(",") if e]
-        rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
-    except (OSError, ValueError, KeyError, MemoryError, NumericalFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: the operator spec nests too deeply", file=sys.stderr)
-        return 2
+    T = realize(spec_from_json_dict(json.loads(Path(args.op).read_text(encoding="utf-8"))))
+    x = _parse_vector_arg(args.vector, T.dim, seed=0)
+    epsilons = [float(e) for e in args.eps.split(",") if e]
+    rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -751,12 +733,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--strict", action="store_true", help="exit 3 if any check fails"
     )
-    p_run.set_defaults(fn=_cmd_run)
+    p_run.set_defaults(fn=_cmd_run, input="the config")
 
     p_dens = sub.add_parser("densities", help="density summary of a stored set")
     p_dens.add_argument("--set", required=True, help="path to a FiniteNatSet JSON file")
     p_dens.add_argument("--windows", default="10,100,1000")
-    p_dens.set_defaults(fn=_cmd_densities)
+    p_dens.set_defaults(fn=_cmd_densities, input="the set file")
 
     p_cls = sub.add_parser("classify", help="classify one vector under one operator")
     p_cls.add_argument("--op", required=True, help="path to an operator spec JSON file")
@@ -767,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cls.add_argument("--eps", required=True, help="comma-separated radii")
     p_cls.add_argument("--horizon", type=int, default=10_000)
-    p_cls.set_defaults(fn=_cmd_classify)
+    p_cls.set_defaults(fn=_cmd_classify, input="the operator spec")
 
     p_ver = sub.add_parser("version", help="print the tool version")
     p_ver.set_defaults(fn=lambda args: (print(__version__), 0)[1])
@@ -776,8 +758,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Input it refuses exits 2 with one ``error:``
+    line; any other exception is a programming error and shows its traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (
+        OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError, NumericalFailureError
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print(f"error: {args.input} nests too deeply", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -658,7 +658,7 @@ def _complex_pair(z) -> list[float]:
 
 
 def _rows(v) -> tuple[tuple[complex, ...], ...]:
-    return tuple(tuple(_complex_from_json(z) for z in row) for row in json_list(v))
+    return tuple(tuple(map(_complex_from_json, json_list(row))) for row in json_list(v))
 
 
 def _specs(v) -> tuple[OperatorSpec, ...]:

@@ -11,6 +11,7 @@ import math
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
     DirectSum,
-    EigenSpanCheckReport,
     FiniteNatSet,
     Inverse,
     JordanBlock,
@@ -46,11 +46,10 @@ from recurlab import (
 )
 from recurlab.classify import (
     _ROWS,
-    EIGEN_SPAN_RESIDUAL_TOL,
     FLAG_ORDER,
     epsilon_record,
-    product_recurrence_from_masks,
 )
+from recurlab.cli import _eigen_span_payload
 from recurlab.errors import EmptySetError, InsufficientHorizonError
 from recurlab.linop import block_norms
 
@@ -95,11 +94,12 @@ def inverse_check(T, x, epsilons, horizon):
 
 
 def span_check(T, vectors, horizon, epsilons):
-    """The eigenvector-span check on a battery of vectors classified under T,
-    one entry per vector, ``v0``, ``v1``, ... in battery order."""
+    """The eigenvector-span check on a battery of vectors classified under T:
+    one entry per vector, ``v0``, ``v1``, ... in battery order, and the
+    check's verdict ``all_ok`` as the batch runner builds it."""
     reports = [classify_vector(T, v, epsilons=epsilons, horizon=horizon) for v in vectors]
-    entries = tuple(eigen_span_entry(rep, f"v{i}") for i, rep in enumerate(reports))
-    return EigenSpanCheckReport(entries, EIGEN_SPAN_RESIDUAL_TOL)
+    entries = [eigen_span_entry(rep, f"v{i}") for i, rep in enumerate(reports)]
+    return SimpleNamespace(entries=entries, all_ok=_eigen_span_payload(entries)["all_ok"])
 
 
 def assert_cascade(flags):
@@ -648,17 +648,26 @@ class TestProductRecurrence:
             assert rep.part2_return.as_set() == {n for n in R2.as_set() if n <= R12.horizon}
 
     def test_masks_make_the_return_sets_on_request(self):
-        rows = ([1, 0, 1, 1, 0], [1, 1, 0, 1, 0], [1, 0, 0, 1, 0])
-        masks = [np.array(m, dtype=bool) for m in rows]
-        flags = dict.fromkeys(FLAG_ORDER, True)
-        rep = product_recurrence_from_masks(*((flags, m) for m in masks))
-        assert rep.return_sets_match and rep.intersection_density == Fraction(2, 5)
-        assert rep.part1_return == FiniteNatSet([0, 2, 3], 4)
-        assert rep.part2_return == FiniteNatSet([0, 1, 3], 4)
-        assert rep.sum_return == FiniteNatSet([0, 3], 4)
-        masks[2][2] = True
-        rep = product_recurrence_from_masks(*((flags, m) for m in masks))
-        assert not rep.return_sets_match and rep.intersection_density == Fraction(2, 5)
+        # quarter and half turns return at the multiples of 4 and of 2, and
+        # their sum at the multiples of 4
+        h = 10_000
+        quarter, half, third = (realize(DiagonalUnimodular((a,))) for a in (0.25, 0.5, 1 / 3))
+        one = np.array([1.0 + 0j])
+        part1, part2, other = (
+            classify_vector(T, one, epsilons=[0.5], horizon=h) for T in (quarter, half, third)
+        )
+        total = classify_vector(
+            direct_sum([quarter, half]), np.r_[one, one], epsilons=[0.5], horizon=h
+        )
+        rep = product_recurrence_check(part1, part2, total, 0.5)
+        assert rep.return_sets_match and rep.intersection_density == Fraction(2501, h + 1)
+        assert rep.part1_return == FiniteNatSet(list(range(0, h + 1, 4)), h)
+        assert rep.part2_return == FiniteNatSet(list(range(0, h + 1, 2)), h)
+        assert rep.sum_return == rep.part1_return
+        # a part classified under a third turn, not the sum's half turn: the
+        # parts meet at the multiples of 12, and the sum returns more often
+        rep = product_recurrence_check(part1, other, total, 0.5)
+        assert not rep.return_sets_match and rep.intersection_density == Fraction(834, h + 1)
 
 
 class TestInverseRecurrence:

@@ -35,7 +35,7 @@ from recurlab.cli import (
     main,
     run_config,
 )
-from recurlab.errors import ConfigError
+from recurlab.errors import ConfigError, NumericalFailureError
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -803,6 +803,61 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and not out.exists()
+
+    # each subcommand's first call after its input is read
+    FIRST_CALL = {
+        "run": "run_config", "densities": "density_summary", "classify": "classify_vector"
+    }
+
+    @staticmethod
+    def valid_argv(tmp_path, command):
+        path = tmp_path / "in.json"
+        if command == "run":
+            path.write_text(json.dumps(base_config()))
+            return ["run", "--config", str(path), "--out", str(tmp_path / "report.json")]
+        if command == "densities":
+            path.write_text(json.dumps({"horizon": 10, "elements": [1, 2]}))
+            return ["densities", "--set", str(path)]
+        path.write_text(json.dumps(ROTATION))
+        return ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5"]
+
+    @pytest.mark.parametrize("command", ["run", "densities", "classify"])
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            OSError("refused"),
+            TypeError("refused"),
+            ValueError("refused"),
+            KeyError("refused"),
+            OverflowError("refused"),
+            MemoryError("refused"),
+            NumericalFailureError("refused"),
+            RecursionError("refused"),
+        ],
+        ids=lambda exc: type(exc).__name__,
+    )
+    def test_refused_input_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, command, exc
+    ):
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(recurlab.cli, self.FIRST_CALL[command], refuse)
+        assert main(self.valid_argv(tmp_path, command)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert captured.err == line + "\n" and line.startswith("error: ")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "densities", "classify"])
+    def test_programming_error_keeps_its_traceback(self, tmp_path, monkeypatch, command):
+        def divide(*args, **kwargs):
+            return 1 / 0
+
+        monkeypatch.setattr(recurlab.cli, self.FIRST_CALL[command], divide)
+        with pytest.raises(ZeroDivisionError):
+            main(self.valid_argv(tmp_path, command))
 
     @pytest.mark.parametrize(
         "key, value",

@@ -739,14 +739,19 @@ class TestSpecJson:
             ({"type": "scale", "factor": 1}, KeyError("inner")),
             (
                 {"type": "dense_matrix", "entries": [1]},
-                ValueError("dense_matrix operator: 'int' object is not iterable"),
+                ValueError("dense_matrix operator: expected a list, got 1"),
+            ),
+            # a string row is refused as itself, not iterated by character
+            (
+                {"type": "dense_matrix", "entries": ["ab"]},
+                ValueError("dense_matrix operator: expected a list, got 'ab'"),
             ),
             (
                 {"type": "scale", "factor": 1, "inner": {"type": "power", "exponent": 1.5}},
                 ValueError("scale operator: power operator: expected an integer, got 1.5"),
             ),
         ],
-        ids=["first_bad_field", "missing_inner", "int_row", "nested_exponent"],
+        ids=["first_bad_field", "missing_inner", "int_row", "str_row", "nested_exponent"],
     )
     def test_malformed_field_error(self, obj, error):
         with pytest.raises(type(error)) as info:
