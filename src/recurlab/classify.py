@@ -22,6 +22,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import and_
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -196,11 +198,7 @@ class RecurrenceReport:
             "horizon_requested": self.horizon_requested,
             "horizon_effective": self.horizon_effective,
             "overflow": self.overflow,
-            "bounded": {
-                "bounded_at_horizon": self.bounded.bounded_at_horizon,
-                "sup_norm": self.bounded.sup_norm,
-                "growth_detected": self.bounded.growth_detected,
-            },
+            "bounded": self.bounded._asdict(),
             "eigen_span_residual": self.eigen_span_residual,
             "thresholds": self.thresholds.to_json_dict(),
             "epsilon_records": [r.to_json_dict() for r in self.records],
@@ -218,18 +216,15 @@ def epsilon_record(
     n_win = thresholds.window_len(h)
     m = mask_statistics(inside, n_win)
 
-    recurrent = m.first_return is not None
-    reiteratively = recurrent and m.banach.ratio >= thresholds.delta_banach
-    u_frequently = reiteratively and m.upper.running >= thresholds.delta_upper
-    frequently = u_frequently and m.lower.running >= thresholds.delta_lower
-    uniformly = frequently and m.gap <= thresholds.gap_max(h)
-    flags = {
-        "recurrent": recurrent,
-        "reiteratively": reiteratively,
-        "u_frequently": u_frequently,
-        "frequently": frequently,
-        "uniformly": uniformly,
-    }
+    # the marginal rules in cascade order, each flag the conjunction of its
+    # own rule with every weaker one
+    rules = (
+        m.first_return is not None,
+        m.banach.ratio >= thresholds.delta_banach,
+        m.upper.running >= thresholds.delta_upper,
+        m.lower.running >= thresholds.delta_lower,
+        m.gap <= thresholds.gap_max(h),
+    )
     return EpsilonRecord(
         epsilon=float(epsilon),
         return_count=m.count,
@@ -239,7 +234,7 @@ def epsilon_record(
         banach=m.banach,
         window_len=n_win,
         gap=m.gap,
-        flags=flags,
+        flags=dict(zip(FLAG_ORDER, accumulate(rules, and_))),
     )
 
 
@@ -332,7 +327,7 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     agree up to the window's discrepancy, which is the finite shadow of the
     ``dens N(x, U) = m(U)`` mechanism. The measure is the uniform one on the
     window's orbit points, so its mass of the epsilon-ball around the base
-    is the share of window times that return, an int over an int. The
+    is the share of window times that return: the window's own ratio. The
     density, the window and its mass are all read from the mask
     ``orbit.dists < epsilon``: no return set and no measure is built, and
     the orbit need not have kept its points.
@@ -342,16 +337,16 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     h = orbit.horizon_effective
     window_len = min(max(1, h // 10), h)
     # the return times are the mask's; its carried window counts give the
-    # window as upper_banach_density gives it for their return set
+    # window and its ratio, as upper_banach_density does for their return set
     inside = orbit.dists < epsilon
-    start = _banach_window(inside, window_len).start
+    window = _banach_window(inside, window_len)
     density = Fraction(int(np.count_nonzero(inside)), h + 1)
-    mass = int(np.count_nonzero(inside[start : start + window_len + 1])) / (window_len + 1)
+    mass = float(window.ratio)
     return BirkhoffReport(
         density=density,
         window_mass=mass,
         discrepancy=abs(float(density) - mass),
-        window_start=start,
+        window_start=window.start,
         window_len=window_len,
     )
 

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -109,13 +109,7 @@ class ReportDocument:
     experiments: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "config_echo": self.config_echo,
-            "experiments": self.experiments,
-        }
+        return asdict(self)
 
 
 _KINDS = {json_int: "an integer", json_float: "a number", json_list: "a list"}
@@ -274,23 +268,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
-def _json_safe(value):
-    """Recursively coerce report payloads into JSON-serializable primitives."""
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
-
-
 @dataclass
 class _VectorRun:
     """One vector of an experiment with its orbits and forward classification.
@@ -367,17 +344,8 @@ def _birkhoff_rows(run: _VectorRun) -> list:
     out = []
     for eps in run.exp.epsilons:
         r = birkhoff_frequent_check(run.orbit, eps)
-        out.append(
-            {
-                "vector": run.label,
-                "epsilon": eps,
-                "density": float(r.density),
-                "window_mass": r.window_mass,
-                "discrepancy": r.discrepancy,
-                "window_start": r.window_start,
-                "window_len": r.window_len,
-            }
-        )
+        row = {"vector": run.label, "epsilon": eps, **r._asdict(), "density": float(r.density)}
+        out.append(row)
     return out
 
 
@@ -593,7 +561,7 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
         if "error" not in entry:
             entry["result"] = payload
     summary = entries.pop("summary")
-    return _json_safe({"summary": summary, "checks": entries})
+    return {"summary": summary, "checks": entries}
 
 
 def run_config(config: ExperimentConfig) -> ReportDocument:

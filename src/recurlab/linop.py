@@ -278,13 +278,9 @@ class KernelBlock(NamedTuple):
 
 
 def _kernel_blocks(m: np.ndarray, block_dims: Sequence[int]) -> tuple[KernelBlock, ...]:
-    """The kernel blocks covering all columns of ``m``: one diagonal block
-    when ``m`` is exactly diagonal, else one per block of ``block_dims``,
-    each decided as a standalone part would be, so that a sum reproduces
-    its parts bit for bit."""
-    diagonal = _exact_diagonal(m)
-    if diagonal is not None:
-        return (KernelBlock(slice(0, m.shape[0]), diagonal, None),)
+    """The kernel blocks covering all columns of ``m``, one per block of
+    ``block_dims``, each decided as a standalone part would be, so that a
+    sum reproduces its parts bit for bit."""
     blocks, start = [], 0
     for b in block_dims:
         cols = slice(start, start + b)

@@ -118,11 +118,10 @@ class FiniteNatSet:
     def as_set(self) -> frozenset:
         return frozenset(self.array.tolist())
 
-    def indicator(self, upto: int | None = None) -> np.ndarray:
-        """0/1 array of length ``upto + 1`` (default: horizon + 1)."""
-        n = self.horizon if upto is None else upto
-        ind = np.zeros(n + 1, dtype=np.int64)
-        ind[self.array[self.array <= n]] = 1
+    def indicator(self) -> np.ndarray:
+        """0/1 array of length ``horizon + 1``."""
+        ind = np.zeros(self.horizon + 1, dtype=np.int64)
+        ind[self.array] = 1
         return ind
 
     def to_json_dict(self) -> dict:

@@ -51,6 +51,11 @@ DEEP_CHAIN = (
     '{"type": "scale", "factor": [1.0, 0.0], "inner": ' * 900 + json.dumps(ROTATION) + "}" * 900
 )
 PARTS_5 = {"type": "direct_sum", "parts": 5}
+# a dense matrix past DIM_CAP, which only realize's last check refuses
+IDENTITY_65 = {
+    "type": "dense_matrix",
+    "entries": [[[float(i == j), 0.0] for j in range(65)] for i in range(65)],
+}
 
 
 def base_config(**extra):
@@ -70,6 +75,24 @@ def base_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def assert_plain_json(doc):
+    """The report is its own strict-JSON round trip, and its experiments
+    hold only dicts with string keys, lists, str, int, float, bool and None:
+    no tuple and no numpy scalar, which the round trip alone lets through."""
+    payload = doc.to_json_dict()
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+    stack = [doc.experiments]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            assert all(isinstance(k, str) for k in value), value
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        else:
+            assert type(value) in (str, int, float, bool, type(None)), repr(value)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -292,6 +315,7 @@ class TestRunConfig:
         summary = doc.experiments["quarter"]["summary"]
         assert "InsufficientHorizonError" in summary["error"]
         assert document_has_failures(doc)
+        assert_plain_json(doc)
 
     def test_report_order_follows_config(self, tmp_path):
         obj = base_config()
@@ -540,6 +564,10 @@ class TestMainEntry:
             ("quarter", "vectors", [[[10**400, 0]]], "list of \\[re, im\\] pairs"),
             (None, "experiments", [{"epsilons": [10**5000]}],
              "parse error: Exceeds the limit \\(4300 digits\\)"),
+            (None, "seed", -1, "seed must be >= 0, got -1"),
+            ("quarter", "vectors", ["random:-1"], "random index -1 must be >= 0"),
+            (None, "thresholds", [0.1], "bad thresholds: thresholds must be an object"),
+            ("quarter", "operator", IDENTITY_65, "dimension 65 exceeds cap 64"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
@@ -551,6 +579,12 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert re.search(message, err)
         assert (f"experiment {where!r}" in err) == (where is not None)
+
+    def test_config_root_not_an_object_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(write_config(tmp_path, [1, 2])), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert "config root must be an object" in capsys.readouterr().err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -1052,6 +1086,7 @@ class TestAllChecksRun:
         for payload in checks.values():
             assert "result" in payload
         assert "result" in doc.experiments["sum"]["checks"]["product"]
+        assert_plain_json(doc)
 
     def test_no_finite_nat_set_in_a_run(self, tmp_path, monkeypatch):
         # every check reads its return times from masks of the distances;

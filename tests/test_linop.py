@@ -44,6 +44,7 @@ from recurlab.errors import (
 )
 from recurlab.linop import (
     DIM_CAP,
+    LinearOperator,
     POWER_BOUND_HORIZON,
     _block_diag,
     _power_scan,
@@ -51,8 +52,15 @@ from recurlab.linop import (
     orth,
     row_sums,
 )
+from recurlab.orbit import _FILL, _passes, iterate_many
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# a sum of diagonal parts of widths 1, 2 and 1
+DIAGONAL_SUM = DirectSum((
+    DiagonalUnimodular((0.3,)),
+    DiagonalUnimodular((GOLDEN, 0.125)),
+    DiagonalUnimodular((0.7,)),
+))
 
 
 def oracle_power(m, n):
@@ -140,6 +148,10 @@ class TestRealize:
     def test_dimension_cap(self):
         with pytest.raises(SizeCapError):
             realize(DiagonalUnimodular(tuple([0.1] * 65)))
+        # a dense matrix is refused by realize's last check alone
+        identity = tuple(tuple(float(i == j) for j in range(65)) for i in range(65))
+        with pytest.raises(SizeCapError, match="dimension 65 exceeds cap 64"):
+            realize(DenseMatrix(identity))
 
     def test_power_bound_metadata_rotation(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
@@ -228,8 +240,9 @@ class TestApplyConsistency:
                 DenseMatrix(tuple(map(tuple, np.linalg.qr(
                     np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]))),
             )),
+            DIAGONAL_SUM,
         ],
-        ids=["rotation", "mixed_sum"],
+        ids=["rotation", "mixed_sum", "diagonal_sum"],
     )
     def test_apply_to_rows_equals_apply_at_any_row_count(self, spec, k):
         # numpy multiplies a (1, 1) complex array by another loop than a
@@ -243,6 +256,34 @@ class TestApplyConsistency:
         assert np.array_equal(T.apply_to_rows(points[:-1]), points[1:])
         for n in range(k):
             assert np.array_equal(T.apply_to_rows(points[n : n + 1])[0], points[n + 1])
+
+    def test_diagonal_sum_steps_as_one_diagonal(self):
+        # a sum of diagonal parts has one kernel block per part, and each
+        # multiplies element by element, so it applies and iterates bit
+        # for bit as one diagonal block over the same eigenvalues
+        T = realize(DIAGONAL_SUM)
+        T_inv = realize(Inverse(DIAGONAL_SUM))
+        d = T.dim
+        assert len(T.blocks) == len(T.block_dims) == 3
+        assert all(block.diagonal is not None for block in T.blocks)
+        assert len(_passes((T, T_inv), d)) == 1
+        one, one_inv = (
+            LinearOperator(np.diag(np.diagonal(S.matrix)), d, (d,), S.spec) for S in (T, T_inv)
+        )
+        assert len(one.blocks) == 1
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        assert np.array_equal(T.apply(v), one.apply(v))
+        for k in (1, 2, 4097):
+            rows = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+            assert np.array_equal(T.apply_to_rows(rows), one.apply_to_rows(rows))
+        horizon = 2 * _FILL + 3
+        lanes = iterate_many((T, T_inv), v, horizon)
+        for lane, ref in zip(lanes, iterate_many((one, one_inv), v, horizon)):
+            assert lane.horizon_effective == ref.horizon_effective == horizon
+            assert np.array_equal(lane.points, ref.points)
+            # the distances in the sum's block metric, from the one-block points
+            assert np.array_equal(lane.dists, block_norms(ref.points - v, T.block_dims))
 
     def test_block_norms_max_convention(self):
         T = direct_sum([realize(SWAP), realize(DiagonalUnimodular((0.25,)))])
