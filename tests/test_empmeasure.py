@@ -133,6 +133,23 @@ def quarter_rotation_measure():
     return T, empirical_from_window(orb, 0, 3)
 
 
+def four_atom_measure(exact):
+    """Atoms (5, 0), (0, 1), (-5, 0) and (0, 1.1) with counts 1, 2, 3, 4
+    over 10, or, without ``exact``, their weights alone. The ball of radius
+    0.5 around (0, 1) holds the middle two, whose exact mass is 6/10, while
+    their float weights 0.2 + 0.4 sum to 0.6000000000000001."""
+    counts = np.array([1, 2, 3, 4])
+    atoms = np.array([[5, 0], [0, 1], [-5, 0], [0, 1.1]], dtype=complex)
+    if exact:
+        return EmpiricalMeasure(atoms, counts / 10, counts, 10)
+    return EmpiricalMeasure(atoms, counts / 10)
+
+
+EXACT_OR_FLOAT_MASS = pytest.mark.parametrize(
+    "exact, mass", [(True, 0.6), (False, 0.6000000000000001)], ids=["counts", "weights"]
+)
+
+
 class TestEmpiricalMeasure:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
@@ -323,6 +340,14 @@ class TestInvarianceDefect:
         with pytest.raises(ValueError):
             invariance_defect(T, mu, [])
 
+    @EXACT_OR_FLOAT_MASS
+    def test_counts_give_the_exact_defect(self, exact, mass):
+        # the zero map pushes every atom out of the ball, so the defect is
+        # the ball's whole mass
+        T = realize(DenseMatrix(((0.0, 0.0), (0.0, 0.0))))
+        mu = four_atom_measure(exact)
+        assert invariance_defect(T, mu, [(np.array([0.0, 1.0 + 0j]), 0.5)]) == mass
+
 
 class TestMoments:
     def test_period_four_symmetry(self):
@@ -481,6 +506,11 @@ class TestBallMass:
         assert ball_mass(mu, center, 1.001) == 1.0
         assert ball_mass(mu, center, 1.0) == 0.0
         assert ball_mass(mu, np.array([1.0, 0.5j]), 0.75) == 0.5
+
+    @EXACT_OR_FLOAT_MASS
+    def test_counts_give_the_exact_mass(self, exact, mass):
+        mu = four_atom_measure(exact)
+        assert ball_mass(mu, np.array([0.0, 1.0 + 0j]), 0.5) == mass
 
 
 class TestPeakMemory:

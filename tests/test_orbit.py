@@ -9,7 +9,6 @@ bits, since ``np.array_equal`` takes ``-0.0`` for ``0.0``.
 
 import cmath
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -54,16 +53,16 @@ def bitwise_equal(a, b):
 
 
 def count_kernel_calls(monkeypatch, calls):
-    """Append the kernel operand of every ``np.multiply`` and
-    ``np.ndarray.dot`` call the orbit module makes to ``calls``: one per
-    pass and row stepped. That is a multiply's second operand, the pass's
-    diagonal, and a dot's first, the dense block's matrix."""
-    fake_np = types.SimpleNamespace(**vars(np))
-    fake_np.multiply = lambda a, b, *out: calls.append(b) or np.multiply(a, b, *out)
-    fake_np.ndarray = types.SimpleNamespace(
-        dot=lambda a, b, out: calls.append(a) or np.ndarray.dot(a, b, out)
-    )
-    monkeypatch.setattr(recurlab.orbit, "np", fake_np)
+    """Append to ``calls`` the kernel operand of every row the orbit engine
+    steps through its ``step_rows``: one per pass and row stepped, the
+    pass's diagonal, or else its dense block's matrix."""
+    step = recurlab.orbit.step_rows
+
+    def spy(p, prevs, rows):
+        calls.extend([p.matrix if p.diagonal is None else p.diagonal] * len(rows))
+        step(p, prevs, rows)
+
+    monkeypatch.setattr(recurlab.orbit, "step_rows", spy)
 
 
 def first_repeat(points):
@@ -634,12 +633,12 @@ def assert_same_segment(a, b):
 
 
 def count_steps(monkeypatch):
-    """The calls of ``orbit._step``, one per pass and fill; the list grows
-    as the engine calls it."""
+    """The calls of the orbit engine's ``step_rows``, one per pass and fill;
+    the list grows as the engine calls it."""
     calls = []
-    step = recurlab.orbit._step
+    step = recurlab.orbit.step_rows
     monkeypatch.setattr(
-        recurlab.orbit, "_step", lambda p, *rows: calls.append(p.cols) or step(p, *rows)
+        recurlab.orbit, "step_rows", lambda p, *rows: calls.append(p.cols) or step(p, *rows)
     )
     return calls
 
