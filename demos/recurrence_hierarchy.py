@@ -27,6 +27,7 @@ from recurlab import (
     inverse_recurrence_check,
     product_recurrence_check,
     realize,
+    return_set,
 )
 from recurlab.classify import FLAG_ORDER
 
@@ -97,7 +98,7 @@ def main():
     )
     rep = product_recurrence_check(part1, part2, total, 0.5)
     print(f"  quarter + half turn at eps 0.5: joint returns start "
-          f"{rep.sum_return.elements[:5]} (every lcm(4,2)=4 steps), "
+          f"{return_set(total.orbit, 0.5).elements[:5]} (every lcm(4,2)=4 steps), "
           f"match={rep.return_sets_match}")
 
     print("\nrecurrence survives inversion for unitary operators")

@@ -41,7 +41,6 @@ from .linop import (
 from .natset import (
     BanachWindow,
     DensityEstimate,
-    FiniteNatSet,
     _banach_window,
     _largest_gap,
     mask_statistics,
@@ -210,8 +209,8 @@ def epsilon_record(
     inside: np.ndarray, thresholds: Thresholds, epsilon: float
 ) -> EpsilonRecord:
     """The record of one radius from its return-time mask ``inside``
-    (``dists < epsilon`` over ``[0, horizon_effective]``), read in carried
-    block passes (:func:`natset.mask_statistics`)."""
+    (:meth:`OrbitSegment.inside`), read in carried block passes
+    (:func:`natset.mask_statistics`)."""
     h = inside.size - 1
     n_win = thresholds.window_len(h)
     m = mask_statistics(inside, n_win)
@@ -259,7 +258,7 @@ def classify_vector(
     * uniformly:     syndetic gap <= the scaled gap bound
 
     combined as a conjunctive cascade (see module docstring). Each record
-    comes from carried block passes over the mask ``orbit.dists < eps``
+    comes from carried block passes over the mask ``orbit.inside(eps)``
     (:func:`epsilon_record`); no return set is built. Vector-level flags
     are the conjunction over the epsilon grid. The eigen-span residual of x
     comes from one ``unimodular_eigenpairs(T)`` per call.
@@ -290,7 +289,7 @@ def classify_vector(
         )
     # each mask is dropped before the next one is built
     records = tuple(
-        epsilon_record(orbit.dists < eps, thresholds, eps) for eps in epsilons
+        epsilon_record(orbit.inside(eps), thresholds, eps) for eps in epsilons
     )
     vector_flags = {
         name: all(rec.flags[name] for rec in records) for name in FLAG_ORDER
@@ -329,16 +328,14 @@ def birkhoff_frequent_check(orbit: OrbitSegment, epsilon: float) -> BirkhoffRepo
     window's orbit points, so its mass of the epsilon-ball around the base
     is the share of window times that return: the window's own ratio. The
     density, the window and its mass are all read from the mask
-    ``orbit.dists < epsilon``: no return set and no measure is built, and
+    ``orbit.inside(epsilon)``: no return set and no measure is built, and
     the orbit need not have kept its points.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     h = orbit.horizon_effective
     window_len = min(max(1, h // 10), h)
     # the return times are the mask's; its carried window counts give the
     # window and its ratio, as upper_banach_density does for their return set
-    inside = orbit.dists < epsilon
+    inside = orbit.inside(epsilon)
     window = _banach_window(inside, window_len)
     density = Fraction(int(np.count_nonzero(inside)), h + 1)
     mass = float(window.ratio)
@@ -456,39 +453,13 @@ def _rotation_report(inside: np.ndarray, probe_seed: int) -> UnimodularReturnRep
     return UnimodularReturnReport(returns, gap, tuple(probes))
 
 
-@dataclass(frozen=True)
-class ProductRecurrenceReport:
-    """The product check at one radius. The masks mark the return times of
-    part 1, part 2 and the sum over ``[0, h]``, the sum's horizon; the
-    return sets are built from them on request."""
-
+class ProductRecurrenceReport(NamedTuple):
     return_sets_match: bool
     intersection_density: Fraction
     part1_flags: dict[str, bool]
     part2_flags: dict[str, bool]
     sum_flags: dict[str, bool]
     reiterative_parts_imply_frequent_sum: bool
-    part1_mask: np.ndarray = field(compare=False, repr=False)
-    part2_mask: np.ndarray = field(compare=False, repr=False)
-    sum_mask: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def sum_return(self) -> FiniteNatSet:
-        return _mask_set(self.sum_mask)
-
-    @property
-    def part1_return(self) -> FiniteNatSet:
-        """Part 1's return set up to the sum's horizon."""
-        return _mask_set(self.part1_mask)
-
-    @property
-    def part2_return(self) -> FiniteNatSet:
-        """Part 2's return set up to the sum's horizon."""
-        return _mask_set(self.part2_mask)
-
-
-def _mask_set(inside: np.ndarray) -> FiniteNatSet:
-    return FiniteNatSet(np.flatnonzero(inside), inside.size - 1)
 
 
 def product_recurrence_check(
@@ -502,10 +473,10 @@ def product_recurrence_check(
     ``part1`` and ``part2`` classify x1 and x2 under the two parts, ``total``
     classifies their concatenation under the direct sum; each must have a
     record at ``epsilon``. The check reads each record's flags and each
-    orbit's return-time mask ``dists < epsilon`` over ``[0, h]``, the sum's
-    horizon. A part's orbit runs at least as long as the sum's, which stops
-    at the first part to pass the overflow cap, so a part's mask is its
-    return times cut at ``h``. In the max metric the epsilon-ball of the sum
+    orbit's return-time mask over ``[0, h]``, the sum's horizon, from
+    :meth:`OrbitSegment.inside`, the one open-ball rule. A part's orbit runs
+    at least as long as the sum's, which stops at the first part to pass
+    the overflow cap, so a part's mask is its return times cut at ``h``. In the max metric the epsilon-ball of the sum
     is the product of the component balls, so the sum's mask must equal
     ``m1 & m2``; the report verifies that equality and evaluates the
     "reiterative parts make the pair frequently recurrent" implication at
@@ -513,7 +484,7 @@ def product_recurrence_check(
     """
     h = total.horizon_effective
     (flags1, m1), (flags2, m2), (flags12, m12) = (
-        (rep.record_for(epsilon).flags, rep.orbit.dists[: h + 1] < epsilon)
+        (rep.record_for(epsilon).flags, rep.orbit.inside(epsilon)[: h + 1])
         for rep in (part1, part2, total)
     )
     both = m1 & m2
@@ -525,9 +496,6 @@ def product_recurrence_check(
         part2_flags=flags2,
         sum_flags=flags12,
         reiterative_parts_imply_frequent_sum=(not premise) or flags12["frequently"],
-        part1_mask=m1,
-        part2_mask=m2,
-        sum_mask=m12,
     )
 
 
@@ -543,10 +511,13 @@ def inverse_recurrence_check(
 ) -> InverseRecurrenceReport:
     """Compare the classifications of x under T and under T^-1.
 
-    Both reports must cover the same epsilons. For unitary diagonal operators
-    the inverse realizes as the exact conjugate rotation, making
-    |lambda^-n - 1| bitwise equal to |lambda^n - 1|; return sets then agree
-    exactly, which is the symmetry this check surfaces.
+    Both reports must cover the same epsilons. The return times at each
+    radius are those of each orbit's mask :meth:`OrbitSegment.inside`, the
+    one open-ball rule; the two orbits may stop at different horizons. For unitary diagonal
+    operators, and direct sums of them, the inverse realizes as the exact
+    conjugate rotation, making |lambda^-n - 1| bitwise equal to
+    |lambda^n - 1|; return sets then agree exactly, which is the symmetry
+    this check surfaces.
     """
     epsilons = [rec.epsilon for rec in forward.records]
     if epsilons != [rec.epsilon for rec in backward.records]:
@@ -554,8 +525,8 @@ def inverse_recurrence_check(
     # the return times straight from the distances, one radius at a time
     identical = all(
         np.array_equal(
-            np.flatnonzero(forward.orbit.dists < eps),
-            np.flatnonzero(backward.orbit.dists < eps),
+            np.flatnonzero(forward.orbit.inside(eps)),
+            np.flatnonzero(backward.orbit.inside(eps)),
         )
         for eps in epsilons
     )

@@ -229,6 +229,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
         horizon = _field(json_int, e.get("horizon", 10_000), f"{where}: horizon")
         if horizon < 1:
             raise ConfigError(f"{where}: horizon must be >= 1")
+        # the byte size of one lane's points, the largest array a run
+        # allocates; numpy cannot index an array past intp
+        if 16 * T.dim * (horizon + 1) > np.iinfo(np.intp).max:
+            raise ConfigError(
+                f"{where}: horizon {horizon} is too large to index {T.dim}-dim orbit points"
+            )
         try:
             thresholds = (
                 Thresholds.from_json_dict({**base_thresholds, **e["thresholds"]})
@@ -325,7 +331,7 @@ def _summary_rows(run: _VectorRun) -> list:
     sample = [int(n) for n in np.unique(np.geomspace(1, max(h, 1), num=48).astype(int)) if n <= h]
     for eps in run.exp.epsilons:
         # the return times up to each sample n, one radius's mask at a time
-        counts = prefix_counts(orb.dists < eps, sample)
+        counts = prefix_counts(orb.inside(eps), sample)
         series.extend([eps, n, c / (n + 1)] for n, c in zip(sample, counts))
     return [
         {
@@ -397,20 +403,9 @@ def _product_rows(run: _VectorRun) -> list:
     out = []
     for eps in run.exp.epsilons:
         r = product_recurrence_check(part1, part2, run.report, eps)
-        out.append(
-            {
-                "vector": run.label,
-                "epsilon": eps,
-                "return_sets_match": r.return_sets_match,
-                "intersection_density": float(r.intersection_density),
-                "part1_flags": r.part1_flags,
-                "part2_flags": r.part2_flags,
-                "sum_flags": r.sum_flags,
-                "reiterative_parts_imply_frequent_sum": (
-                    r.reiterative_parts_imply_frequent_sum
-                ),
-            }
-        )
+        row = {"vector": run.label, "epsilon": eps, **r._asdict(),
+               "intersection_density": float(r.intersection_density)}
+        out.append(row)
     return out
 
 

@@ -357,6 +357,9 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
             # conjugate since cos is even and sin is odd
             neg = tuple(-a for a in spec.inner.angles_turns)
             return _build(DiagonalUnimodular(neg))
+        if isinstance(spec.inner, DirectSum):
+            # part by part, so each part inverts as it would standalone
+            return _build(DirectSum(tuple(map(Inverse, spec.inner.parts))))
         m, dims = _build(spec.inner)
         d = _exact_diagonal(m)
         if d is not None:

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import EmptySetError, HorizonExceededError
-from .linop import json_int
+from .linop import json_int, json_list
 
 __all__ = [
     "FiniteNatSet",
@@ -132,9 +132,9 @@ class FiniteNatSet:
         """Accepts either ``{"horizon", "elements"}`` or run-length ``{"horizon", "runs"}``."""
         horizon = json_int(obj["horizon"])
         if "elements" in obj:
-            return cls.from_iterable(obj["elements"], horizon)
+            return cls.from_iterable(json_list(obj["elements"]), horizon)
         if "runs" in obj:
-            return cls.from_runs(obj["runs"], horizon)
+            return cls.from_runs(list(map(json_list, json_list(obj["runs"]))), horizon)
         raise ValueError("expected 'elements' or 'runs' key")
 
 

@@ -74,7 +74,8 @@ class OrbitSegment:
 
     ``dists[n]`` is the distance from ``T^n x`` to ``base`` in the block
     metric of T; every return set of the segment, and the mass a window
-    measure on it gives a ball around ``base``, is read from it.
+    measure on it gives a ball around ``base``, is read from it, through
+    :meth:`inside`, the one open-ball rule.
     ``bounded`` was decided while the orbit was recorded, and no per-step
     norm is kept. ``points`` is None when the segment was iterated with
     ``points=False``; only window measures
@@ -95,6 +96,13 @@ class OrbitSegment:
         for arr in (self.base, self.points, self.dists):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def inside(self, epsilon: float) -> np.ndarray:
+        """The return-time mask of the open epsilon-ball around ``base``:
+        ``dists < epsilon`` over ``[0, horizon_effective]``."""
+        if not epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {epsilon}")
+        return self.dists < epsilon
 
 
 def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
@@ -350,8 +358,8 @@ def return_set(orbit: OrbitSegment, epsilon: float) -> FiniteNatSet:
     """Times n with ``T^n x`` strictly inside the epsilon-ball around x.
 
     n = 0 always qualifies (the orbit starts in every ball around its base);
-    recurrence verdicts should look at the positive return times.
+    recurrence verdicts should look at the positive return times. The
+    members are the mask :meth:`OrbitSegment.inside`, the one open-ball
+    rule.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return FiniteNatSet(np.nonzero(orbit.dists < epsilon)[0], orbit.horizon_effective)
+    return FiniteNatSet(np.flatnonzero(orbit.inside(epsilon)), orbit.horizon_effective)

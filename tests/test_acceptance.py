@@ -359,8 +359,8 @@ def test_criterion_13_product_return_set_exact():
         )
         rep = product_recurrence_check(part1, part2, total, eps)
         assert rep.return_sets_match
-        inter = rep.part1_return.as_set() & rep.part2_return.as_set()
-        assert rep.sum_return.as_set() == inter
+        R1, R2, R12 = (return_set(r.orbit, eps) for r in (part1, part2, total))
+        assert R12.as_set() == R1.as_set() & R2.as_set()
     passed(13, "100 rotation pairs: joint return set equals the intersection")
 
 

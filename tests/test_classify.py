@@ -49,7 +49,7 @@ from recurlab.classify import (
     FLAG_ORDER,
     epsilon_record,
 )
-from recurlab.cli import _eigen_span_payload
+from recurlab.cli import _eigen_span_payload, load_config, run_config
 from recurlab.errors import EmptySetError, InsufficientHorizonError
 from recurlab.linop import block_norms
 
@@ -76,12 +76,16 @@ def oracle_rotation_returns(angles, epsilon, horizon):
 
 
 def product_check(T1, x1, T2, x2, epsilon, horizon):
-    """The product check on x1 under T1, x2 under T2 and x1 + x2 under their sum."""
+    """The product check on x1 under T1, x2 under T2 and x1 + x2 under their
+    sum, then the return sets of part 1, part 2 and the sum, each read off
+    its orbit and cut at the sum's horizon."""
     cases = ((T1, x1), (T2, x2), (direct_sum([T1, T2]), np.concatenate([x1, x2])))
-    part1, part2, total = (
-        classify_vector(T, x, epsilons=[epsilon], horizon=horizon) for T, x in cases
+    reports = [classify_vector(T, x, epsilons=[epsilon], horizon=horizon) for T, x in cases]
+    h = reports[2].horizon_effective
+    sets = (
+        FiniteNatSet(np.flatnonzero(r.orbit.inside(epsilon)[: h + 1]), h) for r in reports
     )
-    return product_recurrence_check(part1, part2, total, epsilon)
+    return product_recurrence_check(*reports, epsilon), *sets
 
 
 def inverse_check(T, x, epsilons, horizon):
@@ -586,27 +590,25 @@ class TestProductRecurrence:
         T1 = realize(DiagonalUnimodular((0.25,)))
         T2 = realize(DiagonalUnimodular((0.5,)))
         one = np.array([1.0 + 0j])
-        rep = product_check(T1, one, T2, one, 0.5, 10_000)
+        rep, _, _, R12 = product_check(T1, one, T2, one, 0.5, 10_000)
         assert rep.return_sets_match
-        assert rep.sum_return.elements[:4] == (0, 4, 8, 12)
-        assert rep.intersection_density == Fraction(
-            len(rep.sum_return), 10_001
-        )
+        assert R12.elements[:4] == (0, 4, 8, 12)
+        assert rep.intersection_density == Fraction(len(R12), 10_001)
 
     def test_fixed_second_factor(self):
         T1 = realize(DiagonalUnimodular((GOLDEN,)))
         T2 = realize(DenseMatrix(((1.0,),)))
         one = np.array([1.0 + 0j])
-        rep = product_check(T1, one, T2, one, 0.3, 10_000)
+        rep, R1, _, R12 = product_check(T1, one, T2, one, 0.3, 10_000)
         assert rep.return_sets_match
-        assert rep.sum_return.elements == rep.part1_return.elements
+        assert R12.elements == R1.elements
 
     def test_golden_pair_density(self):
         T1 = realize(DiagonalUnimodular((GOLDEN,)))
         T2 = realize(DiagonalUnimodular((GOLDEN / 2.0,)))
         one = np.array([1.0 + 0j])
-        rep = product_check(T1, one, T2, one, 0.2, 10**6)
-        assert rep.return_sets_match
+        rep, R1, R2, R12 = product_check(T1, one, T2, one, 0.2, 10**6)
+        assert rep.return_sets_match and R12.as_set() == R1.as_set() & R2.as_set()
         assert float(rep.intersection_density) >= 0.5 * arc_mass(0.2) ** 2
         assert rep.reiterative_parts_imply_frequent_sum
 
@@ -619,22 +621,21 @@ class TestProductRecurrence:
             x1 = np.exp(2j * np.pi * rng.uniform(size=d1))
             x2 = np.exp(2j * np.pi * rng.uniform(size=d2))
             eps = float(rng.uniform(0.2, 0.8))
-            rep = product_check(T1, x1, T2, x2, eps, 10_000)
+            rep, R1, R2, R12 = product_check(T1, x1, T2, x2, eps, 10_000)
             assert rep.return_sets_match
-            inter = rep.part1_return.as_set() & rep.part2_return.as_set()
-            assert rep.sum_return.as_set() == inter
+            assert R12.as_set() == R1.as_set() & R2.as_set()
 
 
     def test_overflowing_part(self):
         # A 1.01-scaled rotation passes the overflow cap near step 2776, so
         # the sum's orbit stops there while the rotation beside it runs the
-        # full horizon: the parts' masks are cut at the sum's horizon, and
+        # full horizon: the parts' sets are cut at the sum's horizon, and
         # the check equals the intersection of the parts' whole return sets.
         T1 = realize(Scale(1.01, DiagonalUnimodular((GOLDEN,))))
         T2 = realize(DiagonalUnimodular((0.41421356,)))
         one = np.array([1.0 + 0j])
         for eps in (0.5, 0.25):
-            rep = product_check(T1, one, T2, one, eps, 10_000)
+            rep, _, cut2, cut12 = product_check(T1, one, T2, one, eps, 10_000)
             R1, R2, R12 = (
                 return_set(iterate(T, x, 10_000), eps)
                 for T, x in ((T1, one), (T2, one), (direct_sum([T1, T2]), np.r_[one, one]))
@@ -642,14 +643,14 @@ class TestProductRecurrence:
             assert R12.horizon < R2.horizon == 10_000
             inter = R1.as_set() & R2.as_set()
             assert rep.return_sets_match and R12.as_set() == inter
-            assert rep.sum_return == R12
+            assert cut12 == R12
             assert rep.intersection_density == Fraction(len(inter), R12.horizon + 1)
-            assert rep.part2_return.horizon == R12.horizon
-            assert rep.part2_return.as_set() == {n for n in R2.as_set() if n <= R12.horizon}
+            assert cut2.horizon == R12.horizon
+            assert cut2.as_set() == {n for n in R2.as_set() if n <= R12.horizon}
 
     def test_masks_make_the_return_sets_on_request(self):
         # quarter and half turns return at the multiples of 4 and of 2, and
-        # their sum at the multiples of 4
+        # their sum at the multiples of 4; each set is read off its orbit
         h = 10_000
         quarter, half, third = (realize(DiagonalUnimodular((a,))) for a in (0.25, 0.5, 1 / 3))
         one = np.array([1.0 + 0j])
@@ -661,9 +662,10 @@ class TestProductRecurrence:
         )
         rep = product_recurrence_check(part1, part2, total, 0.5)
         assert rep.return_sets_match and rep.intersection_density == Fraction(2501, h + 1)
-        assert rep.part1_return == FiniteNatSet(list(range(0, h + 1, 4)), h)
-        assert rep.part2_return == FiniteNatSet(list(range(0, h + 1, 2)), h)
-        assert rep.sum_return == rep.part1_return
+        R1, R2, R12 = (return_set(r.orbit, 0.5) for r in (part1, part2, total))
+        assert R1 == FiniteNatSet(list(range(0, h + 1, 4)), h)
+        assert R2 == FiniteNatSet(list(range(0, h + 1, 2)), h)
+        assert R12 == R1
         # a part classified under a third turn, not the sum's half turn: the
         # parts meet at the multiples of 12, and the sum returns more often
         rep = product_recurrence_check(part1, other, total, 0.5)
@@ -685,6 +687,18 @@ class TestInverseRecurrence:
         rep = inverse_check(T, x, [0.5, 0.25], 10_000)
         assert rep.return_sets_identical
         assert rep.flags_match
+
+    def test_direct_sum_of_rotations_conjugate_identical(self):
+        # T^-1 of a direct sum inverts part by part, so each rotation part
+        # is the exact conjugate rotation, as it is standalone: the backward
+        # distances equal the forward ones bit for bit, and the return sets
+        # agree even at a radius that puts a return time on the boundary
+        spec = DirectSum((DiagonalUnimodular((0.618034,)), DiagonalUnimodular((0.41421356,))))
+        T, x = realize(spec), np.ones(2, dtype=complex)
+        forward, backward = iterate_many((T, realize(Inverse(spec))), x, 10_000, False)
+        assert np.array_equal(forward.dists, backward.dists)
+        rep = inverse_check(T, x, [float(forward.dists[1])], 10_000)
+        assert rep.return_sets_identical and rep.flags_match
 
     def test_jordan_fixed_point(self):
         T = realize(JordanBlock(1.0, 2))
@@ -736,6 +750,44 @@ def _haar_unitary(rng, d):
 HAAR_4 = DenseMatrix(
     tuple(map(tuple, _haar_unitary(np.random.default_rng(0x5A), 4).tolist()))
 )
+
+
+class TestOpenBallRule:
+    def test_distance_equal_to_epsilon_is_outside(self, tmp_path):
+        # under a half turn every odd time of x = 1 sits at distance exactly
+        # 2.0, forward and under the realized inverse, so every reader of
+        # the 2.0-ball counts the 5001 even times of [0, 10^4] alone; the
+        # closed ball would hold all 10001
+        h, eps = 10_000, 2.0
+        half = DiagonalUnimodular((0.5,))
+        evens = FiniteNatSet(list(range(0, h + 1, 2)), h)
+        T, one = realize(half), np.array([1.0 + 0j])
+        orbit = iterate(T, one, h)
+        assert np.array_equal(orbit.dists[1::2], np.full(h // 2, 2.0))
+        assert return_set(orbit, eps) == evens
+        (rec,) = classify_vector(T, one, [eps], h).records
+        assert rec.return_count == 5001 and rec.first_return == 2
+        assert birkhoff_frequent_check(orbit, eps).density == Fraction(5001, h + 1)
+        rep, R1, R2, R12 = product_check(T, one, T, one, eps, h)
+        assert R1 == R2 == R12 == evens
+        assert rep.return_sets_match and rep.intersection_density == Fraction(5001, h + 1)
+        for S in (half, DirectSum((half, half))):
+            x = np.ones(realize(S).dim, dtype=complex)
+            assert (iterate(realize(Inverse(S)), x, h).dists[1::2] == 2.0).all()
+            assert inverse_check(realize(S), x, [eps], h).return_sets_identical
+            (rec,) = classify_vector(realize(Inverse(S)), x, [eps], h).records
+            assert rec.return_count == 5001
+        # the summary series: the prefix density of the returns up to n
+        config = tmp_path / "half.json"
+        config.write_text(json.dumps({"experiments": [{
+            "operator": {"type": "diagonal_unimodular", "angles_turns": [0.5]},
+            "epsilons": [eps], "horizon": h,
+        }]}))
+        doc = run_config(load_config(config))
+        summary = doc.experiments["experiment_0"]["summary"]["result"]
+        assert summary["records"][0]["return_count"] == 5001 and summary["series"]
+        for _, n, density in summary["series"]:
+            assert density == (n // 2 + 1) / (n + 1)
 
 
 class TestSumOrbitIsPartOrbits:

@@ -568,6 +568,14 @@ class TestMainEntry:
             ("quarter", "vectors", ["random:-1"], "random index -1 must be >= 0"),
             (None, "thresholds", [0.1], "bad thresholds: thresholds must be an object"),
             ("quarter", "operator", IDENTITY_65, "dimension 65 exceeds cap 64"),
+            # one lane's points would pass numpy's largest index, 2^63 - 1
+            # bytes, so no report is written of numpy's ValueError
+            ("quarter", "horizon", 2**62, "horizon 4611686018427387904 is too large to index"),
+            ("quarter", "horizon", 10**19, "horizon 10000000000000000000 is too large to index"),
+            (None, "experiments", [{"operator": {"type": "diagonal_unimodular",
+                                                 "angles_turns": [0.25, 0.5]},
+                                    "epsilons": [0.5], "horizon": 2**58, "checks": ["measure"]}],
+             "horizon 288230376151711744 is too large to index 2-dim orbit points"),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, where, key, value, message):
@@ -757,6 +765,11 @@ class TestMainEntry:
             # the message is numpy's
             ({"horizon": 10, "elements": [1e30]}, "10", "error: "),
             ({"horizon": 1e30, "elements": []}, "10", "error: "),
+            # a string or an object is not read as the list of its characters
+            # or keys
+            ({"horizon": 20, "elements": "123"}, "10", "expected a list, got '123'"),
+            ({"horizon": 20, "runs": ["12", "57"]}, "10", "expected a list, got '12'"),
+            ({"horizon": 20, "elements": {"3": 1, "4": 2}}, "10", "expected a list, got {'3'"),
         ],
     )
     def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):
