@@ -264,8 +264,9 @@ def classify_vector(
     comes from one ``unimodular_eigenpairs(T)`` per call.
     ``orbit``, when given, must be the orbit of x under T up to ``horizon``,
     with or without points; without one, the orbit is stepped without
-    points, since the classification reads only its distances. The report
-    carries it either way, for the checks that read classified orbits.
+    points and ranked on ``epsilons``, since the classification reads only
+    its masks at those radii. The report carries it either way, for the
+    checks that read classified orbits.
     """
     thresholds = thresholds or Thresholds()
     if horizon < thresholds.min_horizon:
@@ -280,7 +281,7 @@ def classify_vector(
     if any(not 0 < e < math.inf for e in epsilons):
         raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
     if orbit is None:
-        orbit = iterate_many((T,), x, horizon, False)[0]
+        orbit = iterate_many((T,), x, horizon, False, radii=epsilons)[0]
     residual = eigen_span_residual(x, unimodular_eigenpairs(T))
     if orbit.overflow and orbit.horizon_effective == 0:
         raise InsufficientHorizonError(
@@ -513,11 +514,13 @@ def inverse_recurrence_check(
 
     Both reports must cover the same epsilons. The return times at each
     radius are those of each orbit's mask :meth:`OrbitSegment.inside`, the
-    one open-ball rule; the two orbits may stop at different horizons. For unitary diagonal
-    operators, and direct sums of them, the inverse realizes as the exact
-    conjugate rotation, making |lambda^-n - 1| bitwise equal to
-    |lambda^n - 1|; return sets then agree exactly, which is the symmetry
-    this check surfaces.
+    one open-ball rule; the two orbits may stop at different horizons. A
+    rotation, and any direct sum, nonzero power, inverse or scale by +-1 or
+    +-1j of rotations, inverts to the exact conjugate rotation. For a real
+    vector the backward orbit is then the forward one conjugated, its
+    distances equal bit for bit, and the return sets agree exactly, which
+    is the symmetry this check surfaces. For a complex vector the distances
+    may differ in their last bits.
     """
     epsilons = [rec.epsilon for rec in forward.records]
     if epsilons != [rec.epsilon for rec in backward.records]:

@@ -67,7 +67,7 @@ from .linop import (
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
-from .orbit import iterate, iterate_many, return_set  # noqa: F401
+from .orbit import check_horizon, iterate, iterate_many, return_set  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -229,12 +229,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
         horizon = _field(json_int, e.get("horizon", 10_000), f"{where}: horizon")
         if horizon < 1:
             raise ConfigError(f"{where}: horizon must be >= 1")
-        # the byte size of one lane's points, the largest array a run
-        # allocates; numpy cannot index an array past intp
-        if 16 * T.dim * (horizon + 1) > np.iinfo(np.intp).max:
-            raise ConfigError(
-                f"{where}: horizon {horizon} is too large to index {T.dim}-dim orbit points"
-            )
+        try:  # refused at load, before any check runs
+            check_horizon(horizon, T.dim)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         try:
             thresholds = (
                 Thresholds.from_json_dict({**base_thresholds, **e["thresholds"]})
@@ -296,17 +294,17 @@ class _VectorRun:
     @cached_property
     def orbits(self):
         """The forward orbit, the backward one under ``T_inv`` when there
-        is one, and the orbits of ``parts``, stepped in one loop. The
-        forward orbit keeps its points only when a check of the experiment
-        reads them; the backward one never does, since the inverse check
-        reads its distances only, nor do the parts, recorded off the
-        forward orbit's columns."""
+        is one, and the orbits of ``parts``, stepped in one loop, ranked on
+        the experiment's epsilons. The forward orbit keeps its points only
+        when a check of the experiment reads them; the backward one never
+        does, since the inverse check reads its masks only, nor do the
+        parts, recorded off the forward orbit's columns."""
         forward = any(_CHECKS[c].reads_points for c in self.exp.checks)
         if self.T_inv is None:
             ops, points = (self.T,), (forward,)
         else:
             ops, points = (self.T, self.T_inv), (forward, False)
-        return iterate_many(ops, self.v, self.exp.horizon, points, self.parts)
+        return iterate_many(ops, self.v, self.exp.horizon, points, self.parts, self.exp.epsilons)
 
     @property
     def orbit(self):

@@ -352,15 +352,25 @@ def _build(spec: OperatorSpec) -> tuple[np.ndarray, tuple[int, ...]]:
         m, dims = _build(spec.inner)
         return complex(spec.factor) * m, dims
     if isinstance(spec, Inverse):
-        if isinstance(spec.inner, DiagonalUnimodular):
+        inner = spec.inner
+        if isinstance(inner, DiagonalUnimodular):
             # conjugate rotation; negating angles gives the exact bitwise
             # conjugate since cos is even and sin is odd
-            neg = tuple(-a for a in spec.inner.angles_turns)
-            return _build(DiagonalUnimodular(neg))
-        if isinstance(spec.inner, DirectSum):
-            # part by part, so each part inverts as it would standalone
-            return _build(DirectSum(tuple(map(Inverse, spec.inner.parts))))
-        m, dims = _build(spec.inner)
+            return _build(DiagonalUnimodular(tuple(-a for a in inner.angles_turns)))
+        # pushed inward, so that each rotation inverts as it would
+        # standalone, to the exact conjugate: a sum part by part, a nonzero
+        # power as the power of the inverse, and a scale by +-1 or +-1j,
+        # whose conjugate is its exact inverse, as that scale of the inverse
+        if isinstance(inner, DirectSum):
+            return _build(DirectSum(tuple(map(Inverse, inner.parts))))
+        if isinstance(inner, Power) and inner.exponent:
+            return _build(Power(inner.exponent, Inverse(inner.inner)))
+        if isinstance(inner, Scale) and (c := complex(inner.factor)) and 1 / c == c.conjugate():
+            return _build(Scale(c.conjugate(), Inverse(inner.inner)))
+        if isinstance(inner, Inverse):  # they cancel, once inner.inner is known invertible
+            _build(inner)
+            return _build(inner.inner)
+        m, dims = _build(inner)
         d = _exact_diagonal(m)
         if d is not None:
             if np.any(d == 0):

@@ -101,6 +101,9 @@ class FiniteNatSet:
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":
         """Build from inclusive runs ``[[a, b], ...]``, which may overlap; each
         must satisfy ``0 <= a <= b <= horizon``, checked before any expansion."""
+        for run in runs:
+            if len(run) != 2:
+                raise ValueError(f"run {list(run)} is not a pair [a, b]")
         bounds = [(json_int(a), json_int(b)) for a, b in runs]
         for a, b in bounds:
             if not 0 <= a <= b <= horizon:

@@ -2,8 +2,10 @@
 
 An orbit segment records the metric distances of ``x, Tx, ..., T^H x`` to
 ``x``, the boundedness verdict of their metric norms, and, when the caller
-asks for them, the points. Every return set is read from the distances;
-only the window measures read the points.
+asks for them, the points. Every return set is read from the distances,
+or, on a lane stepped for a grid of radii, from each step's rank among them:
+one byte up to 255 radii in place of an 8-byte float. Only the window
+measures read the points.
 Iteration advances strictly one application at a time, each row computed
 from the row before it by ``linop.step_rows``, the kernel of ``T.apply``,
 so that ``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window
@@ -16,7 +18,7 @@ across blocks and across lanes, merge into one pass. A pass whose row
 repeats bit for bit has reached a fixed point of its deterministic kernel
 and retires, as a dissipative block that decays to an exact zero does.
 After each fill every lane records its rows (:class:`_Lane`), in
-whole-array calls: it keeps its distances, one float per step, and cuts
+whole-array calls: it keeps its distances or their ranks, and cuts
 its segment at the first point past ``OVERFLOW_CAP``, the one overflow
 rule; its norms only update the running facts of its boundedness verdict
 (:class:`_NormRecord`) and are dropped with the fill. The points, 16 bytes
@@ -42,6 +44,7 @@ from .natset import FiniteNatSet
 __all__ = [
     "OrbitSegment",
     "BoundednessReport",
+    "check_horizon",
     "iterate",
     "iterate_many",
     "return_set",
@@ -75,7 +78,9 @@ class OrbitSegment:
     ``dists[n]`` is the distance from ``T^n x`` to ``base`` in the block
     metric of T; every return set of the segment, and the mass a window
     measure on it gives a ball around ``base``, is read from it, through
-    :meth:`inside`, the one open-ball rule.
+    :meth:`inside`, the one open-ball rule. A segment stepped for a grid of
+    ``radii`` keeps ``ranks[n]``, the number of radii at or below that
+    distance, and no ``dists``.
     ``bounded`` was decided while the orbit was recorded, and no per-step
     norm is kept. ``points`` is None when the segment was iterated with
     ``points=False``; only window measures
@@ -88,21 +93,28 @@ class OrbitSegment:
     base: np.ndarray
     points: np.ndarray | None
     bounded: BoundednessReport
-    dists: np.ndarray
+    dists: np.ndarray | None
     horizon_effective: int
     overflow: bool
+    ranks: np.ndarray | None = None
+    radii: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for arr in (self.base, self.points, self.dists):
+        for arr in (self.base, self.points, self.dists, self.ranks):
             if arr is not None:
                 arr.setflags(write=False)
 
     def inside(self, epsilon: float) -> np.ndarray:
         """The return-time mask of the open epsilon-ball around ``base``:
-        ``dists < epsilon`` over ``[0, horizon_effective]``."""
+        ``dists < epsilon`` over ``[0, horizon_effective]``, which on a
+        ranked segment is ``ranks <= k`` for ``epsilon == radii[k]``."""
         if not epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        return self.dists < epsilon
+        if self.radii is None:
+            return self.dists < epsilon
+        if epsilon not in self.radii:
+            raise ValueError(f"epsilon {epsilon} is not on the orbit's radii {list(self.radii)}")
+        return self.ranks <= self.radii.index(epsilon)
 
 
 def iterate(T: LinearOperator, x: np.ndarray, horizon: int) -> OrbitSegment:
@@ -120,6 +132,7 @@ def iterate_many(
     horizon: int,
     points: bool | Sequence[bool] = True,
     parts: Sequence[LinearOperator] = (),
+    radii: Sequence[float] | None = None,
 ) -> list[OrbitSegment]:
     """The orbit segment of x under each operator of ``ops``.
 
@@ -135,6 +148,9 @@ def iterate_many(
     lane, and a lane whose flag is True copies its rows into its own
     ``(horizon + 1, d)`` array as the segment's points. Without points a
     lane holds one float per step, against ``16 d + 8`` bytes with them.
+    ``radii``, every epsilon the segments' readers will ask, makes each lane
+    keep each step's rank in ``sorted(set(radii))`` in place of its distance
+    (nan ranks last), as ``np.min_scalar_type``: one byte up to 255 radii.
 
     ``parts``, the parts of a direct sum ``ops[0]``, adds one lane per part
     over its columns of lane 0, without points: the sum's kernel blocks are
@@ -163,20 +179,21 @@ def iterate_many(
     for T in ops:
         if x.shape != (T.dim,):
             raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    check_horizon(horizon, x.size)
     d, K = x.size, len(ops)
     keep = (points,) * K if isinstance(points, bool) else tuple(map(bool, points))
     if len(keep) != K:
         raise ValueError(f"points has {len(keep)} flags for {K} operators")
+    radii = None if radii is None else tuple(sorted(set(map(float, radii))))
     dims = [P.dim for P in parts]
     if parts and sum(dims) != d:
         raise DimensionError(f"part dims {dims} do not add up to {d}")
     buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
     buf[0] = np.tile(x, K)
-    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon, keep[k]) for k, T in enumerate(ops)]
+    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon, keep[k], radii)
+             for k, T in enumerate(ops)]
     for P, a in zip(parts, accumulate(dims, initial=0)):  # parts of ops[0], in its columns
-        lanes.append(_Lane(P, slice(a, a + P.dim), x[a : a + P.dim], horizon, False))
+        lanes.append(_Lane(P, slice(a, a + P.dim), x[a : a + P.dim], horizon, False, radii))
     for lane in lanes:
         lane.record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
@@ -210,10 +227,21 @@ def iterate_many(
     return [lane.segment(last, horizon) for lane in lanes]
 
 
+def check_horizon(horizon: int, dim: int) -> None:
+    """Refuse a negative horizon, and one numpy cannot index: the bytes of a
+    ``dim``-dim orbit's points, the largest array a run allocates, must
+    fit in ``intp``. Below that bound an array is allocated or numpy raises
+    ``MemoryError``."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if 16 * dim * (horizon + 1) > np.iinfo(np.intp).max:
+        raise ValueError(f"horizon {horizon} is too large to index {dim}-dim orbit points")
+
+
 class _Lane:
-    """One operator's columns of the step buffer, and the distances, norm
-    facts and, when it keeps them, points recorded from them up to the
-    first point past ``OVERFLOW_CAP``.
+    """One operator's columns of the step buffer, and the distances (or
+    their ranks among ``radii``), norm facts and, when it keeps them, points
+    recorded from them up to the first point past ``OVERFLOW_CAP``.
 
     The top row of each fill is kept while the lane is recording, one row
     per ``_FILL`` steps: a cut moves the growth check's midpoint to
@@ -222,10 +250,12 @@ class _Lane:
     equal the buffer's bit for bit.
     """
 
-    def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int, keep: bool):
-        self.T, self.cols, self.x = T, cols, x
+    def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int, keep: bool,
+                 radii: tuple[float, ...] | None):
+        self.T, self.cols, self.x, self.radii = T, cols, x, radii
         self.points = np.empty((horizon + 1, x.size), dtype=complex) if keep else None
-        self.dists = np.empty(horizon + 1)
+        kind = float if radii is None else np.min_scalar_type(len(radii))
+        self.dists = np.empty(horizon + 1, kind)  # distances, or their ranks
         self.norms = _NormRecord(horizon // 2)
         self.tops: list[tuple[int, np.ndarray]] = []  # (orbit row, its copy)
         self.end = horizon + 1  # rows the segment keeps
@@ -246,7 +276,10 @@ class _Lane:
             self.norms.mid, self.norms.at_mid = mid, None
             if 0 <= mid < lo:
                 self.norms.at_mid = self._norm_at(mid)
-        self.dists[lo:hi] = dists[: hi - lo]
+        dists = dists[: hi - lo]
+        if self.radii is not None:  # radii at or below each distance
+            dists = np.searchsorted(self.radii, dists, "right")
+        self.dists[lo:hi] = dists
         self.norms.feed(norms)
         if self.points is not None:
             self.points[lo:hi] = rows[: hi - lo]
@@ -275,9 +308,11 @@ class _Lane:
             base=self.x.copy(),
             points=points,
             bounded=self.norms.report(overflow),
-            dists=dists,
+            dists=dists if self.radii is None else None,
             horizon_effective=end - 1,
             overflow=overflow,
+            ranks=None if self.radii is None else dists,
+            radii=self.radii,
         )
 
 

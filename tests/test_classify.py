@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recurlab.cli
 from recurlab import (
     DenseMatrix,
     DiagonalUnimodular,
@@ -25,6 +26,7 @@ from recurlab import (
     FiniteNatSet,
     Inverse,
     JordanBlock,
+    Power,
     Scale,
     Thresholds,
     birkhoff_frequent_check,
@@ -673,6 +675,27 @@ class TestProductRecurrence:
 
 
 class TestInverseRecurrence:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Power(3, DiagonalUnimodular((0.618034,))),
+            Inverse(DiagonalUnimodular((0.618034,))),
+            Scale(1j, DiagonalUnimodular((0.618034,))),
+        ],
+        ids=["power", "inverse", "scale_1j"],
+    )
+    def test_wrapped_rotation_inverts_to_exact_conjugate(self, spec):
+        # the inverse is pushed through Power, Inverse and a unimodular
+        # Scale down to the rotation, so it realizes the exact conjugate:
+        # with a real start vector the backward distances equal the forward
+        # ones bit for bit, and the return sets agree even at a radius that
+        # puts a return time on the boundary
+        T, x = realize(spec), np.ones(1, dtype=complex)
+        forward, backward = iterate_many((T, realize(Inverse(spec))), x, 10_000, False)
+        assert np.array_equal(forward.dists.view(np.uint64), backward.dists.view(np.uint64))
+        rep = inverse_check(T, x, [float(forward.dists[1])], 10_000)
+        assert rep.return_sets_identical and rep.flags_match
+
     def test_rotation_conjugate_identical(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         rep = inverse_check(
@@ -788,6 +811,42 @@ class TestOpenBallRule:
         assert summary["records"][0]["return_count"] == 5001 and summary["series"]
         for _, n, density in summary["series"]:
             assert density == (n // 2 + 1) / (n + 1)
+
+    def test_ranked_runner_orbits_count_the_same(self, tmp_path, monkeypatch):
+        # the runner's orbits keep ranks on the experiment's radii, not
+        # distances; the 2.0-ball still holds the 5001 even times alone and
+        # the 2.5-ball all 10001, for every reader: under a sum of two half
+        # turns the max metric puts x = ones at distance 0 or 2.0
+        h = 10_000
+        segments = []
+        iterate_many = recurlab.cli.iterate_many
+
+        def spy(*args):
+            out = iterate_many(*args)
+            segments.extend(out)
+            return out
+
+        monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
+        half = {"type": "diagonal_unimodular", "angles_turns": [0.5]}
+        config = tmp_path / "half_sum.json"
+        config.write_text(json.dumps({"experiments": [{
+            "operator": {"type": "direct_sum", "parts": [half, half]},
+            "epsilons": [2.5, 2.0], "horizon": h,
+            "checks": ["classify", "birkhoff", "product", "inverse"],
+        }]}))
+        checks = run_config(load_config(config)).experiments["experiment_0"]["checks"]
+        # forward, backward and two part lanes, each ranked on both radii
+        assert len(segments) == 4
+        assert all(s.dists is None and s.radii == (2.0, 2.5) for s in segments)
+        counts = {2.0: 5001, 2.5: h + 1}
+        (report,) = checks["classify"]["result"]["reports"]
+        assert {r["epsilon"]: r["return_count"] for r in report["epsilon_records"]} == counts
+        for row in checks["birkhoff"]["result"]["comparisons"]:
+            assert row["density"] == counts[row["epsilon"]] / (h + 1)
+        for row in checks["product"]["result"]["per_case"]:
+            assert row["return_sets_match"]
+            assert row["intersection_density"] == counts[row["epsilon"]] / (h + 1)
+        assert checks["inverse"]["result"]["per_vector"][0]["return_sets_identical"]
 
 
 class TestSumOrbitIsPartOrbits:

@@ -770,6 +770,9 @@ class TestMainEntry:
             ({"horizon": 20, "elements": "123"}, "10", "expected a list, got '123'"),
             ({"horizon": 20, "runs": ["12", "57"]}, "10", "expected a list, got '12'"),
             ({"horizon": 20, "elements": {"3": 1, "4": 2}}, "10", "expected a list, got {'3'"),
+            # a run is a pair, and the message names the one that is not
+            ({"horizon": 20, "runs": [[1, 2, 3]]}, "10", "run [1, 2, 3] is not a pair"),
+            ({"horizon": 20, "runs": [[0, 4], []]}, "10", "run [] is not a pair"),
         ],
     )
     def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):
@@ -814,6 +817,27 @@ class TestMainEntry:
         assert captured.out == "" and not out.exists()
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "allocate" in line
+
+    @pytest.mark.parametrize("horizon", [2**62, 10**19])
+    @pytest.mark.parametrize("command", ["run", "classify"])
+    def test_unindexable_horizon_named(self, tmp_path, capsys, command, horizon):
+        # both paths refuse at the one bound, a lane's points past numpy's
+        # largest index, and name the horizon rather than numpy's message
+        path = tmp_path / "in.json"
+        out = tmp_path / "report.json"
+        if command == "classify":
+            path.write_text(json.dumps(ROTATION))
+            argv = ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5",
+                    "--horizon", str(horizon)]
+        else:
+            obj = base_config()
+            obj["experiments"][0]["horizon"] = horizon
+            argv = ["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        [line] = captured.err.splitlines()
+        assert f"horizon {horizon} is too large to index" in line
 
     def test_classify_malformed_op_exits_2(self, tmp_path, capsys):
         op_path = tmp_path / "op.json"
@@ -979,7 +1003,7 @@ class TestOrbitSharing:
         loops, classified = [], []
         iterate_many = recurlab.orbit.iterate_many
 
-        def loop_counted(ops, x, horizon, points=True, parts=()):
+        def loop_counted(ops, x, horizon, points=True, parts=(), radii=None):
             x = np.asarray(x, dtype=complex)
             lanes = [(T.matrix.tobytes(), x.tobytes()) for T in ops]
             start = 0
@@ -987,7 +1011,7 @@ class TestOrbitSharing:
                 lanes.append((P.matrix.tobytes(), x[start : start + P.dim].tobytes()))
                 start += P.dim
             loops.append(lanes)
-            return iterate_many(ops, x, horizon, points, parts)
+            return iterate_many(ops, x, horizon, points, parts, radii)
 
         # iterate() calls the orbit module's binding
         for module in (recurlab.cli, recurlab.orbit):
@@ -1147,9 +1171,9 @@ class TestPointsOnlyForTheirReaders:
         kept = []
         iterate_many = recurlab.cli.iterate_many
 
-        def spy(ops, x, horizon, points, parts):
+        def spy(ops, x, horizon, points, parts, radii):
             kept.append(tuple(points))
-            return iterate_many(ops, x, horizon, points, parts)
+            return iterate_many(ops, x, horizon, points, parts, radii)
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
         return kept
@@ -1224,6 +1248,27 @@ class TestPointsOnlyForTheirReaders:
         assert not document_has_failures(doc)
         assert peak < 14 * 2**20
 
+
+    def test_sixteen_radius_run_keeps_one_byte_per_step(self, tmp_path):
+        # one rotation at H = 10^6 with 16 radii: each step keeps its rank
+        # among them, one byte, where a float distance took 8; the ranks,
+        # one radius's mask and its block temporaries peak at 3.1 MiB,
+        # against 9.8 MiB with float distances
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={"type": "diagonal_unimodular", "angles_turns": [GOLDEN]},
+            epsilons=[round(0.4 + 0.1 * k, 1) for k in range(16)],
+            horizon=10**6,
+        )
+        config = load_config(write_config(tmp_path, obj))
+        tracemalloc.start()
+        try:
+            doc = run_config(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not document_has_failures(doc)
+        assert peak <= 4 * 2**20
 
     def test_product_check_keeps_no_part_points(self, tmp_path):
         # a sum of two rotations at H = 2 * 10^5 with all five per-vector

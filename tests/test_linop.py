@@ -145,6 +145,29 @@ class TestRealize:
         with pytest.raises(SingularOperatorError):
             realize(Inverse(DenseMatrix(((1.0, 0.0), (0.0, 0.0)))))
 
+    @pytest.mark.parametrize(
+        "S", [DenseMatrix(((1.0, 0.0), (0.0, 0.0))), DenseMatrix(((1.0, 2.0), (2.0, 4.0)))]
+    )
+    def test_double_inverse_refuses_singular(self, S):
+        # the two inverses cancel only once S is known to be invertible
+        with pytest.raises(SingularOperatorError):
+            realize(Inverse(Inverse(S)))
+
+    def test_inverse_pushed_inward(self):
+        R, J = DiagonalUnimodular((GOLDEN, 0.25)), JordanBlock(0.5, 2)
+        assert np.array_equal(realize(Inverse(Inverse(J))).matrix, realize(J).matrix)
+        conj = realize(R).matrix.conj()
+        assert np.array_equal(realize(Inverse(Power(5, R))).matrix,
+                              realize(Power(5, Inverse(R))).matrix)
+        for c in (1, -1, 1j, -1j):
+            expected = realize(Scale(c, R)).matrix.conj()
+            assert np.array_equal(realize(Inverse(Scale(c, R))).matrix, expected)
+        # a scale whose conjugate is not its inverse goes through the
+        # matrix inverse, as does the zeroth power, the identity
+        assert np.allclose(realize(Inverse(Scale(2, R))).matrix, conj / 2, rtol=0, atol=1e-16)
+        singular = DenseMatrix(((1.0, 0.0), (0.0, 0.0)))
+        assert np.array_equal(realize(Inverse(Power(0, singular))).matrix, np.eye(2))
+
     def test_dimension_cap(self):
         with pytest.raises(SizeCapError):
             realize(DiagonalUnimodular(tuple([0.1] * 65)))

@@ -115,6 +115,11 @@ class TestFiniteNatSet:
         with pytest.raises(ValueError, match=re.escape(f"run [{run[0]}, {run[1]}]")):
             FiniteNatSet.from_runs([[1, 3], run], 10)
 
+    @pytest.mark.parametrize("run", [[1, 2, 3], [], [4]])
+    def test_from_runs_wrong_length_named(self, run):
+        with pytest.raises(ValueError, match=re.escape(f"run {run} is not a pair")):
+            FiniteNatSet.from_runs([[1, 3], run], 10)
+
     def test_from_runs_empty_list(self):
         assert FiniteNatSet.from_runs([], 10) == FiniteNatSet([], 10)
 

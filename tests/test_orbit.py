@@ -9,10 +9,13 @@ bits, since ``np.array_equal`` takes ``-0.0`` for ``0.0``.
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recurlab.orbit
 from recurlab import (
@@ -803,6 +806,91 @@ class TestReturnSet:
         orb = iterate(T, np.array([1.0 + 0j]), 5)
         with pytest.raises(ValueError):
             return_set(orb, float("nan"))
+
+
+# operators whose lanes return, drift, or overflow past the cap (through
+# a finite norm, or to inf and then nan), and sums recorded with part lanes
+RANKED_SPECS = st.sampled_from([
+    DiagonalUnimodular((0.5,)),
+    DiagonalUnimodular((GOLDEN, 0.25)),
+    DirectSum((DiagonalUnimodular((0.41421356,)), JordanBlock(0.5, 2))),
+    DirectSum((DiagonalUnimodular((GOLDEN,)), JordanBlock(1.5, 2))),
+    Scale(1e300, DiagonalUnimodular((0.3,))),
+    JordanBlock(1e200, 2),
+    JordanBlock(1.0, 2),
+    SWAP_SPEC,
+])
+
+
+class TestRankedLanes:
+    """A lane stepped for a radius grid keeps each step's rank among the
+    radii, and :meth:`OrbitSegment.inside` reads the same masks from it as
+    from the float distances of the same lane stepped without a grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ranked_masks_are_the_float_masks(self, data):
+        spec = data.draw(RANKED_SPECS)
+        T = realize(spec)
+        parts = [realize(p) for p in spec.parts] if isinstance(spec, DirectSum) else []
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=T.dim) + 1j * rng.normal(size=T.dim)
+        if data.draw(st.booleans()):
+            x = x.real + 0j  # a real vector returns to its own distances exactly
+        h = data.draw(st.integers(0, 2 * _FILL + 10))
+        plain = iterate_many((T,), x, h, False, parts)
+        # random radii, duplicates of them, and radii equal to a distance
+        size = data.draw(st.sampled_from([1, 2, 16, 255, 256, 300]))
+        radii = list(rng.uniform(1e-3, 4.0, size=size))
+        radii += data.draw(st.lists(st.sampled_from(radii), max_size=5))
+        dists = np.concatenate([seg.dists for seg in plain])
+        hits = dists[dists > 0]
+        if hits.size:
+            radii += list(rng.choice(hits, size=min(8, hits.size)))
+        ranked = iterate_many((T,), x, h, False, parts, radii)
+        grid = sorted(set(radii))
+        for a, b in zip(plain, ranked):
+            assert b.dists is None and b.radii == tuple(grid)
+            assert b.ranks.dtype == np.min_scalar_type(len(grid))
+            assert b.ranks.shape == a.dists.shape and not b.ranks.flags.writeable
+            assert (b.horizon_effective, b.overflow, b.bounded) == (
+                a.horizon_effective, a.overflow, a.bounded)
+            for eps in grid:
+                assert np.array_equal(b.inside(eps), a.inside(eps))
+
+    def test_three_hundred_radii_take_two_bytes(self):
+        T = realize(DiagonalUnimodular((GOLDEN,)))
+        x = np.ones(1, dtype=complex)
+        plain = iterate(T, x, 3 * _FILL)
+        radii = np.linspace(0.01, 2.0, 300)
+        (ranked,) = iterate_many((T,), x, 3 * _FILL, False, radii=radii)
+        assert ranked.ranks.dtype == np.uint16 and ranked.ranks.max() == 300 - 1
+        for eps in radii:
+            assert np.array_equal(ranked.inside(eps), plain.dists < eps)
+
+    def test_overflowed_lane_ranks_its_kept_steps(self):
+        # x = 1 under 10: the distance 10^n - 1 passes 1 at n = 1 and 10^6
+        # at n = 7, and the lane is cut before 10^13, past the cap
+        T, x = realize(JordanBlock(10.0, 1)), np.ones(1, dtype=complex)
+        plain = iterate(T, x, 50)
+        (ranked,) = iterate_many((T,), x, 50, False, radii=[1e300, 1e6, 1.0])
+        assert plain.overflow and ranked.overflow and ranked.horizon_effective == 12
+        assert ranked.ranks.tolist() == [0] + [1] * 6 + [2] * 6
+        for eps in ranked.radii:
+            assert np.array_equal(ranked.inside(eps), plain.dists < eps)
+
+    def test_off_grid_epsilon_raises(self):
+        T = realize(DiagonalUnimodular((GOLDEN,)))
+        (ranked,) = iterate_many((T,), np.ones(1, dtype=complex), 100, radii=[0.5, 0.25, 0.5])
+        assert ranked.radii == (0.25, 0.5) and ranked.points is not None
+        grid = re.escape("epsilon 0.3 is not on the orbit's radii [0.25, 0.5]")
+        with pytest.raises(ValueError, match=grid):
+            ranked.inside(0.3)
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            ranked.inside(0.0)
+        with pytest.raises(ValueError, match="not on the orbit's radii"):
+            return_set(ranked, float("inf"))
+        assert return_set(ranked, 0.5) == return_set(iterate(T, np.ones(1), 100), 0.5)
 
 
 @pytest.fixture(scope="module", params=[0.618034, 0.41421356])
