@@ -19,7 +19,6 @@ individually instead.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -51,6 +50,7 @@ from .orbit import (
     OVERFLOW_CAP,
     BoundednessReport,
     OrbitSegment,
+    check_radii,
     iterate,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
     iterate_many,
     return_set,  # noqa: F401 -- unused here; the benchmark tracer wraps this binding
@@ -274,12 +274,7 @@ def classify_vector(
             f"horizon {horizon} below minimum {thresholds.min_horizon}"
         )
     x = np.asarray(x, dtype=complex)
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons:
-        # every vector flag is a conjunction over the records
-        raise ValueError("epsilons must be nonempty")
-    if any(not 0 < e < math.inf for e in epsilons):
-        raise ValueError(f"epsilons must be positive and finite, got {epsilons}")
+    epsilons = check_radii(epsilons)
     if orbit is None:
         orbit = iterate_many((T,), x, horizon, False, radii=epsilons)[0]
     residual = eigen_span_residual(x, unimodular_eigenpairs(T))
@@ -416,8 +411,7 @@ def unimodular_return_set(
     probe is reported individually; hits are evidence toward difference-set
     dual recurrence, never a verdict.
     """
-    if any(not eps > 0 for eps in epsilons):
-        raise ValueError("epsilon must be positive")
+    epsilons = check_radii(epsilons)
     angles = np.asarray(angles_turns, dtype=float)
     # max_i |lambda_i^n - 1|, one block of rows at a time: each entry is the
     # same elementwise arithmetic as over all rows at once

@@ -14,6 +14,11 @@ least one check failed. Every subcommand refuses input in one place,
 among them), ``KeyError``, ``OverflowError``, ``MemoryError``,
 ``NumericalFailureError`` or ``RecursionError`` prints one ``error:`` line and
 no traceback. ``run`` also exits 2 when it cannot write its report.
+
+One function, :func:`_experiment`, reads an experiment's operator, vectors,
+epsilons, horizon, thresholds and checks. :func:`load_config` adds the
+experiment's name to its messages in one place, and ``classify`` reads its
+one vector through it too, so both refuse the same input in the same words.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -67,7 +71,7 @@ from .linop import (
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
-from .orbit import check_horizon, iterate, iterate_many, return_set  # noqa: F401
+from .orbit import check_horizon, check_radii, iterate, iterate_many, return_set  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -113,6 +117,11 @@ class ReportDocument:
 
 
 _KINDS = {json_int: "an integer", json_float: "a number", json_list: "a list"}
+# the errors of refused input: each exits 2 with one line (:func:`main`)
+_REFUSED = (
+    OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError, NumericalFailureError,
+    RecursionError,
+)
 
 
 def _field(convert, value, what: str):
@@ -123,39 +132,74 @@ def _field(convert, value, what: str):
         raise ConfigError(f"{what} must be {_KINDS[convert]}, got {value!r}") from None
 
 
-def _resolve_vector(token, dim: int, seed: int, exp_name: str) -> tuple[str, np.ndarray]:
-    where = f"experiment {exp_name!r}"
+def _resolve_vector(token, dim: int, seed: int) -> tuple[str, np.ndarray]:
     if isinstance(token, str):
         if token == "ones":
             return token, np.ones(dim, dtype=complex)
         kind, _, index = token.partition(":")
         if kind not in ("basis", "random") or not index:
-            raise ConfigError(f"{where}: unknown vector generator {token!r}")
-        k = _field(json_int, index, f"{where}: the index of {token!r}")
+            raise ConfigError(f"unknown vector generator {token!r}")
+        k = _field(json_int, index, f"the index of {token!r}")
         if kind == "basis":
             if not 0 <= k < dim:
-                raise ConfigError(f"{where}: basis index {k} out of range for dim {dim}")
+                raise ConfigError(f"basis index {k} out of range for dim {dim}")
             v = np.zeros(dim, dtype=complex)
             v[k] = 1.0
             return token, v
         if k < 0:
-            raise ConfigError(f"{where}: random index {k} must be >= 0")
+            raise ConfigError(f"random index {k} must be >= 0")
         rng = np.random.default_rng([seed, k])
         return token, rng.normal(size=dim) + 1j * rng.normal(size=dim)
     try:
         coords = [complex(json_float(re), json_float(im)) for re, im in token]
     except (TypeError, ValueError):
-        raise ConfigError(
-            f"{where}: an explicit vector is a list of [re, im] pairs, got {token!r}"
-        ) from None
+        raise ConfigError(f"an explicit vector is a list of [re, im] pairs, got {token!r}") from None
     if len(coords) != dim:
-        raise ConfigError(f"{where}: vector of dim {len(coords)} with operator of dim {dim}")
+        raise ConfigError(f"vector of dim {len(coords)} with operator of dim {dim}")
     v = np.asarray(coords, dtype=complex)
     if not np.isfinite(v).all():
-        raise ConfigError(
-            f"{where}: an explicit vector's coordinates must be finite, got {token!r}"
-        )
+        raise ConfigError(f"an explicit vector's coordinates must be finite, got {token!r}")
     return "explicit", v
+
+
+def _experiment(e: dict, name: str, seed: int, base_thresholds: dict) -> ExperimentSpec:
+    """One experiment object of a config, read and checked, with the
+    config's ``seed`` and ``thresholds`` object. Its messages do not name
+    the experiment: :func:`load_config` adds the name, and ``recurlab
+    classify`` reads its one vector through this function too."""
+    T = realize(spec_from_json_dict(e["operator"]))
+    vectors = tuple(
+        _resolve_vector(tok, T.dim, seed)
+        for tok in _field(json_list, e.get("vectors", ["ones"]), "vectors")
+    )
+    if not vectors:
+        raise ConfigError("vectors must be nonempty")
+    epsilons = check_radii(
+        _field(json_float, x, "an epsilon")
+        for x in _field(json_list, e.get("epsilons", []), "epsilons")
+    )
+    horizon = _field(json_int, e.get("horizon", 10_000), "horizon")
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
+    check_horizon(horizon, T.dim)  # refused at load, before any check runs
+    try:
+        thresholds = Thresholds.from_json_dict({**base_thresholds, **e.get("thresholds", {})})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad thresholds: {exc}") from exc
+    checks = tuple(_field(json_list, e.get("checks", ["classify"]), "checks"))
+    for c in checks:
+        if c not in KNOWN_CHECKS:
+            raise ConfigError(f"unknown check {c!r}")
+        need = _CHECKS[c].operator
+        if need and not need[0](T.spec):
+            raise ConfigError(f"the {c} check needs {need[1]}")
+    if "jdg" in checks:
+        # jdg is the one check that needs scipy (a sorted Schur split
+        # and a principal angle); loading it with the config keeps the
+        # import out of the check's wall time and out of every run
+        # without the check
+        import scipy.linalg  # noqa: F401
+    return ExperimentSpec(name, T, vectors, epsilons, horizon, thresholds, checks)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -182,9 +226,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seed = _field(json_int, obj.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    base_thresholds = obj.get("thresholds", {})
-    try:
-        global_thresholds = Thresholds.from_json_dict(base_thresholds)
+    thresholds = obj.get("thresholds", {})
+    try:  # refused once here, not under each experiment's name
+        Thresholds.from_json_dict(thresholds)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad thresholds: {exc}") from exc
 
@@ -203,73 +247,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if name in seen:
             raise ConfigError(f"duplicate experiment name {name!r}")
         seen.add(name)
-        where = f"experiment {name!r}"
         try:
-            T = realize(spec_from_json_dict(e["operator"]))
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        except RecursionError:
-            raise ConfigError(f"{where}: the operator spec nests too deeply") from None
-        vectors = tuple(
-            _resolve_vector(tok, T.dim, seed, name)
-            for tok in _field(json_list, e.get("vectors", ["ones"]), f"{where}: vectors")
-        )
-        if not vectors:
-            raise ConfigError(f"{where}: vectors must be nonempty")
-        epsilons = tuple(
-            _field(json_float, x, f"{where}: an epsilon")
-            for x in _field(json_list, e.get("epsilons", []), f"{where}: epsilons")
-        )
-        if not epsilons or any(not 0 < x < math.inf for x in epsilons):
-            raise ConfigError(
-                f"{where}: epsilons must be positive, finite and nonempty, got {list(epsilons)}"
-            )
-        horizon = _field(json_int, e.get("horizon", 10_000), f"{where}: horizon")
-        if horizon < 1:
-            raise ConfigError(f"{where}: horizon must be >= 1")
-        try:  # refused at load, before any check runs
-            check_horizon(horizon, T.dim)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-        try:
-            thresholds = (
-                Thresholds.from_json_dict({**base_thresholds, **e["thresholds"]})
-                if "thresholds" in e
-                else global_thresholds
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: bad thresholds: {exc}") from exc
-        checks = tuple(_field(json_list, e.get("checks", ["classify"]), f"{where}: checks"))
-        for c in checks:
-            if c not in KNOWN_CHECKS:
-                raise ConfigError(f"{where}: unknown check {c!r}")
-            need = _CHECKS[c].operator
-            if need and not need[0](T.spec):
-                raise ConfigError(f"{where}: the {c} check needs {need[1]}")
-        if "jdg" in checks:
-            # jdg is the one check that needs scipy (a sorted Schur split
-            # and a principal angle); loading it with the config keeps the
-            # import out of the check's wall time and out of every run
-            # without the check
-            import scipy.linalg  # noqa: F401
-        experiments.append(
-            ExperimentSpec(
-                name=name,
-                operator=T,
-                vectors=vectors,
-                epsilons=epsilons,
-                horizon=horizon,
-                thresholds=thresholds,
-                checks=checks,
-            )
-        )
-    return ExperimentConfig(
-        seed=seed,
-        experiments=tuple(experiments),
-        raw_text=raw,
-    )
+            experiments.append(_experiment(e, name, seed, thresholds))
+        except _REFUSED as exc:
+            raise ConfigError(f"experiment {name!r}: {_reason(exc, 'the operator spec')}") from exc
+    return ExperimentConfig(seed, tuple(experiments), raw)
 
 
 @dataclass
@@ -616,16 +598,6 @@ def emit_report(doc: ReportDocument, fmt: str, path: str | Path) -> None:
                 writer.writerow([name, eps, n, dens])
 
 
-def _parse_vector_arg(text: str, dim: int, seed: int):
-    if text in ("ones",) or text.startswith(("basis:", "random:")):
-        return _resolve_vector(text, dim, seed, "<cli>")[1]
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad vector literal: {exc.msg}") from exc
-    return _resolve_vector(obj, dim, seed, "<cli>")[1]
-
-
 def _cmd_run(args) -> int:
     doc = run_config(load_config(args.config))
     try:
@@ -664,10 +636,16 @@ def _cmd_densities(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    T = realize(spec_from_json_dict(json.loads(Path(args.op).read_text(encoding="utf-8"))))
-    x = _parse_vector_arg(args.vector, T.dim, seed=0)
-    epsilons = [float(e) for e in args.eps.split(",") if e]
-    rep = classify_vector(T, x, epsilons=epsilons, horizon=args.horizon)
+    op = json.loads(Path(args.op).read_text(encoding="utf-8"))
+    try:
+        vector = json.loads(args.vector)
+    except json.JSONDecodeError:  # not a JSON literal, so a generator token
+        vector = args.vector
+    eps = [float(e) for e in args.eps.split(",") if e]
+    e = {"operator": op, "vectors": [vector], "epsilons": eps, "horizon": args.horizon}
+    exp = _experiment(e, "classify", 0, {})
+    [(label, x)] = exp.vectors
+    rep = classify_vector(exp.operator, x, exp.epsilons, exp.horizon, exp.thresholds, label)
     print(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -710,18 +688,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception, what: str) -> str:
+    """The message of refused input: a missing key is named as missing, and
+    a recursion error says that ``what`` nests too deeply."""
+    if isinstance(exc, KeyError):
+        return f"missing {exc}"
+    return f"{what} nests too deeply" if isinstance(exc, RecursionError) else str(exc)
+
+
 def main(argv=None) -> int:
     """Run one subcommand. Input it refuses exits 2 with one ``error:``
     line; any other exception is a programming error and shows its traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        OSError, TypeError, ValueError, KeyError, OverflowError, MemoryError, NumericalFailureError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    except RecursionError:
-        print(f"error: {args.input} nests too deeply", file=sys.stderr)
+    except _REFUSED as exc:
+        print(f"error: {_reason(exc, args.input)}", file=sys.stderr)
     return 2
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "OrbitSegment",
     "BoundednessReport",
     "check_horizon",
+    "check_radii",
     "iterate",
     "iterate_many",
     "return_set",
@@ -236,6 +237,19 @@ def check_horizon(horizon: int, dim: int) -> None:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if 16 * dim * (horizon + 1) > np.iinfo(np.intp).max:
         raise ValueError(f"horizon {horizon} is too large to index {dim}-dim orbit points")
+
+
+def check_radii(epsilons: Iterable[float]) -> tuple[float, ...]:
+    """An experiment's radii as floats in their given order, the order of its
+    records; none, one not positive and finite, or one given twice is refused."""
+    radii = tuple(map(float, epsilons))
+    if not radii or not all(0 < e < np.inf for e in radii):
+        # every vector flag is a conjunction over the radii's records
+        raise ValueError(f"epsilons must be positive and finite, and nonempty, got {list(radii)}")
+    for k, e in enumerate(radii):
+        if e in radii[:k]:
+            raise ValueError(f"epsilons must be distinct, got {e} more than once")
+    return radii
 
 
 class _Lane:

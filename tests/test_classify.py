@@ -330,6 +330,12 @@ class TestClassifyVector:
         with pytest.raises(ValueError, match="epsilons must be positive and finite"):
             classify_vector(T, np.array([1.0 + 0j]), epsilons=[0.5, eps], horizon=10_000)
 
+    def test_repeated_epsilon_rejected(self):
+        # a repeated radius would read and report one return set twice
+        T = realize(DiagonalUnimodular((0.25,)))
+        with pytest.raises(ValueError, match="epsilons must be distinct, got 0.5 more than once"):
+            classify_vector(T, np.array([1.0 + 0j]), epsilons=[0.5, 0.25, 0.5], horizon=10_000)
+
     def test_vector_flags_are_conjunctions(self):
         T = realize(DiagonalUnimodular((GOLDEN,)))
         x = np.array([1.0 + 0j])
@@ -542,6 +548,14 @@ class TestUnimodularReturnSet:
         assert rep.returns.tolist() == hits
         gaps = [b - a for a, b in zip(hits, hits[1:])]
         assert rep.gap == max(max(gaps), hits[0], 10**5 - hits[-1]) == 13
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [([], "nonempty"), ([0.5, 0.0], "positive"), ([0.5, 0.5], "distinct")],
+    )
+    def test_radii_checked_by_the_one_rule(self, epsilons, message):
+        with pytest.raises(ValueError, match=message):
+            unimodular_return_set([0.25], epsilons, 1000)
 
     def test_pair_probes_all_hit(self):
         (rep,) = unimodular_return_set([0.25, GOLDEN], [0.3], 10**5)

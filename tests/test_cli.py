@@ -511,7 +511,7 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "where, key, make, message",
         [
-            ("quarter", "epsilons", lambda x: [0.5, x], "epsilons must be positive, finite"),
+            ("quarter", "epsilons", lambda x: [0.5, x], "epsilons must be positive and finite"),
             (None, "thresholds", lambda x: {"delta_banach": x}, "delta_banach must be finite"),
             (
                 "quarter",
@@ -700,7 +700,7 @@ class TestMainEntry:
             (
                 {"type": "jordan_block", "eigenvalue": 1, "size": 2},
                 ",",
-                "error: epsilons must be nonempty",
+                "error: epsilons must be positive and finite, and nonempty",
             ),
             # the norm estimate overflows, so no residual could fail the budget
             (
@@ -733,7 +733,7 @@ class TestMainEntry:
             ("0.5,inf", "ones", "error: epsilons must be positive and finite"),
             ("0.5,-inf", "ones", "error: epsilons must be positive and finite"),
             ("nan", "ones", "error: epsilons must be positive and finite"),
-            ("0.5", "[[NaN, 0.0]]", "error: experiment '<cli>': an explicit vector's"),
+            ("0.5", "[[NaN, 0.0]]", "error: an explicit vector's"),
         ],
     )
     def test_classify_non_finite_exits_2(self, tmp_path, capsys, eps, vector, message):
@@ -752,7 +752,83 @@ class TestMainEntry:
             ["classify", "--op", str(op_path), "--vector", "{oops", "--eps", "0.5"]
         )
         assert code == 2
-        assert "bad vector literal" in capsys.readouterr().err
+        assert "unknown vector generator '{oops'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("operator", None, "missing 'operator'"),
+            ("vectors", ["ones", "twos"], "unknown vector generator 'twos'"),
+            ("epsilons", [0.5, 0.25, 0.5], "epsilons must be distinct, got 0.5 more than once"),
+            ("horizon", 0, "horizon must be >= 1"),
+            ("thresholds", {"delta_lower": 2.0}, "bad thresholds: threshold delta_lower"),
+            ("checks", ["classify", "orbit"], "unknown check 'orbit'"),
+        ],
+    )
+    def test_experiment_error_named_once(self, tmp_path, capsys, field, value, message):
+        # every field's defect is refused under the experiment's name, which
+        # one place adds
+        obj = base_config()
+        exp = obj["experiments"][0]
+        exp["name"] = "a"
+        if value is None:
+            del exp[field]
+        else:
+            exp[field] = value
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: experiment 'a': ") and message in line
+        assert line.count("experiment 'a': ") == 1
+
+    def test_repeated_epsilon_refused_by_classify(self, tmp_path, capsys):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(ROTATION))
+        code = main(["classify", "--op", str(op_path), "--vector", "ones", "--eps", "0.5,0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: epsilons must be distinct, got 0.5 more than once\n"
+
+    @pytest.mark.parametrize("vector", ["ones", "random:0"])
+    def test_classify_prints_the_run_report(self, tmp_path, capsys, vector):
+        # the subcommand reads a one-vector experiment of seed 0
+        op = {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]}
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(op))
+        code = main(["classify", "--op", str(op_path), "--vector", vector,
+                     "--eps", "0.5,0.25", "--horizon", "10000"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        obj = base_config(seed=0)
+        obj["experiments"][0].update(operator=op, vectors=[vector], epsilons=[0.5, 0.25])
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        [report] = doc.experiments["quarter"]["checks"]["classify"]["result"]["reports"]
+        assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "vector, eps",
+        [
+            ("{oops", "0.5"),
+            ("[[NaN, 0.0]]", "0.5"),
+            ("[[1, 2, 3]]", "0.5"),
+            ("[[1.0, 0.0], [0.0, 1.0]]", "0.5"),
+            ("basis:3", "0.5"),
+            ("random:-1", "0.5"),
+            ("random:x", "0.5"),
+            ("ones", "0.5,0.5"),
+            ("ones", "0.5,-1"),
+        ],
+    )
+    def test_classify_names_no_experiment(self, tmp_path, capsys, vector, eps):
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(ROTATION))
+        code = main(["classify", "--op", str(op_path), "--vector", vector, "--eps", eps])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert "'<cli>'" not in line and "experiment" not in line
 
     @pytest.mark.parametrize(
         "content, windows, message",

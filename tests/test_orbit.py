@@ -41,6 +41,7 @@ from recurlab.orbit import (
     BoundednessReport,
     _NormRecord,
     _norms_and_dists,
+    check_radii,
     iterate_many,
 )
 
@@ -897,6 +898,33 @@ class TestRankedLanes:
 def rotation_orbit(request):
     T = realize(DiagonalUnimodular((request.param,)))
     return iterate(T, np.array([1.0 + 0j]), 10**6)
+
+
+class TestCheckRadii:
+    """``check_radii`` is the one rule for an experiment's radii: the config,
+    ``classify_vector`` and ``unimodular_return_set`` all call it."""
+
+    def test_keeps_the_given_order_as_floats(self):
+        # the report's records follow the config's order, not the sorted grid
+        radii = check_radii([0.5, 1, 0.25])
+        assert radii == (0.5, 1.0, 0.25)
+        assert all(type(e) is float for e in radii)
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            ([], "positive and finite, and nonempty, got \\[\\]"),
+            ([0.5, 0.0], "positive and finite"),
+            ([0.5, -0.25], "positive and finite"),
+            ([math.nan], "positive and finite"),
+            ([0.5, math.inf], "positive and finite"),
+            ([0.5, 0.25, 0.5], "distinct, got 0.5 more than once"),
+            ([0.25, 0.25, 0.25], "distinct, got 0.25 more than once"),
+        ],
+    )
+    def test_refuses(self, epsilons, message):
+        with pytest.raises(ValueError, match=f"epsilons must be {message}"):
+            check_radii(epsilons)
 
 
 class TestThreeGapOracle:
