@@ -41,7 +41,7 @@ from .natset import (
     BanachWindow,
     DensityEstimate,
     _banach_window,
-    _largest_gap,
+    _members_walk,
     mask_statistics,
 )
 # unused here; the benchmark tracer wraps these bindings
@@ -427,7 +427,7 @@ def _rotation_report(inside: np.ndarray, probe_seed: int) -> UnimodularReturnRep
     """The report of one radius from its return-time mask over ``[0, horizon]``."""
     horizon = inside.size - 1
     returns = np.flatnonzero(inside)
-    gap = _largest_gap(returns, horizon)
+    gap = _members_walk(inside)[2]
 
     def probe(label: str, diffs: np.ndarray) -> ProbeResult:
         diffs = np.unique(diffs[(diffs >= 1) & (diffs <= horizon)])

@@ -618,7 +618,6 @@ def _cmd_densities(args) -> int:
     A = FiniteNatSet.from_json_dict(obj)
     windows = [json_int(w) for w in args.windows.split(",") if w]
     windows = [w for w in windows if 0 <= w <= A.horizon]
-    # a horizon too large to index or to allocate raises here, from numpy
     summary = density_summary(A, window_lengths=windows)
     out = {
         "horizon": A.horizon,
@@ -641,6 +640,8 @@ def _cmd_classify(args) -> int:
         vector = json.loads(args.vector)
     except json.JSONDecodeError:  # not a JSON literal, so a generator token
         vector = args.vector
+    except RecursionError:
+        raise ValueError("the vector nests too deeply") from None
     eps = [float(e) for e in args.eps.split(",") if e]
     e = {"operator": op, "vectors": [vector], "epsilons": eps, "horizon": args.horizon}
     exp = _experiment(e, "classify", 0, {})

@@ -14,18 +14,17 @@ interval and all ratios exact :class:`fractions.Fraction` values:
 * upper Banach at window ``N``: ``max_m card(A, [m, m+N]) / (N + 1)`` over all
   windows contained in ``[0, horizon]``, with the smallest maximizing ``m``.
 
-All of them are read off the bool mask of ``A`` in carried block passes:
-each pass walks the mask ``_ROWS`` entries at a time and hands one count
-from block to block, so none holds a running count of the whole mask.
-:func:`mask_statistics` reads every one from a mask, which is how the
-classifier reads its return-time masks without building a
-:class:`FiniteNatSet`; the per-set functions build the set's mask and share
-its arithmetic.
+A set is stored as its maximal runs, and the per-set functions read them
+in O(#runs log #runs), exactly at any horizon. :func:`mask_statistics`
+reads the same densities off a bool mask in carried block passes, each
+handing one count from block to block; it is how the classifier reads its
+return-time masks without building a :class:`FiniteNatSet`. The engines
+share no arithmetic but :func:`_extremes`, the exact comparison of ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -52,24 +51,31 @@ __all__ = [
 PROFILE_POINTS = 32
 _ROWS = 1 << 16  # entries of one block of the carried count passes
 _INT32_ENTRIES = 2**31  # masks shorter than this are counted in int32
+_MAX_HORIZON = 2**63 - 2  # horizon + 1, a run's end, is an int64
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteNatSet:
-    """A subset of ``{0, 1, ..., horizon}``.
+    """A subset of ``{0, 1, ..., horizon}``, stored as its maximal runs.
 
-    ``array`` is a read-only, strictly increasing ``int64`` array; the
-    constructor accepts any int sequence and copies it. Equality and hashing
-    go by value on ``(array, horizon)``.
+    The constructor takes strictly increasing members and keeps only
+    ``bounds``, the read-only, strictly increasing ``int64`` array ``[s_0,
+    e_0, s_1, e_1, ...]`` of the half-open runs ``[s_k, e_k)``; ``array``
+    expands the members on each read. Equality and hashing go by value on
+    ``(bounds, horizon)``.
     """
 
-    array: np.ndarray
+    members: InitVar[Sequence[int] | np.ndarray]
     horizon: int
+    bounds: np.ndarray = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, members):
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        arr = np.array(self.array, dtype=np.int64)
+        if self.horizon > _MAX_HORIZON:
+            raise ValueError(f"horizon {self.horizon} is too large: a set's run bounds are int64,"
+                             f" so its horizon is at most {_MAX_HORIZON}")
+        arr = np.array(members, dtype=np.int64)
         if (np.diff(arr) <= 0).any():
             raise ValueError("elements must be strictly increasing")
         if arr.size:
@@ -77,16 +83,30 @@ class FiniteNatSet:
                 raise ValueError("elements must be naturals")
             if arr[-1] > self.horizon:
                 raise ValueError(f"element {arr[-1]} exceeds horizon {self.horizon}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+        # a run starts at a member whose predecessor is not one, and ends
+        # past a member whose successor is not one
+        self._set_bounds(np.setxor1d(arr, arr + 1, assume_unique=True))
+
+    def _set_bounds(self, bounds: np.ndarray) -> None:
+        bounds.setflags(write=False)
+        object.__setattr__(self, "bounds", bounds)
 
     def __eq__(self, other):
         if not isinstance(other, FiniteNatSet):
             return NotImplemented
-        return self.horizon == other.horizon and np.array_equal(self.array, other.array)
+        return self.horizon == other.horizon and np.array_equal(self.bounds, other.bounds)
 
     def __hash__(self):
-        return hash((self.horizon, self.array.tobytes()))
+        return hash((self.horizon, self.bounds.tobytes()))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The members as a read-only, strictly increasing ``int64`` array."""
+        starts, lengths = self.bounds[::2], np.diff(self.bounds)[::2]
+        # member i of run k is s_k + i - (the members before run k)
+        arr = np.arange(len(self)) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        arr.setflags(write=False)
+        return arr
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -99,24 +119,31 @@ class FiniteNatSet:
 
     @classmethod
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":
-        """Build from inclusive runs ``[[a, b], ...]``, which may overlap; each
-        must satisfy ``0 <= a <= b <= horizon``, checked before any expansion."""
+        """Build from inclusive runs ``[[a, b], ...]`` in any order, which may
+        overlap or touch; each must satisfy ``0 <= a <= b <= horizon``. The
+        runs are sorted and merged as bounds, never expanded."""
         for run in runs:
             if len(run) != 2:
                 raise ValueError(f"run {list(run)} is not a pair [a, b]")
-        bounds = [(json_int(a), json_int(b)) for a, b in runs]
-        for a, b in bounds:
+        pairs = [(json_int(a), json_int(b)) for a, b in runs]
+        for a, b in pairs:
             if not 0 <= a <= b <= horizon:
                 raise ValueError(f"run [{a}, {b}] is empty or outside [0, {horizon}]")
-        pieces = [np.arange(a, b + 1, dtype=np.int64) for a, b in bounds]
-        return cls(np.unique(np.concatenate([np.empty(0, np.int64), *pieces])), horizon)
+        A = cls((), horizon)  # checks the horizon before the runs become int64
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[np.argsort(pairs[:, 0])]
+        starts, reach = pairs[:, 0], np.maximum.accumulate(pairs[:, 1] + 1)
+        # a run opens a merged one unless it starts inside or right after
+        # the ones before it, and the merged one ends where the next opens
+        opens = starts > np.r_[-1, reach[:-1]]
+        A._set_bounds(np.column_stack([starts[opens], reach[np.roll(opens, -1)]]).ravel())
+        return A
 
     def __len__(self):
-        return len(self.array)
+        return int(np.diff(self.bounds)[::2].sum())
 
     def __contains__(self, n):
-        i = np.searchsorted(self.array, n)
-        return i < len(self.array) and self.array[i] == n
+        return n == int(n) and np.searchsorted(self.bounds, n, side="right") % 2 == 1
 
     def as_set(self) -> frozenset:
         return frozenset(self.array.tolist())
@@ -191,8 +218,16 @@ def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
     """
     h = inside.size - 1
     _check_window(window_len, h)
-    # the count, the smallest positive member and the largest gap (see
-    # _largest_gap) from one walk over the members
+    count, first, gap = _members_walk(inside)
+    lower, upper = _running_extremes(inside)
+    banach = _banach_window(inside, window_len)
+    return MaskStatistics(count, first, lower, upper, banach, gap)
+
+
+def _members_walk(inside: np.ndarray) -> tuple[int, int | None, int]:
+    """The count, the smallest positive member and the largest gap (with the
+    lead-in from 0 and the tail) of ``{n : inside[n]}``, from one walk over
+    the members ``_ROWS`` entries at a time."""
     count, first, gap, last = 0, None, 0, 0
     for a in range(0, inside.size, _ROWS):
         returns = np.flatnonzero(inside[a : a + _ROWS]) + a
@@ -204,9 +239,7 @@ def mask_statistics(inside: np.ndarray, window_len: int) -> MaskStatistics:
                 first = int(returns[returns > 0][0])
     if not count:
         raise EmptySetError("syndetic gap of the empty set is undefined")
-    lower, upper = _running_extremes(inside)
-    banach = _banach_window(inside, window_len)
-    return MaskStatistics(count, first, lower, upper, banach, gap=max(gap, h - last))
+    return count, first, max(gap, inside.size - 1 - last)
 
 
 def prefix_counts(inside: np.ndarray, ns: Iterable[int]) -> list[int]:
@@ -245,36 +278,42 @@ def _count_blocks(inside: np.ndarray, start: int) -> Iterator[tuple[int, np.ndar
 
 def _running_extremes(inside: np.ndarray) -> tuple[DensityEstimate, DensityEstimate]:
     """Prefix density of a mask at ``N = len(inside) - 1`` with the running
-    inf and sup over ``[floor(N/10), N]``.
-
-    Index location uses floats (safe: distinct prefix ratios differ by at
-    least ``1/(N+1)^2``, far above roundoff), one block of counts at a time,
-    each block handing on its ``(ratio, index, count)`` extremes; ties go
-    to the smallest index, and the returned values are exact.
-    """
+    inf and sup over ``[floor(N/10), N]``, one block of counts at a time,
+    each block handing on its exact extremes (:func:`_extremes`)."""
     N = inside.size - 1
-    lows, highs = [], []  # min() orders by ratio, then by the unique index
+    lows, highs = [], []
     for a, counts in _count_blocks(inside, N // 10):
-        low, high = _block_extremes(a, counts)
+        low, high = _extremes(counts, np.arange(a + 1, a + counts.size + 1, dtype=counts.dtype))
         lows.append(low)
         highs.append(high)
     value = Fraction(int(counts[-1]), N + 1)  # the last block ends at N
-    (_, lo, low), (_, hi, high) = min(lows), min(highs)
-    return (
-        DensityEstimate(value, Fraction(low, lo + 1)),
-        DensityEstimate(value, Fraction(high, hi + 1)),
-    )
+    return DensityEstimate(value, min(lows)), DensityEstimate(value, max(highs))
 
 
-def _block_extremes(a: int, counts: np.ndarray) -> tuple[tuple, tuple]:
-    """The ``(ratio, index, count)`` of the smallest and (ratio negated) of
-    the largest prefix ratio of a block of running counts from index ``a``;
-    the first of tied ratios. Its ratios die with the call, before the next
-    block's."""
-    ratios = np.arange(a + 1, a + counts.size + 1, dtype=np.float64)
-    np.divide(counts, ratios, out=ratios)
-    i, j = int(np.argmin(ratios)), int(np.argmax(ratios))
-    return (ratios[i], a + i, int(counts[i])), (-ratios[j], a + j, int(counts[j]))
+def _extremes(counts: np.ndarray, lengths: np.ndarray) -> tuple[Fraction, Fraction]:
+    """The least and the greatest of the ratios ``counts / lengths``, exactly.
+
+    Distinct ratios differ by at least ``1 / L^2``, ``L`` the largest length,
+    so while ``L^2 < 2^52`` the float extremes are exact. Past that, distinct
+    ratios can round to one float, and every ratio within float error of an
+    extreme that is not an exact tie of it is compared as a ``Fraction``.
+    """
+    ratios = counts / lengths
+    exact = int(lengths.max()) ** 2 < 2**52
+    found = []
+    for i, pick in ((int(np.argmin(ratios)), min), (int(np.argmax(ratios)), max)):
+        best = Fraction(int(counts[i]), int(lengths[i]))
+        if not exact:
+            slack = ratios[i] * 2**-48
+            near = ratios <= ratios[i] + slack if pick is min else ratios >= ratios[i] - slack
+            c, n = counts[near], lengths[near]
+            # a tie's length is a multiple k of best's denominator, and its
+            # count k times best's numerator (best <= 1, so nothing overflows)
+            k = n // best.denominator
+            tie = (k * best.denominator == n) & (k * best.numerator == c)
+            best = pick([best, *map(Fraction, c[~tie].tolist(), n[~tie].tolist())])
+        found.append(best)
+    return found[0], found[1]
 
 
 def _banach_window(inside: np.ndarray, N: int) -> BanachWindow:
@@ -299,15 +338,6 @@ def _banach_window(inside: np.ndarray, N: int) -> BanachWindow:
     return BanachWindow(ratio=Fraction(best, N + 1), start=m_star)
 
 
-def _largest_gap(returns: np.ndarray, horizon: int) -> int:
-    """Largest gap between sorted members, counting the lead-in from 0 and the
-    tail out to the horizon."""
-    if not returns.size:
-        raise EmptySetError("syndetic gap of the empty set is undefined")
-    inner = int(np.diff(returns).max()) if returns.size > 1 else 0
-    return max(int(returns[0]), inner, horizon - int(returns[-1]))
-
-
 def _check_window(window_len: int, horizon: int) -> None:
     if window_len < 0:
         raise ValueError(f"window_len must be >= 0, got {window_len}")
@@ -315,15 +345,30 @@ def _check_window(window_len: int, horizon: int) -> None:
         raise HorizonExceededError(f"window_len={window_len} exceeds horizon {horizon}")
 
 
-def _mask(A: FiniteNatSet, N: int) -> np.ndarray:
-    """The bool mask of ``A`` over ``[0, N]``."""
+def _below(A: FiniteNatSet, xs: np.ndarray) -> np.ndarray:
+    """The number of members of ``A`` below each ``x`` of ``xs``: a
+    piecewise-linear count with knots at 0 and at the set's bounds, of
+    slope 1 inside a run and 0 outside one."""
+    knots = np.r_[0, A.bounds]
+    slope = np.arange(knots.size) % 2
+    at = np.r_[0, np.cumsum(np.diff(knots) * slope[:-1])]
+    k = np.searchsorted(knots, xs, side="right") - 1
+    return at[k] + slope[k] * (xs - knots[k])
+
+
+def _prefix_extremes(A: FiniteNatSet, N: int) -> tuple[DensityEstimate, DensityEstimate]:
+    """Prefix density of ``A`` at ``N`` with the running inf and sup over
+    ``[floor(N/10), N]``. The ratio falls through a gap and rises through a
+    run, so they lie at ``floor(N/10)``, at ``N``, at a gap's last time or
+    at a run's last member: one bound less one."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     if N > A.horizon:
         raise HorizonExceededError(f"N={N} exceeds horizon {A.horizon}")
-    inside = np.zeros(N + 1, dtype=bool)
-    inside[A.array[: np.searchsorted(A.array, N, side="right")]] = True
-    return inside
+    lengths = np.clip(np.r_[N, N // 10, A.bounds - 1], N // 10, N) + 1
+    counts = _below(A, lengths)
+    value = Fraction(int(counts[0]), N + 1)
+    return tuple(DensityEstimate(value, x) for x in _extremes(counts, lengths))
 
 
 def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
@@ -332,22 +377,28 @@ def lower_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     The running infimum is the finite-horizon stand-in for the lower density
     liminf.
     """
-    return _running_extremes(_mask(A, N))[0]
+    return _prefix_extremes(A, N)[0]
 
 
 def upper_density(A: FiniteNatSet, N: int) -> DensityEstimate:
     """Prefix density at ``N`` and the running supremum over ``[floor(N/10), N]``."""
-    return _running_extremes(_mask(A, N))[1]
+    return _prefix_extremes(A, N)[1]
 
 
 def upper_banach_density(A: FiniteNatSet, window_len: int) -> BanachWindow:
     """Best density over all windows ``[m, m + window_len]`` inside the horizon.
 
-    One carried block pass over the set's mask, O(horizon). Ties resolve to
-    the smallest ``m``.
+    Ties resolve to the smallest ``m``. A window's count rises by one as it
+    takes in a member and falls by one as it drops one, so the smallest best
+    ``m`` is 0, the last offset ``h - N``, a run's start or a run's last
+    member less ``N``, for ``N = window_len``.
     """
-    _check_window(window_len, A.horizon)
-    return _banach_window(_mask(A, A.horizon), window_len)
+    N, h = window_len, A.horizon
+    _check_window(N, h)
+    ms = np.clip(np.r_[0, h - N, A.bounds[::2], A.bounds[1::2] - 1 - N], 0, h - N)
+    counts = _below(A, ms + N + 1) - _below(A, ms)
+    best = counts.max()
+    return BanachWindow(ratio=Fraction(int(best), N + 1), start=int(ms[counts == best].min()))
 
 
 def syndetic_gap(A: FiniteNatSet) -> int:
@@ -356,24 +407,23 @@ def syndetic_gap(A: FiniteNatSet) -> int:
     ``A`` is syndetic at horizon with bound ``m`` iff the returned gap is
     ``<= m + 1``: every length-``m+1`` window inside the horizon then meets ``A``.
     """
-    return _largest_gap(A.array, A.horizon)
+    if not A.bounds.size:
+        raise EmptySetError("syndetic gap of the empty set is undefined")
+    # members a run apart are the runs' neighbouring bounds, one less apart
+    inner = np.max(np.diff(A.bounds)[1::2] + 1, initial=int(len(A) > 1))
+    return int(max(A.bounds[0], inner, A.horizon + 1 - A.bounds[-1]))
 
 
 def density_summary(A: FiniteNatSet, window_lengths: Sequence[int] = ()) -> DensitySummary:
     """Assemble the standard density readout of a set at its own horizon; the
     prefix profile samples at most ``PROFILE_POINTS`` geometric points."""
     H = A.horizon
-    inside = _mask(A, H)
-    lo, hi = _running_extremes(inside)
-    banach = {}
-    for N in map(int, window_lengths):
-        _check_window(N, H)
-        banach[N] = _banach_window(inside, N)
-    if H == 0:
-        ns = [0]
-    else:
-        ns = np.unique(np.geomspace(1, H, num=min(PROFILE_POINTS, H)).astype(int)).tolist()
-    profile = tuple((n, Fraction(c, n + 1)) for n, c in zip(ns, prefix_counts(inside, ns)))
+    lo, hi = _prefix_extremes(A, H)
+    banach = {N: upper_banach_density(A, N) for N in map(int, window_lengths)}
+    # the last point is H itself, which a float need not hold
+    points = np.geomspace(1, max(H, 1), num=min(PROFILE_POINTS, H))[:-1].astype(np.int64)
+    ns = np.unique(np.append(points, H))
+    profile = tuple((int(n), Fraction(int(c), int(n) + 1)) for n, c in zip(ns, _below(A, ns + 1)))
     return DensitySummary(
         lower_at_horizon=lo.running,
         upper_at_horizon=hi.running,

@@ -837,8 +837,8 @@ class TestMainEntry:
             ({"horizon": 10, "elements": [1, 2]}, "a,b", "expected an integer, got 'a'"),
             ({"horizon": 10.7, "elements": [1, 2]}, "10", "expected an integer, got 10.7"),
             ({"horizon": 10, "elements": [1.5, True, 3]}, "10", "expected an integer, got 1.5"),
-            # too large for an int64 element, and for an indicator array;
-            # the message is numpy's
+            # too large for an int64 element, where the message is numpy's,
+            # and for a run's int64 end (named below)
             ({"horizon": 10, "elements": [1e30]}, "10", "error: "),
             ({"horizon": 1e30, "elements": []}, "10", "error: "),
             # a string or an object is not read as the list of its characters
@@ -849,6 +849,11 @@ class TestMainEntry:
             # a run is a pair, and the message names the one that is not
             ({"horizon": 20, "runs": [[1, 2, 3]]}, "10", "run [1, 2, 3] is not a pair"),
             ({"horizon": 20, "runs": [[0, 4], []]}, "10", "run [] is not a pair"),
+            # a horizon past a run's int64 end is refused by name
+            ({"horizon": 1e30, "elements": []}, "10",
+             "horizon 1000000000000000019884624838656 is too large"),
+            ({"horizon": 10**19, "runs": [[0, 5]]}, "10",
+             "horizon 10000000000000000000 is too large"),
         ],
     )
     def test_densities_bad_input_exits_2(self, tmp_path, capsys, content, windows, message):
@@ -868,16 +873,56 @@ class TestMainEntry:
         assert code == 2
         assert "run [0, 3000000]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, count",
+        [
+            ({"horizon": 10**15, "runs": [[0, 5], [10**14, 10**14 + 10**12]]}, 10**12 + 7),
+            ({"horizon": 10**7, "runs": [[0, 9_000_000]]}, 9_000_001),
+            ({"horizon": 10**12, "runs": [[0, 5]]}, 6),
+        ],
+        ids=["two_runs_1e15", "one_run_1e7", "one_run_1e12"],
+    )
+    def test_densities_reads_runs_not_the_horizon(self, tmp_path, capsys, content, count):
+        # a set file is read from its runs: the 10^7 file took 11 s and the
+        # 10^12 one was refused when sets were expanded into masks
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps(content))
+        t0 = time.perf_counter()
+        code = main(["densities", "--set", str(set_path), "--windows", "0,10,1000000"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["count"] == count and out["horizon"] == content["horizon"]
+        assert out["prefix_profile"][-1] == [content["horizon"], count / (content["horizon"] + 1)]
+
+    def test_densities_farey_runs_exact(self, tmp_path, capsys):
+        # two prefix ratios a/p > b/q with aq - bp = 1 round to one float;
+        # the running inf is the smaller, exactly
+        p = 100_000_071
+        a, q = (p - 1) // 2, 2 * p - 2
+        b = 2 * a - 1
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps(
+            {"horizon": q + 999, "runs": [[0, a - 1], [p, p + b - a - 1], [q, q + 999]]}
+        ))
+        t0 = time.perf_counter()
+        assert main(["densities", "--set", str(set_path)]) == 0
+        assert time.perf_counter() - t0 < 0.5
+        assert json.loads(capsys.readouterr().out)["lower_at_horizon"] == f"{b}/{q}"
+
     @pytest.mark.parametrize("command", ["densities", "classify", "run"])
     def test_unallocatable_horizon_exits_2(self, tmp_path, capsys, command):
-        # 2^60 mask bytes and 2^56 orbit rows pass any 57-bit address space,
-        # so the allocation fails at once on every host
+        # 2^56 orbit rows pass any 57-bit address space, so the allocation
+        # fails at once on every host; a set file of 2^60 slots is read from
+        # its one run and allocates nothing of its horizon
         path = tmp_path / "in.json"
         out = tmp_path / "report.json"
         if command == "densities":
             path.write_text(json.dumps({"horizon": 2**60, "runs": [[0, 10]]}))
-            argv = ["densities", "--set", str(path)]
-        elif command == "classify":
+            assert main(["densities", "--set", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["count"] == 11
+            return
+        if command == "classify":
             path.write_text(json.dumps(ROTATION))
             argv = ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5",
                     "--horizon", str(2**56)]
@@ -934,17 +979,25 @@ class TestMainEntry:
             ("densities", DEEP_LIST, "the set file nests too deeply"),
             ("classify", DEEP_LIST, "the operator spec nests too deeply"),
             ("classify", DEEP_CHAIN, "the operator spec nests too deeply"),
+            ("classify_vector", DEEP_LIST, "the vector nests too deeply"),
         ],
-        ids=["run_list", "run_chain", "densities_list", "classify_list", "classify_chain"],
+        ids=[
+            "run_list", "run_chain", "densities_list", "classify_list", "classify_chain",
+            "classify_vector",
+        ],
     )
     def test_deeply_nested_input_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "deep.json"
         path.write_text(text)
         out = tmp_path / "report.json"
+        op = tmp_path / "rotation.json"
+        op.write_text(json.dumps(ROTATION))
         argv = {
             "run": ["run", "--config", str(path), "--out", str(out), "--strict"],
             "densities": ["densities", "--set", str(path)],
             "classify": ["classify", "--op", str(path), "--vector", "ones", "--eps", "0.5"],
+            # the operator is valid, and the vector is the input that nests
+            "classify_vector": ["classify", "--op", str(op), "--vector", text, "--eps", "0.5"],
         }[command]
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -8,6 +8,7 @@ frozen below were computed with these oracles.
 import json
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -579,10 +580,9 @@ class TestBlockPasses:
             assert density_summary(A, [1000]).banach_upper[1000] == want.banach, name
 
     def test_density_summary_of_a_set_file(self):
-        # a set file's horizon sets the size of every pass over it: the
-        # whole-array summary of 11 members over 2 * 10^6 slots added 30.5
-        # MiB (an int64 indicator and its int64 cumsum); the carried passes
-        # hold the bool mask and block temporaries
+        # the whole-array summary of 11 members over 2 * 10^6 slots added
+        # 30.5 MiB (an int64 indicator and its int64 cumsum); the runs
+        # arithmetic holds arrays of the set's runs only
         A = FiniteNatSet.from_runs([[0, 10]], 2_000_000)
         tracemalloc.start()
         try:
@@ -618,3 +618,221 @@ class TestBlockPasses:
         finally:
             tracemalloc.stop()
         assert added <= 2 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the runs form and its arithmetic
+
+
+def expand_runs(runs):
+    """The members of inclusive runs ``[[a, b], ...]``, by a plain loop."""
+    return sorted({n for a, b in runs for n in range(a, b + 1)})
+
+
+@st.composite
+def runs_lists(draw, max_horizon=300):
+    """A horizon and inclusive runs inside it, in any order, overlapping,
+    touching and repeated."""
+    horizon = draw(st.integers(min_value=0, max_value=max_horizon))
+    point = st.integers(min_value=0, max_value=horizon)
+    runs = [sorted(pair) for pair in draw(st.lists(st.tuples(point, point), max_size=12))]
+    repeats = draw(st.lists(st.sampled_from(runs), max_size=3)) if runs else []
+    touching = [[b + 1, min(b + 1 + k, horizon)] for (_, b), k in
+                zip(runs, draw(st.lists(st.integers(0, 3), max_size=3))) if b < horizon]
+    return horizon, draw(st.permutations(runs + repeats + touching))
+
+
+@st.composite
+def structured_masks(draw, max_size=10**5):
+    """A bool mask of up to ``max_size`` entries: alternating gaps and runs
+    of drawn lengths, repeated to fill it, with drawn single flips; or,
+    for masks of many short runs, seeded coin flips of a drawn bias."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.random(size) < draw(st.floats(0.0, 1.0))
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=16))
+    pattern = np.concatenate(
+        [np.full(n, k % 2 == 1, dtype=bool) for k, n in enumerate(lengths)] + [np.zeros(1, bool)]
+    )
+    mask = np.resize(pattern, size)
+    flips = draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=20))
+    mask[flips] = ~mask[flips]
+    return mask
+
+
+class TestRunsForm:
+    def test_bounds_are_the_maximal_runs(self):
+        A = FiniteNatSet.from_runs([[5, 7], [0, 2], [3, 3], [6, 9], [0, 2], [12, 12]], 12)
+        assert A.bounds.tolist() == [0, 4, 5, 10, 12, 13]
+        assert A == FiniteNatSet([0, 1, 2, 3, 5, 6, 7, 8, 9, 12], 12)
+        assert A.bounds.dtype == np.int64
+        with pytest.raises(ValueError):
+            A.bounds[...] = 0
+        assert FiniteNatSet([], 5).bounds.tolist() == []
+
+    @PROPERTY_SETTINGS
+    @given(runs_lists())
+    def test_runs_equal_their_members(self, case):
+        horizon, runs = case
+        A = FiniteNatSet.from_runs(runs, horizon)
+        members = expand_runs(runs)
+        B = FiniteNatSet.from_iterable(members, horizon)
+        assert A == B and hash(A) == hash(B)
+        assert A.elements == tuple(members) and len(A) == len(members)
+        assert A.as_set() == frozenset(members)
+        assert A.indicator().tolist() == [int(n in set(members)) for n in range(horizon + 1)]
+        assert [n for n in range(-2, horizon + 3) if n in A] == members
+        # strictly increasing bounds: disjoint runs, none touching the next
+        assert (np.diff(A.bounds) > 0).all() and A.bounds.size % 2 == 0
+
+    def test_membership_is_of_integers(self):
+        A = FiniteNatSet.from_runs([[2, 4]], 10)
+        assert 2 in A and 4 in A and 5 not in A and 1 not in A
+        assert 2.5 not in A and 3.0 in A
+
+    def test_horizon_bound_named(self):
+        top = natset._MAX_HORIZON
+        assert top == 2**63 - 2
+        A = FiniteNatSet.from_runs([[0, 5], [top - 9, top]], top)
+        assert len(A) == 16 and A.bounds[-1] == 2**63 - 1
+        for horizon in (top + 1, 10**19, 10**30):
+            with pytest.raises(ValueError, match=f"horizon {horizon} is too large"):
+                FiniteNatSet.from_runs([[0, 5]], horizon)
+            with pytest.raises(ValueError, match=f"horizon {horizon} is too large"):
+                FiniteNatSet([], horizon)
+
+
+class TestRunsArithmetic:
+    """The runs arithmetic of the per-set functions against the carried
+    block passes of ``mask_statistics``, which share none of it but the
+    exact comparison of ratios."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(structured_masks(), st.data())
+    def test_sets_read_as_their_masks(self, mask, data):
+        h = mask.size - 1
+        A = FiniteNatSet(np.flatnonzero(mask), h)
+        window = data.draw(st.integers(min_value=0, max_value=h))
+        N = data.draw(st.integers(min_value=0, max_value=h))
+        if not mask.any():
+            with pytest.raises(EmptySetError):
+                syndetic_gap(A)
+            assert upper_banach_density(A, window) == BanachWindow(Fraction(0), 0)
+            return
+        want = mask_statistics(mask, window)
+        assert lower_density(A, h) == want.lower
+        assert upper_density(A, h) == want.upper
+        assert upper_banach_density(A, window) == want.banach
+        assert syndetic_gap(A) == want.gap
+        if mask[: N + 1].any():
+            prefix = mask_statistics(mask[: N + 1], 0)
+            assert (lower_density(A, N), upper_density(A, N)) == (prefix.lower, prefix.upper)
+        summary = density_summary(A, [window])
+        assert summary.banach_upper == {window: want.banach}
+        assert (summary.lower_at_horizon, summary.upper_at_horizon) == (
+            want.lower.running, want.upper.running
+        )
+        ns = [n for n, _ in summary.prefix_profile]
+        counts = prefix_counts(mask, ns)
+        assert summary.prefix_profile == tuple(
+            (n, Fraction(c, n + 1)) for n, c in zip(ns, counts)
+        )
+
+    def test_huge_horizons_answer_in_milliseconds(self):
+        # 10^15 and int64's last horizon, from two runs each: exact values
+        # by hand, and no allocation in proportion to the horizon
+        cases = [
+            (10**15, [[0, 5], [10**14, 10**14 + 10**12]]),
+            (natset._MAX_HORIZON, [[0, 5], [natset._MAX_HORIZON - 806, natset._MAX_HORIZON]]),
+        ]
+        for h, runs in cases:
+            A = FiniteNatSet.from_runs(runs, h)
+            tracemalloc.start()
+            try:
+                t0 = time.perf_counter()
+                summary = density_summary(A, [0, 10, 10**12, h])
+                gap = syndetic_gap(A)
+                elapsed = time.perf_counter() - t0
+                added = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.1 and added < 2**16
+            (_, b0), (a1, b1) = runs
+            count = b0 + 1 + b1 - a1 + 1
+            assert len(A) == count
+            assert gap == max(a1 - b0, h - b1)
+            assert summary.prefix_profile[-1] == (h, Fraction(count, h + 1))
+            assert summary.banach_upper[h] == BanachWindow(Fraction(count, h + 1), 0)
+            assert summary.banach_upper[10] == BanachWindow(Fraction(1), a1)
+            # the best 10^12 + 1 slots hold the whole second run, and the
+            # first start that reaches its end is the smallest best one
+            start = max(0, b1 - 10**12)
+            assert summary.banach_upper[10**12] == BanachWindow(
+                Fraction(min(b1 - a1 + 1, 10**12 + 1), 10**12 + 1), start
+            )
+        # at 10^15 the burn-in starts inside the second run, and the sup is
+        # at its last member
+        A = FiniteNatSet.from_runs(cases[0][1], 10**15)
+        assert lower_density(A, 10**15).running == Fraction(7, 10**14 + 1)
+        assert upper_density(A, 10**15).running == Fraction(10**12 + 7, 10**14 + 10**12 + 1)
+
+
+# ---------------------------------------------------------------------------
+# exact running extremes past float resolution
+
+
+def farey_construction():
+    """Runs whose two gap ends have prefix ratios ``a/p > b/q`` with ``aq - bp
+    = 1``, so they differ by ``1/(pq)``, below float resolution: members
+    ``[0, a) u [p, p + b - a) u [q, q + 999]`` at horizon ``q + 999``."""
+    p = 100_000_071
+    a, q = (p - 1) // 2, 2 * p - 2
+    b = 2 * a - 1
+    assert a * q - b * p == 1 and a / p == b / q
+    runs = [[0, a - 1], [p, p + b - a - 1], [q, q + 999]]
+    return runs, q + 999, Fraction(b, q)
+
+
+class TestExactExtremes:
+    def test_float_tied_ratios_compare_exactly(self):
+        runs, _, infimum = farey_construction()
+        (_, a1), (p, _), (q, _) = runs
+        a, b = a1 + 1, infimum.numerator
+        counts, lengths = np.array([a, b]), np.array([p, q])
+        assert natset._extremes(counts, lengths) == (Fraction(b, q), Fraction(a, p))
+        assert natset._extremes(counts[::-1], lengths[::-1]) == (Fraction(b, q), Fraction(a, p))
+
+    def test_rounded_lengths_compare_exactly(self):
+        # past 2^53 a count and a length round before they divide, so the
+        # float order of two ratios can be the reverse of the exact one
+        c1, n1 = 1414720106429544050, 4244160319288632156
+        c2, n2 = 821125093762740149, 2463375281288220445
+        assert Fraction(c1, n1) < Fraction(c2, n2) and float(c1) / n1 > float(c2) / n2
+        got = natset._extremes(np.array([c1, c2]), np.array([n1, n2]))
+        assert got == (Fraction(c1, n1), Fraction(c2, n2))
+
+    def test_a_multiple_of_the_extreme_is_not_a_tie_unless_equal(self):
+        # (k - 1) / 3k rounds to 1/3; its length is a multiple of 3, and
+        # only its count tells it from a tie
+        k = 10**17
+        counts, lengths = np.array([1, k - 1, k]), np.array([3, 3 * k, 3 * k])
+        assert natset._extremes(counts, lengths) == (Fraction(k - 1, 3 * k), Fraction(1, 3))
+
+    def test_farey_runs_read_exactly(self):
+        runs, h, infimum = farey_construction()
+        A = FiniteNatSet.from_runs(runs, h)
+        t0 = time.perf_counter()
+        assert lower_density(A, h).running == infimum
+        assert density_summary(A).lower_at_horizon == infimum
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_farey_mask_reads_exactly(self):
+        # the block winners a/p and b/q round to one float; the mask is
+        # 2 * 10^8 entries, the smallest size at which distinct prefix
+        # ratios can
+        runs, h, infimum = farey_construction()
+        mask = np.zeros(h + 1, dtype=bool)
+        for a, b in runs:
+            mask[a : b + 1] = True
+        assert mask_statistics(mask, 10).lower.running == infimum
