@@ -71,7 +71,7 @@ from .linop import (
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
-from .orbit import check_horizon, check_radii, iterate, iterate_many, return_set  # noqa: F401
+from .orbit import check_horizon, check_radii, iterate, iterate_many, keeps_points, return_set  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -278,15 +278,20 @@ class _VectorRun:
         """The forward orbit, the backward one under ``T_inv`` when there
         is one, and the orbits of ``parts``, stepped in one loop, ranked on
         the experiment's epsilons. The forward orbit keeps its points only
-        when a check of the experiment reads them; the backward one never
-        does, since the inverse check reads its masks only, nor do the
-        parts, recorded off the forward orbit's columns."""
-        forward = any(_CHECKS[c].reads_points for c in self.exp.checks)
+        when a check of the experiment reads a window of them and
+        :func:`orbit.keeps_points` says the window is too long to re-step;
+        the backward one never does, since the inverse check reads its
+        masks only, nor do the parts, recorded off the forward orbit's
+        columns."""
+        exp = self.exp
+        forward = any(_CHECKS[c].reads_points for c in exp.checks) and keeps_points(
+            exp.horizon, exp.thresholds.window_len(exp.horizon)
+        )
         if self.T_inv is None:
             ops, points = (self.T,), (forward,)
         else:
             ops, points = (self.T, self.T_inv), (forward, False)
-        return iterate_many(ops, self.v, self.exp.horizon, points, self.parts, self.exp.epsilons)
+        return iterate_many(ops, self.v, exp.horizon, points, self.parts, exp.epsilons)
 
     @property
     def orbit(self):
@@ -427,9 +432,10 @@ class _Check(NamedTuple):
     ``payload(rows)`` the result from all vectors' rows; a check without
     ``rows`` reads the operator only, as ``payload(exp, T, seed)``.
     ``passed(result)`` is the verdict that ``--strict`` reads;
-    ``reads_points``, whether it reads the forward orbit's points and not
-    only its distances; ``operator``, a ``(predicate, what it needs)`` pair
-    on the operator spec. Entries hold this module's functions only, since
+    ``reads_points``, whether it reads a window of the forward orbit's
+    points, kept or re-stepped (:func:`orbit.keeps_points`), and not only
+    its distances; ``operator``, a ``(predicate, what it needs)`` pair on
+    the operator spec. Entries hold this module's functions only, since
     the benchmark tracer wraps the library functions where they are bound.
     """
 

@@ -141,13 +141,11 @@ def empirical_from_window(
     """Uniform measure on the orbit points ``T^n x`` for ``n in [start, start+window_len]``.
 
     Atoms closer than the merge tolerance collapse with summed weights, so
-    exactly periodic orbits produce one atom per cycle point. The orbit
-    must have kept its points.
+    exactly periodic orbits produce one atom per cycle point. The window
+    is read by :meth:`OrbitSegment.rows`, from the orbit's points or, when
+    it kept none, re-stepped from its fill tops, the same rows bit for bit.
     """
     N = window_len
-    if orbit.points is None:
-        raise ValueError("a window measure reads orbit points, and this orbit "
-                         "was iterated with points=False")
     if start < 0 or N < 0:
         raise ValueError("start and window_len must be >= 0")
     if start + N > orbit.horizon_effective:
@@ -155,7 +153,7 @@ def empirical_from_window(
             f"window [{start}, {start + N}] exceeds effective horizon "
             f"{orbit.horizon_effective}"
         )
-    atoms, counts = _merge(orbit.points[start : start + N + 1])
+    atoms, counts = _merge(orbit.rows(start, start + N + 1))
     # weights come from the counts so the exactness witness is literal
     return EmpiricalMeasure(atoms, counts / (N + 1), counts, N + 1)
 

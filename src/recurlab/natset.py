@@ -79,10 +79,7 @@ class FiniteNatSet:
         if (np.diff(arr) <= 0).any():
             raise ValueError("elements must be strictly increasing")
         if arr.size:
-            if arr[0] < 0:
-                raise ValueError("elements must be naturals")
-            if arr[-1] > self.horizon:
-                raise ValueError(f"element {arr[-1]} exceeds horizon {self.horizon}")
+            _check_members(int(arr[0]), int(arr[-1]), self.horizon)
         # a run starts at a member whose predecessor is not one, and ends
         # past a member whose successor is not one
         self._set_bounds(np.setxor1d(arr, arr + 1, assume_unique=True))
@@ -115,7 +112,13 @@ class FiniteNatSet:
 
     @classmethod
     def from_iterable(cls, elements: Iterable[int], horizon: int) -> "FiniteNatSet":
-        return cls(np.unique(np.fromiter(map(json_int, elements), dtype=np.int64)), horizon)
+        """Build from elements in any order, repeats allowed; each must
+        satisfy ``0 <= e <= horizon``, checked before it becomes int64."""
+        members = list(map(json_int, elements))
+        cls((), horizon)  # checks the horizon before the members become int64
+        if members:
+            _check_members(min(members), max(members), horizon)
+        return cls(np.unique(np.array(members, dtype=np.int64)), horizon)
 
     @classmethod
     def from_runs(cls, runs: Sequence[Sequence[int]], horizon: int) -> "FiniteNatSet":
@@ -166,6 +169,15 @@ class FiniteNatSet:
         if "runs" in obj:
             return cls.from_runs(list(map(json_list, json_list(obj["runs"]))), horizon)
         raise ValueError("expected 'elements' or 'runs' key")
+
+
+def _check_members(least: int, greatest: int, horizon: int) -> None:
+    """Refuse a set whose least member is negative or whose greatest is
+    past the horizon, naming that member."""
+    if least < 0:
+        raise ValueError(f"elements must be naturals, got {least}")
+    if greatest > horizon:
+        raise ValueError(f"element {greatest} exceeds horizon {horizon}")
 
 
 class DensityEstimate(NamedTuple):

@@ -1,11 +1,11 @@
 """Orbit segments, return sets, and boundedness verdicts.
 
 An orbit segment records the metric distances of ``x, Tx, ..., T^H x`` to
-``x``, the boundedness verdict of their metric norms, and, when the caller
-asks for them, the points. Every return set is read from the distances,
-or, on a lane stepped for a grid of radii, from each step's rank among them:
-one byte up to 255 radii in place of an 8-byte float. Only the window
-measures read the points.
+``x``, the boundedness verdict of their metric norms, one point per 4096
+steps and, when the caller asks for them, all the points. Every return set
+is read from the distances, or, on a lane stepped for a grid of radii, from
+each step's rank among them: one byte up to 255 radii in place of an 8-byte
+float. Only the window measures read the points.
 Iteration advances strictly one application at a time, each row computed
 from the row before it by ``linop.step_rows``, the kernel of ``T.apply``,
 so that ``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window
@@ -24,7 +24,11 @@ rule; its norms only update the running facts of its boundedness verdict
 (:class:`_NormRecord`) and are dropped with the fill. The points, 16 bytes
 per coordinate and step, are copied out of the buffer only by the lanes
 whose caller asks for them, each lane chosen on its own, into an array of
-its own. The parts of a direct sum are lanes too, recorded off the sum's
+its own. Every lane keeps the top row of each fill, and a segment without
+points re-steps any window of them from the last top at or before it, by
+the same passes (:meth:`OrbitSegment.rows`), bit for bit the rows it would
+have kept; :func:`keeps_points` weighs that re-step against the points'
+memory. The parts of a direct sum are lanes too, recorded off the sum's
 columns with no kernel call of their own.
 A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
 """
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,11 +52,21 @@ __all__ = [
     "check_radii",
     "iterate",
     "iterate_many",
+    "keeps_points",
     "return_set",
 ]
 
 OVERFLOW_CAP = 1e12
 _FILL = 4096  # rows of the step buffer between two recordings
+
+
+def keeps_points(horizon: int, window_len: int) -> bool:
+    """Whether an orbit read for one window of ``window_len + 1`` points
+    keeps all ``horizon + 1`` of them. Without them it keeps ``horizon -
+    window_len`` rows fewer, and the window is re-stepped from a fill top
+    (:meth:`OrbitSegment.rows`) in at most ``window_len + _FILL`` steps;
+    the points are kept when those steps are at least the rows saved."""
+    return 2 * window_len + _FILL >= horizon
 
 
 class BoundednessReport(NamedTuple):
@@ -84,8 +98,10 @@ class OrbitSegment:
     distance, and no ``dists``.
     ``bounded`` was decided while the orbit was recorded, and no per-step
     norm is kept. ``points`` is None when the segment was iterated with
-    ``points=False``; only window measures
-    (:func:`empmeasure.empirical_from_window`) read them.
+    ``points=False``; :meth:`rows` then re-steps any window of them by
+    ``operator``'s kernels from ``tops``, the ``(orbit row, row)`` pairs of
+    the first row and the top row of each fill of the step buffer. Only
+    window measures (:func:`empmeasure.empirical_from_window`) read them.
     ``overflow`` marks an early stop: some iterate's norm passed the
     overflow cap and the segment was truncated at the last admissible
     point.
@@ -93,6 +109,8 @@ class OrbitSegment:
 
     base: np.ndarray
     points: np.ndarray | None
+    operator: LinearOperator
+    tops: tuple[tuple[int, np.ndarray], ...]
     bounded: BoundednessReport
     dists: np.ndarray | None
     horizon_effective: int
@@ -101,9 +119,20 @@ class OrbitSegment:
     radii: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for arr in (self.base, self.points, self.dists, self.ranks):
+        for arr in (self.base, self.points, self.dists, self.ranks, *(z for _, z in self.tops)):
             if arr is not None:
                 arr.setflags(write=False)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """The orbit points ``T^n x`` for ``lo <= n < hi``: a view of the
+        kept points, or else rows re-stepped from the last fill top at or
+        before ``lo``, at most ``hi - lo + _FILL - 1`` steps, bit for bit
+        the same rows."""
+        if not 0 <= lo < hi <= self.horizon_effective + 1:
+            raise IndexError(f"rows [{lo}, {hi}) are not in [0, {self.horizon_effective + 1})")
+        if self.points is not None:
+            return self.points[lo:hi]
+        return _restep(self.operator, self.tops, lo, hi)
 
     def inside(self, epsilon: float) -> np.ndarray:
         """The return-time mask of the open epsilon-ball around ``base``:
@@ -148,7 +177,8 @@ def iterate_many(
     ``OVERFLOW_CAP``. ``points`` is one bool for every lane or one bool per
     lane, and a lane whose flag is True copies its rows into its own
     ``(horizon + 1, d)`` array as the segment's points. Without points a
-    lane holds one float per step, against ``16 d + 8`` bytes with them.
+    lane holds one float per step, against ``16 d + 8`` bytes with them,
+    and its segment re-steps a window of them from its fill tops.
     ``radii``, every epsilon the segments' readers will ask, makes each lane
     keep each step's rank in ``sorted(set(radii))`` in place of its distance
     (nan ranks last), as ``np.min_scalar_type``: one byte up to 255 radii.
@@ -158,16 +188,11 @@ def iterate_many(
     its parts' own, so each part lane records its part's orbit bit for bit,
     under its own block metric. Their segments come after the ops'.
 
-    Then a pass stops stepping when it covers no lane still recording, or
-    when its last row equals the row before it bitwise (``-0.0`` and
-    ``0.0`` differ, and a kernel need not map them alike): it has reached
-    a fixed point of its deterministic kernel, and its buffer columns hold
-    that row in every row of each later fill. So a lane that overflowed,
-    or a pass at its fixed point, is stepped to the end of that fill and no
-    further; a live part keeps its passes stepping past another part's
-    overflow. The last row is carried to the top of the buffer for the
-    next fill. The loop ends when no pass is left, and the rows after it
-    repeat the last one.
+    A pass stops stepping at a fixed point of its kernel, or when it covers
+    no lane still recording (:func:`_step_fills`). So a lane that
+    overflowed, or a pass at its fixed point, is stepped to the end of that
+    fill and no further; a live part keeps its passes stepping past another
+    part's overflow. The rows after the loop's end repeat the last one.
 
     A call costs about 0.4-0.5 µs per step for one diagonal pass, with
     or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
@@ -199,40 +224,29 @@ def iterate_many(
         lane.record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
         raise ValueError("base point already exceeds the overflow cap")
-    # each pass, the views of its columns in every buffer row, and the lanes it covers
-    passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])],
-               [lane for lane in lanes
-                if lane.cols.start < p.cols.stop and p.cols.start < lane.cols.stop])
-              for p in _passes(ops, d)]
+
+    def live(p: KernelBlock, last: int) -> bool:  # some lane over its columns still records
+        return any(lane.end > last + 1 for lane in lanes
+                   if lane.cols.start < p.cols.stop and p.cols.start < lane.cols.stop)
+
     last = 0  # buf[0] holds orbit row last
     # an orbit may overflow to inf or nan before its fill is recorded; the
     # recorder's cut handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        while passes and last < horizon:
-            b = min(horizon - last, _FILL)
-            for p, rows, _ in passes:
-                step_rows(p, rows[:b], rows[1 : b + 1])
+        for b in _step_fills(_passes(ops, d), buf, horizon, live):
             for lane in lanes:
                 lane.record(buf[1 : b + 1], last + 1)
             last += b
-            stepping = []
-            for p, rows, covered in passes:
-                bits = buf[b - 1 : b + 1, p.cols].view(np.uint64)
-                if np.array_equal(bits[0], bits[1]):
-                    buf[:, p.cols] = buf[b, p.cols]
-                elif any(lane.end > last + 1 for lane in covered):
-                    stepping.append((p, rows, covered))
-            passes = stepping
-            buf[0] = buf[b]
     # every orbit row after the last one stepped repeats it
     return [lane.segment(last, horizon) for lane in lanes]
 
 
 def check_horizon(horizon: int, dim: int) -> None:
     """Refuse a negative horizon, and one numpy cannot index: the bytes of a
-    ``dim``-dim orbit's points, the largest array a run allocates, must
-    fit in ``intp``. Below that bound an array is allocated or numpy raises
-    ``MemoryError``."""
+    ``dim``-dim orbit's points, the largest array an orbit that keeps them
+    allocates, must fit in ``intp``, whether a run keeps them or re-steps
+    a window of them. Below that bound an array is allocated or numpy
+    raises ``MemoryError``."""
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if 16 * dim * (horizon + 1) > np.iinfo(np.intp).max:
@@ -258,10 +272,11 @@ class _Lane:
     recorded from them up to the first point past ``OVERFLOW_CAP``.
 
     The top row of each fill is kept while the lane is recording, one row
-    per ``_FILL`` steps: a cut moves the growth check's midpoint to
-    ``(end - 1) // 2``, which may lie in an earlier fill, and its norm is
-    then stepped again from the nearest top row by ``T.apply``, whose rows
-    equal the buffer's bit for bit.
+    per ``_FILL`` steps, and goes to the segment, which re-steps from them
+    the rows it did not keep (:meth:`OrbitSegment.rows`). A cut moves the
+    growth check's midpoint to ``(end - 1) // 2``, which may lie in an
+    earlier fill, and its norm is then read from its row, re-stepped the
+    same way (:func:`_restep`).
     """
 
     def __init__(self, T: LinearOperator, cols: slice, x: np.ndarray, horizon: int, keep: bool,
@@ -288,8 +303,8 @@ class _Lane:
             norms = norms[: hi - lo]
             mid = (self.end - 1) // 2
             self.norms.mid, self.norms.at_mid = mid, None
-            if 0 <= mid < lo:
-                self.norms.at_mid = self._norm_at(mid)
+            if 0 <= mid < lo:  # in an earlier fill: re-stepped from its top
+                self.norms.at_mid = self.T.norm_of(_restep(self.T, self.tops, mid, mid + 1)[0])
         dists = dists[: hi - lo]
         if self.radii is not None:  # radii at or below each distance
             dists = np.searchsorted(self.radii, dists, "right")
@@ -297,14 +312,6 @@ class _Lane:
         self.norms.feed(norms)
         if self.points is not None:
             self.points[lo:hi] = rows[: hi - lo]
-
-    def _norm_at(self, n: int) -> float:
-        """The norm of orbit row ``n``, stepped from the last top row at or
-        before it."""
-        start, z = next(top for top in reversed(self.tops) if top[0] <= n)
-        for _ in range(n - start):
-            z = self.T.apply(z)
-        return self.T.norm_of(z)
 
     def segment(self, last: int, horizon: int) -> OrbitSegment:
         """The lane's segment, whose rows after orbit row ``last`` repeat it."""
@@ -321,6 +328,8 @@ class _Lane:
         return OrbitSegment(
             base=self.x.copy(),
             points=points,
+            operator=self.T,
+            tops=tuple(self.tops),
             bounded=self.norms.report(overflow),
             dists=dists if self.radii is None else None,
             horizon_effective=end - 1,
@@ -385,6 +394,63 @@ def _norms_and_dists(rows: np.ndarray, base: np.ndarray, block_dims) -> tuple:
     """The metric norms of ``rows`` and their metric distances to ``base``."""
     with np.errstate(over="ignore", invalid="ignore"):
         return block_norms(rows, block_dims), block_norms(rows - base, block_dims)
+
+
+def _step_fills(passes: Sequence[KernelBlock], buf: np.ndarray, steps: int,
+                live: Callable[[KernelBlock, int], bool] = lambda p, last: True) -> Iterator[int]:
+    """Step ``buf``, whose row 0 holds an orbit row, ``steps`` rows on by
+    ``passes``, one fill at a time: after each fill ``b`` is yielded, with
+    the next ``b`` orbit rows in ``buf[1 : b + 1]``, and the fill's last row
+    is then carried to row 0.
+
+    A pass stops stepping when its last row equals the row before it
+    bitwise (``-0.0`` and ``0.0`` differ, and a kernel need not map them
+    alike): it has reached a fixed point of its deterministic kernel, and
+    its columns hold that row in every row of each later fill. It also
+    stops when ``live(pass, last)`` is false after orbit row ``last``. The
+    loop ends when no pass is left, and the rows after it repeat the last
+    one.
+    """
+    # each pass with the views of its columns in every buffer row
+    passes = [(p, [buf[i, p.cols] for i in range(buf.shape[0])]) for p in passes]
+    last = 0
+    while passes and last < steps:
+        b = min(steps - last, buf.shape[0] - 1)
+        for p, rows in passes:
+            step_rows(p, rows[:b], rows[1 : b + 1])
+        yield b
+        last += b
+        stepping = []
+        for p, rows in passes:
+            bits = buf[b - 1 : b + 1, p.cols].view(np.uint64)
+            if np.array_equal(bits[0], bits[1]):
+                buf[:, p.cols] = buf[b, p.cols]
+            elif live(p, last):
+                stepping.append((p, rows))
+        passes = stepping
+        buf[0] = buf[b]
+
+
+def _restep(T: LinearOperator, tops: Sequence[tuple[int, np.ndarray]], lo: int,
+            hi: int) -> np.ndarray:
+    """Orbit rows ``lo`` to ``hi - 1`` under ``T``, stepped by its passes
+    (:func:`_step_fills`) from the last of ``tops``, ``(orbit row, row)``
+    pairs in order, at or before ``lo``: bit for bit the rows
+    :func:`iterate_many` steps, since every row comes from the row before
+    it by the same kernel. A lane keeps one top per fill, so ``lo`` is at
+    most ``_FILL - 1`` rows past it."""
+    top, z = next(t for t in reversed(tops) if t[0] <= lo)
+    out = np.empty((hi - lo, z.size), dtype=complex)
+    buf = np.empty((min(hi - 1 - top, _FILL) + 1, z.size), dtype=complex)
+    buf[0] = z
+    last = top  # buf[0] holds orbit row last
+    for b in _step_fills(_passes((T,), z.size), buf, hi - 1 - top):
+        # buf[: b + 1] holds orbit rows last to last + b
+        a, e = max(lo, last), min(hi, last + b + 1)
+        out[a - lo : e - lo] = buf[a - last : e - last]
+        last += b
+    out[max(last - lo, 0) :] = buf[0]  # the rows after the last one stepped repeat it
+    return out
 
 
 def _passes(ops: Sequence[LinearOperator], d: int) -> list[KernelBlock]:

@@ -36,6 +36,7 @@ from recurlab.cli import (
     run_config,
 )
 from recurlab.errors import ConfigError, NumericalFailureError
+from recurlab.orbit import _FILL
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -837,8 +838,9 @@ class TestMainEntry:
             ({"horizon": 10, "elements": [1, 2]}, "a,b", "expected an integer, got 'a'"),
             ({"horizon": 10.7, "elements": [1, 2]}, "10", "expected an integer, got 10.7"),
             ({"horizon": 10, "elements": [1.5, True, 3]}, "10", "expected an integer, got 1.5"),
-            # too large for an int64 element, where the message is numpy's,
-            # and for a run's int64 end (named below)
+            # too large for an int64 element (named by
+            # test_densities_element_past_int64_named) and for a run's
+            # int64 end (named below)
             ({"horizon": 10, "elements": [1e30]}, "10", "error: "),
             ({"horizon": 1e30, "elements": []}, "10", "error: "),
             # a string or an object is not read as the list of its characters
@@ -862,6 +864,24 @@ class TestMainEntry:
         code = main(["densities", "--set", str(set_path), "--windows", windows])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            (10**20, "element 100000000000000000000 exceeds horizon 10"),
+            (1e30, "element 1000000000000000019884624838656 exceeds horizon 10"),
+            (-(10**20), "elements must be naturals, got -100000000000000000000"),
+        ],
+        ids=["1e20", "1e30_float", "minus_1e20"],
+    )
+    def test_densities_element_past_int64_named(self, tmp_path, capsys, element, message):
+        # checked against the horizon before it becomes int64, as an
+        # element below the int64 bound is
+        set_path = tmp_path / "set.json"
+        set_path.write_text(json.dumps({"horizon": 10, "elements": [3, element, 5]}))
+        assert main(["densities", "--set", str(set_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
 
     def test_densities_oversized_run_exits_2_fast(self, tmp_path, capsys):
         # the run is checked against the horizon before it is expanded
@@ -1125,11 +1145,36 @@ PAIR_SUM = {
 }
 
 
+def count_restepped_rows(monkeypatch):
+    """The rows the orbit engine steps in each window re-step, one entry
+    per re-step; the list grows as the engine re-steps."""
+    counts, open_counts = [], []
+    step, restep = recurlab.orbit.step_rows, recurlab.orbit._restep
+
+    def step_spy(p, prevs, rows):
+        if open_counts:
+            open_counts[-1] += len(rows)
+        step(p, prevs, rows)
+
+    def restep_spy(*args):
+        open_counts.append(0)
+        try:
+            return restep(*args)
+        finally:
+            counts.append(open_counts.pop())
+
+    monkeypatch.setattr(recurlab.orbit, "step_rows", step_spy)
+    monkeypatch.setattr(recurlab.orbit, "_restep", restep_spy)
+    return counts
+
+
 class TestOrbitSharing:
     def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
         # Each vector's forward and backward orbits, and the product's part
-        # orbits, are lanes of one loop.
-        loops, classified = [], []
+        # orbits, are lanes of one loop, and no lane keeps points: at
+        # H = 10^4 the measure check's 101-row window is re-stepped from
+        # the forward orbit's fill tops.
+        loops, kept, classified = [], [], []
         iterate_many = recurlab.orbit.iterate_many
 
         def loop_counted(ops, x, horizon, points=True, parts=(), radii=None):
@@ -1140,6 +1185,7 @@ class TestOrbitSharing:
                 lanes.append((P.matrix.tobytes(), x[start : start + P.dim].tobytes()))
                 start += P.dim
             loops.append(lanes)
+            kept.append(points)
             return iterate_many(ops, x, horizon, points, parts, radii)
 
         # iterate() calls the orbit module's binding
@@ -1151,6 +1197,7 @@ class TestOrbitSharing:
                 return _classify(T, *args, **kwargs)
 
             monkeypatch.setattr(module, "classify_vector", classify_counted)
+        restepped = count_restepped_rows(monkeypatch)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
         # 5 vectors, each with a forward and a backward lane, and the sum
@@ -1162,6 +1209,10 @@ class TestOrbitSharing:
         assert len(set(lanes)) == 14
         # one classification per orbit
         assert len(classified) == 14
+        # one window re-step per vector, of one pass: at most the window's
+        # 100 steps and those of the fill before it
+        assert kept == [(False, False)] * 5
+        assert len(restepped) == 5 and all(n <= 100 + _FILL for n in restepped)
 
     def test_one_realize_per_operator(self, tmp_path, monkeypatch):
         realized = []
@@ -1193,12 +1244,16 @@ class TestOrbitSharing:
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", loop_counted)
         monkeypatch.setattr(recurlab.cli, "inverse_recurrence_check", broken)
+        restepped = count_restepped_rows(monkeypatch)
         obj = dict(PAIR_SUM, experiments=PAIR_SUM["experiments"][:1])
         doc = run_config(load_config(write_config(tmp_path, obj)))
         checks = doc.experiments["golden_pair"]["checks"]
         assert checks["inverse"]["error"] == "RuntimeError: broken check"
         # the first vector's inverse check fails; later vectors step forward only
         assert lanes == [2, 1, 1]
+        # every vector's measure window is re-stepped from its forward orbit
+        assert "error" not in checks["measure"]
+        assert len(restepped) == 3 and all(n <= 100 + _FILL for n in restepped)
 
 
 class TestAllChecksRun:
@@ -1288,9 +1343,9 @@ class TestPointsOnlyForTheirReaders:
         name for name, check in recurlab.cli._CHECKS.items() if check.rows and name != "summary"
     )
 
-    def run_alone(self, tmp_path, check):
+    def run_alone(self, tmp_path, check, **thresholds):
         obj = base_config()
-        obj["experiments"][0].update(operator=self.SUM, checks=[check])
+        obj["experiments"][0].update(operator=self.SUM, checks=[check], thresholds=thresholds)
         exp = run_config(load_config(write_config(tmp_path, obj))).experiments["quarter"]
         assert "error" not in exp["summary"]
         return exp["checks"][check]
@@ -1310,34 +1365,50 @@ class TestPointsOnlyForTheirReaders:
     @pytest.mark.parametrize("check", CHECKS)
     def test_each_check_runs_alone(self, tmp_path, monkeypatch, check):
         kept = self.spy_on_points(monkeypatch)
+        restepped = count_restepped_rows(monkeypatch)
         entry = self.run_alone(tmp_path, check)
         assert "error" not in entry and "result" in entry
-        # the forward lane keeps points for their readers; the backward
-        # lane, stepped for the inverse check, never does
-        assert [lanes[0] for lanes in kept] == [check == "measure"]
+        # at H = 10^4 the measure check's 101-row window is re-stepped, so
+        # no lane keeps points; the backward lane, stepped for the inverse
+        # check, never does
+        assert [lanes[0] for lanes in kept] == [False]
         assert [len(lanes) for lanes in kept] == [1 + (check == "inverse")]
         assert not any(any(lanes[1:]) for lanes in kept)
+        assert len(restepped) == (check == "measure")
+        assert all(n <= 100 + _FILL for n in restepped)
 
     def test_backward_lane_keeps_no_points_beside_point_readers(self, tmp_path, monkeypatch):
         kept = self.spy_on_points(monkeypatch)
+        restepped = count_restepped_rows(monkeypatch)
         obj = base_config()
         obj["experiments"][0].update(operator=self.SUM, checks=self.CHECKS)
         doc = run_config(load_config(write_config(tmp_path, obj)))
         assert not document_has_failures(doc)
-        assert kept == [(True, False)]
+        assert kept == [(False, False)]
+        assert len(restepped) == 1 and restepped[0] <= 100 + _FILL
+        # with a window half the horizon the forward lane keeps its points
+        kept.clear()
+        obj["experiments"][0]["thresholds"] = {"window_fraction": 0.5}
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        assert not document_has_failures(doc)
+        assert kept == [(True, False)] and len(restepped) == 1
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_only_the_point_readers_need_points(self, tmp_path, monkeypatch, check):
+        # with a window half the horizon the measure check's lane keeps its
+        # points; with no check reading points, its window is re-stepped
+        # and the result is the same
+        kept = self.spy_on_points(monkeypatch)
+        with_points = self.run_alone(tmp_path, check, window_fraction=0.5)
         no_points = {
             name: check._replace(reads_points=False)
             for name, check in recurlab.cli._CHECKS.items()
         }
         monkeypatch.setattr(recurlab.cli, "_CHECKS", no_points)
-        entry = self.run_alone(tmp_path, check)
-        if check == "measure":
-            assert "points=False" in entry["error"]
-        else:
-            assert "error" not in entry
+        without = self.run_alone(tmp_path, check, window_fraction=0.5)
+        assert [lanes[0] for lanes in kept] == [check == "measure", False]
+        assert "error" not in without
+        assert strip_wall_times(without) == strip_wall_times(with_points)
 
     def test_birkhoff_reads_no_points(self, tmp_path, monkeypatch):
         # the window mass is the share of window times in the ball, read
@@ -1378,6 +1449,63 @@ class TestPointsOnlyForTheirReaders:
         assert peak < 14 * 2**20
 
 
+    def sum_run(self, tmp_path, thresholds):
+        """The benchmark's sum experiment on ``ones`` at H = 2 * 10^5 with
+        all five of its checks, and the tracemalloc peak of its run."""
+        obj = base_config()
+        obj["experiments"][0].update(
+            operator={
+                "type": "direct_sum",
+                "parts": [
+                    {"type": "diagonal_unimodular", "angles_turns": [0.618034]},
+                    {"type": "diagonal_unimodular", "angles_turns": [0.41421356]},
+                ],
+            },
+            epsilons=[0.5, 0.25],
+            horizon=200_000,
+            thresholds=thresholds,
+            checks=["classify", "birkhoff", "product", "inverse", "measure"],
+        )
+        config = load_config(write_config(tmp_path, obj))
+        tracemalloc.start()
+        try:
+            doc = run_config(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not document_has_failures(doc)
+        return doc, peak
+
+    def test_short_window_run_keeps_no_points(self, tmp_path):
+        # the measure check's 2001-row window is re-stepped from the forward
+        # orbit's fill tops, so the four lanes keep one-byte ranks and no
+        # points: the peak is 3.1 MiB, against 9.3 MiB when the forward
+        # lane kept its 200 001 points
+        _, peak = self.sum_run(tmp_path, {})
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("window_fraction, keeps", [(0.48, False), (0.49, True)])
+    def test_points_kept_only_when_the_window_is_long(
+        self, tmp_path, monkeypatch, window_fraction, keeps
+    ):
+        # At H = 2 * 10^5, 2 N + _FILL >= H from N = 97 952 on: a window of
+        # 96 001 rows is re-stepped, at most N + _FILL steps, and one of
+        # 98 001 is read from kept points. The peaks are 10.0 and 13.4 MiB;
+        # keeping the points at 0.48 peaked at 13.1 MiB
+        kept = self.spy_on_points(monkeypatch)
+        restepped = count_restepped_rows(monkeypatch)
+        doc, peak = self.sum_run(tmp_path, {"window_fraction": window_fraction})
+        [row] = doc.experiments["quarter"]["checks"]["measure"]["result"]["per_vector"]
+        n = row["window_len"]
+        assert n == int(200_000 * window_fraction)
+        assert kept == [(keeps, False)]
+        assert recurlab.orbit.keeps_points(200_000, n) == keeps
+        if keeps:
+            assert restepped == [] and peak < 15 * 2**20
+        else:
+            assert len(restepped) == 1 and restepped[0] <= n + _FILL
+            assert peak < 11.5 * 2**20
+
     def test_sixteen_radius_run_keeps_one_byte_per_step(self, tmp_path):
         # one rotation at H = 10^6 with 16 radii: each step keeps its rank
         # among them, one byte, where a float distance took 8; the ranks,
@@ -1401,35 +1529,15 @@ class TestPointsOnlyForTheirReaders:
 
     def test_product_check_keeps_no_part_points(self, tmp_path):
         # a sum of two rotations at H = 2 * 10^5 with all five per-vector
-        # checks: the forward orbit with its points and distances and the
-        # backward lane's distances take 9.6 MB, and the product check
-        # adds both part lanes' distances, recorded in the same loop
-        # without points, and their classifications. With the backward
-        # lane's points, both parts' orbits as views of the sum's points
-        # and whole-orbit part temporaries, the peak was 29 MB; with
-        # per-step norms and whole-mask running counts 17.6 MiB; with one
-        # part made at a time off the sum's points 12.1 MiB; it is 14.0 MiB.
-        obj = base_config()
-        obj["experiments"][0].update(
-            operator={
-                "type": "direct_sum",
-                "parts": [
-                    {"type": "diagonal_unimodular", "angles_turns": [0.618034]},
-                    {"type": "diagonal_unimodular", "angles_turns": [0.41421356]},
-                ],
-            },
-            epsilons=[0.5, 0.25],
-            horizon=200_000,
-            checks=["classify", "birkhoff", "product", "inverse", "measure"],
-        )
-        config = load_config(write_config(tmp_path, obj))
-        tracemalloc.start()
-        try:
-            doc = run_config(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not document_has_failures(doc)
+        # checks: the product check adds both part lanes' distances,
+        # recorded in the same loop without points, and their
+        # classifications. With the backward lane's points, both parts'
+        # orbits as views of the sum's points and whole-orbit part
+        # temporaries, the peak was 29 MB; with per-step norms and
+        # whole-mask running counts 17.6 MiB; with one part made at a time
+        # off the sum's points 12.1 MiB; with the forward lane's points
+        # 9.3 MiB; it is 3.1 MiB.
+        _, peak = self.sum_run(tmp_path, {})
         assert peak < 16 * 2**20
 
 

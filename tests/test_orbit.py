@@ -11,6 +11,7 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -367,16 +368,28 @@ class TestIterateMany:
         assert steps[1] <= _FILL
 
     def test_loop_stops_once_every_lane_overflowed(self, monkeypatch):
-        calls = []
+        calls, restepped = [], []
         count_kernel_calls(monkeypatch, calls)
+        restep = recurlab.orbit._restep
+
+        def spy(*args):
+            before = len(calls)
+            out = restep(*args)
+            restepped.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(recurlab.orbit, "_restep", spy)
         ops = [realize(Scale(f, DiagonalUnimodular((0.25,)))) for f in (1.001, 1.002)]
         slow, fast = iterate_many(ops, np.array([1.0 + 0j]), 10**6)
         monkeypatch.undo()
         assert slow.overflow and slow.horizon_effective == 27644
         assert fast.overflow and fast.horizon_effective < 27644
-        # both lanes are one multiply pass, which stops at the end of the
-        # fill in which the last lane was cut
-        assert slow.horizon_effective < len(calls) <= slow.horizon_effective + _FILL
+        # each cut lane re-steps its growth check's midpoint from a fill
+        # top, within one fill; both lanes are one multiply pass, which
+        # stops at the end of the fill in which the last lane was cut
+        assert len(restepped) == 2 and all(n < _FILL for n in restepped)
+        loop = len(calls) - sum(restepped)
+        assert slow.horizon_effective < loop <= slow.horizon_effective + _FILL
 
     @pytest.mark.parametrize(
         "kind",
@@ -615,16 +628,121 @@ class TestIterateMany:
         with pytest.raises(ValueError, match="2 flags for 1 operators"):
             iterate_many([T], np.array([1.0 + 0j]), 5, points=(True, False))
 
-    def test_readers_of_points_refuse_a_segment_without_them(self):
+    def test_window_measure_of_a_segment_without_points(self):
+        # the window is re-stepped from the segment's fill tops, and the
+        # measure is that of the segment that kept its points
         parts = [realize(DiagonalUnimodular((0.25,))), realize(SWAP_SPEC)]
         x = np.array([1.0, 2.0j, 3.0])
-        orbit = iterate_many((direct_sum(parts),), x, 100, points=False)[0]
-        with pytest.raises(ValueError, match="points=False"):
-            empirical_from_window(orbit, 0, 10)
+        horizon = 2 * _FILL + 7
+        bare = iterate_many((direct_sum(parts),), x, horizon, points=False)[0]
+        kept = iterate(direct_sum(parts), x, horizon)
+        for start, n in [(0, 10), (_FILL - 3, 20), (horizon - _FILL, _FILL)]:
+            a, b = empirical_from_window(kept, start, n), empirical_from_window(bare, start, n)
+            assert bitwise_equal(a.atoms, b.atoms) and np.array_equal(a.counts, b.counts)
+            assert a.denominator == b.denominator == n + 1
+        with pytest.raises(DimensionError, match="exceeds effective horizon"):
+            empirical_from_window(bare, horizon - 5, 6)
         # part lanes never keep points, even beside a sum that does
         orbit, *got = iterate_many((direct_sum(parts),), x, 100, True, parts)
         assert orbit.points is not None
         assert [part.points for part in got] == [None, None]
+
+
+class TestRestep:
+    """A segment without points gives any window of its rows, re-stepped
+    from its fill tops, bit for bit the rows of one that kept them."""
+
+    HORIZON = 3 * _FILL + 5
+
+    def cases(self, kind):
+        """(ops, x, parts) of one loop."""
+        rng = np.random.default_rng(70)
+        ops, parts = {
+            "rotation": ([DiagonalUnimodular((0.1, GOLDEN))], []),
+            # the sum and its inverse merge into one multiply pass
+            "diagonal_sum": ([DirectSum((DiagonalUnimodular((GOLDEN,)),
+                                         DiagonalUnimodular((0.41421356,))))],
+                             [DiagonalUnimodular((GOLDEN,)), DiagonalUnimodular((0.41421356,))]),
+            # the Jordan pass reaches an exact zero near n = 1100 and retires
+            "dense_jordan": ([DirectSum((random_dense(rng, 4), JordanBlock(0.5, 2)))], []),
+            # nilpotent after 4 steps, alone or beside a coordinate that
+            # never moves, so every window past row 4 is the fill-forward
+            # of a retired pass
+            "shift": ([WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4)], []),
+            "shift_beside_fixed": ([DirectSum((WeightedBackwardShiftTruncation((1.0, 2.0, 0.5), 4),
+                                               DiagonalUnimodular((0.0,))))], []),
+            # 1.01^n from 1e-20 passes the cap near n = 7400, in the second fill
+            "overflow": ([Scale(1.01, DiagonalUnimodular((0.25, GOLDEN)))], []),
+        }[kind]
+        ops = [realize(s) for s in ops]
+        if kind == "diagonal_sum":
+            ops.append(realize(Inverse(ops[0].spec)))
+        if kind == "overflow":
+            x = np.array([1e-20, 1e-20j])
+        else:
+            x = rng.normal(size=ops[0].dim) + 1j * rng.normal(size=ops[0].dim)
+        return ops, x, [realize(s) for s in parts]
+
+    @pytest.mark.parametrize("kind", ["rotation", "diagonal_sum", "dense_jordan", "shift",
+                                      "shift_beside_fixed", "overflow"])
+    def test_windows_equal_the_kept_points(self, kind):
+        ops, x, parts = self.cases(kind)
+        segments = iterate_many(ops, x, self.HORIZON, False, parts)
+        columns = accumulate((P.dim for P in parts), initial=0)
+        oracles = [iterate(T, x, self.HORIZON).points for T in ops] + [
+            iterate(P, x[a : a + P.dim], self.HORIZON).points for P, a in zip(parts, columns)
+        ]
+        assert len(segments) == len(oracles) == len(ops) + len(parts)
+        for segment, points in zip(segments, oracles):
+            h = segment.horizon_effective
+            assert segment.points is None and points.shape[0] == h + 1
+            assert segment.overflow == (kind == "overflow")
+            if segment.overflow:
+                assert _FILL + 1 < h < 2 * _FILL
+            for n in (0, 1, _FILL):
+                # windows at the fill edges, and the one ending at the horizon
+                for lo in sorted({0, _FILL - 1, _FILL, _FILL + 1, h - n}):
+                    if 0 <= lo and lo + n <= h:
+                        got = segment.rows(lo, lo + n + 1)
+                        assert bitwise_equal(got, points[lo : lo + n + 1]), (lo, n)
+            with pytest.raises(IndexError):
+                segment.rows(h - 1, h + 2)
+
+    @pytest.mark.parametrize("kind", ["shift", "shift_beside_fixed"])
+    def test_window_past_the_fixed_point(self, kind):
+        # the shift reaches an exact zero at row 4: re-stepped from the
+        # top at row 1, the pass retires after its first fill and the
+        # window past it is that fill's last row, filled forward
+        ops, x, _ = self.cases(kind)
+        segment = iterate_many(ops, x, self.HORIZON, False)[0]
+        points = iterate(ops[0], x, self.HORIZON).points
+        assert first_repeat(points) == 5
+        got = segment.rows(_FILL + 1 - 2, 2 * _FILL + 1)
+        assert bitwise_equal(got, points[_FILL - 1 : 2 * _FILL + 1])
+        assert not got[:, :4].any()
+        if kind == "shift_beside_fixed":
+            assert bitwise_equal(np.ascontiguousarray(got[:, 4]), np.full(_FILL + 2, x[4]))
+
+    def test_restep_costs_at_most_one_fill_before_the_window(self, monkeypatch):
+        T = realize(DiagonalUnimodular((0.1, GOLDEN)))
+        segment = iterate_many((T,), np.array([1.0, 1.0j]), self.HORIZON, False)[0]
+        assert [row for row, _ in segment.tops] == [0, 1, _FILL + 1, 2 * _FILL + 1, 3 * _FILL + 1]
+        for lo, n, steps in [(0, 0, 0), (1, 0, 0), (_FILL, 0, _FILL - 1),
+                             (_FILL, _FILL, 2 * _FILL - 1), (_FILL + 1, 1, 1)]:
+            calls = []
+            count_kernel_calls(monkeypatch, calls)
+            segment.rows(lo, lo + n + 1)
+            monkeypatch.undo()
+            assert len(calls) == steps
+            assert steps <= n + _FILL - 1
+
+    @pytest.mark.parametrize("window_len", [0, 1, 100, _FILL])
+    def test_keeps_points_on_the_side_of_the_cheaper_cost(self, window_len):
+        # the window is re-stepped in at most window_len + _FILL steps,
+        # and dropping the points saves horizon - window_len rows
+        edge = 2 * window_len + _FILL
+        assert recurlab.orbit.keeps_points(edge, window_len)
+        assert not recurlab.orbit.keeps_points(edge + 1, window_len)
 
 
 def assert_same_segment(a, b):
