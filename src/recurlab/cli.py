@@ -71,7 +71,9 @@ from .linop import (
 from .natset import FiniteNatSet, density_summary, prefix_counts
 # ``iterate`` and ``return_set`` stay bound here for the benchmark tracer,
 # which wraps them by name
-from .orbit import check_horizon, check_radii, iterate, iterate_many, keeps_points, return_set  # noqa: F401
+from .orbit import (  # noqa: F401
+    OVERFLOW_CAP, check_horizon, check_radii, iterate, iterate_many, keeps_points, return_set,
+)
 
 __all__ = [
     "ExperimentSpec",
@@ -132,7 +134,8 @@ def _field(convert, value, what: str):
         raise ConfigError(f"{what} must be {_KINDS[convert]}, got {value!r}") from None
 
 
-def _resolve_vector(token, dim: int, seed: int) -> tuple[str, np.ndarray]:
+def _resolve_vector(token, T: LinearOperator, seed: int) -> tuple[str, np.ndarray]:
+    dim = T.dim
     if isinstance(token, str):
         if token == "ones":
             return token, np.ones(dim, dtype=complex)
@@ -159,6 +162,12 @@ def _resolve_vector(token, dim: int, seed: int) -> tuple[str, np.ndarray]:
     v = np.asarray(coords, dtype=complex)
     if not np.isfinite(v).all():
         raise ConfigError(f"an explicit vector's coordinates must be finite, got {token!r}")
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        norm = T.norm_of(v)
+    if not norm <= OVERFLOW_CAP:  # every orbit of it would stop at its base point
+        raise ConfigError(
+            f"an explicit vector's metric norm must be at most {OVERFLOW_CAP:g}, got {token!r}"
+        )
     return "explicit", v
 
 
@@ -169,7 +178,7 @@ def _experiment(e: dict, name: str, seed: int, base_thresholds: dict) -> Experim
     classify`` reads its one vector through this function too."""
     T = realize(spec_from_json_dict(e["operator"]))
     vectors = tuple(
-        _resolve_vector(tok, T.dim, seed)
+        _resolve_vector(tok, T, seed)
         for tok in _field(json_list, e.get("vectors", ["ones"]), "vectors")
     )
     if not vectors:
@@ -258,11 +267,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
 class _VectorRun:
     """One vector of an experiment with its orbits and forward classification.
 
-    Both are computed on first use and then shared by the summary and every
-    per-vector check. The runner drops the object before it moves on to the
-    next vector, so at most one vector's orbits are alive at a time.
-    ``T_inv`` is the experiment's realized T^-1 while the inverse check runs
-    without error, and None otherwise.
+    ``orbits`` are the vector's segments from the runner's loop: the forward
+    orbit, the backward one under ``T_inv`` when there is one, and the orbits
+    of ``parts``, ranked on the experiment's epsilons. The classification is
+    computed on first use and then shared by the summary and every
+    per-vector check; the runner drops the object after the vector's checks.
+    ``T_inv`` is the experiment's realized T^-1, or None when it could not
+    be realized.
     """
 
     exp: ExperimentSpec
@@ -272,26 +283,7 @@ class _VectorRun:
     index: int
     label: str
     v: np.ndarray
-
-    @cached_property
-    def orbits(self):
-        """The forward orbit, the backward one under ``T_inv`` when there
-        is one, and the orbits of ``parts``, stepped in one loop, ranked on
-        the experiment's epsilons. The forward orbit keeps its points only
-        when a check of the experiment reads a window of them and
-        :func:`orbit.keeps_points` says the window is too long to re-step;
-        the backward one never does, since the inverse check reads its
-        masks only, nor do the parts, recorded off the forward orbit's
-        columns."""
-        exp = self.exp
-        forward = any(_CHECKS[c].reads_points for c in exp.checks) and keeps_points(
-            exp.horizon, exp.thresholds.window_len(exp.horizon)
-        )
-        if self.T_inv is None:
-            ops, points = (self.T,), (forward,)
-        else:
-            ops, points = (self.T, self.T_inv), (forward, False)
-        return iterate_many(ops, self.v, exp.horizon, points, self.parts, exp.epsilons)
+    orbits: list
 
     @property
     def orbit(self):
@@ -500,31 +492,49 @@ def _timed(entry: dict, fn, *args):
 def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     """Run the summary and every check of one experiment, vector by vector.
 
-    Each vector's orbits and forward classification are computed once and
-    shared; a check that raises for one vector records the error and skips
-    the rest. A check's ``wall_time_s`` is the sum of its time over all
-    vectors, and the one loop that steps a vector's forward and backward
-    orbits is timed under the first check that reads them. T^-1 is realized
-    once, timed under the ``inverse`` check, so an operator without an
-    inverse fails that check alone; once that check has an error, the
-    vectors step the forward orbit only.
+    The orbits of every vector are lanes of one loop (:func:`iterate_many`),
+    timed under the summary: each vector's forward orbit, its backward one
+    and its product parts' orbits. The forward lane keeps its points only
+    when a check reads a window of them and :func:`orbit.keeps_points`
+    says the window is too long to re-step; then each vector has a loop of
+    its own, so that kept points never exceed one vector's worth. Each
+    vector's orbits and forward classification are shared by its checks and
+    dropped after them; a check that raises for one vector records the
+    error and skips the rest, and a loop that raises records its error
+    under every per-vector check. A check's ``wall_time_s`` is the sum of
+    its time over all vectors. T^-1 is realized once, timed under the
+    ``inverse`` check, so an operator without an inverse fails that check
+    alone, and the loops then step no backward lane.
     """
     T = exp.operator
     parts = tuple(map(realize, T.spec.parts)) if "product" in exp.checks else ()
     entries = {name: {"wall_time_s": 0.0} for name in ("summary", *exp.checks)}
     T_inv = _timed(entries["inverse"], realize, Inverse(T.spec)) if "inverse" in entries else None
     rows = {name: [] for name in entries if _CHECKS[name].rows}
-    for index, (label, v) in enumerate(exp.vectors):
-        if "error" in entries.get("inverse", {}):
-            T_inv = None  # no later vector needs its backward orbit
-        run = _VectorRun(exp, T, parts, T_inv, index, label, v)
-        for name in rows:
-            if "error" in entries[name] or (name == "summary" and index > 0):
-                continue
-            got = _timed(entries[name], _CHECKS[name].rows, run)
-            if got is not None:
-                rows[name] += got
-        del run
+    ops = (T,) if T_inv is None else (T, T_inv)
+    forward = any(_CHECKS[c].reads_points for c in exp.checks) and keeps_points(
+        exp.horizon, exp.thresholds.window_len(exp.horizon)
+    )
+    n = 1 if forward else len(exp.vectors)  # vectors per loop
+    for first in range(0, len(exp.vectors), n):
+        group = exp.vectors[first : first + n]
+        orbits = _timed(entries["summary"], iterate_many, ops, np.array([v for _, v in group]),
+                        exp.horizon, (forward, False)[: len(ops)], parts, exp.epsilons)
+        if orbits is None:
+            for name in rows:
+                entries[name].setdefault("error", entries["summary"]["error"])
+            break
+        lanes = len(orbits) // len(group)
+        for index, (label, v) in enumerate(group, first):
+            run = _VectorRun(exp, T, parts, T_inv, index, label, v, orbits[:lanes])
+            del orbits[:lanes]
+            for name in rows:
+                if "error" in entries[name] or (name == "summary" and index > 0):
+                    continue
+                got = _timed(entries[name], _CHECKS[name].rows, run)
+                if got is not None:
+                    rows[name] += got
+            del run
     for name, entry in entries.items():
         check = _CHECKS[name]
         if check.rows is None:

@@ -11,12 +11,16 @@ from the row before it by ``linop.step_rows``, the kernel of ``T.apply``,
 so that ``points[n+1]`` equals ``T.apply(points[n])`` bit for bit; window
 measures built from orbits rely on this.
 
-:func:`iterate_many` steps a reused buffer of 4096 rows (``_FILL``) in
-*passes*: a pass is one contiguous column range with one kernel block,
+:func:`iterate_many` steps the lanes of one or more operators, over one
+or more vectors, side by side in a reused buffer of 4096 rows (``_FILL``)
+in *passes*: a pass is one contiguous column range with one kernel block,
 stepped over row views built once per call. Adjacent diagonal ranges,
-across blocks and across lanes, merge into one pass. A pass whose row
-repeats bit for bit has reached a fixed point of its deterministic kernel
-and retires, as a dissipative block that decays to an exact zero does.
+across blocks, lanes and vectors, merge into one pass, so a step costs
+one kernel call per merged pass however many vectors share it. A pass
+whose row repeats bit for bit has reached a fixed point of its
+deterministic kernel and retires, as a dissipative block that decays to an
+exact zero does; a lane whose own columns repeat stops recording, so that
+it equals its one-vector call whatever shares its passes.
 After each fill every lane records its rows (:class:`_Lane`), in
 whole-array calls: it keeps its distances or their ranks, and cuts
 its segment at the first point past ``OVERFLOW_CAP``, the one overflow
@@ -30,7 +34,8 @@ the same passes (:meth:`OrbitSegment.rows`), bit for bit the rows it would
 have kept; :func:`keeps_points` weighs that re-step against the points'
 memory. The parts of a direct sum are lanes too, recorded off the sum's
 columns with no kernel call of their own.
-A step costs about 0.4-0.5 µs on a 2-vCPU host (:func:`iterate_many`).
+A step costs about 0.4-0.5 µs per merged pass on a 2-vCPU host
+(:func:`iterate_many`).
 """
 
 from __future__ import annotations
@@ -164,18 +169,20 @@ def iterate_many(
     parts: Sequence[LinearOperator] = (),
     radii: Sequence[float] | None = None,
 ) -> list[OrbitSegment]:
-    """The orbit segment of x under each operator of ``ops``.
+    """The orbit segment of each vector of x under each operator of ``ops``.
 
-    The K orbits are lanes side by side in one step buffer of ``_FILL + 1``
-    rows and ``K * d`` columns, stepped in passes (module docstring), one
-    fill of the buffer at a time. Every lane equals its own
-    ``z = T.apply(z)`` loop bit for bit. After each fill, each lane records
-    its rows (:meth:`_Lane.record`): its norms and distances are computed by
-    ``block_norms``, row by row the same bits as over the whole orbit at
-    once; the distances are stored, the norms update the lane's boundedness
-    facts, and the segment is cut at its first point past
-    ``OVERFLOW_CAP``. ``points`` is one bool for every lane or one bool per
-    lane, and a lane whose flag is True copies its rows into its own
+    ``x`` is one vector, or V vectors as the rows of a ``(V, d)`` array. The
+    V * K orbits are lanes side by side in one step buffer of ``_FILL + 1``
+    rows and ``V * K * d`` columns, vector by vector, each in the order of
+    ``ops``, stepped in passes (module docstring) one fill at a time. Every
+    lane equals its own ``z = T.apply(z)`` loop bit for bit, and its own
+    one-vector call in every field and in :meth:`OrbitSegment.rows`. After
+    each fill, each lane records its rows (:meth:`_Lane.record`): its norms
+    and distances are computed by ``block_norms``, row by row the same bits
+    as over the whole orbit at once; the distances are stored, the norms
+    update the lane's boundedness facts, and the segment is cut at its
+    first point past ``OVERFLOW_CAP``. ``points`` is one bool for every lane or one bool per
+    operator, and a lane whose flag is True copies its rows into its own
     ``(horizon + 1, d)`` array as the segment's points. Without points a
     lane holds one float per step, against ``16 d + 8`` bytes with them,
     and its segment re-steps a window of them from its fill tops.
@@ -184,29 +191,32 @@ def iterate_many(
     (nan ranks last), as ``np.min_scalar_type``: one byte up to 255 radii.
 
     ``parts``, the parts of a direct sum ``ops[0]``, adds one lane per part
-    over its columns of lane 0, without points: the sum's kernel blocks are
-    its parts' own, so each part lane records its part's orbit bit for bit,
-    under its own block metric. Their segments come after the ops'.
+    over its columns of each vector's ``ops[0]`` lane, without points: the
+    sum's kernel blocks are its parts' own, so each part lane records its
+    part's orbit bit for bit, under its own block metric. The segments come
+    back flat, vector by vector: each vector's ops' lanes, then its parts'.
 
     A pass stops stepping at a fixed point of its kernel, or when it covers
-    no lane still recording (:func:`_step_fills`). So a lane that
-    overflowed, or a pass at its fixed point, is stepped to the end of that
-    fill and no further; a live part keeps its passes stepping past another
-    part's overflow. The rows after the loop's end repeat the last one.
+    no lane still recording (:func:`_step_fills`), and a lane stops
+    recording at the end of the fill in which its own columns repeat. So a
+    lane that overflowed, or a pass at its fixed point, is stepped to the
+    end of that fill and no further; a live part keeps its passes stepping
+    past another part's overflow. The rows after a lane's last recorded
+    row repeat it.
 
-    A call costs about 0.4-0.5 µs per step for one diagonal pass, with
-    or without a merged inverse lane, and about 0.5 µs for a 4x4 dense
-    block, with or without points (2-vCPU host, best of 9 calls at
-    H = 2e5).
+    A step costs about 0.4-0.5 µs per diagonal pass, merged or not, and
+    about 0.5 µs per lane's 4x4 dense block, with or without points (2-vCPU
+    host, best of 9 calls at H = 2e5).
     """
     x = np.asarray(x, dtype=complex)
     if not ops:
         raise ValueError("iterate_many needs at least one operator")
     for T in ops:
-        if x.shape != (T.dim,):
+        if x.ndim > 2 or x.shape[-1:] != (T.dim,):
             raise DimensionError(f"vector shape {x.shape} != ({T.dim},)")
-    check_horizon(horizon, x.size)
-    d, K = x.size, len(ops)
+    xs = x.reshape(-1, x.shape[-1])
+    (V, d), K = xs.shape, len(ops)
+    check_horizon(horizon, d)
     keep = (points,) * K if isinstance(points, bool) else tuple(map(bool, points))
     if len(keep) != K:
         raise ValueError(f"points has {len(keep)} flags for {K} operators")
@@ -214,31 +224,35 @@ def iterate_many(
     dims = [P.dim for P in parts]
     if parts and sum(dims) != d:
         raise DimensionError(f"part dims {dims} do not add up to {d}")
-    buf = np.empty((min(horizon, _FILL) + 1, K * d), dtype=complex)
-    buf[0] = np.tile(x, K)
-    lanes = [_Lane(T, slice(k * d, (k + 1) * d), x, horizon, keep[k], radii)
-             for k, T in enumerate(ops)]
-    for P, a in zip(parts, accumulate(dims, initial=0)):  # parts of ops[0], in its columns
-        lanes.append(_Lane(P, slice(a, a + P.dim), x[a : a + P.dim], horizon, False, radii))
+    buf = np.empty((min(horizon, _FILL) + 1, V * K * d), dtype=complex)
+    buf[0] = np.tile(xs, K).ravel()
+    lanes = []
+    for c, v in zip(range(0, V * K * d, K * d), xs):  # a vector's ops, then its parts
+        lanes += [_Lane(T, slice(c + k * d, c + (k + 1) * d), v, horizon, keep[k], radii)
+                  for k, T in enumerate(ops)]
+        lanes += [_Lane(P, slice(c + a, c + a + P.dim), v[a : a + P.dim], horizon, False, radii)
+                  for P, a in zip(parts, accumulate(dims, initial=0))]
     for lane in lanes:
         lane.record(buf[:1], 0)
     if any(lane.end == 0 for lane in lanes):
         raise ValueError("base point already exceeds the overflow cap")
 
     def live(p: KernelBlock, last: int) -> bool:  # some lane over its columns still records
-        return any(lane.end > last + 1 for lane in lanes
+        return any(lane.end > last + 1 for lane in stepping
                    if lane.cols.start < p.cols.stop and p.cols.start < lane.cols.stop)
 
-    last = 0  # buf[0] holds orbit row last
+    last, stepping = 0, lanes  # buf[0] holds orbit row last
     # an orbit may overflow to inf or nan before its fill is recorded; the
     # recorder's cut handles that, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in _step_fills(_passes(ops, d), buf, horizon, live):
-            for lane in lanes:
+        for b in _step_fills(_passes(list(ops) * V, d), buf, horizon, live):
+            for lane in stepping:
                 lane.record(buf[1 : b + 1], last + 1)
             last += b
-    # every orbit row after the last one stepped repeats it
-    return [lane.segment(last, horizon) for lane in lanes]
+            # a lane whose columns repeat is done, where its own call would stop
+            stepping = [lane for lane in stepping
+                        if not np.array_equal(*buf[b - 1 : b + 1, lane.cols].view(np.uint64))]
+    return [lane.segment(horizon) for lane in lanes]
 
 
 def check_horizon(horizon: int, dim: int) -> None:
@@ -288,10 +302,12 @@ class _Lane:
         self.norms = _NormRecord(horizon // 2)
         self.tops: list[tuple[int, np.ndarray]] = []  # (orbit row, its copy)
         self.end = horizon + 1  # rows the segment keeps
+        self.last = 0  # the last orbit row it was given
 
     def record(self, rows: np.ndarray, lo: int) -> None:
         """Record ``rows``, which hold orbit rows ``lo, lo + 1, ...``."""
-        hi = min(lo + rows.shape[0], self.end)
+        self.last = lo + rows.shape[0] - 1
+        hi = min(self.last + 1, self.end)
         if hi <= lo:
             return
         rows = rows[:, self.cols]
@@ -313,9 +329,9 @@ class _Lane:
         if self.points is not None:
             self.points[lo:hi] = rows[: hi - lo]
 
-    def segment(self, last: int, horizon: int) -> OrbitSegment:
-        """The lane's segment, whose rows after orbit row ``last`` repeat it."""
-        end, overflow = self.end, self.end <= horizon
+    def segment(self, horizon: int) -> OrbitSegment:
+        """The lane's segment, whose rows after its last stepped row repeat it."""
+        end, overflow, last = self.end, self.end <= horizon, self.last
         points, dists = self.points, self.dists
         if end > last + 1:
             dists[last + 1 :] = dists[last]

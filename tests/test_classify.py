@@ -837,7 +837,7 @@ class TestOpenBallRule:
 
         def spy(*args):
             out = iterate_many(*args)
-            segments.extend(out)
+            segments.append(list(out))  # the runner drops each vector's segments
             return out
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
@@ -845,22 +845,24 @@ class TestOpenBallRule:
         config = tmp_path / "half_sum.json"
         config.write_text(json.dumps({"experiments": [{
             "operator": {"type": "direct_sum", "parts": [half, half]},
-            "epsilons": [2.5, 2.0], "horizon": h,
+            "vectors": ["ones", "basis:0"], "epsilons": [2.5, 2.0], "horizon": h,
             "checks": ["classify", "birkhoff", "product", "inverse"],
         }]}))
         checks = run_config(load_config(config)).experiments["experiment_0"]["checks"]
-        # forward, backward and two part lanes, each ranked on both radii
-        assert len(segments) == 4
-        assert all(s.dists is None and s.radii == (2.0, 2.5) for s in segments)
+        # one loop: for each vector, forward, backward and two part lanes,
+        # each ranked on both radii
+        (loop,) = segments
+        assert len(loop) == 8
+        assert all(s.dists is None and s.radii == (2.0, 2.5) for s in loop)
         counts = {2.0: 5001, 2.5: h + 1}
-        (report,) = checks["classify"]["result"]["reports"]
-        assert {r["epsilon"]: r["return_count"] for r in report["epsilon_records"]} == counts
+        for report in checks["classify"]["result"]["reports"]:
+            assert {r["epsilon"]: r["return_count"] for r in report["epsilon_records"]} == counts
         for row in checks["birkhoff"]["result"]["comparisons"]:
             assert row["density"] == counts[row["epsilon"]] / (h + 1)
         for row in checks["product"]["result"]["per_case"]:
             assert row["return_sets_match"]
             assert row["intersection_density"] == counts[row["epsilon"]] / (h + 1)
-        assert checks["inverse"]["result"]["per_vector"][0]["return_sets_identical"]
+        assert all(r["return_sets_identical"] for r in checks["inverse"]["result"]["per_vector"])
 
 
 class TestSumOrbitIsPartOrbits:

@@ -755,6 +755,37 @@ class TestMainEntry:
         assert code == 2
         assert "unknown vector generator '{oops'" in capsys.readouterr().err
 
+    PAST_CAP = ["[[1e300, 0], [1, 0]]", "[[1e200, 0], [1e200, 0]]"]
+
+    @pytest.mark.parametrize("vector", PAST_CAP, ids=["past_cap", "norm_overflows"])
+    def test_vector_past_the_overflow_cap_exits_2(self, tmp_path, capsys, vector):
+        # every orbit of such a vector stops at its base point; refused at
+        # load, by both subcommands, with a line naming the vector, as a
+        # non-finite coordinate is. The second vector's coordinates are
+        # finite, but its metric norm overflows to inf
+        op = {"type": "diagonal_unimodular", "angles_turns": [0.25, GOLDEN]}
+        obj = base_config()
+        obj["experiments"][0].update(operator=op, vectors=["ones", json.loads(vector)])
+        out = tmp_path / "report.json"
+        code = main(["run", "--config", str(write_config(tmp_path, obj)), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        message = "an explicit vector's metric norm must be at most 1e+12, got "
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: experiment 'quarter': {message}[[1e+")
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps(op))
+        code = main(["classify", "--op", str(op_path), "--vector", vector, "--eps", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}[[1e+")
+        assert "Traceback" not in captured.err
+
+    def test_vector_below_the_overflow_cap_runs(self, tmp_path):
+        obj = base_config()
+        obj["experiments"][0].update(vectors=["ones", [[1e11, 0]]], checks=["classify", "inverse"])
+        doc = run_config(load_config(write_config(tmp_path, obj)))
+        assert not document_has_failures(doc)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -1170,20 +1201,21 @@ def count_restepped_rows(monkeypatch):
 
 class TestOrbitSharing:
     def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
-        # Each vector's forward and backward orbits, and the product's part
-        # orbits, are lanes of one loop, and no lane keeps points: at
-        # H = 10^4 the measure check's 101-row window is re-stepped from
-        # the forward orbit's fill tops.
+        # Every vector's forward and backward orbits, and the product's part
+        # orbits, are lanes of one loop per experiment, and no lane keeps
+        # points: at H = 10^4 the measure check's 101-row window is
+        # re-stepped from the forward orbit's fill tops.
         loops, kept, classified = [], [], []
         iterate_many = recurlab.orbit.iterate_many
 
         def loop_counted(ops, x, horizon, points=True, parts=(), radii=None):
-            x = np.asarray(x, dtype=complex)
-            lanes = [(T.matrix.tobytes(), x.tobytes()) for T in ops]
-            start = 0
-            for P in parts:
-                lanes.append((P.matrix.tobytes(), x[start : start + P.dim].tobytes()))
-                start += P.dim
+            lanes = []
+            for v in np.atleast_2d(np.asarray(x, dtype=complex)):
+                lanes += [(T.matrix.tobytes(), v.tobytes()) for T in ops]
+                start = 0
+                for P in parts:
+                    lanes.append((P.matrix.tobytes(), v[start : start + P.dim].tobytes()))
+                    start += P.dim
             loops.append(lanes)
             kept.append(points)
             return iterate_many(ops, x, horizon, points, parts, radii)
@@ -1200,9 +1232,9 @@ class TestOrbitSharing:
         restepped = count_restepped_rows(monkeypatch)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
-        # 5 vectors, each with a forward and a backward lane, and the sum
-        # experiment's two vectors with two part lanes each
-        assert [len(loop) for loop in loops] == [2, 2, 2, 4, 4]
+        # one loop per experiment: 3 vectors, each with a forward and a
+        # backward lane, and 2 vectors with two part lanes each besides
+        assert [len(loop) for loop in loops] == [6, 8]
         lanes = [lane for loop in loops for lane in loop]
         assert len(lanes) == 14
         # no (operator, vector) pair is stepped twice
@@ -1211,7 +1243,7 @@ class TestOrbitSharing:
         assert len(classified) == 14
         # one window re-step per vector, of one pass: at most the window's
         # 100 steps and those of the fill before it
-        assert kept == [(False, False)] * 5
+        assert kept == [(False, False)] * 2
         assert len(restepped) == 5 and all(n <= 100 + _FILL for n in restepped)
 
     def test_one_realize_per_operator(self, tmp_path, monkeypatch):
@@ -1231,29 +1263,113 @@ class TestOrbitSharing:
             "Inverse", "DiagonalUnimodular", "DiagonalUnimodular", "Inverse",
         ]
 
-    def test_backward_lane_dropped_after_inverse_error(self, tmp_path, monkeypatch):
+    def test_inverse_error_leaves_the_one_loop_and_the_other_checks(self, tmp_path, monkeypatch):
+        # the backward lanes are stepped with the forward ones before any
+        # check runs, so the first vector's inverse check error changes
+        # only the inverse check's entry
         lanes = []
         iterate_many = recurlab.cli.iterate_many
 
-        def loop_counted(ops, *args, **kwargs):
-            lanes.append(len(ops))
-            return iterate_many(ops, *args, **kwargs)
+        def loop_counted(ops, x, *args, **kwargs):
+            lanes.append((len(ops), len(x)))
+            return iterate_many(ops, x, *args, **kwargs)
 
         def broken(*args):
             raise RuntimeError("broken check")
 
+        obj = dict(PAIR_SUM, experiments=PAIR_SUM["experiments"][:1])
+        path = write_config(tmp_path, obj)
+        clean = run_config(load_config(path)).experiments["golden_pair"]
         monkeypatch.setattr(recurlab.cli, "iterate_many", loop_counted)
         monkeypatch.setattr(recurlab.cli, "inverse_recurrence_check", broken)
         restepped = count_restepped_rows(monkeypatch)
-        obj = dict(PAIR_SUM, experiments=PAIR_SUM["experiments"][:1])
-        doc = run_config(load_config(write_config(tmp_path, obj)))
-        checks = doc.experiments["golden_pair"]["checks"]
-        assert checks["inverse"]["error"] == "RuntimeError: broken check"
-        # the first vector's inverse check fails; later vectors step forward only
-        assert lanes == [2, 1, 1]
+        got = run_config(load_config(path)).experiments["golden_pair"]
+        assert got["checks"].pop("inverse")["error"] == "RuntimeError: broken check"
+        del clean["checks"]["inverse"]
+        assert strip_wall_times(got) == strip_wall_times(clean)
+        # one loop: T and T^-1 for each of the 3 vectors
+        assert lanes == [(2, 3)]
         # every vector's measure window is re-stepped from its forward orbit
-        assert "error" not in checks["measure"]
         assert len(restepped) == 3 and all(n <= 100 + _FILL for n in restepped)
+
+
+class TestPerVectorOracle:
+    """Each vector's rows of a multi-vector experiment equal the rows of the
+    same vector run as a one-vector experiment: the vectors' orbits are
+    lanes of one loop, and no lane reads another's columns."""
+
+    TWO_ANGLES = {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]}
+    DENSE_SWAP = {"type": "dense_matrix",
+                  "entries": [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+    # the check's rows, one list per vector concatenated in vector order
+    ROWS = {"classify": "reports", "birkhoff": "comparisons", "product": "per_case",
+            "inverse": "per_vector", "measure": "per_vector", "eigen_span": "entries"}
+    CASES = {
+        "golden_pair": dict(PAIR_SUM["experiments"][0], horizon=20_000),
+        "sum": dict(PAIR_SUM["experiments"][1], horizon=20_000),
+        # the vectors pass the overflow cap at different steps of one
+        # diagonal pass, the last one (near step 4320) in its second fill
+        "grow": {
+            "operator": {"type": "scale", "factor": [1.01, 0.0], "inner": TWO_ANGLES},
+            "vectors": ["ones", "basis:0", "random:0", [[1e-7, 0.0], [2e-7, 1e-7]]],
+            "epsilons": [0.5, 0.25], "horizon": 10_000,
+            "checks": ["classify", "birkhoff", "inverse", "measure"],
+        },
+        # the nilpotent shift's passes retire at an exact zero while the
+        # rotation's merged pass steps on; the shift has no inverse
+        "shift_rotation": {
+            "operator": {"type": "direct_sum", "parts": [
+                {"type": "weighted_backward_shift", "weights": [1.0, 2.0, 0.5], "dim": 4},
+                {"type": "diagonal_unimodular", "angles_turns": [0.3, 0.618034]}]},
+            "vectors": ["ones", "basis:3", "random:0", "random:1"],
+            "epsilons": [0.5, 0.25], "horizon": 10_000,
+            "checks": ["classify", "birkhoff", "product", "inverse", "measure"],
+        },
+        "dense_diagonal": {
+            "operator": {"type": "direct_sum", "parts": [
+                DENSE_SWAP, {"type": "diagonal_unimodular", "angles_turns": [0.618034, 0.41421356]}]},
+            "vectors": ["ones", "basis:1", "random:0"], "epsilons": [0.5, 0.25, 0.1],
+            "horizon": 10_000,
+            "checks": ["classify", "birkhoff", "product", "inverse", "measure", "eigen_span"],
+        },
+        # the forward lane keeps its points, so each vector has a loop of its own
+        "long_window": {
+            "operator": TWO_ANGLES, "vectors": ["ones", "random:0", "basis:1"],
+            "epsilons": [0.5], "horizon": 10_000, "thresholds": {"window_fraction": 0.5},
+            "checks": ["classify", "inverse", "measure"],
+        },
+    }
+
+    def run(self, tmp_path, exp):
+        obj = {"schema_version": 1, "seed": 7, "experiments": [dict(exp, name="oracle")]}
+        path = write_config(tmp_path, obj, f"{len(exp['vectors'])}.json")
+        return strip_wall_times(run_config(load_config(path)).experiments["oracle"])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_equal_one_vector_runs(self, tmp_path, case):
+        exp = self.CASES[case]
+        together = self.run(tmp_path, exp)
+        alone = [self.run(tmp_path, dict(exp, vectors=[v])) for v in exp["vectors"]]
+        # the summary reads the first vector
+        assert together["summary"] == alone[0]["summary"]
+        for name, entry in together["checks"].items():
+            if name not in self.ROWS or "error" in entry:
+                assert entry == alone[0]["checks"][name]
+                continue
+            key, rows = self.ROWS[name], []
+            for index, single in enumerate(alone):
+                got = single["checks"][name]["result"][key]
+                if name == "eigen_span":  # entries are named by the vector's index
+                    got = [dict(e, vector_id=f"v{index}") for e in got]
+                rows += got
+            assert entry["result"][key] == rows
+        if case == "grow":
+            cut = [r["horizon_effective"] for r in together["checks"]["classify"]["result"]["reports"]]
+            assert cut[0] < _FILL < cut[-1] < 2 * _FILL
+        if case == "shift_rotation":
+            assert "error" in together["checks"]["inverse"]
+        else:
+            assert not any("error" in entry for entry in together["checks"].values())
 
 
 class TestAllChecksRun:
@@ -1345,18 +1461,20 @@ class TestPointsOnlyForTheirReaders:
 
     def run_alone(self, tmp_path, check, **thresholds):
         obj = base_config()
-        obj["experiments"][0].update(operator=self.SUM, checks=[check], thresholds=thresholds)
+        obj["experiments"][0].update(operator=self.SUM, vectors=["ones", "random:0"],
+                                     checks=[check], thresholds=thresholds)
         exp = run_config(load_config(write_config(tmp_path, obj))).experiments["quarter"]
         assert "error" not in exp["summary"]
         return exp["checks"][check]
 
     def spy_on_points(self, monkeypatch):
-        """The per-lane ``points`` flags of every ``iterate_many`` call."""
+        """The per-lane ``points`` flags and the vector count of every
+        ``iterate_many`` call."""
         kept = []
         iterate_many = recurlab.cli.iterate_many
 
         def spy(ops, x, horizon, points, parts, radii):
-            kept.append(tuple(points))
+            kept.append((tuple(points), len(x)))
             return iterate_many(ops, x, horizon, points, parts, radii)
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
@@ -1369,35 +1487,36 @@ class TestPointsOnlyForTheirReaders:
         entry = self.run_alone(tmp_path, check)
         assert "error" not in entry and "result" in entry
         # at H = 10^4 the measure check's 101-row window is re-stepped, so
-        # no lane keeps points; the backward lane, stepped for the inverse
-        # check, never does
-        assert [lanes[0] for lanes in kept] == [False]
-        assert [len(lanes) for lanes in kept] == [1 + (check == "inverse")]
-        assert not any(any(lanes[1:]) for lanes in kept)
-        assert len(restepped) == (check == "measure")
+        # no lane keeps points and both vectors share one loop; the
+        # backward lane, stepped for the inverse check, never keeps points
+        assert kept == [((False,) * (1 + (check == "inverse")), 2)]
+        assert len(restepped) == 2 * (check == "measure")
         assert all(n <= 100 + _FILL for n in restepped)
 
     def test_backward_lane_keeps_no_points_beside_point_readers(self, tmp_path, monkeypatch):
         kept = self.spy_on_points(monkeypatch)
         restepped = count_restepped_rows(monkeypatch)
         obj = base_config()
-        obj["experiments"][0].update(operator=self.SUM, checks=self.CHECKS)
+        obj["experiments"][0].update(operator=self.SUM, vectors=["ones", "random:0"],
+                                     checks=self.CHECKS)
         doc = run_config(load_config(write_config(tmp_path, obj)))
         assert not document_has_failures(doc)
-        assert kept == [(False, False)]
-        assert len(restepped) == 1 and restepped[0] <= 100 + _FILL
-        # with a window half the horizon the forward lane keeps its points
+        assert kept == [((False, False), 2)]
+        assert len(restepped) == 2 and all(n <= 100 + _FILL for n in restepped)
+        # with a window half the horizon the forward lane keeps its points,
+        # and each vector has a loop of its own
         kept.clear()
         obj["experiments"][0]["thresholds"] = {"window_fraction": 0.5}
         doc = run_config(load_config(write_config(tmp_path, obj)))
         assert not document_has_failures(doc)
-        assert kept == [(True, False)] and len(restepped) == 1
+        assert kept == [((True, False), 1)] * 2 and len(restepped) == 2
 
     @pytest.mark.parametrize("check", CHECKS)
     def test_only_the_point_readers_need_points(self, tmp_path, monkeypatch, check):
         # with a window half the horizon the measure check's lane keeps its
-        # points; with no check reading points, its window is re-stepped
-        # and the result is the same
+        # points, one vector per loop; with no check reading points, its
+        # window is re-stepped, both vectors share a loop, and the result
+        # is the same
         kept = self.spy_on_points(monkeypatch)
         with_points = self.run_alone(tmp_path, check, window_fraction=0.5)
         no_points = {
@@ -1406,7 +1525,8 @@ class TestPointsOnlyForTheirReaders:
         }
         monkeypatch.setattr(recurlab.cli, "_CHECKS", no_points)
         without = self.run_alone(tmp_path, check, window_fraction=0.5)
-        assert [lanes[0] for lanes in kept] == [check == "measure", False]
+        first = [(True, 1)] * 2 if check == "measure" else [(False, 2)]
+        assert [(lanes[0], n) for lanes, n in kept] == first + [(False, 2)]
         assert "error" not in without
         assert strip_wall_times(without) == strip_wall_times(with_points)
 
@@ -1423,8 +1543,8 @@ class TestPointsOnlyForTheirReaders:
 
         monkeypatch.setattr(recurlab.cli, "iterate_many", spy)
         entry = self.run_alone(tmp_path, "birkhoff")
-        assert "error" not in entry and len(entry["result"]["comparisons"]) == 1
-        assert segments[0].points is None
+        assert "error" not in entry and len(entry["result"]["comparisons"]) == 2
+        assert len(segments) == 2 and all(s.points is None for s in segments)
 
     def test_classify_only_run_keeps_no_points(self, tmp_path):
         # one rotation at H = 10^6: its distances take 8 MB, and each
@@ -1498,7 +1618,7 @@ class TestPointsOnlyForTheirReaders:
         [row] = doc.experiments["quarter"]["checks"]["measure"]["result"]["per_vector"]
         n = row["window_len"]
         assert n == int(200_000 * window_fraction)
-        assert kept == [(keeps, False)]
+        assert kept == [((keeps, False), 1)]
         assert recurlab.orbit.keeps_points(200_000, n) == keeps
         if keeps:
             assert restepped == [] and peak < 15 * 2**20

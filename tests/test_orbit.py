@@ -880,6 +880,118 @@ class TestPartOrbits:
             start += P.dim
 
 
+def same_bits(a, b):
+    """Both None, or arrays of one dtype and shape with the same bytes."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_lane(a, b):
+    """Two segments equal in every field, fill tops and re-stepped rows
+    included, bit for bit."""
+    for field in ("base", "points", "dists", "ranks"):
+        assert same_bits(getattr(a, field), getattr(b, field)), field
+    assert a.operator is b.operator and a.radii == b.radii
+    assert (a.bounded, a.horizon_effective, a.overflow) == (b.bounded, b.horizon_effective, b.overflow)
+    assert [n for n, _ in a.tops] == [n for n, _ in b.tops]
+    assert all(same_bits(z, w) for (_, z), (_, w) in zip(a.tops, b.tops))
+    h = a.horizon_effective + 1
+    assert same_bits(a.rows(0, h), b.rows(0, h))
+
+
+class TestManyVectors:
+    """A call on the V rows of a ``(V, d)`` array steps every vector's lanes
+    in one loop, and each lane equals its own one-vector call bit for bit."""
+
+    # (ops, parts, radii, scale): the j-th vector is scaled by scale^j, so
+    # that its lanes overflow or retire at other steps than the first's
+    CASES = {
+        # J(0.5) retires to an exact zero near step 1100, and the 1.01-scaled
+        # rotation passes the cap near 2800 from ones and in the second fill
+        # from the third vector on, in the pass it shares with the rotation
+        "fill_edges": ([JordanBlock(0.5, 2), DiagonalUnimodular((GOLDEN, 0.3)),
+                        Scale(1.01, DiagonalUnimodular((0.25, GOLDEN)))], [], None, 1e-3),
+        # a sum, its inverse and its parts, ranked on two radii; the
+        # 1.005-scaled part passes the cap at other steps for each vector
+        "sum_parts": ([DirectSum((DiagonalUnimodular((GOLDEN,)), SWAP_SPEC,
+                                  Scale(1.005, DenseMatrix(((1.0,),)))))],
+                      [DiagonalUnimodular((GOLDEN,)), SWAP_SPEC, Scale(1.005, DenseMatrix(((1.0,),)))],
+                      (0.5, 0.25), 1e-3),
+        # 0.9^n from ones underflows to an exact zero near step 7070, in
+        # the second fill, and from 1e-150 near 3800, in the first: the
+        # first vector's lanes record fills that the others' do not
+        "decay": ([Scale(0.9, DiagonalUnimodular((0.0,))), Scale(0.9, DenseMatrix(((1.0,),)))],
+                  [], None, 1e-150),
+    }
+
+    def vectors(self, V, d, scale):
+        rng = np.random.default_rng(V)
+        xs = [np.ones(d, dtype=complex)]
+        xs += [(rng.normal(size=d) + 1j * rng.normal(size=d)) * scale**j for j in range(1, V)]
+        return np.array(xs)
+
+    @pytest.mark.parametrize("horizon", [0, 1, _FILL - 1, _FILL, _FILL + 1, 2 * _FILL])
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_lane_equals_its_one_vector_call(self, case, horizon):
+        specs, parts, radii, scale = self.CASES[case]
+        ops = [realize(s) for s in specs]
+        if case == "sum_parts":
+            ops.append(realize(Inverse(specs[0])))
+        parts = [realize(s) for s in parts]
+        points = [k == 0 for k in range(len(ops))]
+        lanes = len(ops) + len(parts)
+        for V in range(1, 6):  # merged diagonal widths cross the SIMD remainders
+            xs = self.vectors(V, ops[0].dim, scale)
+            got = iterate_many(ops, xs, horizon, points, parts, radii)
+            assert len(got) == V * lanes
+            for j, x in enumerate(xs):
+                alone = iterate_many(ops, x, horizon, points, parts, radii)
+                for a, b in zip(got[j * lanes : (j + 1) * lanes], alone, strict=True):
+                    assert_same_lane(a, b)
+        if case != "sum_parts" and horizon == 2 * _FILL:
+            # the first vector's lanes reach what the last one's do not
+            first, last = got[:lanes], got[-lanes:]
+            if case == "decay":
+                assert all(len(a.tops) > len(b.tops) for a, b in zip(first, last))
+            else:
+                assert first[-1].overflow and last[-1].horizon_effective > _FILL
+
+    @pytest.mark.parametrize("V", range(1, 6))
+    def test_one_kernel_call_per_merged_pass_and_fill(self, monkeypatch, V):
+        rng = np.random.default_rng(V)
+        rotation = DiagonalUnimodular((0.1, GOLDEN))
+        mixed = DirectSum((DiagonalUnimodular((0.2,)), random_dense(rng, 2),
+                           DiagonalUnimodular((0.7,))))
+        horizon = 3 * _FILL + 5  # four fills
+        for specs, passes in [
+            # every vector's T and T^-1 in one multiply pass
+            ([rotation, Inverse(rotation)], 1),
+            # each lane's dense block is a pass of its own, and the diagonal
+            # blocks between two of them merge, across lanes and vectors:
+            # d | D | d + d | D | d + ... | D | d
+            ([mixed, Inverse(mixed)], 4 * V + 1),
+        ]:
+            ops = [realize(s) for s in specs]
+            xs = self.vectors(V, ops[0].dim, 1.0)
+            calls = count_steps(monkeypatch)
+            segments = iterate_many(ops, xs, horizon, False)
+            monkeypatch.undo()
+            assert len(calls) == 4 * passes
+            assert not any(s.overflow for s in segments)
+
+    def test_validation(self):
+        T = realize(DiagonalUnimodular((0.1, GOLDEN)))
+        for shape in [(2, 3), (1, 2, 2), (2, 1)]:
+            with pytest.raises(DimensionError):
+                iterate_many((T,), np.ones(shape, dtype=complex), 5)
+        # one vector past the cap stops the whole call
+        with pytest.raises(ValueError, match="base point already exceeds the overflow cap"):
+            iterate_many((T,), np.array([[1.0, 0.0], [1e13, 0.0]]), 5)
+        assert iterate_many((T,), np.ones((0, 2), dtype=complex), 5) == []
+
+
 class TestReturnSet:
     def test_quarter_rotation_multiples_of_four(self):
         T = realize(DiagonalUnimodular((0.25,)))
