@@ -2,9 +2,11 @@
 
 Experiments are described by a JSON config (operator spec, vectors, epsilon
 grid, horizon, thresholds, list of checks) and produce a report document that
-embeds the config text byte for byte. Runs are deterministic: all randomness
-flows from the single config-level seed, and report serialization sorts keys
-so the emitted bytes do not depend on execution order. Per-check wall times
+embeds the config text byte for byte. :func:`run_config` runs the
+experiments side by side, one forked share per CPU, and reports them in
+config order. Runs are deterministic: all randomness flows from the single
+config-level seed, and report serialization sorts keys so the emitted bytes
+do not depend on execution order. Per-check wall times
 are the only nondeterministic fields; they live under dedicated
 ``wall_time_s`` keys so downstream comparisons can strip them.
 
@@ -13,7 +15,9 @@ least one check failed. Every subcommand refuses input in one place,
 :func:`main`: an ``OSError``, ``TypeError``, ``ValueError`` (``ConfigError``
 among them), ``KeyError``, ``OverflowError``, ``MemoryError``,
 ``NumericalFailureError`` or ``RecursionError`` prints one ``error:`` line and
-no traceback. ``run`` also exits 2 when it cannot write its report.
+no traceback, as does a worker process that ends without a result. ``run``
+also exits 2 when it cannot write its report, and refuses an ``--out`` it
+cannot write before it runs anything.
 
 One function, :func:`_experiment`, reads an experiment's operator, vectors,
 epsilons, horizon, thresholds and checks. :func:`load_config` adds the
@@ -26,8 +30,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import pickle
+import signal
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -547,13 +555,96 @@ def _run_experiment(exp: ExperimentSpec, seed: int) -> dict:
     return {"summary": summary, "checks": entries}
 
 
-def run_config(config: ExperimentConfig) -> ReportDocument:
-    """Run the experiments one at a time, in config order.
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    can = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if can else 1
 
-    Individual check failures are recorded, not raised, except a
-    ``MemoryError``.
+
+def _run_share(config: ExperimentConfig, k: int, j: int) -> tuple[list, tuple | None]:
+    """The reports of experiments ``j, j + k, ...`` and None; or the reports
+    before the first of them that raised, and its ``(index, exception)``."""
+    reports = []
+    for i in range(j, len(config.experiments), k):
+        try:
+            reports.append(_run_experiment(config.experiments[i], config.seed))
+        except Exception as exc:
+            return reports, (i, exc)
+    return reports, None
+
+
+def _fork_share(config: ExperimentConfig, k: int, j: int) -> tuple:
+    """Fork a child that runs share ``j`` of ``k`` and pickles the result
+    into a pipe; the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork in a process with threads, and
+            # numpy's OpenBLAS pool is one: the child runs only numpy and
+            # this package, OpenBLAS registers a fork handler for its pool,
+            # and the child leaves by os._exit
+            warnings.filterwarnings("ignore", "This process .* multi-threaded", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        reports, failure = _run_share(config, k, j)
+        try:
+            pickle.loads(pickle.dumps(failure))
+        except Exception:  # sent as a RuntimeError that carries the traceback
+            import traceback  # only on this path
+            failure = failure[0], RuntimeError("".join(traceback.format_exception(failure[1])))
+        with os.fdopen(w, "wb") as fh:
+            pickle.dump((reports, failure), fh)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def run_config(config: ExperimentConfig) -> ReportDocument:
+    """Run the experiments side by side and report them in config order.
+
+    Experiment ``i`` runs in share ``i % k``, for ``k`` the smaller of the
+    experiment count and :func:`_cpus`: share 0 here once the others have
+    forked, each other share in a child. Check failures are recorded, not
+    raised, except a ``MemoryError``: the run raises that of the first
+    experiment, in config order, to raise one. A child that ends without a
+    result raises ``ChildProcessError``. No child outlives the call.
     """
-    experiments = {exp.name: _run_experiment(exp, config.seed) for exp in config.experiments}
+    exps = config.experiments
+    k = max(1, min(len(exps), _cpus()))
+    children = []  # (pid, read end) of each child not yet reaped, in share order
+    try:
+        for j in range(1, k):
+            children.append(_fork_share(config, k, j))
+        results = [_run_share(config, k, 0)]
+        failure = results[0][1]
+        if failure and failure[0] == 0:  # no experiment comes before it
+            raise failure[1]
+        while children:
+            pid, fh = children[0]
+            with fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:
+                names = [exp.name for exp in exps[len(results)::k]]
+                raise ChildProcessError(f"the worker of {names} ended with wait status {status}")
+            results.append(pickle.loads(data))
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failure = min((failure for _, failure in results if failure), default=None)
+    if failure:  # the first in config order: no two indexes are equal
+        raise failure[1]
+    experiments = {exp.name: results[i % k][0][i // k] for i, exp in enumerate(exps)}
     return ReportDocument(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
@@ -615,12 +706,16 @@ def emit_report(doc: ReportDocument, fmt: str, path: str | Path) -> None:
 
 
 def _cmd_run(args) -> int:
+    out = Path(args.out)
+    # refused before the run, which may take minutes, and with no file made
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        why = "it is a directory" if out.is_dir() else f"{out.parent} is not a writable directory"
+        raise OSError(f"cannot write {args.out}: {why}")
     doc = run_config(load_config(args.config))
     try:
         emit_report(doc, args.format, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot write {args.out}: {exc}") from None
     if args.strict and document_has_failures(doc):
         print("error: at least one check failed (strict mode)", file=sys.stderr)
         return 3

@@ -3,10 +3,13 @@
 import copy
 import json
 import math
+import os
 import re
+import signal
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -595,11 +598,29 @@ class TestMainEntry:
         assert code == 2 and not out.exists()
         assert "config root must be an object" in capsys.readouterr().err
 
-    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an --out that is a directory, or in no directory, is refused before
+        # the run, in either format, and no file is made
         cfg_path = write_config(tmp_path, base_config())
-        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
-        assert code == 2
-        assert "cannot write" in capsys.readouterr().err
+        runs = []
+        run = recurlab.cli.run_config
+        monkeypatch.setattr(recurlab.cli, "run_config", lambda config: runs.append(1) or run(config))
+        for out in (tmp_path, tmp_path / "missing" / "report.json"):
+            for fmt in ("json", "csv"):
+                code = main(["run", "--config", str(cfg_path), "--out", str(out), "--format", fmt])
+                assert code == 2 and runs == []
+                [line] = capsys.readouterr().err.splitlines()
+                assert line.startswith(f"error: cannot write {out}: ")
+                assert list(tmp_path.iterdir()) == [cfg_path]
+        # a write that fails after the run is refused with the same line
+        def full(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(recurlab.cli, "emit_report", full)
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2 and runs == [1]
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: cannot write {out}: [Errno 28] No space left on device"
 
     def test_strict_failure_exits_3(self, tmp_path, capsys):
         obj = base_config()
@@ -1176,6 +1197,17 @@ PAIR_SUM = {
 }
 
 
+def one_cpu(monkeypatch):
+    """Run every experiment in this process, so that spies see them all: a
+    spy in a forked worker records into the worker's memory."""
+    monkeypatch.setattr(recurlab.cli, "_cpus", lambda: 1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def count_restepped_rows(monkeypatch):
     """The rows the orbit engine steps in each window re-step, one entry
     per re-step; the list grows as the engine re-steps."""
@@ -1200,12 +1232,10 @@ def count_restepped_rows(monkeypatch):
 
 
 class TestOrbitSharing:
-    def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
-        # Every vector's forward and backward orbits, and the product's part
-        # orbits, are lanes of one loop per experiment, and no lane keeps
-        # points: at H = 10^4 the measure check's 101-row window is
-        # re-stepped from the forward orbit's fill tops.
-        loops, kept, classified = [], [], []
+    @staticmethod
+    def spy_on_loops(monkeypatch):
+        """The lanes of every ``iterate_many`` call, and its ``points`` flags."""
+        loops, kept = [], []
         iterate_many = recurlab.orbit.iterate_many
 
         def loop_counted(ops, x, horizon, points=True, parts=(), radii=None):
@@ -1223,6 +1253,17 @@ class TestOrbitSharing:
         # iterate() calls the orbit module's binding
         for module in (recurlab.cli, recurlab.orbit):
             monkeypatch.setattr(module, "iterate_many", loop_counted)
+        return loops, kept
+
+    def test_each_orbit_iterated_once(self, tmp_path, monkeypatch):
+        # Every vector's forward and backward orbits, and the product's part
+        # orbits, are lanes of one loop per experiment, and no lane keeps
+        # points: at H = 10^4 the measure check's 101-row window is
+        # re-stepped from the forward orbit's fill tops. On one CPU every
+        # loop runs in this process, where the spies record.
+        one_cpu(monkeypatch)
+        loops, kept = self.spy_on_loops(monkeypatch)
+        classified = []
         for module in (recurlab.cli, recurlab.classify):
             def classify_counted(T, *args, _classify=module.classify_vector, **kwargs):
                 classified.append(T)
@@ -1246,7 +1287,18 @@ class TestOrbitSharing:
         assert kept == [(False, False)] * 2
         assert len(restepped) == 5 and all(n <= 100 + _FILL for n in restepped)
 
+    def test_two_cpus_step_one_experiment_here(self, tmp_path, monkeypatch):
+        # on two CPUs the sum runs in a child: this process steps only
+        # golden_pair's loop, its 3 vectors' forward and backward lanes
+        monkeypatch.setattr(recurlab.cli, "_cpus", lambda: 2)
+        loops, _ = self.spy_on_loops(monkeypatch)
+        doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
+        assert not document_has_failures(doc) and list(doc.experiments) == ["golden_pair", "sum"]
+        assert [len(loop) for loop in loops] == [6]
+        assert_no_child_left()
+
     def test_one_realize_per_operator(self, tmp_path, monkeypatch):
+        one_cpu(monkeypatch)
         realized = []
         realize = recurlab.cli.realize
 
@@ -1291,6 +1343,164 @@ class TestOrbitSharing:
         assert lanes == [(2, 3)]
         # every vector's measure window is re-stepped from its forward orbit
         assert len(restepped) == 3 and all(n <= 100 + _FILL for n in restepped)
+
+
+# CI's smoke config: six experiments, so that two or three shares hold
+# several experiments each
+DENSE_SWAP = {"type": "dense_matrix", "entries": [[[0.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
+SMOKE = {"schema_version": 1, "seed": 3, "experiments": [
+    {"name": "sum", "operator": {"type": "direct_sum", "parts": [
+        {"type": "diagonal_unimodular", "angles_turns": [0.25]},
+        {"type": "diagonal_unimodular", "angles_turns": [0.5]}]},
+     "vectors": ["ones"], "epsilons": [0.5], "horizon": 10000,
+     "checks": ["classify", "birkhoff", "eigen_span", "jdg", "product", "inverse", "measure"]},
+    {"name": "rotation", "operator": {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]},
+     "vectors": ["ones"], "epsilons": [0.5], "horizon": 10000, "checks": ["unimodular_return"]},
+    {"name": "long_window",
+     "operator": {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]},
+     "vectors": ["ones", "random:0"], "epsilons": [0.5], "horizon": 10000,
+     "thresholds": {"window_fraction": 0.5}, "checks": ["measure"]},
+    {"name": "dense_sum", "operator": {"type": "direct_sum", "parts": [
+        DENSE_SWAP, {"type": "diagonal_unimodular", "angles_turns": [0.618034]}]},
+     "vectors": ["ones", "random:0"], "epsilons": [0.5], "horizon": 10000,
+     "checks": ["classify", "product", "measure"]},
+    {"name": "grow", "operator": {"type": "scale", "factor": [1.01, 0.0], "inner":
+        {"type": "diagonal_unimodular", "angles_turns": [0.25, 0.618034]}},
+     "vectors": ["ones", "basis:0", "random:0"], "epsilons": [0.5], "horizon": 10000,
+     "checks": ["classify", "birkhoff", "inverse", "measure"]},
+    {"name": "every_tag", "operator": {"type": "direct_sum", "parts": [
+        {"type": "inverse", "inner": {"type": "diagonal_unimodular", "angles_turns": [0.25]}},
+        {"type": "power", "exponent": 3, "inner": {"type": "scale", "factor": [1.0, 0.0],
+            "inner": {"type": "jordan_block", "eigenvalue": [0.5, 0.0], "size": 2}}},
+        {"type": "weighted_backward_shift", "weights": [0.5], "dim": 2}, DENSE_SWAP]},
+     "vectors": ["ones"], "epsilons": [0.5], "horizon": 10000, "checks": ["classify"]}]}
+
+
+class TestShares:
+    """run_config deals experiment i to share i % k, for k the smaller of the
+    experiment and CPU counts; share 0 runs in this process and each other
+    share in a forked child. The CPU count is pinned through ``_cpus``."""
+
+    def run_on(self, monkeypatch, n, config):
+        monkeypatch.setattr(recurlab.cli, "_cpus", lambda: n)
+        return run_config(config)
+
+    def in_children(self, monkeypatch, child_fn, parent_fn=None):
+        """Replace ``_run_experiment`` by ``child_fn`` in forked children and,
+        when given, by ``parent_fn`` in this process."""
+        run, parent = recurlab.cli._run_experiment, os.getpid()
+
+        def split(exp, seed):
+            fn = (parent_fn or run) if os.getpid() == parent else child_fn
+            return fn(exp, seed)
+
+        monkeypatch.setattr(recurlab.cli, "_run_experiment", split)
+
+    @pytest.mark.parametrize("obj", [PAIR_SUM, SMOKE, dict(PAIR_SUM, experiments=[])],
+                             ids=["pair_sum", "smoke", "empty"])
+    def test_reports_equal_at_any_cpu_count(self, tmp_path, monkeypatch, obj):
+        config = load_config(write_config(tmp_path, obj))
+        docs = [self.run_on(monkeypatch, n, config) for n in (1, 2, 3)]
+        names = [e["name"] for e in obj["experiments"]]
+        assert all(list(doc.experiments) == names for doc in docs)
+        one, *more = (strip_wall_times(doc.to_json_dict()) for doc in docs)
+        assert all(doc == one for doc in more)
+        assert not document_has_failures(docs[0])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("horizons", [(0, 2**56, 2**57), (0, 0, 2**56, 2**57)],
+                             ids=["first_in_child", "first_here"])
+    def test_memory_error_refused_as_in_one_process(
+        self, tmp_path, capsys, monkeypatch, horizons
+    ):
+        # two experiments are too large to allocate, with different
+        # messages; on two CPUs the first of them in config order raises in
+        # the child or here, and the run names it, as it does in one process
+        quarter = base_config()["experiments"][0]
+        obj = base_config(experiments=[
+            dict(quarter, name=f"e{i}", horizon=h or 10_000) for i, h in enumerate(horizons)
+        ])
+        path, out = write_config(tmp_path, obj), tmp_path / "report.json"
+        lines = []
+        for n in (1, 2):
+            monkeypatch.setattr(recurlab.cli, "_cpus", lambda: n)
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            lines += captured.err.splitlines()
+            assert_no_child_left()
+        assert lines[0] == lines[1] and "allocate" in lines[0]
+        assert str(2**56 + 1) in lines[0] and str(2**57 + 1) not in lines[0]
+
+    def test_killed_child_raises(self, tmp_path, capsys, monkeypatch):
+        def killed(exp, seed):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.in_children(monkeypatch, killed)
+        config = load_config(write_config(tmp_path, PAIR_SUM))
+        t0 = time.perf_counter()
+        with pytest.raises(ChildProcessError, match=r"worker of \['sum'\] ended with wait status 9$"):
+            self.run_on(monkeypatch, 2, config)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+        # the CLI refuses the run with one line
+        out = tmp_path / "report.json"
+        path = write_config(tmp_path, PAIR_SUM)
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: the worker of ['sum'] ended") and not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_raise_here_kills_the_children(self, tmp_path, monkeypatch, exc):
+        # the children would run for a minute; the run raises at once
+        def refuse(exp, seed):
+            raise exc("refused")
+
+        self.in_children(monkeypatch, lambda exp, seed: time.sleep(60), refuse)
+        config = load_config(write_config(tmp_path, SMOKE))
+        t0 = time.perf_counter()
+        with pytest.raises(exc, match="refused"):
+            self.run_on(monkeypatch, 3, config)
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
+
+    def test_unpicklable_error_comes_back_as_runtime_error(self, tmp_path, monkeypatch):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def broken(exp, seed):
+            raise Local(f"broken {exp.name}")
+
+        self.in_children(monkeypatch, broken)
+        config = load_config(write_config(tmp_path, PAIR_SUM))
+        with pytest.raises(RuntimeError) as info:
+            self.run_on(monkeypatch, 2, config)
+        text = str(info.value)
+        assert text.startswith("Traceback") and text.endswith("Local: broken sum\n")
+        assert_no_child_left()
+
+    def test_fork_warning_of_threaded_processes_is_expected(self, tmp_path, monkeypatch):
+        # Python 3.12+ warns on fork in a process with threads, as numpy's
+        # OpenBLAS pool makes every process here, and prints the warning
+        # under -W default. CPython drops that warning when a filter makes
+        # it an error, so this fork warns from Python, where the error
+        # filter of these tests raises: the run passes only if it ignores
+        # that message
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+            )
+            return fork()
+
+        config = load_config(write_config(tmp_path, PAIR_SUM))
+        one = strip_wall_times(self.run_on(monkeypatch, 1, config).to_json_dict())
+        monkeypatch.setattr(os, "fork", warning_fork)
+        assert strip_wall_times(self.run_on(monkeypatch, 2, config).to_json_dict()) == one
+        assert_no_child_left()
 
 
 class TestPerVectorOracle:
@@ -1437,6 +1647,7 @@ class TestAllChecksRun:
             post_init(self)
 
         monkeypatch.setattr(FiniteNatSet, "__post_init__", counted)
+        one_cpu(monkeypatch)
         doc = run_config(load_config(write_config(tmp_path, PAIR_SUM)))
         assert not document_has_failures(doc)
         checks = set().union(*(exp["checks"] for exp in doc.experiments.values()))
